@@ -29,7 +29,7 @@ def random_unitary(rng):
 
 
 def census(netlist):
-    return Counter(type(dev).__name__ for dev in netlist.devices)
+    return Counter(dev.kind for dev in netlist.devices)
 
 
 def main():

@@ -8,212 +8,17 @@ compiles them to device netlists, and the measurement and nonlinear layers
 model detection and power-dependent gates.
 """
 
-from .algebra import (
-    ATOL,
-    CARTESIAN,
-    RTOL,
-    TENSOR,
-    AnbitState,
-    BlochPoint,
-    CompositeState,
-    cartesian_compose,
-    from_bloch,
-    inner_product,
-    normalize_global_phase,
-    null_state,
-    tensor_compose,
-    to_bloch,
-    values_close,
-)
-from .circuits import (
-    CircuitGraph,
-    FanInGate,
-    FanInNode,
-    FanOutGate,
-    FanOutNode,
-    GateNode,
-    SinkNode,
-    SourceNode,
-    fan_in,
-    fan_out,
-    fanin_tensor_nonlinearity_witness,
-    loop_equivalent,
-    solve,
-    two_anbit_loop,
-)
-from .decompositions import (
-    EulerFactors,
-    MostowFactors,
-    PauliCoefficients,
-    SvdFactors,
-    euler_reconstruct,
-    euler_zxz,
-    euler_zyz,
-    mostow_synthesize,
-    pauli_decompose,
-    pauli_reconstruct,
-    svd2,
-    svd_reconstruct,
-)
-from .errors import (
-    AnbitError,
-    AxisError,
-    ClassError,
-    ControlEncodingError,
-    DegenerateStateError,
-    DimError,
-    GraphError,
-    LoopSingularError,
-    ModeError,
-    OrderError,
-    ParamError,
-    SymmetryError,
-)
-from .gates import (
-    AXIS_X,
-    AXIS_Y,
-    AXIS_Z,
-    ControlledGate,
-    GateClass,
-    GateMatrix,
-    RotationSpec,
-    apply,
-    apply_controlled_superposed,
-    classify,
-    controlled,
-    identity_gate,
-    nand_emulate,
-    pauli,
-    rotation_matrix,
-)
-from .lowering import (
-    Amplifier,
-    Attenuator,
-    FbSymmetry,
-    Netlist,
-    PhaseShifter,
-    Resonator,
-    Splitter5050,
-    TunableCoupler,
-    check_fb_symmetry,
-    gain_device,
-    lower_circuit,
-    lower_controlled_electrooptic,
-    lower_fanin,
-    lower_general_svd,
-    lower_mostow,
-    lower_pauli_mgate,
-    lower_unitary_zxz,
-    lower_unitary_zyz_fixed,
-    scattering_matrix,
-)
-from .measurement import (
-    KIND_COHERENT,
-    KIND_DIFFERENTIAL,
-    MeasurementRecord,
-    measure_coherent,
-    measure_differential,
-)
-from .nonlinear import SpmParams, TaylorGate, ann_layer, spm_gate, taylor_apply
+from . import algebra, circuits, decompositions, errors, gates, lowering, measurement, nonlinear
+from .algebra import *  # noqa: F403
+from .circuits import *  # noqa: F403
+from .decompositions import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .gates import *  # noqa: F403
+from .lowering import *  # noqa: F403
+from .measurement import *  # noqa: F403
+from .nonlinear import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOL",
-    "CARTESIAN",
-    "RTOL",
-    "TENSOR",
-    "AnbitState",
-    "BlochPoint",
-    "CompositeState",
-    "cartesian_compose",
-    "from_bloch",
-    "inner_product",
-    "normalize_global_phase",
-    "null_state",
-    "tensor_compose",
-    "to_bloch",
-    "values_close",
-    "CircuitGraph",
-    "FanInGate",
-    "FanInNode",
-    "FanOutGate",
-    "FanOutNode",
-    "GateNode",
-    "SinkNode",
-    "SourceNode",
-    "fan_in",
-    "fan_out",
-    "fanin_tensor_nonlinearity_witness",
-    "loop_equivalent",
-    "solve",
-    "two_anbit_loop",
-    "EulerFactors",
-    "MostowFactors",
-    "PauliCoefficients",
-    "SvdFactors",
-    "euler_reconstruct",
-    "euler_zxz",
-    "euler_zyz",
-    "mostow_synthesize",
-    "pauli_decompose",
-    "pauli_reconstruct",
-    "svd2",
-    "svd_reconstruct",
-    "AnbitError",
-    "AxisError",
-    "ClassError",
-    "ControlEncodingError",
-    "DegenerateStateError",
-    "DimError",
-    "GraphError",
-    "LoopSingularError",
-    "ModeError",
-    "OrderError",
-    "ParamError",
-    "SymmetryError",
-    "AXIS_X",
-    "AXIS_Y",
-    "AXIS_Z",
-    "ControlledGate",
-    "GateClass",
-    "GateMatrix",
-    "RotationSpec",
-    "apply",
-    "apply_controlled_superposed",
-    "classify",
-    "controlled",
-    "identity_gate",
-    "nand_emulate",
-    "pauli",
-    "rotation_matrix",
-    "Amplifier",
-    "Attenuator",
-    "FbSymmetry",
-    "Netlist",
-    "PhaseShifter",
-    "Resonator",
-    "Splitter5050",
-    "TunableCoupler",
-    "check_fb_symmetry",
-    "gain_device",
-    "lower_circuit",
-    "lower_controlled_electrooptic",
-    "lower_fanin",
-    "lower_general_svd",
-    "lower_mostow",
-    "lower_pauli_mgate",
-    "lower_unitary_zxz",
-    "lower_unitary_zyz_fixed",
-    "scattering_matrix",
-    "KIND_COHERENT",
-    "KIND_DIFFERENTIAL",
-    "MeasurementRecord",
-    "measure_coherent",
-    "measure_differential",
-    "SpmParams",
-    "TaylorGate",
-    "ann_layer",
-    "spm_gate",
-    "taylor_apply",
-]
+_MODULES = (algebra, circuits, decompositions, errors, gates, lowering, measurement, nonlinear)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -317,13 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="resolve a circuit and print sink states")
-    p.add_argument("circuit")
+    p.add_argument("target", metavar="circuit")
     p.add_argument("--input", required=True, dest="input_path")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
     p = sub.add_parser("decompose", help="factor a gate")
-    p.add_argument("gate")
+    p.add_argument("target", metavar="gate")
     p.add_argument(
         "--method",
         required=True,
@@ -337,39 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("analyze", help="reciprocity and symmetry report for a netlist")
-    p.add_argument("netlist")
+    p.add_argument("target", metavar="netlist")
 
     p = sub.add_parser("measure", help="measurement record for a state")
-    p.add_argument("state")
+    p.add_argument("target", metavar="state")
     p.add_argument("--kind", required=True, choices=("coherent", "differential"))
     p.add_argument("--responsivity", required=True, type=float)
     p.add_argument("--omega-c", type=float, default=0.0, dest="omega_c")
 
     p = sub.add_parser("trajectory", help="sphere-coordinate sweep as CSV")
-    p.add_argument("sweep_spec")
+    p.add_argument("target", metavar="sweep_spec")
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        target=getattr(ns, "circuit", None)
-        or getattr(ns, "gate", None)
-        or getattr(ns, "target", None)
-        or getattr(ns, "netlist", None)
-        or getattr(ns, "state", None)
-        or getattr(ns, "sweep_spec", None),
-        input_path=getattr(ns, "input_path", None),
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "fmt", "json"),
-        method=getattr(ns, "method", None),
-        arch=getattr(ns, "arch", None),
-        kind=getattr(ns, "kind", None),
-        responsivity=getattr(ns, "responsivity", 1.0),
-        omega_c=getattr(ns, "omega_c", 0.0),
-    )
-    return run(cfg)
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 def entrypoint():

@@ -1,5 +1,20 @@
 """Error taxonomy shared by every anbit module."""
 
+__all__ = [
+    "AnbitError",
+    "AxisError",
+    "ClassError",
+    "ControlEncodingError",
+    "DegenerateStateError",
+    "DimError",
+    "GraphError",
+    "LoopSingularError",
+    "ModeError",
+    "OrderError",
+    "ParamError",
+    "SymmetryError",
+]
+
 
 class AnbitError(Exception):
     """Base class for package-specific errors."""

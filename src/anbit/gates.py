@@ -20,7 +20,6 @@ __all__ = [
     "GateMatrix",
     "RotationSpec",
     "ControlledGate",
-    "CLASSIFY_TOL",
     "AXIS_X",
     "AXIS_Y",
     "AXIS_Z",

@@ -1,12 +1,14 @@
 """Lowering of gates and fan-in blocks to photonic device netlists.
 
-A netlist is an ordered list of device primitives (phase shifters, tunable
-couplers, fixed 50:50 splitters, attenuators, amplifiers) acting in place on
-numbered wires; two wires carry one anbit. Forward transfer is the ordered
-device product reduced to the declared ports; backward transfer traverses the
-devices in reverse with each device's explicit backward matrix, which for the
-reciprocal models here is the transpose. Forward-backward symmetry compares
-the two.
+A netlist is an ordered list of device primitives acting in place on numbered
+wires; two wires carry one anbit. Each device is one `Device` record whose
+kind, a key of `DEVICE_KINDS` (phase shifter, tunable coupler, fixed 50:50
+splitter, attenuator, amplifier), fixes its wire count, value domain and
+local 1x1 or 2x2 matrix. Transfers apply those local matrices in place to a
+block with one column per port: forward transfer runs the devices in order
+from the input ports; backward transfer runs them in reverse from the output
+ports with each local matrix transposed, the backward matrix of every
+reciprocal kind here. Forward-backward symmetry compares the two.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -24,12 +27,7 @@ from .errors import ControlEncodingError, DimError, GraphError, ParamError
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
 
 __all__ = [
-    "PhaseShifter",
-    "TunableCoupler",
-    "Splitter5050",
-    "Attenuator",
-    "Amplifier",
-    "Resonator",
+    "Device",
     "Netlist",
     "FbSymmetry",
     "gain_device",
@@ -51,167 +49,91 @@ _HALF_PI = 0.5 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PhaseShifter:
-    """Single-wire phase e^(i phi)."""
+def _phase(phi):
+    return np.array([[np.exp(1j * phi)]], dtype=complex)
 
-    wire: int
-    phi: float
-    control_binding: str | None = None
 
-    @property
-    def wires(self):
-        return (self.wire,)
+def _coupler(alpha2):
+    # mode-coupling angle alpha2, coupling kL = alpha2/2
+    c, s = np.cos(0.5 * alpha2), np.sin(0.5 * alpha2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
-    @property
-    def value(self):
-        return self.phi
 
-    def matrix(self, value=None):
-        phi = self.phi if value is None else value
-        return np.array([[np.exp(1j * phi)]], dtype=complex)
+_SPLITTER = _INV_SQRT2 * np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex)
 
-    def backward_matrix(self, value=None):
-        # same phase seen in either direction
-        return self.matrix(value)
+
+def _gain(g):
+    return np.array([[g]], dtype=complex)
 
 
 @dataclass(frozen=True)
-class TunableCoupler:
-    """Two-wire coupler with mode-coupling angle alpha2 (coupling kL = alpha2/2)."""
+class DeviceKind:
+    """One device primitive: wire count, value domain and local matrix.
 
-    wire_a: int
-    wire_b: int
-    alpha2: float
-    control_binding: str | None = None
+    local(value) is the n_wires x n_wires forward matrix; kinds that are not
+    `valued` have no tunable parameter. A value v of a valued kind must
+    satisfy in_domain(v); `domain` words the rule for the error message.
+    Every kind is reciprocal: its backward matrix is the transpose of the
+    forward one.
+    """
 
-    @property
-    def wires(self):
-        return (self.wire_a, self.wire_b)
-
-    @property
-    def value(self):
-        return self.alpha2
-
-    def matrix(self, value=None):
-        a2 = self.alpha2 if value is None else value
-        c, s = np.cos(0.5 * a2), np.sin(0.5 * a2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-    def backward_matrix(self, value=None):
-        return self.matrix(value).T
+    n_wires: int
+    valued: bool
+    local: Callable[[float | None], np.ndarray]
+    in_domain: Callable[[float], bool] = lambda value: True
+    domain: str = ""
 
 
-@dataclass(frozen=True)
-class Splitter5050:
-    """Fixed 50:50 splitter (1/sqrt2) [[1, i], [i, 1]]; no tunable parameter."""
-
-    wire_a: int
-    wire_b: int
-    control_binding: str | None = None
-
-    @property
-    def wires(self):
-        return (self.wire_a, self.wire_b)
-
-    @property
-    def value(self):
-        return None
-
-    def matrix(self, value=None):
-        return _INV_SQRT2 * np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex)
-
-    def backward_matrix(self, value=None):
-        return self.matrix().T
+# keyed by the netlist text tag; attenuator gain 0 is the sentinel that blocks a wire
+DEVICE_KINDS = {
+    "PS": DeviceKind(1, True, _phase),  # phase e^(i phi)
+    "DC": DeviceKind(2, True, _coupler),  # tunable coupler
+    "BS": DeviceKind(2, False, lambda _value: _SPLITTER.copy()),  # fixed 50:50 splitter
+    "ATT": DeviceKind(1, True, _gain, lambda g: 0 <= g <= 1, "attenuator gain must be in [0, 1]"),
+    "AMP": DeviceKind(1, True, _gain, lambda g: g > 1, "amplifier gain must exceed 1"),
+}
 
 
 @dataclass(frozen=True)
-class Attenuator:
-    """Single-wire gain in [0, 1]; gain 0 is the sentinel that blocks the wire."""
+class Device:
+    """One device of kind `kind` (a DEVICE_KINDS key) acting on `wires`.
 
-    wire: int
-    gain: float
+    value is the tunable parameter (phase, coupling angle or gain), None for
+    the fixed splitter; control_binding names the electrical control that
+    sets it in a controlled netlist.
+    """
+
+    kind: str
+    wires: tuple[int, ...]
+    value: float | None = None
     control_binding: str | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.gain <= 1.0:
-            raise ParamError(f"attenuator gain must be in [0, 1], got {self.gain}")
+        spec = DEVICE_KINDS.get(self.kind)
+        if spec is None:
+            raise ParamError(f"unknown device kind {self.kind!r}")
+        wires = tuple(self.wires)
+        object.__setattr__(self, "wires", wires)
+        if len(wires) != spec.n_wires or len(set(wires)) != len(wires):
+            raise ParamError(f"{self.kind} needs {spec.n_wires} distinct wires, got {wires}")
+        if not spec.valued:
+            if self.value is not None:
+                raise ParamError(f"{self.kind} takes no value, got {self.value}")
+        elif self.value is None:
+            raise ParamError(f"{self.kind} needs a value")
+        elif not spec.in_domain(self.value):
+            raise ParamError(f"{spec.domain}, got {self.value}")
 
-    @property
-    def wires(self):
-        return (self.wire,)
-
-    @property
-    def value(self):
-        return self.gain
-
-    def matrix(self, value=None):
-        g = self.gain if value is None else value
-        return np.array([[g]], dtype=complex)
-
-    def backward_matrix(self, value=None):
-        return self.matrix(value)
-
-
-@dataclass(frozen=True)
-class Amplifier:
-    """Single-wire gain > 1."""
-
-    wire: int
-    gain: float
-    control_binding: str | None = None
-
-    def __post_init__(self):
-        if not self.gain > 1.0:
-            raise ParamError(f"amplifier gain must exceed 1, got {self.gain}")
-
-    @property
-    def wires(self):
-        return (self.wire,)
-
-    @property
-    def value(self):
-        return self.gain
-
-    def matrix(self, value=None):
-        g = self.gain if value is None else value
-        return np.array([[g]], dtype=complex)
-
-    def backward_matrix(self, value=None):
-        return self.matrix(value)
+    def matrix(self, value=None) -> np.ndarray:
+        """Local forward matrix, at `value` in place of the device's own when given."""
+        return DEVICE_KINDS[self.kind].local(self.value if value is None else value)
 
 
-@dataclass(frozen=True)
-class Resonator:
-    """All-pass ring, part of the device vocabulary; no lowering emits one."""
-
-    wire: int
-    phi: float
-    control_binding: str | None = None
-
-    @property
-    def wires(self):
-        return (self.wire,)
-
-    @property
-    def value(self):
-        return self.phi
-
-    def matrix(self, value=None):
-        phi = self.phi if value is None else value
-        return np.array([[np.exp(1j * phi)]], dtype=complex)
-
-    def backward_matrix(self, value=None):
-        return self.matrix(value)
-
-
-def gain_device(wire: int, gain: float, binding: str | None = None):
+def gain_device(wire: int, gain: float, binding: str | None = None) -> Device:
     """Attenuator for gain <= 1 (boundary included), amplifier above."""
     if gain < 0.0:
         raise ParamError("gain device needs a non-negative value; fold signs into a phase")
-    if gain > 1.0:
-        return Amplifier(wire, gain, binding)
-    return Attenuator(wire, gain, binding)
+    return Device("AMP" if gain > 1.0 else "ATT", (wire,), gain, binding)
 
 
 class FbSymmetry(Enum):
@@ -239,6 +161,9 @@ class Netlist:
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "input_ports", tuple(int(w) for w in self.input_ports))
         object.__setattr__(self, "output_ports", tuple(int(w) for w in self.output_ports))
+        for w in self.input_ports + self.output_ports:
+            if not 0 <= w < self.wires:
+                raise ParamError(f"port wire {w} outside 0..{self.wires - 1}")
         for dev in self.devices:
             for w in dev.wires:
                 if not 0 <= w < self.wires:
@@ -253,38 +178,38 @@ class Netlist:
             return self.control_map[setting]
         return self.control_map["*"]
 
-    def _embed(self, dev, local: np.ndarray) -> np.ndarray:
-        full = np.eye(self.wires, dtype=complex)
-        ws = dev.wires
-        for i, wi in enumerate(ws):
-            for j, wj in enumerate(ws):
-                full[wi, wj] = local[i, j]
-        return full
+    def _port_block(self, setting, start_ports, read_ports, backward: bool) -> np.ndarray:
+        """Devices applied in place to a W x |start_ports| block of unit columns.
 
-    def full_forward(self, setting: str | None = None) -> np.ndarray:
+        Each device touches only its own rows, so one pass costs O(D |ports|).
+        The backward pass runs the devices in reverse with transposed matrices.
+        """
         over = self._overrides(setting)
-        full = np.eye(self.wires, dtype=complex)
-        for idx, dev in enumerate(self.devices):
-            full = self._embed(dev, dev.matrix(over.get(idx))) @ full
-        return full
-
-    def full_backward(self, setting: str | None = None) -> np.ndarray:
-        over = self._overrides(setting)
-        full = np.eye(self.wires, dtype=complex)
-        for idx in range(len(self.devices) - 1, -1, -1):
+        blk = np.zeros((self.wires, len(start_ports)), dtype=complex)
+        blk[start_ports, range(len(start_ports))] = 1.0
+        order = range(len(self.devices) - 1, -1, -1) if backward else range(len(self.devices))
+        for idx in order:
             dev = self.devices[idx]
-            full = self._embed(dev, dev.backward_matrix(over.get(idx))) @ full
-        return full
+            m = dev.matrix(over.get(idx))
+            if len(dev.wires) == 1:
+                blk[dev.wires[0]] *= m[0, 0]
+                continue
+            if backward:
+                m = m.T
+            a, b = dev.wires
+            row_a, row_b = blk[a], blk[b]
+            new_a = m[0, 0] * row_a + m[0, 1] * row_b
+            blk[b] = m[1, 0] * row_a + m[1, 1] * row_b
+            blk[a] = new_a
+        return blk[list(read_ports)]
 
     def forward_transfer(self, setting: str | None = None) -> np.ndarray:
         """Transfer matrix from input ports to output ports, indexed [out, in]."""
-        full = self.full_forward(setting)
-        return full[np.ix_(self.output_ports, self.input_ports)]
+        return self._port_block(setting, self.input_ports, self.output_ports, backward=False)
 
     def backward_transfer(self, setting: str | None = None) -> np.ndarray:
         """Reverse-direction transfer from output ports to input ports, [in, out]."""
-        full = self.full_backward(setting)
-        return full[np.ix_(self.input_ports, self.output_ports)]
+        return self._port_block(setting, self.output_ports, self.input_ports, backward=True)
 
 
 def check_fb_symmetry(nl: Netlist) -> FbSymmetry:
@@ -319,19 +244,19 @@ def scattering_matrix(nl: Netlist, reciprocal: bool = True) -> np.ndarray:
 
 def _rz_pair(devices: list, w0: int, w1: int, theta: float):
     # R_z(theta) = diag(e^(-i theta/2), e^(i theta/2)); + 0.0 avoids -0.0 params
-    devices.append(PhaseShifter(w0, -0.5 * theta + 0.0))
-    devices.append(PhaseShifter(w1, 0.5 * theta + 0.0))
+    devices.append(Device("PS", (w0,), -0.5 * theta + 0.0))
+    devices.append(Device("PS", (w1,), 0.5 * theta + 0.0))
 
 
 def _global_phase_pair(devices: list, w0: int, w1: int, delta: float):
-    devices.append(PhaseShifter(w0, delta))
-    devices.append(PhaseShifter(w1, delta))
+    devices.append(Device("PS", (w0,), delta))
+    devices.append(Device("PS", (w1,), delta))
 
 
 def _signed_gain(devices: list, wire: int, value: float):
     # negative diagonal entries are a pi phase shift plus a positive gain
     if value < 0.0:
-        devices.append(PhaseShifter(wire, math.pi))
+        devices.append(Device("PS", (wire,), math.pi))
         value = -value
     devices.append(gain_device(wire, value))
 
@@ -340,7 +265,7 @@ def _zxz_devices(u: GateMatrix, w0: int = 0, w1: int = 1) -> list:
     f = euler_zxz(u)
     devices: list = []
     _rz_pair(devices, w0, w1, f.alpha1)
-    devices.append(TunableCoupler(w0, w1, f.alpha2))
+    devices.append(Device("DC", (w0, w1), f.alpha2))
     _rz_pair(devices, w0, w1, f.alpha3)
     _global_phase_pair(devices, w0, w1, f.delta)
     return devices
@@ -365,11 +290,11 @@ def lower_unitary_zyz_fixed(u: GateMatrix) -> Netlist:
     f = euler_zyz(u)
     devices: list = []
     _rz_pair(devices, 0, 1, f.alpha1)
-    devices.append(Splitter5050(0, 1))
-    devices.append(PhaseShifter(0, 0.5 * f.alpha2))
-    devices.append(PhaseShifter(1, -0.5 * f.alpha2 - math.pi))
-    devices.append(Splitter5050(0, 1))
-    devices.append(PhaseShifter(1, math.pi))
+    devices.append(Device("BS", (0, 1)))
+    devices.append(Device("PS", (0,), 0.5 * f.alpha2))
+    devices.append(Device("PS", (1,), -0.5 * f.alpha2 - math.pi))
+    devices.append(Device("BS", (0, 1)))
+    devices.append(Device("PS", (1,), math.pi))
     _rz_pair(devices, 0, 1, f.alpha3)
     _global_phase_pair(devices, 0, 1, f.delta)
     return Netlist(2, devices, (0, 1), (0, 1))
@@ -409,7 +334,7 @@ def _scale_pair(devices: list, w0: int, w1: int, z: complex):
     ph = float(np.angle(z))
     g = abs(z)
     for w in (w0, w1):
-        devices.append(PhaseShifter(w, ph))
+        devices.append(Device("PS", (w,), ph))
         devices.append(gain_device(w, g))
 
 
@@ -421,12 +346,12 @@ def _sum_block(devices: list, a: int, b: int, n: complex = 1.0, m: complex = 1.0
     """
     n = complex(n)
     m = complex(m)
-    devices.append(PhaseShifter(b, -_HALF_PI))
-    devices.append(Splitter5050(a, b))
+    devices.append(Device("PS", (b,), -_HALF_PI))
+    devices.append(Device("BS", (a, b)))
     root2 = math.sqrt(2.0)
-    devices.append(PhaseShifter(a, float(np.angle(n))))
+    devices.append(Device("PS", (a,), float(np.angle(n))))
     devices.append(gain_device(a, root2 * abs(n)))
-    devices.append(PhaseShifter(b, float(np.angle(m)) - _HALF_PI))
+    devices.append(Device("PS", (b,), float(np.angle(m)) - _HALF_PI))
     devices.append(gain_device(b, root2 * abs(m)))
 
 
@@ -461,18 +386,18 @@ def lower_pauli_mgate(m: GateMatrix) -> Netlist:
     # branch 0 on (0,1): a0 I
     _scale_pair(devices, 0, 1, coef[0])
     # branch 1 on (2,3): i a1 Rx(pi)
-    devices.append(TunableCoupler(2, 3, math.pi))
+    devices.append(Device("DC", (2, 3), math.pi))
     _scale_pair(devices, 2, 3, 1j * coef[1])
     # branch 2 on (4,5): i a2 Ry(pi) with Ry(pi) = Rz(pi/2) Rx(pi) Rz(-pi/2)
-    devices.append(PhaseShifter(4, 0.25 * math.pi))
-    devices.append(PhaseShifter(5, -0.25 * math.pi))
-    devices.append(TunableCoupler(4, 5, math.pi))
-    devices.append(PhaseShifter(4, -0.25 * math.pi))
-    devices.append(PhaseShifter(5, 0.25 * math.pi))
+    devices.append(Device("PS", (4,), 0.25 * math.pi))
+    devices.append(Device("PS", (5,), -0.25 * math.pi))
+    devices.append(Device("DC", (4, 5), math.pi))
+    devices.append(Device("PS", (4,), -0.25 * math.pi))
+    devices.append(Device("PS", (5,), 0.25 * math.pi))
     _scale_pair(devices, 4, 5, 1j * coef[2])
     # branch 3 on (6,7): i a3 Rz(pi)
-    devices.append(PhaseShifter(6, -_HALF_PI))
-    devices.append(PhaseShifter(7, _HALF_PI))
+    devices.append(Device("PS", (6,), -_HALF_PI))
+    devices.append(Device("PS", (7,), _HALF_PI))
     _scale_pair(devices, 6, 7, 1j * coef[3])
     # fan-in tree back onto (0,1)
     for a, b in ((0, 2), (4, 6), (1, 3), (5, 7), (0, 4), (1, 5)):
@@ -545,12 +470,6 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     )
 
 
-def _remap(dev, mapping: dict):
-    if hasattr(dev, "wire"):
-        return replace(dev, wire=mapping[dev.wire])
-    return replace(dev, wire_a=mapping[dev.wire_a], wire_b=mapping[dev.wire_b])
-
-
 _CIRCUIT_ARCHES = {
     "zxz": lower_unitary_zxz,
     "zyz": lower_unitary_zyz_fixed,
@@ -609,7 +528,7 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
             mapping[w] = next_wire
             next_wire += 1
         for dev in sub.devices:
-            devices.append(_remap(dev, mapping))
+            devices.append(replace(dev, wires=tuple(mapping[w] for w in dev.wires)))
 
     out_pair: dict = {}
     for nid in order:

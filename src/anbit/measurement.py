@@ -16,7 +16,13 @@ import numpy as np
 from .algebra import AnbitState
 from .errors import DimError, ParamError
 
-__all__ = ["MeasurementRecord", "measure_coherent", "measure_differential"]
+__all__ = [
+    "KIND_COHERENT",
+    "KIND_DIFFERENTIAL",
+    "MeasurementRecord",
+    "measure_coherent",
+    "measure_differential",
+]
 
 KIND_COHERENT = "coherent"
 KIND_DIFFERENTIAL = "differential"

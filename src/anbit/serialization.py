@@ -24,15 +24,7 @@ from .circuits import (
     SourceNode,
 )
 from .gates import GateMatrix, RotationSpec
-from .lowering import (
-    Amplifier,
-    Attenuator,
-    Netlist,
-    PhaseShifter,
-    Resonator,
-    Splitter5050,
-    TunableCoupler,
-)
+from .lowering import DEVICE_KINDS, Device, Netlist
 from .measurement import MeasurementRecord
 
 __all__ = [
@@ -252,23 +244,12 @@ def circuit_from_obj(obj) -> CircuitGraph:
 
 # --- netlist text format ----------------------------------------------------
 
-_DEVICE_TAGS = {
-    PhaseShifter: "PS",
-    TunableCoupler: "DC",
-    Splitter5050: "BS",
-    Amplifier: "AMP",
-    Attenuator: "ATT",
-    Resonator: "RES",
-}
-
-
 def netlist_to_text(nl: Netlist) -> str:
     lines = [f"WIRES {nl.wires}"]
     lines.append("IN " + " ".join(str(w) for w in nl.input_ports))
     lines.append("OUT " + " ".join(str(w) for w in nl.output_ports))
     for dev in nl.devices:
-        tag = _DEVICE_TAGS[type(dev)]
-        parts = [tag] + [str(w) for w in dev.wires]
+        parts = [dev.kind] + [str(w) for w in dev.wires]
         if dev.value is not None:
             parts.append(fmt_float(dev.value))
         if dev.control_binding is not None:
@@ -283,23 +264,18 @@ def netlist_to_text(nl: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_device(tag: str, args: list):
+def _parse_device(tag: str, args: list) -> Device:
+    spec = DEVICE_KINDS.get(tag)
+    if spec is None:
+        raise ValueError(f"unknown directive {tag!r}")
     binding = None
     if args and args[-1].startswith("@"):
         binding = args.pop()[1:]
-    if tag == "PS":
-        return PhaseShifter(int(args[0]), float(args[1]), binding)
-    if tag == "DC":
-        return TunableCoupler(int(args[0]), int(args[1]), float(args[2]), binding)
-    if tag == "BS":
-        return Splitter5050(int(args[0]), int(args[1]), binding)
-    if tag == "AMP":
-        return Amplifier(int(args[0]), float(args[1]), binding)
-    if tag == "ATT":
-        return Attenuator(int(args[0]), float(args[1]), binding)
-    if tag == "RES":
-        return Resonator(int(args[0]), float(args[1]), binding)
-    raise ValueError(f"unknown directive {tag!r}")
+    want = spec.n_wires + int(spec.valued)
+    if len(args) != want:
+        raise ValueError(f"{tag} takes {want} fields, got {len(args)}")
+    wires = tuple(int(a) for a in args[: spec.n_wires])
+    return Device(tag, wires, float(args[-1]) if spec.valued else None, binding)
 
 
 def netlist_from_text(text: str) -> Netlist:

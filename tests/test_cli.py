@@ -201,6 +201,33 @@ def test_analyze(tmp_path, capsys, rng):
     assert np.max(np.abs(s - s.T)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "WIRES 2\nIN 0 5\nOUT 0 1\n",
+        "WIRES 2\nIN -1 1\nOUT 0 1\n",
+        "WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 0 0.7\n",
+        "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 1 0.5\n",
+        "WIRES 2\nIN 0 1\nOUT 0 1\nBS 0 1 0.3\n",
+    ],
+    ids=[
+        "port-past-last-wire",
+        "negative-port",
+        "coupler-on-one-wire",
+        "ps-extra-field",
+        "bs-with-value",
+    ],
+)
+def test_analyze_rejects_malformed_netlist(tmp_path, capsys, body):
+    path = tmp_path / "bad.netlist"
+    path.write_text(body)
+    rc, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["exit_code"] == 2
+    assert payload["error"] in ("ParamError", "ValueError")
+
+
 def test_measure_cli(tmp_path, capsys):
     s = AnbitState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     spath = write_json(tmp_path / "s.json", state_to_obj(s))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anbit import (
     AnbitState,
-    Amplifier,
-    Attenuator,
     CircuitGraph,
+    Device,
     FanInGate,
     FanInNode,
     FanOutGate,
@@ -14,11 +15,8 @@ from anbit import (
     GateMatrix,
     GateNode,
     Netlist,
-    PhaseShifter,
     SinkNode,
     SourceNode,
-    Splitter5050,
-    TunableCoupler,
     check_fb_symmetry,
     controlled,
     euler_zxz,
@@ -38,54 +36,59 @@ from anbit import (
     solve,
 )
 from anbit.errors import ControlEncodingError, GraphError, ParamError
+from anbit.lowering import DEVICE_KINDS
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
 
 def test_phase_shifter_matrix():
-    d = PhaseShifter(0, np.pi / 2.0)
+    d = Device("PS", (0,), np.pi / 2.0)
     assert np.allclose(d.matrix(), [[1j]], atol=1e-15)
-    assert np.allclose(d.backward_matrix(), [[1j]], atol=1e-15)
+    assert np.allclose(d.matrix(0.0), [[1.0]], atol=1e-15)
 
 
 def test_coupler_matrix():
-    d = TunableCoupler(0, 1, np.pi)
+    d = Device("DC", (0, 1), np.pi)
     assert np.allclose(d.matrix(), [[0, -1j], [-1j, 0]], atol=1e-15)
     a = 0.7
-    d = TunableCoupler(0, 1, a)
+    d = Device("DC", (0, 1), a)
     c, s = np.cos(a / 2.0), np.sin(a / 2.0)
     assert np.allclose(d.matrix(), [[c, -1j * s], [-1j * s, c]], atol=1e-15)
-    # symmetric device: backward equals forward transpose equals itself
-    assert np.allclose(d.backward_matrix(), d.matrix().T, atol=1e-15)
+    # symmetric device: the backward transfer equals the forward one
+    nl = Netlist(2, (d,), (0, 1), (0, 1))
+    assert np.allclose(nl.backward_transfer(), nl.forward_transfer(), atol=1e-15)
 
 
 def test_splitter_matrix():
-    d = Splitter5050(0, 1)
+    d = Device("BS", (0, 1))
     want = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2.0)
     assert np.allclose(d.matrix(), want, atol=1e-15)
+    assert d.value is None
+    with pytest.raises(ParamError):
+        Device("BS", (0, 1), 0.3)
 
 
 def test_gain_devices():
-    att = Attenuator(0, 0.5)
+    att = Device("ATT", (0,), 0.5)
     assert np.allclose(att.matrix(), [[0.5]])
-    amp = Amplifier(0, 2.0)
+    amp = Device("AMP", (0,), 2.0)
     assert np.allclose(amp.matrix(), [[2.0]])
     with pytest.raises(ParamError):
-        Attenuator(0, 1.5)
+        Device("ATT", (0,), 1.5)
     with pytest.raises(ParamError):
-        Attenuator(0, -0.1)
+        Device("ATT", (0,), -0.1)
     with pytest.raises(ParamError):
-        Amplifier(0, 0.9)
-    assert isinstance(gain_device(0, 0.3), Attenuator)
-    assert isinstance(gain_device(0, 3.0), Amplifier)
-    assert isinstance(gain_device(0, 1.0), Attenuator)  # boundary stays passive
+        Device("AMP", (0,), 0.9)
+    assert gain_device(0, 0.3).kind == "ATT"
+    assert gain_device(0, 3.0).kind == "AMP"
+    assert gain_device(0, 1.0).kind == "ATT"  # boundary stays passive
     with pytest.raises(ParamError):
         gain_device(0, -2.0)
 
 
 def test_attenuator_zero_is_allowed():
     # hard block: used to terminate a wire
-    assert Attenuator(0, 0.0).matrix()[0, 0] == 0.0
+    assert Device("ATT", (0,), 0.0).matrix()[0, 0] == 0.0
 
 
 def test_zxz_device_count_and_transfer(rng):
@@ -158,7 +161,7 @@ def test_singular_gate_lowers_with_zero_attenuator():
     m = GateMatrix([[1.0, 1.0], [1.0, 1.0]])
     nl = lower_general_svd(m)
     assert np.max(np.abs(nl.forward_transfer() - m.entries)) < 1e-12
-    gains = [d.value for d in nl.devices if isinstance(d, (Attenuator, Amplifier))]
+    gains = [d.value for d in nl.devices if d.kind in ("ATT", "AMP")]
     assert min(gains) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -258,7 +261,72 @@ def test_controlled_rejects_superposed():
 
 def test_netlist_wire_bounds():
     with pytest.raises(ParamError):
-        Netlist(1, (PhaseShifter(1, 0.5),), (0,), (0,))
+        Netlist(1, (Device("PS", (1,), 0.5),), (0,), (0,))
+    # ports outside 0..W-1, including negative ones numpy would wrap
+    with pytest.raises(ParamError):
+        Netlist(2, (), (0, 5), (0, 1))
+    with pytest.raises(ParamError):
+        Netlist(2, (), (0, 1), (-1, 1))
+    # a two-wire device needs two distinct wires
+    with pytest.raises(ParamError):
+        Device("DC", (0, 0), 0.7)
+    with pytest.raises(ParamError):
+        Device("PS", (0, 1), 0.5)
+
+
+_ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
+_KIND_VALUES = {
+    "PS": _ANGLES,
+    "DC": _ANGLES,
+    "BS": st.none(),
+    "ATT": st.floats(0.0, 1.0),
+    "AMP": st.floats(1.0, 3.0, exclude_min=True),
+}
+
+
+@st.composite
+def random_netlists(draw):
+    """Netlist of every device kind on up to 8 wires, maybe with a control map."""
+    n_wires = draw(st.integers(1, 8))
+    kinds = [k for k, spec in DEVICE_KINDS.items() if spec.n_wires <= n_wires]
+    devices = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        wires = draw(st.permutations(range(n_wires)))[: DEVICE_KINDS[kind].n_wires]
+        devices.append(Device(kind, wires, draw(_KIND_VALUES[kind])))
+    ports = st.lists(st.integers(0, n_wires - 1), min_size=1, max_size=n_wires, unique=True)
+    control_map = setting = None
+    valued = [i for i, dev in enumerate(devices) if dev.value is not None]
+    if valued and draw(st.booleans()):
+        words = {word: {i: draw(_ANGLES) for i in valued} for word in ("1", "*")}
+        control_map = words
+        setting = draw(st.sampled_from(["1", "0", "*"]))
+    nl = Netlist(n_wires, devices, draw(ports), draw(ports), control_map=control_map)
+    return nl, setting
+
+
+def dense_forward(nl, setting):
+    """Reference: every device embedded in a W x W identity, multiplied in order."""
+    values = {}
+    if setting is not None:
+        values = nl.control_map.get(setting, nl.control_map["*"])
+    full = np.eye(nl.wires, dtype=complex)
+    for idx, dev in enumerate(nl.devices):
+        step = np.eye(nl.wires, dtype=complex)
+        step[np.ix_(dev.wires, dev.wires)] = dev.matrix(values.get(idx))
+        full = step @ full
+    return full[np.ix_(nl.output_ports, nl.input_ports)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_netlists())
+def test_port_block_matches_dense_product(case):
+    nl, setting = case
+    tf = nl.forward_transfer(setting)
+    scale = max(1.0, float(np.max(np.abs(tf))))
+    assert tf.shape == (len(nl.output_ports), len(nl.input_ports))
+    assert np.max(np.abs(tf - dense_forward(nl, setting))) <= 1e-12 * scale
+    assert np.max(np.abs(nl.backward_transfer(setting) - tf.T)) <= 1e-12 * scale
 
 
 def test_lower_circuit_matches_solve(rng):

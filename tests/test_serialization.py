@@ -197,6 +197,11 @@ def test_netlist_text_parse_errors():
         netlist_from_text("IN 0\nOUT 0\n")
     with pytest.raises(ValueError, match="line 4"):
         netlist_from_text("WIRES 2\nIN 0 1\nOUT 0 1\nBOGUS 0 0.5\n")
+    # a device line carries exactly its kind's fields, plus an optional @binding
+    with pytest.raises(ValueError, match="line 4: PS takes 2 fields, got 3"):
+        netlist_from_text("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 1 0.5\n")
+    with pytest.raises(ValueError, match="line 4: BS takes 2 fields, got 3"):
+        netlist_from_text("WIRES 2\nIN 0 1\nOUT 0 1\nBS 0 1 0.3 @c0\n")
 
 
 def test_netlist_text_skips_comments_and_blanks():

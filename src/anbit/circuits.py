@@ -1,10 +1,13 @@
 """Combinational and feedback circuits built from gates, fan-in, and fan-out.
 
 Fan-in adds two andits (Cartesian composition keeps it linear); fan-out
-clones one. Feedback loops are resolved in steady state by assembling one
-linear system over all wire signals and solving it directly; the closed-form
-resolvent formulas for the canonical single- and two-anbit loops are also
-provided and serve as oracles for the generic solver.
+clones one. `solve` resolves a circuit in steady state over the condensation
+of its node graph into strongly connected components, visited in topological
+order: feed-forward nodes set their output signals directly from their
+already-known inputs, and each feedback component solves only the small
+linear system over its own internal wires. The closed-form resolvent formulas
+for the canonical single- and two-anbit loops are also provided and serve as
+oracles for the generic solver.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ __all__ = [
     "fanin_tensor_nonlinearity_witness",
 ]
 
-# A loop resolvent G = I - (loop product) counts as singular when
-# |det G| <= LOOP_DET_TOL * ||G||_F^d (scale-invariant threshold).
-LOOP_DET_TOL = 1e-12
+# A loop system A (a resolvent I - loop product, or one feedback component's
+# wire equations) counts as singular when sigma_min(A) <= SINGULAR_RTOL *
+# sigma_max(A): a relative, scale-invariant test on the smallest singular value.
+SINGULAR_RTOL = 1e-12
 
 
 def _nonzero_complex(value, name: str) -> complex:
@@ -131,15 +135,16 @@ def fan_out(psi: AnbitState, n=1.0, m=1.0) -> tuple[AnbitState, AnbitState]:
     return AnbitState(n * psi.amps, psi.delta_t), AnbitState(m * psi.amps, psi.delta_t)
 
 
+def _singular(a: np.ndarray) -> bool:
+    """The one singularity test of every loop system: relative smallest singular value."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return bool(sigma[-1] <= SINGULAR_RTOL * sigma[0])
+
+
 def _resolvent_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    d = g.shape[0]
-    fro = float(np.linalg.norm(g))
-    if abs(np.linalg.det(g)) <= LOOP_DET_TOL * fro**d:
+    if _singular(g):
         raise LoopSingularError("loop resolvent is singular; no steady state")
-    try:
-        return np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - det guard hits first
-        raise LoopSingularError(str(exc)) from exc
+    return np.linalg.solve(g, rhs)
 
 
 def loop_equivalent(m1: GateMatrix, m2: GateMatrix, n1=1.0, n2=1.0, m2_param=1.0) -> GateMatrix:
@@ -300,13 +305,139 @@ class CircuitGraph:
     def sinks(self) -> list:
         return [nid for nid, n in self.nodes.items() if isinstance(n, SinkNode)]
 
+    def components(self) -> list:
+        """Strongly connected components in topological order, as (node ids, cyclic).
+
+        Iterative Tarjan (SIAM J. Comput. 1, 1972): roots are tried in node
+        declaration order, nodes with no incoming edge first, and successors
+        in edge order; components come out in reverse topological order and
+        are returned reversed. Every node of an acyclic graph is reachable
+        from a source, so its order depends on the source and edge order
+        only. A component is cyclic when it holds more than one node or a
+        node wired to itself.
+        """
+        ids = list(self.nodes)
+        pos = {nid: k for k, nid in enumerate(ids)}
+        succ: list = [[] for _ in ids]
+        looped = set()
+        for (src, _), (dst, _) in self.edges:
+            succ[pos[src]].append(pos[dst])
+            if src == dst:
+                looped.add(pos[src])
+        index = [-1] * len(ids)
+        low = [0] * len(ids)
+        on_stack = [False] * len(ids)
+        stack: list = []
+        work: list = []  # DFS path: (node, its successors not yet tried)
+        found: list = []
+        count = 0
+
+        def visit(v):
+            nonlocal count
+            index[v] = low[v] = count
+            count += 1
+            stack.append(v)
+            on_stack[v] = True
+            work.append((v, iter(succ[v])))
+
+        fed = {pos[dst] for _, (dst, _) in self.edges}
+        for root in [k for k in range(len(ids)) if k not in fed] + sorted(fed):
+            if index[root] >= 0:
+                continue
+            visit(root)
+            while work:
+                v, children = work[-1]
+                for w in children:
+                    if index[w] < 0:
+                        visit(w)
+                        break
+                    if on_stack[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
+                    if low[v] == index[v]:
+                        members = []
+                        while True:
+                            w = stack.pop()
+                            on_stack[w] = False
+                            members.append(ids[w])
+                            if w == v:
+                                break
+                        found.append((members, len(members) > 1 or v in looped))
+        found.reverse()
+        return found
+
+
+def _terms(node, port: int, ins: list) -> list:
+    """(coefficient, input edge) pairs: output `port` of `node` is the sum of coefficient . input.
+
+    ins holds the node's input edge per input port (None when unwired). A
+    coefficient is a complex scalar or a d x d matrix; an unwired fan-out
+    ancilla is the null state and contributes no term.
+    """
+    if isinstance(node, GateNode):
+        return [(node.gate.entries, ins[0])]
+    if isinstance(node, FanInNode):
+        w = node.fi.n if port == 0 else node.fi.m
+        return [(w, ins[0]), (w if port == 0 else -w, ins[1])]
+    # FanOutNode; sources are set from the inputs and sinks drive no edge
+    terms = [(node.fo.n if port == 0 else node.fo.m, ins[0])]
+    if ins[1] is not None:
+        terms.append((node.fo.m12 if port == 0 else node.fo.m22, ins[1]))
+    return terms
+
+
+def _apply(coef, v: np.ndarray) -> np.ndarray:
+    return coef @ v if isinstance(coef, np.ndarray) else coef * v
+
+
+def _solve_feedback(graph: CircuitGraph, members: list, ins: dict, outs: dict, x: list, d: int):
+    """Set the signals of one feedback component's internal edges; returns those edges.
+
+    One block equation per internal edge; signals entering from earlier
+    components are known in x and move to the right-hand side.
+    """
+    member_set = set(members)
+    inner: dict = {}  # internal edge -> position in the local system
+    for nid in members:
+        for i, _ in outs[nid]:
+            if graph.edges[i][1][0] in member_set:
+                inner[i] = len(inner)
+    eye = np.eye(d, dtype=complex)
+    a = np.eye(len(inner) * d, dtype=complex)
+    b = np.zeros((len(inner), d), dtype=complex)
+    for i, k in inner.items():
+        (src, sp), _ = graph.edges[i]
+        for coef, j in _terms(graph.nodes[src], sp, ins[src]):
+            if j in inner:
+                blk = coef if isinstance(coef, np.ndarray) else coef * eye
+                a[k * d:(k + 1) * d, inner[j] * d:(inner[j] + 1) * d] -= blk
+            else:
+                b[k] += _apply(coef, x[j])
+    if _singular(a):
+        ids = sorted(members, key=list(graph.nodes).index)
+        raise LoopSingularError(f"feedback loop through nodes {ids} is singular; no steady state")
+    x_inner = np.linalg.solve(a, b.reshape(-1)).reshape(-1, d)
+    for i, k in inner.items():
+        x[i] = x_inner[k]
+    return inner
+
 
 def solve(graph: CircuitGraph, inputs: dict) -> dict:
     """Steady-state signals at every sink, keyed by sink node id.
 
-    Assembles one block equation per edge (each edge is produced by exactly
-    one output port) and solves the global system by direct elimination with
-    partial pivoting. Works for combinational and feedback topologies alike.
+    Each edge carries one signal, produced by exactly one output port. The
+    strongly connected components of the node graph are visited in
+    topological order. A feed-forward node sets its output edges from its
+    already-known input edges. A feedback component assembles one block
+    equation per internal edge, moves the edges entering it from earlier
+    components to the right-hand side, and solves that local system by direct
+    elimination; LoopSingularError names the component's nodes when the
+    system is singular.
     """
     sources = graph.sources()
     missing = [s for s in sources if s not in inputs]
@@ -325,59 +456,43 @@ def solve(graph: CircuitGraph, inputs: dict) -> dict:
             raise DimError(f"gate {nid!r} has dim {node.gate.dim}, circuit carries {d}")
 
     edges = graph.edges
-    n_edges = len(edges)
-    if n_edges == 0:
+    if not edges:
         return {}
-    out_edge = {(src, sp): i for i, ((src, sp), _) in enumerate(edges)}
-    in_edge = {(dst, dp): i for i, (_, (dst, dp)) in enumerate(edges)}
+    ins: dict = {nid: [None, None] for nid in graph.nodes}  # node -> input edge per port
+    outs: dict = {nid: [] for nid in graph.nodes}  # node -> [(edge, output port)]
+    for i, ((src, sp), (dst, dp)) in enumerate(edges):
+        outs[src].append((i, sp))
+        ins[dst][dp] = i
+    if d != 2:
+        for nid, node in graph.nodes.items():
+            if isinstance(node, FanOutNode) and ins[nid][1] is not None and outs[nid]:
+                raise DimError("fan-out ancilla submatrices are defined for dim 2")
 
-    size = n_edges * d
-    a = np.zeros((size, size), dtype=complex)
-    b = np.zeros(size, dtype=complex)
-    eye = np.eye(d, dtype=complex)
-
-    def block(i: int) -> slice:
-        return slice(i * d, (i + 1) * d)
-
-    for i, ((src, sp), _) in enumerate(edges):
-        node = graph.nodes[src]
-        a[block(i), block(i)] = eye
-        if isinstance(node, SourceNode):
-            b[block(i)] = inputs[src].amps
-        elif isinstance(node, GateNode):
-            j = in_edge[(src, 0)]
-            a[block(i), block(j)] -= node.gate.entries
-        elif isinstance(node, FanInNode):
-            ja, jb = in_edge[(src, 0)], in_edge[(src, 1)]
-            w = node.fi.n if sp == 0 else node.fi.m
-            a[block(i), block(ja)] -= w * eye
-            a[block(i), block(jb)] -= w * eye if sp == 0 else -w * eye
-        elif isinstance(node, FanOutNode):
-            j = in_edge[(src, 0)]
-            gain = node.fo.n if sp == 0 else node.fo.m
-            a[block(i), block(j)] -= gain * eye
-            anc = in_edge.get((src, 1))
-            if anc is not None:
-                if d != 2:
-                    raise DimError("fan-out ancilla submatrices are defined for dim 2")
-                sub = node.fo.m12 if sp == 0 else node.fo.m22
-                a[block(i), block(anc)] -= sub
-        else:  # SinkNode has no output ports, cannot produce an edge
-            raise GraphError(f"sink {src!r} cannot drive an edge")
-
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma[-1] <= 1e-12 * sigma[0]:
-        raise LoopSingularError("circuit system is singular; feedback has no steady state")
-    x = np.linalg.solve(a, b)
+    x: list = [None] * len(edges)  # signal per edge, set in topological order
+    for members, cyclic in graph.components():
+        inner = _solve_feedback(graph, members, ins, outs, x, d) if cyclic else ()
+        for nid in members:
+            node = graph.nodes[nid]
+            for i, sp in outs[nid]:
+                if i in inner:
+                    continue
+                if isinstance(node, SourceNode):
+                    x[i] = inputs[nid].amps
+                    continue
+                total = None
+                for coef, j in _terms(node, sp, ins[nid]):
+                    term = _apply(coef, x[j])
+                    total = term if total is None else total + term
+                x[i] = total
 
     dts = {inputs[s].delta_t for s in sources}
     dt = dts.pop() if len(dts) == 1 else None
     result = {}
     for nid in graph.sinks():
-        i = in_edge.get((nid, 0))
+        i = ins[nid][0]
         if i is None:
             raise GraphError(f"sink {nid!r} has no incoming edge")
-        result[nid] = AnbitState(x[block(i)], dt)
+        result[nid] = AnbitState(x[i], dt)
     return result
 
 

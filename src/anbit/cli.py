@@ -229,8 +229,8 @@ def _cmd_analyze(cfg: RunConfig) -> str:
     reciprocal = tf.shape == tb.T.shape and float(np.max(np.abs(tb - tf.T))) <= RECIPROCITY_TOL * scale
     report = {
         "reciprocal": bool(reciprocal),
-        "fb_symmetric": check_fb_symmetry(nl) is FbSymmetry.SYMMETRIC,
-        "s_matrix": matrix_to_obj(scattering_matrix(nl, reciprocal=True)),
+        "fb_symmetric": check_fb_symmetry(nl, tf, tb) is FbSymmetry.SYMMETRIC,
+        "s_matrix": matrix_to_obj(scattering_matrix(nl, reciprocal=True, tf=tf)),
     }
     return dumps(report) + "\n"
 

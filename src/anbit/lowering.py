@@ -147,7 +147,8 @@ class Netlist:
 
     control_map, when present, maps a control word (or the fallback "*") to
     {device index: parameter value}; active_setting names the key whose values
-    the emitted devices carry.
+    the emitted devices carry. Every device index lies in 0..D-1, and a word
+    without an entry of its own needs the "*" fallback.
     """
 
     wires: int
@@ -168,6 +169,15 @@ class Netlist:
             for w in dev.wires:
                 if not 0 <= w < self.wires:
                     raise ParamError(f"device wire {w} outside 0..{self.wires - 1}")
+        last = len(self.devices) - 1
+        for setting, values in (self.control_map or {}).items():
+            for idx in values:
+                if not 0 <= idx <= last:
+                    raise ParamError(
+                        f"control word {setting!r} sets device {idx}, outside 0..{last}"
+                    )
+        if self.active_setting is not None:
+            self._overrides(self.active_setting)
 
     def _overrides(self, setting: str | None) -> dict:
         if setting is None:
@@ -176,6 +186,8 @@ class Netlist:
             raise ParamError("netlist has no control map")
         if setting in self.control_map:
             return self.control_map[setting]
+        if "*" not in self.control_map:
+            raise ParamError(f"control word {setting!r} matches no control map entry and no '*'")
         return self.control_map["*"]
 
     def _port_block(self, setting, start_ports, read_ports, backward: bool) -> np.ndarray:
@@ -212,10 +224,14 @@ class Netlist:
         return self._port_block(setting, self.output_ports, self.input_ports, backward=True)
 
 
-def check_fb_symmetry(nl: Netlist) -> FbSymmetry:
-    """Symmetric when forward and backward transfer matrices coincide."""
-    tf = nl.forward_transfer()
-    tb = nl.backward_transfer()
+def check_fb_symmetry(nl: Netlist, tf=None, tb=None) -> FbSymmetry:
+    """Symmetric when forward and backward transfer matrices coincide.
+
+    tf and tb, when given, are nl's forward and backward transfers already
+    computed by the caller; each one missing is computed here.
+    """
+    tf = nl.forward_transfer() if tf is None else tf
+    tb = nl.backward_transfer() if tb is None else tb
     if tf.shape != tb.shape:
         return FbSymmetry.ASYMMETRIC
     scale = max(1.0, float(np.max(np.abs(tf))))
@@ -224,14 +240,15 @@ def check_fb_symmetry(nl: Netlist) -> FbSymmetry:
     return FbSymmetry.ASYMMETRIC
 
 
-def scattering_matrix(nl: Netlist, reciprocal: bool = True) -> np.ndarray:
+def scattering_matrix(nl: Netlist, reciprocal: bool = True, tf=None) -> np.ndarray:
     """Port scattering matrix [[0, T_b], [T_f, 0]] of a non-reflective netlist.
 
     With the reciprocal flag the backward block is taken as T_f^T directly;
     otherwise it is computed by the reversed-stage traversal, which agrees
-    for the reciprocal device models shipped here.
+    for the reciprocal device models shipped here. tf, when given, is nl's
+    forward transfer already computed by the caller.
     """
-    tf = nl.forward_transfer()
+    tf = nl.forward_transfer() if tf is None else tf
     tb = tf.T if reciprocal else nl.backward_transfer()
     n_in, n_out = len(nl.input_ports), len(nl.output_ports)
     s = np.zeros((n_in + n_out, n_in + n_out), dtype=complex)
@@ -491,22 +508,12 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
         raise ParamError(f"circuit lowering supports {sorted(_CIRCUIT_ARCHES)}, got {arch!r}")
     gate_arch = _CIRCUIT_ARCHES[arch]
 
+    components = graph.components()
+    if any(cyclic for _, cyclic in components):
+        raise GraphError("circuit has feedback; only acyclic graphs lower to a netlist")
     feeds: dict = {}
-    indeg = {nid: 0 for nid in graph.nodes}
     for (src, sp), (dst, dp) in graph.edges:
         feeds.setdefault(src, []).append(((src, sp), (dst, dp)))
-        indeg[dst] += 1
-    ready = [nid for nid, k in indeg.items() if k == 0]
-    order = []
-    while ready:
-        nid = ready.pop()
-        order.append(nid)
-        for _, (dst, _dp) in feeds.get(nid, ()):
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                ready.append(dst)
-    if len(order) != len(graph.nodes):
-        raise GraphError("circuit has feedback; only acyclic graphs lower to a netlist")
 
     next_wire = 0
 
@@ -531,7 +538,7 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
             devices.append(replace(dev, wires=tuple(mapping[w] for w in dev.wires)))
 
     out_pair: dict = {}
-    for nid in order:
+    for (nid,), _ in components:
         node = graph.nodes[nid]
         if isinstance(node, SourceNode):
             pair = fresh_pair()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anbit import (
     AnbitState,
@@ -23,7 +25,7 @@ from anbit import (
 )
 from anbit.errors import DimError, GraphError, LoopSingularError, ParamError
 
-from conftest import random_matrix, random_state_vec
+from conftest import random_matrix, random_state_vec, random_unitary
 
 
 def test_fanin_gate_matrix_blocks():
@@ -320,3 +322,306 @@ def test_witness_differs_generically(rng):
         b = AnbitState(random_state_vec(rng))
         t, m = fanin_tensor_nonlinearity_witness(a, b)
         assert np.max(np.abs(t - m)) > 1e-6
+
+
+def test_components_topological_with_cycle_flags():
+    nodes = {
+        "t": SinkNode(),
+        "fi": FanInNode(),
+        "a": GateNode(identity_gate()),
+        "s": SourceNode(),
+        "b": GateNode(identity_gate()),
+        "fo": FanOutNode(),
+    }
+    edges = (
+        (("s", 0), ("fo", 0)),
+        (("fo", 0), ("a", 0)),
+        (("fo", 1), ("fi", 0)),
+        (("fi", 1), ("fi", 1)),  # difference port fed back to itself
+        (("fi", 0), ("b", 0)),
+        (("b", 0), ("t", 0)),
+    )
+    comps = CircuitGraph(nodes, edges).components()
+    assert sorted(ids for members, _ in comps for ids in members) == sorted(nodes)
+    position = {members[0]: k for k, (members, _) in enumerate(comps)}
+    for (src, _), (dst, _) in edges:
+        assert position[src] <= position[dst]
+    assert {members[0]: cyclic for members, cyclic in comps} == {
+        "s": False, "fo": False, "a": False, "fi": True, "b": False, "t": False
+    }
+
+
+def _loop_nodes(prefix, m1, m2, n1=1.0, m2_param=1.0):
+    """Single-anbit loop nodes named prefix_*: fan-in, gate, fan-out, gate back."""
+    nodes = {
+        f"{prefix}_fi": FanInNode(FanInGate(n1, 1.0)),
+        f"{prefix}_g1": GateNode(m1),
+        f"{prefix}_fo": FanOutNode(FanOutGate(1.0, m2_param)),
+        f"{prefix}_g2": GateNode(m2),
+    }
+    edges = [
+        ((f"{prefix}_fi", 0), (f"{prefix}_g1", 0)),
+        ((f"{prefix}_g1", 0), (f"{prefix}_fo", 0)),
+        ((f"{prefix}_fo", 1), (f"{prefix}_g2", 0)),
+        ((f"{prefix}_g2", 0), (f"{prefix}_fi", 1)),
+    ]
+    return nodes, edges
+
+
+def test_singular_loop_error_names_its_component(rng):
+    # two loops in series; only the second (identity gates, unit weights) is singular
+    good_nodes, good_edges = _loop_nodes(
+        "p", GateMatrix(random_matrix(rng, 0.3)), GateMatrix(random_matrix(rng, 0.3))
+    )
+    bad_nodes, bad_edges = _loop_nodes("q", identity_gate(), identity_gate())
+    nodes = {"src": SourceNode(), **good_nodes, **bad_nodes, "out": SinkNode()}
+    edges = good_edges + bad_edges + [
+        (("src", 0), ("p_fi", 0)),
+        (("p_fo", 0), ("q_fi", 0)),
+        (("q_fo", 0), ("out", 0)),
+    ]
+    with pytest.raises(LoopSingularError) as info:
+        solve(CircuitGraph(nodes, edges), {"src": AnbitState([1.0, 0.0])})
+    message = str(info.value)
+    for nid in bad_nodes:
+        assert repr(nid) in message
+    for nid in list(good_nodes) + ["src", "out"]:
+        assert nid not in message
+
+
+def test_long_census_chain_solves(rng):
+    # a feed-forward gain chain has no feedback to be singular, whatever its total gain
+    nodes = {"s": SourceNode(), "t": SinkNode()}
+    edges = []
+    psi = random_state_vec(rng)
+    want, prev = psi, "s"
+    for k in range(160):
+        m = random_matrix(rng)
+        want = m @ want
+        nodes[f"g{k}"] = GateNode(GateMatrix(m))
+        edges.append(((prev, 0), (f"g{k}", 0)))
+        prev = f"g{k}"
+    edges.append(((prev, 0), ("t", 0)))
+    out = solve(CircuitGraph(nodes, edges), {"s": AnbitState(psi)})["t"].amps
+    assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class _Builder:
+    """Random circuit grown on open output ports, each with its signal.
+
+    Every port carries (signal, magnitude): the signal by direct propagation
+    in build order, the magnitude as the same propagation over entrywise
+    absolute values, which bounds the rounding of any evaluation order.
+    """
+
+    def __init__(self, draw, rng, gate_draw):
+        self.draw, self.rng, self.gate_draw = draw, rng, gate_draw
+        self.nodes, self.edges, self.inputs, self.live = {}, [], {}, []
+        self.loops = 0
+
+    def add(self, node) -> str:
+        nid = f"n{len(self.nodes)}"
+        self.nodes[nid] = node
+        return nid
+
+    def source(self):
+        v = random_state_vec(self.rng)
+        s = self.add(SourceNode())
+        self.inputs[s] = AnbitState(v)
+        self.live.append(((s, 0), v, np.abs(v)))
+
+    def take(self):
+        return self.live.pop(self.draw(st.integers(0, len(self.live) - 1)))
+
+    def gate(self, port, v, mag):
+        m = self.gate_draw(self.rng)
+        g = self.add(GateNode(GateMatrix(m)))
+        self.edges.append((port, (g, 0)))
+        return (g, 0), m @ v, np.abs(m) @ mag
+
+    def fanout(self, port, v, mag):
+        n, m = self.rng.uniform(0.5, 1.5, size=2)
+        fo = self.add(FanOutNode(FanOutGate(n, m)))
+        self.edges.append((port, (fo, 0)))
+        return ((fo, 0), n * v, n * mag), ((fo, 1), m * v, m * mag)
+
+    def ancilla_fanout(self, a, b):
+        """Fan-out of a with its ancilla input wired to b through free m12, m22."""
+        n, m = self.rng.uniform(0.5, 1.5, size=2)
+        m12, m22 = random_matrix(self.rng), random_matrix(self.rng)
+        fo = self.add(FanOutNode(FanOutGate(n, m, m12, m22)))
+        self.edges += [(a[0], (fo, 0)), (b[0], (fo, 1))]
+        for port, w, sub in ((0, n, m12), (1, m, m22)):
+            self.live.append(((fo, port), w * a[1] + sub @ b[1], w * a[2] + np.abs(sub) @ b[2]))
+
+    def fanin(self, a, b, keep_difference=True):
+        n, m = random_state_vec(self.rng)
+        fi = self.add(FanInNode(FanInGate(n, m)))
+        self.edges += [(a[0], (fi, 0)), (b[0], (fi, 1))]
+        self.live.append(((fi, 0), n * (a[1] + b[1]), abs(n) * (a[2] + b[2])))
+        if keep_difference:
+            self.live.append(((fi, 1), m * (a[1] - b[1]), abs(m) * (a[2] + b[2])))
+
+    def step(self, kinds):
+        kind = self.draw(st.sampled_from(kinds))
+        if kind in ("fanin", "ancilla") and len(self.live) < 2:
+            kind = "gate"
+        if kind == "gate":  # a run of 1-12 gates in series
+            port = self.take()
+            for _ in range(self.draw(st.integers(1, 12))):
+                port = self.gate(*port)
+            self.live.append(port)
+        elif kind == "fanout":
+            self.live.extend(self.fanout(*self.take()))
+        elif kind == "fanin":
+            self.fanin(self.take(), self.take(), self.draw(st.booleans()))
+        elif kind == "ancilla":
+            self.ancilla_fanout(self.take(), self.take())
+        else:  # rung: fan-out, two gate branches, fan-in
+            a, b = self.fanout(*self.take())
+            for _ in range(self.draw(st.integers(1, 3))):
+                a = self.gate(*a)
+            for _ in range(self.draw(st.integers(1, 3))):
+                b = self.gate(*b)
+            self.fanin(a, b, self.draw(st.booleans()))
+
+    def finish(self):
+        """(graph, inputs, {sink: (signal, magnitude)}), node and edge order shuffled."""
+        want = {}
+        for port, v, mag in self.live:
+            t = self.add(SinkNode())
+            self.edges.append((port, (t, 0)))
+            want[t] = (v, mag)
+        if self.draw(st.booleans()):
+            ids = list(self.nodes)
+            self.nodes = {ids[k]: self.nodes[ids[k]] for k in self.rng.permutation(len(ids))}
+            self.edges = [self.edges[k] for k in self.rng.permutation(len(self.edges))]
+        return CircuitGraph(self.nodes, self.edges), self.inputs, want
+
+
+@st.composite
+def acyclic_circuits(draw):
+    """Chains, rungs, merges and wired-ancilla fan-outs of 1-3 sources, census gates.
+
+    Up to about 200 edges.
+    """
+    b = _Builder(draw, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), random_matrix)
+    for _ in range(draw(st.integers(1, 3))):
+        b.source()
+    for _ in range(draw(st.integers(1, 40))):
+        if len(b.edges) > 170:
+            break
+        b.step(["gate", "gate", "rung", "fanout", "fanin", "ancilla"])
+    return b.finish()
+
+
+@settings(max_examples=60, deadline=None)
+@given(acyclic_circuits())
+def test_acyclic_solve_matches_direct_propagation(case):
+    graph, inputs, want = case
+    assert not any(cyclic for _, cyclic in graph.components())
+    out = solve(graph, inputs)  # never LoopSingularError: nothing feeds back
+    assert set(out) == set(want)
+    for sink, (v, mag) in want.items():
+        assert np.all(np.abs(out[sink].amps - v) <= 1e-9 * mag)
+
+
+def _contraction(rng, norm=0.7):
+    m = random_matrix(rng)
+    return norm * m / np.linalg.norm(m, 2)
+
+
+def _add_loop(b: _Builder, kind: str):
+    """Embed a feedback loop on open ports; its outputs join them with zero placeholders."""
+    rng = b.rng
+    unknown = (np.zeros(2), np.zeros(2))  # loop outputs are not propagated directly
+    if kind == "self":  # fan-in whose difference port feeds its own second input
+        port = b.take()[0]
+        z = random_state_vec(rng)
+        fi = b.add(FanInNode(FanInGate(*(0.7 * z / np.abs(z)))))  # |1 + m| >= 0.3
+        b.edges += [(port, (fi, 0)), ((fi, 1), (fi, 1))]
+        b.live.append(((fi, 0), *unknown))
+    elif kind == "loop":
+        nodes, edges = _loop_nodes(
+            f"L{len(b.nodes)}", GateMatrix(_contraction(rng)), GateMatrix(_contraction(rng)),
+            n1=complex(*rng.uniform(-0.7, 0.7, 2)), m2_param=rng.uniform(0.3, 1.0),
+        )
+        fi, _g1, fo, _g2 = nodes
+        b.nodes.update(nodes)
+        b.edges += edges + [(b.take()[0], (fi, 0))]
+        b.live += [((fo, 0), *unknown), ((fi, 1), *unknown)]
+    else:  # crossed two-anbit loop on two open ports
+        ports = [b.take()[0], b.take()[0]]
+        fis = [b.add(FanInNode(FanInGate(0.7, 1.0))) for _ in range(2)]
+        gs = [b.add(GateNode(GateMatrix(_contraction(rng)))) for _ in range(2)]
+        fos = [b.add(FanOutNode(FanOutGate(1.0, 0.7))) for _ in range(2)]
+        for k in range(2):
+            b.edges += [
+                (ports[k], (fis[k], 0)),
+                ((fis[k], 0), (gs[k], 0)),
+                ((gs[k], 0), (fos[k], 0)),
+                ((fos[k], 1), (fis[1 - k], 1)),
+            ]
+            b.live.append(((fos[k], 0), *unknown))
+    b.loops += 1
+
+
+def dense_solve(graph, inputs):
+    """Reference: one block equation per edge, the whole system solved at once."""
+    edges = graph.edges
+    d = 2
+    in_edge = {dst: i for i, (_, dst) in enumerate(edges)}
+    a = np.eye(len(edges) * d, dtype=complex)
+    rhs = np.zeros(len(edges) * d, dtype=complex)
+    eye = np.eye(d)
+    for i, ((src, sp), _) in enumerate(edges):
+        node = graph.nodes[src]
+        row = slice(i * d, (i + 1) * d)
+
+        def sub(j, block):
+            a[row, j * d:(j + 1) * d] -= block
+
+        if isinstance(node, SourceNode):
+            rhs[row] = inputs[src].amps
+        elif isinstance(node, GateNode):
+            sub(in_edge[(src, 0)], node.gate.entries)
+        elif isinstance(node, FanInNode):
+            w = node.fi.n if sp == 0 else node.fi.m
+            sub(in_edge[(src, 0)], w * eye)
+            sub(in_edge[(src, 1)], (w if sp == 0 else -w) * eye)
+        else:
+            sub(in_edge[(src, 0)], (node.fo.n if sp == 0 else node.fo.m) * eye)
+            if (src, 1) in in_edge:
+                sub(in_edge[(src, 1)], node.fo.m12 if sp == 0 else node.fo.m22)
+    x = np.linalg.solve(a, rhs).reshape(-1, d)
+    return {nid: x[in_edge[(nid, 0)]] for nid in graph.sinks()}, float(np.max(np.abs(x)))
+
+
+@st.composite
+def feedback_circuits(draw):
+    """Unitary-gate feed-forward parts around one or two embedded feedback loops."""
+    b = _Builder(draw, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), random_unitary)
+    for _ in range(draw(st.integers(1, 3))):
+        b.source()
+    loops = draw(st.lists(st.sampled_from(["self", "loop", "cross"]), min_size=1, max_size=2))
+    for kind in loops:
+        for _ in range(draw(st.integers(0, 8))):
+            b.step(["gate", "rung", "fanout", "fanin", "ancilla"])
+        while kind == "cross" and len(b.live) < 2:
+            b.step(["fanout"])
+        _add_loop(b, kind)
+    for _ in range(draw(st.integers(0, 8))):
+        b.step(["gate", "rung", "fanin"])
+    graph, inputs, _ = b.finish()
+    return graph, inputs, b.loops
+
+
+@settings(max_examples=60, deadline=None)
+@given(feedback_circuits())
+def test_feedback_solve_matches_dense_global_solve(case):
+    graph, inputs, n_loops = case
+    assert sum(cyclic for _, cyclic in graph.components()) == n_loops
+    out = solve(graph, inputs)
+    want, scale = dense_solve(graph, inputs)
+    for sink, v in want.items():
+        assert np.max(np.abs(out[sink].amps - v)) <= 1e-9 * max(1.0, scale)

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from anbit import AnbitState, GateMatrix, identity_gate, lower_unitary_zxz, pauli
+from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, pauli
 from anbit.cli import emit_trajectory, main
 from anbit.errors import DegenerateStateError
 from anbit.serialization import (
@@ -201,6 +202,21 @@ def test_analyze(tmp_path, capsys, rng):
     assert np.max(np.abs(s - s.T)) < 1e-12
 
 
+def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, rng):
+    calls = Counter()
+    for name in ("forward_transfer", "backward_transfer"):
+        def counted(self, *args, _original=getattr(Netlist, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Netlist, name, counted)
+    path = tmp_path / "n.txt"
+    path.write_text(netlist_to_text(lower_unitary_zxz(GateMatrix(random_unitary(rng)))))
+    rc, _, _ = run_cli(capsys, ["analyze", str(path)])
+    assert rc == 0
+    assert calls == {"forward_transfer": 1, "backward_transfer": 1}
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -209,6 +225,8 @@ def test_analyze(tmp_path, capsys, rng):
         "WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 0 0.7\n",
         "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 1 0.5\n",
         "WIRES 2\nIN 0 1\nOUT 0 1\nBS 0 1 0.3\n",
+        "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 99=2.0\nCTRL * 0=0.5\n",
+        "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nACTIVE 0\nCTRL 1 0=0.5\n",
     ],
     ids=[
         "port-past-last-wire",
@@ -216,6 +234,8 @@ def test_analyze(tmp_path, capsys, rng):
         "coupler-on-one-wire",
         "ps-extra-field",
         "bs-with-value",
+        "ctrl-device-past-last",
+        "ctrl-word-unmatched-without-star",
     ],
 )
 def test_analyze_rejects_malformed_netlist(tmp_path, capsys, body):

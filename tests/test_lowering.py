@@ -274,6 +274,19 @@ def test_netlist_wire_bounds():
         Device("PS", (0, 1), 0.5)
 
 
+def test_control_map_bounds():
+    ps = (Device("PS", (0,), 0.5, "c0"),)
+    # device indices outside 0..D-1, including negative ones
+    for values in ({99: 2.0}, {-1: 2.0}):
+        with pytest.raises(ParamError):
+            Netlist(1, ps, (0,), (0,), control_map={"1": values, "*": {0: 0.5}})
+    # a word without its own entry needs the "*" fallback, active or asked for
+    with pytest.raises(ParamError):
+        Netlist(1, ps, (0,), (0,), control_map={"1": {0: 0.5}}, active_setting="0")
+    with pytest.raises(ParamError):
+        Netlist(1, ps, (0,), (0,), control_map={"1": {0: 0.5}}).forward_transfer("0")
+
+
 _ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
 _KIND_VALUES = {
     "PS": _ANGLES,

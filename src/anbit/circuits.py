@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AnbitState
 from .errors import DimError, GraphError, LoopSingularError, ParamError
-from .gates import GateMatrix
+from .gates import GateMatrix, _singular
 
 __all__ = [
     "FanInGate",
@@ -36,11 +36,6 @@ __all__ = [
     "solve",
     "fanin_tensor_nonlinearity_witness",
 ]
-
-# A loop system A (a resolvent I - loop product, or one feedback component's
-# wire equations) counts as singular when sigma_min(A) <= SINGULAR_RTOL *
-# sigma_max(A): a relative, scale-invariant test on the smallest singular value.
-SINGULAR_RTOL = 1e-12
 
 
 def _nonzero_complex(value, name: str) -> complex:
@@ -133,12 +128,6 @@ def fan_out(psi: AnbitState, n=1.0, m=1.0) -> tuple[AnbitState, AnbitState]:
     n = _positive_real(n, "n")
     m = _positive_real(m, "m")
     return AnbitState(n * psi.amps, psi.delta_t), AnbitState(m * psi.amps, psi.delta_t)
-
-
-def _singular(a: np.ndarray) -> bool:
-    """The one singularity test of every loop system: relative smallest singular value."""
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return bool(sigma[-1] <= SINGULAR_RTOL * sigma[0])
 
 
 def _resolvent_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:

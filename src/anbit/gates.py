@@ -2,13 +2,15 @@
 
 Gate classes: a unitary gate (U-gate) preserves power; an invertible
 non-unitary gate (G-gate) is still reversible; a singular gate (M-gate)
-destroys information. Classification happens once at construction.
+destroys information. A gate's class is computed the first time it is read
+and kept; building a gate only copies and checks its entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +39,18 @@ __all__ = [
 # lowered stages accumulate rounding, hence the slack over machine epsilon.
 CLASSIFY_TOL = 1e-9
 
-# Dense controlled embedding is 2^(n+1) dimensional; cap the blow-up.
+# A matrix A (a gate, a loop resolvent, or one feedback component's wire
+# equations) counts as singular when sigma_min(A) <= SINGULAR_RTOL *
+# sigma_max(A): a relative test on the smallest singular value, invariant
+# under scaling and free of the det's d-th power (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 7).
+SINGULAR_RTOL = 1e-12
+
+# A controlled gate acts on 2^(n+1) amplitudes. Gates up to MAX_CONTROLS are
+# kept structurally; the dense embedding is built only up to
+# MAX_DENSE_CONTROLS (dim 512, 4 MiB), since classifying it costs O(dim^3).
 MAX_CONTROLS = 16
+MAX_DENSE_CONTROLS = 8
 
 AXIS_X = (1.0, 0.0, 0.0)
 AXIS_Y = (0.0, 1.0, 0.0)
@@ -57,31 +69,40 @@ def _frozen_matrix(entries) -> np.ndarray:
     return e
 
 
+def _singular(a: np.ndarray) -> bool:
+    """The one singularity test of gates and loop systems: relative smallest singular value."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return bool(sigma[-1] <= SINGULAR_RTOL * sigma[0])
+
+
 def _classify(entries: np.ndarray, tol: float) -> GateClass:
     d = entries.shape[0]
     gram_dev = np.linalg.norm(entries.conj().T @ entries - np.eye(d))
     if gram_dev <= tol * d:
         return GateClass.UNITARY
-    fro = np.linalg.norm(entries)
-    if abs(np.linalg.det(entries)) <= tol * fro**d:
+    # inf or nan entries have no singular values to compare (LAPACK's SVD
+    # fails on nan); such a gate stays GENERAL_LINEAR, as under the det test
+    if np.isfinite(entries).all() and _singular(entries):
         return GateClass.SINGULAR
     return GateClass.GENERAL_LINEAR
 
 
 @dataclass(frozen=True, eq=False)
 class GateMatrix:
-    """Immutable d x d complex gate with its class computed at construction."""
+    """Immutable d x d complex gate; its class is computed on first read of `gate_class`."""
 
     entries: np.ndarray
     tol: float = CLASSIFY_TOL
-    gate_class: GateClass = field(init=False)
 
     def __post_init__(self):
         e = _frozen_matrix(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] == 0:
             raise DimError("gate entries must form a square non-empty matrix")
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "gate_class", _classify(e, self.tol))
+
+    @cached_property
+    def gate_class(self) -> GateClass:
+        return _classify(self.entries, self.tol)
 
     @property
     def dim(self) -> int:
@@ -167,15 +188,32 @@ def classify(gate: GateMatrix) -> GateClass:
 
 @dataclass(frozen=True, eq=False)
 class ControlledGate:
-    """n-controlled 2-dim gate embedded as block-diag(I_{2^(n+1)-2}, F)."""
+    """n-controlled 2-dim gate block-diag(I_{2^(n+1)-2}, F), kept as (n, F).
+
+    Only the last two amplitudes, those with every control at |1>, see F. The
+    dense embedding is built on first read of `embedded`, for at most
+    MAX_DENSE_CONTROLS controls; a larger request raises ParamError before
+    allocating.
+    """
 
     n_controls: int
     target_gate: GateMatrix
-    embedded: GateMatrix
+
+    @cached_property
+    def embedded(self) -> GateMatrix:
+        n = self.n_controls
+        if n > MAX_DENSE_CONTROLS:
+            raise ParamError(
+                f"dense embedding of {n} controls has dim 2^{n + 1}; "
+                f"at most {MAX_DENSE_CONTROLS} controls are embedded densely"
+            )
+        emb = np.eye(2 ** (n + 1), dtype=complex)
+        emb[-2:, -2:] = self.target_gate.entries
+        return GateMatrix(emb, tol=self.target_gate.tol)
 
 
 def controlled(target: GateMatrix, n_controls: int) -> ControlledGate:
-    """Embed a 2-dim target under n controls: identity except the last 2x2 block.
+    """Put a 2-dim target under n controls: identity except the last 2x2 block.
 
     det(embedded) = det(target); with all controls at |1> the target subspace
     gets F, every other basis control leaves the target untouched.
@@ -185,10 +223,7 @@ def controlled(target: GateMatrix, n_controls: int) -> ControlledGate:
     n = int(n_controls)
     if n < 1 or n > MAX_CONTROLS:
         raise ParamError(f"n_controls must be in 1..{MAX_CONTROLS}")
-    dim = 2 ** (n + 1)
-    emb = np.eye(dim, dtype=complex)
-    emb[-2:, -2:] = target.entries
-    return ControlledGate(n, target, GateMatrix(emb, tol=target.tol))
+    return ControlledGate(n, target)
 
 
 def apply_controlled_superposed(
@@ -207,14 +242,14 @@ def apply_controlled_superposed(
 def nand_emulate(b1: int, b2: int) -> int:
     """NAND via the Toffoli gate on basis anbits with the target preset to |1>.
 
-    Encodes |b1, b2, 1>, applies the doubly controlled sigma_x, and reads the
-    target slot of the resulting basis state.
+    Encodes |b1, b2, 1>, applies the doubly controlled sigma_x to the last two
+    amplitudes (the only ones it changes), and reads the target slot of the
+    resulting basis state.
     """
     if b1 not in (0, 1) or b2 not in (0, 1):
         raise ParamError("inputs must be bits")
-    toffoli = controlled(pauli(1), 2).embedded.entries
     vec = np.zeros(8, dtype=complex)
     vec[4 * b1 + 2 * b2 + 1] = 1.0
-    out = toffoli @ vec
-    idx = int(np.argmax(np.abs(out)))
+    vec[-2:] = pauli(1).entries @ vec[-2:]
+    idx = int(np.argmax(np.abs(vec)))
     return idx & 1

@@ -89,7 +89,17 @@ def _pair(z) -> list:
 def _from_pair(v, where: str) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValueError(f"{where}: complex values are [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: [re, im] must be real numbers: {exc}") from exc
+
+
+def _declared_dim(obj, what: str) -> int:
+    try:
+        return int(obj["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} dim: {exc}") from exc
 
 
 def state_to_obj(state: AnbitState) -> dict:
@@ -103,8 +113,10 @@ def state_to_obj(state: AnbitState) -> dict:
 def state_from_obj(obj) -> AnbitState:
     if not isinstance(obj, dict) or "amps" not in obj:
         raise ValueError("state object needs an 'amps' field")
+    if not isinstance(obj["amps"], (list, tuple)):
+        raise ValueError("amps: expected a list of [re, im] pairs")
     amps = [_from_pair(v, "amps") for v in obj["amps"]]
-    if "dim" in obj and int(obj["dim"]) != len(amps):
+    if "dim" in obj and _declared_dim(obj, "state") != len(amps):
         raise ValueError(f"state dim {obj['dim']} != {len(amps)} amplitudes")
     dt = obj.get("delta_t")
     return AnbitState(amps, None if dt is None else float(dt))
@@ -117,19 +129,40 @@ def gate_to_obj(gate: GateMatrix) -> dict:
     }
 
 
+def _square_from_pairs(rows, d: int) -> np.ndarray:
+    """The d x d complex matrix of row-major [re, im] pairs.
+
+    Numeric rows take one array conversion: a float64 (d, d, 2) array viewed
+    as complex, bit-identical to complex(float(re), float(im)) per entry, -0.0
+    and inf included. Whatever does not convert to a numeric array of that
+    shape (a null, a nested list, a ragged row, a numeric string, an integer
+    beyond 64 bits) is parsed pair by pair, so it is accepted or rejected with
+    a ValueError exactly as `_from_pair` decides.
+    """
+    try:
+        a = np.array(rows)
+    except ValueError:  # ragged rows
+        a = None
+    if a is not None and a.dtype.kind in "biuf" and a.shape == (d, d, 2):
+        return np.asarray(a, dtype=float).view(complex)[..., 0]
+    entries = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != d:
+            raise ValueError("gate entries must be square, row-major")
+        entries.append([_from_pair(v, "entries") for v in row])
+    return np.array(entries, dtype=complex)
+
+
 def gate_from_obj(obj) -> GateMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("gate object needs an 'entries' field")
     rows = obj["entries"]
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError("gate entries must be a list of rows")
     d = len(rows)
-    if "dim" in obj and int(obj["dim"]) != d:
+    if "dim" in obj and _declared_dim(obj, "gate") != d:
         raise ValueError(f"gate dim {obj['dim']} != {d} rows")
-    entries = []
-    for row in rows:
-        if len(row) != d:
-            raise ValueError("gate entries must be square, row-major")
-        entries.append([_from_pair(v, "entries") for v in row])
-    return GateMatrix(np.array(entries, dtype=complex))
+    return GateMatrix(_square_from_pairs(rows, d))
 
 
 def rotation_spec_from_obj(obj) -> RotationSpec:

@@ -248,6 +248,63 @@ def test_analyze_rejects_malformed_netlist(tmp_path, capsys, body):
     assert payload["error"] in ("ParamError", "ValueError")
 
 
+_GOOD_ENTRIES = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_GOOD_STATE = {"amps": [[1.0, 0.0], [0.0, 0.0]]}
+
+
+def _circuit_with(node):
+    return {
+        "nodes": [{"id": "s", "kind": "source", "params": {}}, node, {"id": "t", "kind": "sink", "params": {}}],
+        "edges": [{"from": ["s", 0], "to": [node["id"], 0]}, {"from": [node["id"], 0], "to": ["t", 0]}],
+        "sources": ["s"],
+        "sinks": ["t"],
+    }
+
+
+_GOOD_CIRCUIT = _circuit_with({"id": "g", "kind": "gate", "params": {"entries": _GOOD_ENTRIES}})
+
+
+@pytest.mark.parametrize(
+    "command,target,input_state",
+    [
+        ("decompose", {"entries": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None),
+        ("decompose", {"entries": [[[{}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None),
+        ("decompose", {"entries": [1.0, 2.0]}, None),
+        ("decompose", {"dim": None, "entries": _GOOD_ENTRIES}, None),
+        ("measure", {"amps": [[None, 0.0], [1.0, 0.0]]}, None),
+        ("measure", {"amps": 5}, None),
+        ("simulate", _GOOD_CIRCUIT, {"amps": [[{}, 0.0], [1.0, 0.0]]}),
+        ("simulate", _circuit_with({"id": "g", "kind": "gate", "params": {"entries": [[[None, 0.0]]]}}), _GOOD_STATE),
+        ("simulate", _circuit_with({"id": "f", "kind": "fanin", "params": {"n": [None, 0.0]}}), _GOOD_STATE),
+    ],
+    ids=[
+        "gate-null-re",
+        "gate-object-re",
+        "gate-row-not-a-list",
+        "gate-dim-null",
+        "state-null-re",
+        "state-amps-not-a-list",
+        "input-state-object-re",
+        "circuit-gate-null-re",
+        "circuit-fanin-null-re",
+    ],
+)
+def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, input_state):
+    tpath = tmp_path / "target.json"
+    tpath.write_text(json.dumps(target))
+    argv = {
+        "decompose": ["decompose", str(tpath), "--method", "svd"],
+        "measure": ["measure", str(tpath), "--kind", "coherent", "--responsivity", "1"],
+        "simulate": ["simulate", str(tpath), "--input", str(tmp_path / "in.json")],
+    }[command]
+    if input_state is not None:
+        (tmp_path / "in.json").write_text(json.dumps(input_state))
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["exit_code"] == 2 and payload["error"] == "ValueError"
+
+
 def test_measure_cli(tmp_path, capsys):
     s = AnbitState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     spath = write_json(tmp_path / "s.json", state_to_obj(s))

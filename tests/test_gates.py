@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anbit import (
     AXIS_X,
@@ -19,6 +23,7 @@ from anbit import (
     rotation_matrix,
 )
 from anbit.errors import AxisError, DimError, ParamError
+from anbit.gates import MAX_CONTROLS, MAX_DENSE_CONTROLS
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -112,9 +117,92 @@ def test_classify_singular():
     assert classify(GateMatrix(np.zeros((2, 2)))) is GateClass.SINGULAR
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_classify_non_finite_is_general_linear():
+    for bad in (np.inf, -np.inf, np.nan):
+        assert classify(GateMatrix([[bad, 0.0], [0.0, 1.0]])) is GateClass.GENERAL_LINEAR
+
+
 def test_classify_precedence_identity():
     # unitary wins over general linear for the identity
     assert classify(identity_gate()) is GateClass.UNITARY
+
+
+def with_singular_values(seed, s):
+    """U diag(s) V^dag for Haar unitaries U, V of dim len(s), drawn from seed."""
+    rng = np.random.default_rng(seed)
+
+    def haar(d):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    return haar(len(s)) @ np.diag(s) @ haar(len(s)).conj().T
+
+
+# Past |entries| ~ 1e77 the unitarity test's Gram deviation overflows to inf,
+# which rightly reads as "not unitary".
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(-100, 100),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_singular_split_is_invariant_under_scaling(seed, s, drop, k, theta):
+    # singular values in [1e-3, 1e3], or one of them exactly 0: the gate is
+    # invertible with condition <= 1e6, or rank deficient, at every scale
+    f = with_singular_values(seed, [0.0] + s[1:] if drop else s)
+    c = 10.0**k * np.exp(1j * theta)
+    assert (classify(GateMatrix(f)) is GateClass.SINGULAR) == drop
+    assert (classify(GateMatrix(c * f)) is GateClass.SINGULAR) == drop
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+    st.integers(1, MAX_DENSE_CONTROLS),
+)
+def test_controlled_keeps_target_invertibility(seed, s0, s1, drop, n):
+    # block-diag(I, F) has singular values {1} and sigma(F); with sigma(F) in
+    # [1e-3, 1e3] (or one of them 0) its split follows F's at every n
+    f = GateMatrix(with_singular_values(seed, [0.0 if drop else s0, s1]))
+    embedded = controlled(f, n).embedded
+    assert (classify(f) is GateClass.SINGULAR) == drop
+    assert (classify(embedded) is GateClass.SINGULAR) == drop
+
+
+def test_controlled_is_structural_and_dense_embedding_is_capped(monkeypatch):
+    identities = []
+    real_eye = np.eye
+
+    def guarded_eye(n, *args, **kwargs):
+        identities.append(n)
+        if n > 2 ** (MAX_DENSE_CONTROLS + 1):
+            raise MemoryError(f"dense {n} x {n} identity requested")
+        return real_eye(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", guarded_eye)
+    f = GateMatrix([[2.0, 0.0], [0.0, 0.5]])
+    tracemalloc.start()
+    try:
+        cg = controlled(f, MAX_CONTROLS)
+        with pytest.raises(ParamError):
+            cg.embedded
+        with pytest.raises(ParamError):
+            controlled(f, MAX_DENSE_CONTROLS + 1).embedded
+        nand = [nand_emulate(b1, b2) for b1 in (0, 1) for b2 in (0, 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert identities == [] and peak < 2**16
+    assert cg.n_controls == MAX_CONTROLS and cg.target_gate is f
+    assert nand == [1, 1, 1, 0]
+    assert controlled(f, MAX_DENSE_CONTROLS).embedded.dim == 2 ** (MAX_DENSE_CONTROLS + 1)
 
 
 def test_controlled_embedding_shape_and_det(rng):

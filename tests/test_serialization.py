@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anbit import (
     AnbitState,
     CircuitGraph,
+    GateClass,
     FanInGate,
     FanInNode,
     FanOutGate,
@@ -14,6 +17,7 @@ from anbit import (
     GateNode,
     SinkNode,
     SourceNode,
+    classify,
     controlled,
     lower_controlled_electrooptic,
     lower_fanin,
@@ -37,6 +41,8 @@ from anbit.serialization import (
     state_from_obj,
     state_to_obj,
 )
+
+from anbit import gates
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -88,6 +94,112 @@ def test_gate_round_trip(rng):
     g = GateMatrix(random_matrix(rng))
     back = gate_from_obj(json.loads(dumps(gate_to_obj(g))))
     assert np.array_equal(back.entries, g.entries)
+
+
+def per_entry_parse(obj):
+    """Reference gate parse: one complex(float(re), float(im)) per [re, im] pair."""
+    rows = obj["entries"]
+    d = len(rows)
+    if "dim" in obj and int(obj["dim"]) != d:
+        raise ValueError("dim mismatch")
+    entries = []
+    for row in rows:
+        if len(row) != d:
+            raise ValueError("ragged rows")
+        for v in row:
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise ValueError("not a pair")
+        entries.append([complex(float(v[0]), float(v[1])) for v in row])
+    return np.array(entries, dtype=complex)
+
+
+# what json.loads can give for a number: floats of any size (-0.0, +-inf, nan
+# and subnormals included), integers within and beyond 64 bits, and booleans
+json_reals = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+MALFORMED = (None, "ragged", "dim", "pair1", "pair3", "null", "object", "nested", "huge-int", "row-number")
+
+
+@st.composite
+def gate_objs(draw):
+    """A gate object of dim 1..4, well formed or with one named defect."""
+    d = draw(st.integers(1, 4))
+    rows = [[[draw(json_reals), draw(json_reals)] for _ in range(d)] for _ in range(d)]
+    obj = {"entries": rows}
+    if draw(st.booleans()):
+        obj["dim"] = d
+    defect = draw(st.sampled_from(MALFORMED))
+    i, j, k = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, 1))
+    if defect == "ragged":
+        rows[i].pop()
+    elif defect == "dim":
+        obj["dim"] = d + 1
+    elif defect == "pair1":
+        rows[i][j].pop()
+    elif defect == "pair3":
+        rows[i][j].append(0.0)
+    elif defect == "null":
+        rows[i][j][k] = None
+    elif defect == "object":
+        rows[i][j][k] = {}
+    elif defect == "nested":
+        rows[i][j][k] = [rows[i][j][k]]
+    elif defect == "huge-int":
+        rows[i][j][k] = 10**400
+    elif defect == "row-number":
+        rows[i] = 1.0
+    return obj, defect
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_objs())
+def test_gate_from_obj_matches_per_entry_parse(case):
+    obj, defect = case
+    if defect is None:
+        got = gate_from_obj(obj).entries
+        want = per_entry_parse(obj)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return
+    with pytest.raises((TypeError, ValueError, OverflowError)):
+        per_entry_parse(obj)
+    with pytest.raises(ValueError, match="dim" if defect == "dim" else "entries"):
+        gate_from_obj(obj)
+
+
+def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
+    calls = []
+
+    def counted(entries, tol, _classify=gates._classify):
+        calls.append(entries.shape)
+        return _classify(entries, tol)
+
+    monkeypatch.setattr(gates, "_classify", counted)
+    want = {
+        "u": (random_unitary(rng), GateClass.UNITARY),
+        "g": (np.diag([2.0, 0.5]), GateClass.GENERAL_LINEAR),
+        "m": (np.array([[1.0, 1.0], [1.0, 1.0]]), GateClass.SINGULAR),
+    }
+    nodes = {"s": SourceNode(), "t": SinkNode()}
+    nodes.update((nid, GateNode(GateMatrix(m))) for nid, (m, _) in want.items())
+    chain = ["s", "u", "g", "m", "t"]
+    edges = tuple(((a, 0), (b, 0)) for a, b in zip(chain, chain[1:]))
+    obj = json.loads(dumps(circuit_to_obj(CircuitGraph(nodes, edges))))
+    calls.clear()
+    graph = circuit_from_obj(obj)
+    solve(graph, {"s": AnbitState(random_state_vec(rng))})
+    assert calls == []
+    for nid, (_, cls) in want.items():
+        gate = graph.nodes[nid].gate
+        assert classify(gate) is cls
+        assert len(calls) == 1
+        assert classify(gate) is cls and gate.gate_class is cls
+        assert repr(gate) == f"GateMatrix(dim=2, class={cls.value})"
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_rotation_spec_from_obj():

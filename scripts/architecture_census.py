@@ -45,6 +45,7 @@ def main():
         ("zxz", lambda: GateMatrix(random_unitary(rng)), lower_unitary_zxz),
         ("zyz-fixed", lambda: GateMatrix(random_unitary(rng)), lower_unitary_zyz_fixed),
         ("svd", lambda: GateMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))), lower_general_svd),
+        ("svd-unitary", lambda: GateMatrix(random_unitary(rng)), lower_general_svd),
         ("pauli", lambda: GateMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))), lower_pauli_mgate),
         ("fanin", lambda: FanInGate(complex(rng.normal(), rng.normal()),
                                     complex(rng.normal(), rng.normal())), lower_fanin),
@@ -62,9 +63,9 @@ def main():
         kinds = ", ".join(f"{k}x{v}" for k, v in sorted(census(sample).items()))
         rows.append((name, len(sample.devices), sample.wires, worst, kinds))
 
-    print(f"{'arch':<10} {'devices':>7} {'wires':>5} {'worst err':>12}  kinds")
+    print(f"{'arch':<11} {'devices':>7} {'wires':>5} {'worst err':>12}  kinds")
     for name, ndev, nwires, worst, kinds in rows:
-        print(f"{name:<10} {ndev:>7} {nwires:>5} {worst:>12.3e}  {kinds}")
+        print(f"{name:<11} {ndev:>7} {nwires:>5} {worst:>12.3e}  {kinds}")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ oracles for the generic solver.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,18 +257,22 @@ class CircuitGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(((str(a), int(pa)), (str(b), int(pb))) for (a, pa), (b, pb) in self.edges),
-        )
         self.validate()
 
     def validate(self):
+        """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
         in_seen: dict = {}
         out_seen: dict = {}
-        for (src, sp), (dst, dp) in self.edges:
+        edges = []
+        for edge in self.edges:
+            (src, sp), (dst, dp) = edge
+            ends = []
             for nid, port, table, io in ((src, sp, out_seen, 1), (dst, dp, in_seen, 0)):
+                nid = str(nid)
+                try:
+                    port = operator.index(port)
+                except TypeError:
+                    raise GraphError(f"edge {edge!r}: port {port!r} is not an integer") from None
                 if nid not in self.nodes:
                     raise GraphError(f"edge references unknown node {nid!r}")
                 counts = _port_counts(self.nodes[nid])
@@ -277,6 +282,9 @@ class CircuitGraph:
                 if key in table:
                     raise GraphError(f"port {key} wired twice; cloning needs a fan-out node")
                 table[key] = True
+                ends.append(key)
+            edges.append(tuple(ends))
+        object.__setattr__(self, "edges", tuple(edges))
         for nid, node in self.nodes.items():
             n_in, n_out = _port_counts(node)
             for port in range(n_in):

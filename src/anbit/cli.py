@@ -29,7 +29,7 @@ from .decompositions import (
     svd_reconstruct,
 )
 from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError
-from .gates import RotationSpec, apply, rotation_matrix
+from .gates import RotationSpec, rotation_matrix
 from .lowering import (
     FbSymmetry,
     check_fb_symmetry,
@@ -90,6 +90,16 @@ def _fro(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
+def _sweep(state: AnbitState, matrices) -> list:
+    """Rows (step, radius, theta, phi) of each 2x2 matrix applied to state."""
+    if state.is_null:
+        raise DegenerateStateError("trajectory needs a non-null state")
+    if state.dim != 2:
+        raise DimError(f"gate dim 2 != state dim {state.dim}")
+    points = [to_bloch(AnbitState(mat @ state.amps, state.delta_t)) for mat in matrices]
+    return [(k, p.radius, p.theta, p.phi) for k, p in enumerate(points)]
+
+
 def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phase=0.0):
     """Sphere coordinates of rotation-swept outputs on a fixed input state.
 
@@ -97,17 +107,12 @@ def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phas
     over [start, end] and returns rows (step, radius, theta, phi). Unitary
     sweeps keep the radius constant.
     """
-    if state.is_null:
-        raise DegenerateStateError("trajectory needs a non-null state")
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rows = []
-    for k, angle in enumerate(np.linspace(float(start), float(end), steps)):
-        gate = rotation_matrix(RotationSpec(tuple(axis), float(angle), float(global_phase)))
-        point = to_bloch(apply(gate, state))
-        rows.append((k, point.radius, point.theta, point.phi))
-    return rows
+    axis, phase = tuple(axis), float(global_phase)
+    angles = np.linspace(float(start), float(end), steps)
+    return _sweep(state, (rotation_matrix(RotationSpec(axis, a, phase)).entries for a in angles))
 
 
 def _cmd_simulate(cfg: RunConfig) -> str:
@@ -261,15 +266,11 @@ def _cmd_trajectory(cfg: RunConfig) -> str:
             spec.get("global_phase", 0.0),
         )
     elif kind == "diagonal":
-        if state.is_null:
-            raise DegenerateStateError("trajectory needs a non-null state")
         d1a, d1b = (spec["d1"] if isinstance(spec["d1"], list) else [spec["d1"]] * 2)
         d2a, d2b = (spec["d2"] if isinstance(spec["d2"], list) else [spec["d2"]] * 2)
-        rows = []
-        for k, t in enumerate(np.linspace(0.0, 1.0, steps)):
-            diag = np.diag([d1a + (d1b - d1a) * t, d2a + (d2b - d2a) * t]).astype(complex)
-            point = to_bloch(AnbitState(diag @ state.amps, state.delta_t))
-            rows.append((k, point.radius, point.theta, point.phi))
+        ts = np.linspace(0.0, 1.0, steps)
+        diags = (np.diag([d1a + (d1b - d1a) * t, d2a + (d2b - d2a) * t]).astype(complex) for t in ts)
+        rows = _sweep(state, diags)
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
     lines = ["step,radius,theta,phi"]

@@ -1,8 +1,9 @@
 """Factorizations of 2x2 gates into photonic-implementable stage sequences.
 
-Covers Euler ZXZ/ZYZ angle extraction for unitaries, a closed-form 2x2 SVD,
-the Pauli-basis expansion, and polar-style synthesis of invertible gates from
-a unitary, an antisymmetric parameter, and a real symmetric exponent.
+Covers Euler ZXZ/ZYZ angle extraction for unitaries, the 2x2 SVD by LAPACK
+(``np.linalg.svd``, ``zgesdd``), the Pauli-basis expansion, and polar-style
+synthesis of invertible gates from a unitary, an antisymmetric parameter, and
+a real symmetric exponent (eigensolved by LAPACK ``np.linalg.eigh``, ``dsyevd``).
 """
 
 from __future__ import annotations
@@ -173,55 +174,29 @@ def euler_reconstruct(f: EulerFactors) -> GateMatrix:
 
 
 def svd2(m: GateMatrix) -> SvdFactors:
-    """Closed-form 2x2 SVD via the eigensolve of m^dag m.
+    """2x2 SVD of m itself by LAPACK (``np.linalg.svd``, driver ``zgesdd``).
 
     Phase convention: each column of u1^dag is scaled so its largest-modulus
     entry is real positive, with the compensating phase absorbed into u2;
-    degenerate spectra fall back to the canonical basis. This pins a unique
-    factor set for golden-file comparisons.
+    degenerate spectra (scaled unitaries, d1 = d2 up to rounding) fall back
+    to the canonical basis u1 = I, u2 = m / d1. This pins a unique factor set
+    for golden-file comparisons.
     """
     if m.dim != 2:
         raise DimError("svd2 is defined for dim 2")
-    e = m.entries
-    h = e.conj().T @ e
-    tr = float(h[0, 0].real + h[1, 1].real)
-    dt = float((h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real)
-    rad = float(np.sqrt(max(0.25 * tr * tr - dt, 0.0)))
-    lam_hi = 0.5 * tr + rad
-    lam_lo = max(dt, 0.0) / lam_hi if lam_hi > 0.0 else 0.0
-    d1 = float(np.sqrt(max(lam_hi, 0.0)))
-    d2 = float(np.sqrt(max(lam_lo, 0.0)))
-
-    scale = float(np.linalg.norm(h))
-    w_a = np.array([h[0, 1], lam_hi - h[0, 0]], dtype=complex)
-    w_b = np.array([lam_hi - h[1, 1], h[1, 0]], dtype=complex)
-    na, nb = np.linalg.norm(w_a), np.linalg.norm(w_b)
-    if max(na, nb) <= 1e-12 * max(scale, 1e-300):
-        v1 = np.array([1.0, 0.0], dtype=complex)  # degenerate spectrum
-    else:
-        v1 = (w_a / na) if na >= nb else (w_b / nb)
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=complex)
-    v = np.column_stack([v1, v2])  # right singular vectors = u1^dag
-
-    u = np.zeros((2, 2), dtype=complex)
-    if d1 > 0.0:
-        u[:, 0] = (e @ v[:, 0]) / d1
-    else:
-        u[:, 0] = (1.0, 0.0)
-    if d2 > d1 * 1e-14:
-        u[:, 1] = (e @ v[:, 1]) / d2
-    else:
-        u[:, 1] = (-np.conj(u[1, 0]), np.conj(u[0, 0]))
-
-    for k in range(2):
-        j = int(np.argmax(np.abs(v[:, k])))
-        mag = abs(v[j, k])
-        if mag > 0.0:
-            p = np.conj(v[j, k]) / mag
-            v[:, k] *= p
-            v[j, k] = mag  # force exactly real
-            u[:, k] *= p
-    return SvdFactors(u2=GateMatrix(u), d1=d1, d2=d2, u1=GateMatrix(v.conj().T))
+    u, s, vh = np.linalg.svd(m.entries)
+    d1, d2 = float(s[0]), float(s[1])
+    if d1 - d2 <= 1e-13 * d1:  # scaled unitary (identity and zero included)
+        vh = np.eye(2, dtype=complex)
+        u = m.entries / d1 if d1 > 0.0 else np.eye(2, dtype=complex)
+    for k in range(2):  # row k of u1 = vh is the conjugate of column k of u1^dag
+        j = int(np.argmax(np.abs(vh[k])))
+        mag = abs(vh[k, j])
+        p = vh[k, j] / mag
+        vh[k] *= np.conj(p)
+        vh[k, j] = mag  # force exactly real
+        u[:, k] *= p
+    return SvdFactors(u2=GateMatrix(u), d1=d1, d2=d2, u1=GateMatrix(vh))
 
 
 def svd_reconstruct(f: SvdFactors) -> GateMatrix:
@@ -264,9 +239,11 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
     """Build g = u e^(iA) e^B and its five-stage unitary/diagonal expansion.
 
     A = [[0, a], [-a, 0]] gives e^(iA) = u1 diag(e^-a, e^a) u1^dag with the
-    fixed spectral unitary u1; e^B comes from the eigensolve of the real
-    symmetric b_matrix. Only synthesis is provided; extracting (u, a, B) from
-    an arbitrary invertible gate is out of scope.
+    fixed spectral unitary u1; e^B = u2 diag(lam2) u2^T comes from LAPACK's
+    symmetric eigensolve of b_matrix (``np.linalg.eigh``), larger eigenvalue
+    first, with the eigenvector's largest-magnitude entry non-negative. Only
+    synthesis is provided; extracting (u, a, B) from an arbitrary invertible
+    gate is out of scope.
     """
     if u.dim != 2:
         raise DimError("synthesis is defined for dim 2")
@@ -287,19 +264,15 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
 
     lam1 = (float(np.exp(-a)), float(np.exp(a)))
 
-    p, q, r = br[0, 0], 0.5 * (br[0, 1] + br[1, 0]), br[1, 1]
-    half_gap = 0.5 * (p - r)
-    radius = float(np.hypot(half_gap, q))
-    mu_hi = 0.5 * (p + r) + radius
-    mu_lo = 0.5 * (p + r) - radius
-    w_a = np.array([q, mu_hi - p])
-    w_b = np.array([mu_hi - r, q])
-    na, nb = np.linalg.norm(w_a), np.linalg.norm(w_b)
-    if max(na, nb) <= 1e-12 * max(float(np.linalg.norm(br)), 1e-300):
+    mu, vecs = np.linalg.eigh(0.5 * (br + br.T))  # ascending
+    if mu[1] - mu[0] <= 1e-12 * np.linalg.norm(br):
         u2 = np.eye(2)
-        mu_hi, mu_lo = p, r  # already diagonal; keep the basis pairing
+        mu_hi, mu_lo = br[0, 0], br[1, 1]  # B ~ I; keep the basis pairing
     else:
-        v1 = (w_a / na) if na >= nb else (w_b / nb)
+        mu_lo, mu_hi = mu
+        v1 = vecs[:, 1]
+        if v1[int(abs(v1[1]) >= abs(v1[0]))] < 0.0:
+            v1 = -v1  # largest-magnitude entry non-negative (ties: the second)
         u2 = np.column_stack([v1, [-v1[1], v1[0]]])
     lam2 = (float(np.exp(mu_hi)), float(np.exp(mu_lo)))
     u2c = u2.astype(complex)

@@ -95,11 +95,11 @@ def _from_pair(v, where: str) -> complex:
         raise ValueError(f"{where}: [re, im] must be real numbers: {exc}") from exc
 
 
-def _declared_dim(obj, what: str) -> int:
+def _number(v, where: str, kind=float):
     try:
-        return int(obj["dim"])
+        return kind(v)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} dim: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def state_to_obj(state: AnbitState) -> dict:
@@ -116,10 +116,10 @@ def state_from_obj(obj) -> AnbitState:
     if not isinstance(obj["amps"], (list, tuple)):
         raise ValueError("amps: expected a list of [re, im] pairs")
     amps = [_from_pair(v, "amps") for v in obj["amps"]]
-    if "dim" in obj and _declared_dim(obj, "state") != len(amps):
+    if "dim" in obj and _number(obj["dim"], "state dim", int) != len(amps):
         raise ValueError(f"state dim {obj['dim']} != {len(amps)} amplitudes")
     dt = obj.get("delta_t")
-    return AnbitState(amps, None if dt is None else float(dt))
+    return AnbitState(amps, None if dt is None else _number(dt, "delta_t"))
 
 
 def gate_to_obj(gate: GateMatrix) -> dict:
@@ -160,7 +160,7 @@ def gate_from_obj(obj) -> GateMatrix:
     if not isinstance(rows, (list, tuple)):
         raise ValueError("gate entries must be a list of rows")
     d = len(rows)
-    if "dim" in obj and _declared_dim(obj, "gate") != d:
+    if "dim" in obj and _number(obj["dim"], "gate dim", int) != d:
         raise ValueError(f"gate dim {obj['dim']} != {d} rows")
     return GateMatrix(_square_from_pairs(rows, d))
 
@@ -228,6 +228,8 @@ def _matrix_from_obj(rows, where: str) -> np.ndarray:
 def circuit_from_obj(obj) -> CircuitGraph:
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise ValueError("circuit object needs 'nodes' and 'edges'")
+    if not isinstance(obj["nodes"], list) or not isinstance(obj["edges"], list):
+        raise ValueError("circuit 'nodes' and 'edges' must be lists")
     nodes = {}
     for spec in obj["nodes"]:
         try:
@@ -236,6 +238,8 @@ def circuit_from_obj(obj) -> CircuitGraph:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"node spec: {exc}") from exc
         params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"node {nid!r} params: expected an object")
         if nid in nodes:
             raise ValueError(f"duplicate node id {nid!r}")
         if kind == "gate":
@@ -250,9 +254,8 @@ def circuit_from_obj(obj) -> CircuitGraph:
                 kwargs["m12"] = _matrix_from_obj(params["m12"], "fanout m12")
             if "m22" in params:
                 kwargs["m22"] = _matrix_from_obj(params["m22"], "fanout m22")
-            nodes[nid] = FanOutNode(
-                FanOutGate(float(params.get("n", 1.0)), float(params.get("m", 1.0)), **kwargs)
-            )
+            n, m = (_number(params.get(k, 1.0), f"fanout {k}") for k in "nm")
+            nodes[nid] = FanOutNode(FanOutGate(n, m, **kwargs))
         elif kind == "source":
             nodes[nid] = SourceNode()
         elif kind == "sink":
@@ -260,7 +263,10 @@ def circuit_from_obj(obj) -> CircuitGraph:
         else:
             raise ValueError(f"unknown node kind {kind!r}")
     for key, klass in (("sources", SourceNode), ("sinks", SinkNode)):
-        declared = set(map(str, obj.get(key, [])))
+        listed = obj.get(key, [])
+        if not isinstance(listed, list):
+            raise ValueError(f"circuit {key!r} must be a list")
+        declared = set(map(str, listed))
         actual = {nid for nid, n in nodes.items() if isinstance(n, klass)}
         if declared != actual:
             raise ValueError(f"{key} list {sorted(declared)} != {key} by kind {sorted(actual)}")
@@ -271,8 +277,8 @@ def circuit_from_obj(obj) -> CircuitGraph:
             b, pb = espec["to"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"edge spec: {exc}") from exc
-        edges.append(((str(a), int(pa)), (str(b), int(pb))))
-    return CircuitGraph(nodes, tuple(edges))
+        edges.append(((a, pa), (b, pb)))
+    return CircuitGraph(nodes, edges)
 
 
 # --- netlist text format ----------------------------------------------------

@@ -264,18 +264,35 @@ def _circuit_with(node):
 _GOOD_CIRCUIT = _circuit_with({"id": "g", "kind": "gate", "params": {"entries": _GOOD_ENTRIES}})
 
 
+def _fanout_circuit(params):
+    c = _circuit_with({"id": "f", "kind": "fanout", "params": params})
+    c["nodes"].append({"id": "d", "kind": "sink", "params": {}})
+    c["edges"].append({"from": ["f", 1], "to": ["d", 0]})
+    c["sinks"].append("d")
+    return c
+
+
+_NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g", 0]}, _GOOD_CIRCUIT["edges"][1]])
+
+
 @pytest.mark.parametrize(
-    "command,target,input_state",
+    "command,target,input_state,error",
     [
-        ("decompose", {"entries": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None),
-        ("decompose", {"entries": [[[{}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None),
-        ("decompose", {"entries": [1.0, 2.0]}, None),
-        ("decompose", {"dim": None, "entries": _GOOD_ENTRIES}, None),
-        ("measure", {"amps": [[None, 0.0], [1.0, 0.0]]}, None),
-        ("measure", {"amps": 5}, None),
-        ("simulate", _GOOD_CIRCUIT, {"amps": [[{}, 0.0], [1.0, 0.0]]}),
-        ("simulate", _circuit_with({"id": "g", "kind": "gate", "params": {"entries": [[[None, 0.0]]]}}), _GOOD_STATE),
-        ("simulate", _circuit_with({"id": "f", "kind": "fanin", "params": {"n": [None, 0.0]}}), _GOOD_STATE),
+        ("decompose", {"entries": [[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None, "ValueError"),
+        ("decompose", {"entries": [[[{}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, None, "ValueError"),
+        ("decompose", {"entries": [1.0, 2.0]}, None, "ValueError"),
+        ("decompose", {"dim": None, "entries": _GOOD_ENTRIES}, None, "ValueError"),
+        ("measure", {"amps": [[None, 0.0], [1.0, 0.0]]}, None, "ValueError"),
+        ("measure", {"amps": 5}, None, "ValueError"),
+        ("simulate", _GOOD_CIRCUIT, {"amps": [[{}, 0.0], [1.0, 0.0]]}, "ValueError"),
+        ("simulate", _circuit_with({"id": "g", "kind": "gate", "params": {"entries": [[[None, 0.0]]]}}), _GOOD_STATE, "ValueError"),
+        ("simulate", _circuit_with({"id": "f", "kind": "fanin", "params": {"n": [None, 0.0]}}), _GOOD_STATE, "ValueError"),
+        ("simulate", _fanout_circuit({"n": None}), _GOOD_STATE, "ValueError"),
+        ("simulate", _fanout_circuit([]), _GOOD_STATE, "ValueError"),
+        ("simulate", _NULL_PORT_CIRCUIT, _GOOD_STATE, "GraphError"),
+        ("simulate", dict(_GOOD_CIRCUIT, nodes=5), _GOOD_STATE, "ValueError"),
+        ("simulate", dict(_GOOD_CIRCUIT, sources=5), _GOOD_STATE, "ValueError"),
+        ("simulate", _GOOD_CIRCUIT, dict(_GOOD_STATE, delta_t={}), "ValueError"),
     ],
     ids=[
         "gate-null-re",
@@ -287,9 +304,15 @@ _GOOD_CIRCUIT = _circuit_with({"id": "g", "kind": "gate", "params": {"entries": 
         "input-state-object-re",
         "circuit-gate-null-re",
         "circuit-fanin-null-re",
+        "circuit-fanout-null-n",
+        "circuit-fanout-params-list",
+        "circuit-edge-port-null",
+        "circuit-nodes-not-a-list",
+        "circuit-sources-not-a-list",
+        "state-delta-t-object",
     ],
 )
-def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, input_state):
+def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, input_state, error):
     tpath = tmp_path / "target.json"
     tpath.write_text(json.dumps(target))
     argv = {
@@ -302,7 +325,7 @@ def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, 
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and out == ""
     payload = json.loads(err)
-    assert payload["exit_code"] == 2 and payload["error"] == "ValueError"
+    assert payload["exit_code"] == 2 and payload["error"] == error
 
 
 def test_measure_cli(tmp_path, capsys):
@@ -376,6 +399,16 @@ def test_trajectory_diagonal_projects_to_pole(tmp_path, capsys):
     assert rc == 0
     last = out.splitlines()[-1].split(",")
     assert float(last[2]) == pytest.approx(0.0, abs=1e-12)  # theta at the pole
+
+
+@pytest.mark.parametrize(
+    "sweep", [{"kind": "rotation", "axis": [0.0, 0.0, 1.0]}, {"kind": "diagonal", "d1": 1.0, "d2": 0.5}]
+)
+def test_trajectory_rejects_non_qubit_state(tmp_path, capsys, sweep):
+    spec = dict(sweep, steps=3, state=state_to_obj(AnbitState([1.0, 0.0, 1.0])))
+    rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+    assert rc == 4 and out == ""
+    assert json.loads(err)["error"] == "DimError"
 
 
 def test_emit_trajectory_null_state():

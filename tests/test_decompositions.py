@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anbit import (
+    GateClass,
     GateMatrix,
+    classify,
     euler_reconstruct,
     euler_zxz,
     euler_zyz,
     identity_gate,
+    lower_general_svd,
+    lower_mostow,
+    lower_pauli_mgate,
+    lower_unitary_zxz,
+    lower_unitary_zyz_fixed,
     mostow_synthesize,
     pauli,
     pauli_decompose,
@@ -231,3 +240,82 @@ def test_mostow_validation():
         mostow_synthesize(identity_gate(), 0.1, np.array([[0.1, 1.0], [0.0, 0.2]]))
     with pytest.raises(SymmetryError):
         mostow_synthesize(identity_gate(), 0.1, np.array([[0.1, 1j], [-1j, 0.2]]))
+
+
+# --- one contract for every decomposition and lowering -----------------------
+
+TOL = 1e-9  # lowered forward transfers, relative (the benchmark's reference TOL)
+RECON_RTOL = 1e-12  # factor reconstructions, relative
+NEAR_SINGULAR_R = (1.0 - 1e-13, 1e-3, 1e-6, 1e-9, 1e-12, 0.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def assert_unitary(g):
+    assert classify(g) is GateClass.UNITARY
+
+
+def check_contract(m, rng, unitary=False):
+    """Every factorization and lowering of m keeps its declared contract.
+
+    Mostow synthesis is checked on u e^(iA) e^B with e^B carrying m's
+    singular values, so it sees the same conditioning as m.
+    """
+    g = GateMatrix(m)
+    lowerings = [lower_general_svd, lower_pauli_mgate]
+    if unitary:
+        assert_unitary(g)  # the Euler input
+        for extract in (euler_zxz, euler_zyz):
+            assert rel(euler_reconstruct(extract(g)).entries, m) <= RECON_RTOL
+        lowerings += [lower_unitary_zxz, lower_unitary_zyz_fixed]
+
+    f = svd2(g)
+    assert_unitary(f.u1)
+    assert_unitary(f.u2)
+    assert f.d1 >= f.d2 >= 0.0
+    assert rel(svd_reconstruct(f).entries, m) <= RECON_RTOL
+    assert rel(pauli_reconstruct(pauli_decompose(g)).entries, m) <= RECON_RTOL
+    for lower in lowerings:
+        assert rel(lower(g).forward_transfer(), m) <= TOL, lower.__name__
+
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[1] == 0.0:
+        return  # not invertible: outside Mostow synthesis
+    u = random_unitary(rng)
+    a = rng.uniform(-1.0, 1.0)
+    theta = rng.uniform(0.0, np.pi)
+    q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    e_ia = np.array([[np.cosh(a), 1j * np.sinh(a)], [-1j * np.sinh(a), np.cosh(a)]])
+    want = u @ e_ia @ q @ np.diag(s) @ q.T
+    fm = mostow_synthesize(GateMatrix(u), a, q @ np.diag(np.log(s)) @ q.T)
+    for idx in (0, 2, 4):
+        assert_unitary(fm.expanded[idx])
+    assert min(fm.lam1 + fm.lam2) > 0.0
+    assert rel(np.linalg.multi_dot([w.entries for w in fm.expanded]), want) <= RECON_RTOL
+    assert rel(lower_mostow(fm).forward_transfer(), want) <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_contract_haar_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    check_contract(random_unitary(rng), rng, unitary=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_contract_census_gates(seed):
+    rng = np.random.default_rng(seed)
+    check_contract(random_matrix(rng), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS, st.sampled_from(NEAR_SINGULAR_R), st.sampled_from((-3.0, 3.0)))
+def test_contract_near_singular_gates(seed, r, log_scale):
+    """Haar . diag(1, r) . Haar scaled by e^(+-3), r from 1 - 1e-13 down to 0."""
+    rng = np.random.default_rng(seed)
+    m = np.exp(log_scale) * random_unitary(rng) @ np.diag([1.0, r]) @ random_unitary(rng)
+    check_contract(m, rng)

@@ -5,7 +5,9 @@ clones one. `solve` resolves a circuit in steady state over the condensation
 of its node graph into strongly connected components, visited in topological
 order: feed-forward nodes set their output signals directly from their
 already-known inputs, and each feedback component solves only the small
-linear system over its own internal wires. The closed-form resolvent formulas
+linear system over its own internal wires. A graph indexes its edges by node
+and port once, when it is validated; the component search, `solve` and the
+netlist lowering all read those tables. The closed-form resolvent formulas
 for the canonical single- and two-anbit loops are also provided and serve as
 oracles for the generic solver.
 """
@@ -250,10 +252,17 @@ class CircuitGraph:
     ((from_id, from_port), (to_id, to_port)). Cloning a signal requires an
     explicit fan-out node; wiring one output to two inputs is an error.
     Fan-in/fan-out second ports are garbage/ancilla and may stay unwired.
+
+    `validate` builds the per-node port tables every later pass reads:
+    in_edges[node] holds the index of the edge feeding each input port (None
+    when unwired), out_edges[node] the (edge index, output port) pairs the
+    node drives, in edge order.
     """
 
     nodes: dict
     edges: tuple
+    in_edges: dict = field(init=False, repr=False)
+    out_edges: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
@@ -261,13 +270,13 @@ class CircuitGraph:
 
     def validate(self):
         """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
-        in_seen: dict = {}
-        out_seen: dict = {}
+        ins = {nid: [None] * _port_counts(node)[0] for nid, node in self.nodes.items()}
+        outs: dict = {nid: [] for nid in self.nodes}
         edges = []
-        for edge in self.edges:
+        for i, edge in enumerate(self.edges):
             (src, sp), (dst, dp) = edge
             ends = []
-            for nid, port, table, io in ((src, sp, out_seen, 1), (dst, dp, in_seen, 0)):
+            for nid, port, io in ((src, sp, 1), (dst, dp, 0)):
                 nid = str(nid)
                 try:
                     port = operator.index(port)
@@ -278,22 +287,26 @@ class CircuitGraph:
                 counts = _port_counts(self.nodes[nid])
                 if not 0 <= port < counts[io]:
                     raise GraphError(f"node {nid!r} has no port {port} on that side")
-                key = (nid, port)
-                if key in table:
-                    raise GraphError(f"port {key} wired twice; cloning needs a fan-out node")
-                table[key] = True
-                ends.append(key)
+                if io == 0:
+                    wired = ins[nid][port] is not None
+                else:
+                    wired = any(p == port for _, p in outs[nid])
+                if wired:
+                    raise GraphError(f"port {(nid, port)} wired twice; cloning needs a fan-out node")
+                ends.append((nid, port))
+            (src, sp), (dst, dp) = ends
+            outs[src].append((i, sp))
+            ins[dst][dp] = i
             edges.append(tuple(ends))
         object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "in_edges", ins)
+        object.__setattr__(self, "out_edges", outs)
         for nid, node in self.nodes.items():
-            n_in, n_out = _port_counts(node)
-            for port in range(n_in):
-                if (nid, port) in in_seen:
-                    continue
-                if isinstance(node, FanOutNode) and port == 1:
-                    continue  # ancilla may stay unwired (implicit null)
-                raise GraphError(f"input port ({nid!r}, {port}) is not fed")
-            if isinstance(node, SourceNode) and (nid, 0) not in out_seen:
+            for port, i in enumerate(ins[nid]):
+                if i is None and not (isinstance(node, FanOutNode) and port == 1):
+                    # a fan-out ancilla may stay unwired (implicit null)
+                    raise GraphError(f"input port ({nid!r}, {port}) is not fed")
+            if isinstance(node, SourceNode) and not outs[nid]:
                 raise GraphError(f"source {nid!r} drives nothing")
 
     def sources(self) -> list:
@@ -315,12 +328,8 @@ class CircuitGraph:
         """
         ids = list(self.nodes)
         pos = {nid: k for k, nid in enumerate(ids)}
-        succ: list = [[] for _ in ids]
-        looped = set()
-        for (src, _), (dst, _) in self.edges:
-            succ[pos[src]].append(pos[dst])
-            if src == dst:
-                looped.add(pos[src])
+        succ = [[pos[self.edges[i][1][0]] for i, _ in self.out_edges[nid]] for nid in ids]
+        looped = {v for v, ws in enumerate(succ) if v in ws}
         index = [-1] * len(ids)
         low = [0] * len(ids)
         on_stack = [False] * len(ids)
@@ -337,8 +346,8 @@ class CircuitGraph:
             on_stack[v] = True
             work.append((v, iter(succ[v])))
 
-        fed = {pos[dst] for _, (dst, _) in self.edges}
-        for root in [k for k in range(len(ids)) if k not in fed] + sorted(fed):
+        fed = [any(i is not None for i in self.in_edges[nid]) for nid in ids]
+        for root in sorted(range(len(ids)), key=fed.__getitem__):  # stable: unfed first
             if index[root] >= 0:
                 continue
             visit(root)
@@ -392,7 +401,7 @@ def _apply(coef, v: np.ndarray) -> np.ndarray:
     return coef @ v if isinstance(coef, np.ndarray) else coef * v
 
 
-def _solve_feedback(graph: CircuitGraph, members: list, ins: dict, outs: dict, x: list, d: int):
+def _solve_feedback(graph: CircuitGraph, members: list, x: list, d: int):
     """Set the signals of one feedback component's internal edges; returns those edges.
 
     One block equation per internal edge; signals entering from earlier
@@ -401,7 +410,7 @@ def _solve_feedback(graph: CircuitGraph, members: list, ins: dict, outs: dict, x
     member_set = set(members)
     inner: dict = {}  # internal edge -> position in the local system
     for nid in members:
-        for i, _ in outs[nid]:
+        for i, _ in graph.out_edges[nid]:
             if graph.edges[i][1][0] in member_set:
                 inner[i] = len(inner)
     eye = np.eye(d, dtype=complex)
@@ -409,7 +418,7 @@ def _solve_feedback(graph: CircuitGraph, members: list, ins: dict, outs: dict, x
     b = np.zeros((len(inner), d), dtype=complex)
     for i, k in inner.items():
         (src, sp), _ = graph.edges[i]
-        for coef, j in _terms(graph.nodes[src], sp, ins[src]):
+        for coef, j in _terms(graph.nodes[src], sp, graph.in_edges[src]):
             if j in inner:
                 blk = coef if isinstance(coef, np.ndarray) else coef * eye
                 a[k * d:(k + 1) * d, inner[j] * d:(inner[j] + 1) * d] -= blk
@@ -452,22 +461,15 @@ def solve(graph: CircuitGraph, inputs: dict) -> dict:
         if isinstance(node, GateNode) and node.gate.dim != d:
             raise DimError(f"gate {nid!r} has dim {node.gate.dim}, circuit carries {d}")
 
-    edges = graph.edges
-    if not edges:
-        return {}
-    ins: dict = {nid: [None, None] for nid in graph.nodes}  # node -> input edge per port
-    outs: dict = {nid: [] for nid in graph.nodes}  # node -> [(edge, output port)]
-    for i, ((src, sp), (dst, dp)) in enumerate(edges):
-        outs[src].append((i, sp))
-        ins[dst][dp] = i
+    ins, outs = graph.in_edges, graph.out_edges
     if d != 2:
         for nid, node in graph.nodes.items():
             if isinstance(node, FanOutNode) and ins[nid][1] is not None and outs[nid]:
                 raise DimError("fan-out ancilla submatrices are defined for dim 2")
 
-    x: list = [None] * len(edges)  # signal per edge, set in topological order
+    x: list = [None] * len(graph.edges)  # signal per edge, set in topological order
     for members, cyclic in graph.components():
-        inner = _solve_feedback(graph, members, ins, outs, x, d) if cyclic else ()
+        inner = _solve_feedback(graph, members, x, d) if cyclic else ()
         for nid in members:
             node = graph.nodes[nid]
             for i, sp in outs[nid]:
@@ -484,13 +486,7 @@ def solve(graph: CircuitGraph, inputs: dict) -> dict:
 
     dts = {inputs[s].delta_t for s in sources}
     dt = dts.pop() if len(dts) == 1 else None
-    result = {}
-    for nid in graph.sinks():
-        i = ins[nid][0]
-        if i is None:
-            raise GraphError(f"sink {nid!r} has no incoming edge")
-        result[nid] = AnbitState(x[i], dt)
-    return result
+    return {nid: AnbitState(x[ins[nid][0]], dt) for nid in graph.sinks()}
 
 
 def fanin_tensor_nonlinearity_witness(psi: AnbitState, phi: AnbitState):

@@ -1,18 +1,23 @@
 """Command-line front end.
 
-Subcommands: simulate, decompose, lower, analyze, measure, trajectory. All
-outputs are deterministic: JSON uses 17-significant-digit floats and stable
-key order, CSV uses the same float formatting. Exit codes: 0 success, 2
-parse/validation problems, 3 singular feedback loops, 4 gate class or
+Subcommands: simulate, decompose, lower, analyze, measure, trajectory. The
+argument parser is built once per process; each subcommand's parser carries
+its handler, which takes the parsed arguments and returns the output text.
+All outputs are deterministic: JSON uses 17-significant-digit floats and
+stable key order, CSV uses the same float formatting. Exit codes: 0 success,
+2 parse/validation problems, 3 singular feedback loops, 4 gate class or
 dimension errors. Errors print one structured JSON object on stderr.
+
+Run it as `anbit ...` once installed, or `python -m anbit.cli ...` from a
+source checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +49,7 @@ from .lowering import (
 )
 from .measurement import measure_coherent, measure_differential
 from .serialization import (
+    _number,
     circuit_from_obj,
     dumps,
     fmt_float,
@@ -56,25 +62,9 @@ from .serialization import (
     state_to_obj,
 )
 
-__all__ = ["RunConfig", "run", "main", "entrypoint", "emit_trajectory"]
+__all__ = ["main", "entrypoint", "emit_trajectory"]
 
 RECIPROCITY_TOL = 1e-12
-
-
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    target: str
-    input_path: str | None = None
-    out: str | None = None
-    fmt: str = "json"
-    method: str | None = None
-    arch: str | None = None
-    kind: str | None = None
-    responsivity: float = 1.0
-    omega_c: float = 0.0
 
 
 def _read(path: str) -> str:
@@ -115,9 +105,9 @@ def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phas
     return _sweep(state, (rotation_matrix(RotationSpec(axis, a, phase)).entries for a in angles))
 
 
-def _cmd_simulate(cfg: RunConfig) -> str:
-    graph = circuit_from_obj(_load_json(cfg.target))
-    raw = _load_json(cfg.input_path)
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    graph = circuit_from_obj(_load_json(args.target))
+    raw = _load_json(args.input_path)
     if isinstance(raw, dict) and "amps" in raw:
         sources = graph.sources()
         if len(sources) != 1:
@@ -128,7 +118,7 @@ def _cmd_simulate(cfg: RunConfig) -> str:
     else:
         raise ValueError("input must be a state object or a source-to-state mapping")
     result = solve(graph, inputs)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["sink,index,re,im"]
         for sid in sorted(result):
             for idx, amp in enumerate(result[sid].amps):
@@ -147,9 +137,9 @@ def _euler_factor_objs(f) -> list:
     ]
 
 
-def _cmd_decompose(cfg: RunConfig) -> str:
-    obj = _load_json(cfg.target)
-    method = cfg.method
+def _cmd_decompose(args: argparse.Namespace) -> str:
+    obj = _load_json(args.target)
+    method = args.method
     if method in ("euler-zxz", "euler-zyz"):
         gate = gate_from_obj(obj)
         f = euler_zxz(gate) if method == "euler-zxz" else euler_zyz(gate)
@@ -172,7 +162,7 @@ def _cmd_decompose(cfg: RunConfig) -> str:
             {"name": f"alpha{k}", "value": [c.alpha[k].real, c.alpha[k].imag]} for k in range(4)
         ]
         err = _fro(pauli_reconstruct(c).entries, gate.entries)
-    elif method == "mostow-synth":
+    else:  # mostow-synth
         f = _mostow_from_obj(obj)
         stage_names = ("u_u1", "lam1", "u1_dag_u2", "lam2", "u2_dag")
         factors = [
@@ -183,8 +173,6 @@ def _cmd_decompose(cfg: RunConfig) -> str:
         for stage in f.expanded:
             product = product @ stage.entries
         err = _fro(product, f.target().entries)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method!r}")
     return dumps({"method": method, "factors": factors, "reconstruction_error": err}) + "\n"
 
 
@@ -200,37 +188,35 @@ def _mostow_from_obj(obj):
     return mostow_synthesize(u, a, b)
 
 
-def _cmd_lower(cfg: RunConfig) -> str:
-    obj = _load_json(cfg.target)
+def _cmd_lower(args: argparse.Namespace) -> str:
+    obj = _load_json(args.target)
     if isinstance(obj, dict) and "nodes" in obj:
-        nl = lower_circuit(circuit_from_obj(obj), cfg.arch)
-    elif cfg.arch == "zxz":
+        nl = lower_circuit(circuit_from_obj(obj), args.arch)
+    elif args.arch == "zxz":
         nl = lower_unitary_zxz(gate_from_obj(obj))
-    elif cfg.arch == "zyz":
+    elif args.arch == "zyz":
         nl = lower_unitary_zyz_fixed(gate_from_obj(obj))
-    elif cfg.arch == "svd":
+    elif args.arch == "svd":
         nl = lower_general_svd(gate_from_obj(obj))
-    elif cfg.arch == "pauli":
+    elif args.arch == "pauli":
         nl = lower_pauli_mgate(gate_from_obj(obj))
-    elif cfg.arch == "mostow":
+    elif args.arch == "mostow":
         nl = lower_mostow(_mostow_from_obj(obj))
-    elif cfg.arch == "fanin":
+    else:  # fanin
         try:
             n = complex(obj["n"][0], obj["n"][1])
             m = complex(obj["m"][0], obj["m"][1])
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"fan-in input needs complex 'n' and 'm' pairs: {exc}") from exc
         nl = lower_fanin(FanInGate(n, m))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown architecture {cfg.arch!r}")
     return netlist_to_text(nl)
 
 
-def _cmd_analyze(cfg: RunConfig) -> str:
-    nl = netlist_from_text(_read(cfg.target))
+def _cmd_analyze(args: argparse.Namespace) -> str:
+    nl = netlist_from_text(_read(args.target))
     tf = nl.forward_transfer()
     tb = nl.backward_transfer()
-    scale = max(1.0, float(np.max(np.abs(tf))) if tf.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(tf))))
     reciprocal = tf.shape == tb.T.shape and float(np.max(np.abs(tb - tf.T))) <= RECIPROCITY_TOL * scale
     report = {
         "reciprocal": bool(reciprocal),
@@ -240,34 +226,45 @@ def _cmd_analyze(cfg: RunConfig) -> str:
     return dumps(report) + "\n"
 
 
-def _cmd_measure(cfg: RunConfig) -> str:
-    state = state_from_obj(_load_json(cfg.target))
-    if cfg.kind == "coherent":
-        rec = measure_coherent(state, cfg.responsivity)
+def _cmd_measure(args: argparse.Namespace) -> str:
+    state = state_from_obj(_load_json(args.target))
+    if args.kind == "coherent":
+        rec = measure_coherent(state, args.responsivity)
     else:
-        rec = measure_differential(state, cfg.responsivity, cfg.omega_c)
+        rec = measure_differential(state, args.responsivity, args.omega_c)
     return dumps(record_to_obj(rec)) + "\n"
 
 
-def _cmd_trajectory(cfg: RunConfig) -> str:
-    spec = _load_json(cfg.target)
+def _numbers(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{where}: expected a list of numbers")
+    return [_number(x, where) for x in v]
+
+
+def _endpoints(v, where: str) -> list:
+    """[start, end] of a diagonal entry's sweep; one number holds it fixed."""
+    return _numbers(v, where) if isinstance(v, list) else [_number(v, where)] * 2
+
+
+def _cmd_trajectory(args: argparse.Namespace) -> str:
+    spec = _load_json(args.target)
     if not isinstance(spec, dict) or "state" not in spec:
         raise ValueError("sweep spec needs a 'state' field")
     state = state_from_obj(spec["state"])
-    steps = int(spec.get("steps", 100))
+    steps = _number(spec.get("steps", 100), "steps", int)
     kind = spec.get("kind", "rotation")
     if kind == "rotation":
         rows = emit_trajectory(
-            spec["axis"],
-            spec.get("start", 0.0),
-            spec.get("end", 2.0 * np.pi),
+            _numbers(spec["axis"], "axis"),
+            _number(spec.get("start", 0.0), "start"),
+            _number(spec.get("end", 2.0 * np.pi), "end"),
             state,
             steps,
-            spec.get("global_phase", 0.0),
+            _number(spec.get("global_phase", 0.0), "global_phase"),
         )
     elif kind == "diagonal":
-        d1a, d1b = (spec["d1"] if isinstance(spec["d1"], list) else [spec["d1"]] * 2)
-        d2a, d2b = (spec["d2"] if isinstance(spec["d2"], list) else [spec["d2"]] * 2)
+        d1a, d1b = _endpoints(spec["d1"], "d1")
+        d2a, d2b = _endpoints(spec["d2"], "d2")
         ts = np.linspace(0.0, 1.0, steps)
         diags = (np.diag([d1a + (d1b - d1a) * t, d2a + (d2b - d2a) * t]).astype(complex) for t in ts)
         rows = _sweep(state, diags)
@@ -279,81 +276,78 @@ def _cmd_trajectory(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "decompose": _cmd_decompose,
-    "lower": _cmd_lower,
-    "analyze": _cmd_analyze,
-    "measure": _cmd_measure,
-    "trajectory": _cmd_trajectory,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    try:
-        text = _COMMANDS[config.command](config)
-    except LoopSingularError as exc:
-        return _fail(exc, 3)
-    except (ClassError, DimError) as exc:
-        return _fail(exc, 4)
-    except (AnbitError, ValueError, KeyError, OSError) as exc:
-        return _fail(exc, 2)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _fail(exc: Exception, code: int) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     sys.stderr.write(dumps(payload) + "\n")
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `anbit` parser, built on first use and shared by every later call (do not modify it).
+
+    Each subcommand's parser sets `handler`, the function that runs it, and
+    `out`, the file its output goes to (None: stdout; only simulate has --out).
+    """
     parser = argparse.ArgumentParser(prog="anbit", description="Analog photonic gate toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="resolve a circuit and print sink states")
-    p.add_argument("target", metavar="circuit")
+    def command(name, handler, summary, target):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("target", metavar=target)
+        p.set_defaults(handler=handler, out=None)
+        return p
+
+    p = command("simulate", _cmd_simulate, "resolve a circuit and print sink states", "circuit")
     p.add_argument("--input", required=True, dest="input_path")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
-    p = sub.add_parser("decompose", help="factor a gate")
-    p.add_argument("target", metavar="gate")
+    p = command("decompose", _cmd_decompose, "factor a gate", "gate")
     p.add_argument(
         "--method",
         required=True,
         choices=("euler-zxz", "euler-zyz", "svd", "pauli", "mostow-synth"),
     )
 
-    p = sub.add_parser("lower", help="compile a gate or circuit to a netlist")
-    p.add_argument("target")
+    p = command("lower", _cmd_lower, "compile a gate or circuit to a netlist", "target")
     p.add_argument(
         "--arch", required=True, choices=("zxz", "zyz", "svd", "mostow", "pauli", "fanin")
     )
 
-    p = sub.add_parser("analyze", help="reciprocity and symmetry report for a netlist")
-    p.add_argument("target", metavar="netlist")
+    command("analyze", _cmd_analyze, "reciprocity and symmetry report for a netlist", "netlist")
 
-    p = sub.add_parser("measure", help="measurement record for a state")
-    p.add_argument("target", metavar="state")
+    p = command("measure", _cmd_measure, "measurement record for a state", "state")
     p.add_argument("--kind", required=True, choices=("coherent", "differential"))
     p.add_argument("--responsivity", required=True, type=float)
     p.add_argument("--omega-c", type=float, default=0.0, dest="omega_c")
 
-    p = sub.add_parser("trajectory", help="sphere-coordinate sweep as CSV")
-    p.add_argument("target", metavar="sweep_spec")
+    command("trajectory", _cmd_trajectory, "sphere-coordinate sweep as CSV", "sweep_spec")
     return parser
 
 
 def main(argv=None) -> int:
-    return run(RunConfig(**vars(build_parser().parse_args(argv))))
+    """Parse argv (default sys.argv[1:]), run the subcommand; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        text = args.handler(args)
+    except LoopSingularError as exc:
+        return _fail(exc, 3)
+    except (ClassError, DimError) as exc:
+        return _fail(exc, 4)
+    except (AnbitError, ValueError, KeyError, OSError) as exc:
+        return _fail(exc, 2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def entrypoint():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -75,10 +75,10 @@ def _singular(a: np.ndarray) -> bool:
     return bool(sigma[-1] <= SINGULAR_RTOL * sigma[0])
 
 
-def _classify(entries: np.ndarray, tol: float) -> GateClass:
+def _classify(entries: np.ndarray) -> GateClass:
     d = entries.shape[0]
     gram_dev = np.linalg.norm(entries.conj().T @ entries - np.eye(d))
-    if gram_dev <= tol * d:
+    if gram_dev <= CLASSIFY_TOL * d:
         return GateClass.UNITARY
     # inf or nan entries have no singular values to compare (LAPACK's SVD
     # fails on nan); such a gate stays GENERAL_LINEAR, as under the det test
@@ -92,7 +92,6 @@ class GateMatrix:
     """Immutable d x d complex gate; its class is computed on first read of `gate_class`."""
 
     entries: np.ndarray
-    tol: float = CLASSIFY_TOL
 
     def __post_init__(self):
         e = _frozen_matrix(self.entries)
@@ -102,7 +101,7 @@ class GateMatrix:
 
     @cached_property
     def gate_class(self) -> GateClass:
-        return _classify(self.entries, self.tol)
+        return _classify(self.entries)
 
     @property
     def dim(self) -> int:
@@ -209,7 +208,7 @@ class ControlledGate:
             )
         emb = np.eye(2 ** (n + 1), dtype=complex)
         emb[-2:, -2:] = self.target_gate.entries
-        return GateMatrix(emb, tol=self.target_gate.tol)
+        return GateMatrix(emb)
 
 
 def controlled(target: GateMatrix, n_controls: int) -> ControlledGate:

@@ -9,6 +9,11 @@ block with one column per port: forward transfer runs the devices in order
 from the input ports; backward transfer runs them in reverse from the output
 ports with each local matrix transposed, the backward matrix of every
 reciprocal kind here. Forward-backward symmetry compares the two.
+
+Each gate architecture is one emitter that appends its devices to the
+caller's list on the caller's wires, so a standalone gate netlist and a gate
+inside a lowered circuit are built the same way and every device is built
+once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AnbitState, CompositeState
-from .circuits import CircuitGraph, FanInGate, FanInNode, FanOutNode, GateNode, SinkNode, SourceNode
+from .circuits import CircuitGraph, FanInGate, FanInNode, FanOutNode, GateNode, SourceNode
 from .decompositions import MostowFactors, euler_zxz, euler_zyz, svd2, pauli_decompose
 from .errors import ControlEncodingError, DimError, GraphError, ParamError
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
@@ -145,6 +150,9 @@ class FbSymmetry(Enum):
 class Netlist:
     """Ordered device list on `wires` wires with declared input/output ports.
 
+    Both port lists are non-empty and every port and device wire lies in
+    0..wires-1.
+
     control_map, when present, maps a control word (or the fallback "*") to
     {device index: parameter value}; active_setting names the key whose values
     the emitted devices carry. Every device index lies in 0..D-1, and a word
@@ -162,6 +170,9 @@ class Netlist:
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "input_ports", tuple(int(w) for w in self.input_ports))
         object.__setattr__(self, "output_ports", tuple(int(w) for w in self.output_ports))
+        for side, ports in (("input", self.input_ports), ("output", self.output_ports)):
+            if not ports:
+                raise ParamError(f"netlist has no {side} ports")
         for w in self.input_ports + self.output_ports:
             if not 0 <= w < self.wires:
                 raise ParamError(f"port wire {w} outside 0..{self.wires - 1}")
@@ -258,6 +269,9 @@ def scattering_matrix(nl: Netlist, reciprocal: bool = True, tf=None) -> np.ndarr
 
 
 # --- stage emitters ---------------------------------------------------------
+# Each appends devices to the caller's list. A gate emitter _emit_<arch>(devices,
+# gate, w) writes on the wires w: w[0] and w[1] carry the anbit in and out, any
+# further wires are the architecture's scratch rails.
 
 def _rz_pair(devices: list, w0: int, w1: int, theta: float):
     # R_z(theta) = diag(e^(-i theta/2), e^(i theta/2)); + 0.0 avoids -0.0 params
@@ -278,14 +292,38 @@ def _signed_gain(devices: list, wire: int, value: float):
     devices.append(gain_device(wire, value))
 
 
-def _zxz_devices(u: GateMatrix, w0: int = 0, w1: int = 1) -> list:
+def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1)):
     f = euler_zxz(u)
+    _rz_pair(devices, w[0], w[1], f.alpha1)
+    devices.append(Device("DC", (w[0], w[1]), f.alpha2))
+    _rz_pair(devices, w[0], w[1], f.alpha3)
+    _global_phase_pair(devices, w[0], w[1], f.delta)
+
+
+def _emit_zyz(devices: list, u: GateMatrix, w):
+    f = euler_zyz(u)
+    _rz_pair(devices, w[0], w[1], f.alpha1)
+    devices.append(Device("BS", (w[0], w[1])))
+    devices.append(Device("PS", (w[0],), 0.5 * f.alpha2))
+    devices.append(Device("PS", (w[1],), -0.5 * f.alpha2 - math.pi))
+    devices.append(Device("BS", (w[0], w[1])))
+    devices.append(Device("PS", (w[1],), math.pi))
+    _rz_pair(devices, w[0], w[1], f.alpha3)
+    _global_phase_pair(devices, w[0], w[1], f.delta)
+
+
+def _emit_svd(devices: list, m: GateMatrix, w):
+    f = svd2(m)
+    _emit_zxz(devices, f.u1, w)
+    devices.append(gain_device(w[0], f.d1))
+    devices.append(gain_device(w[1], f.d2))
+    _emit_zxz(devices, f.u2, w)
+
+
+def _gate_netlist(emit, m: GateMatrix, wires: int = 2) -> Netlist:
     devices: list = []
-    _rz_pair(devices, w0, w1, f.alpha1)
-    devices.append(Device("DC", (w0, w1), f.alpha2))
-    _rz_pair(devices, w0, w1, f.alpha3)
-    _global_phase_pair(devices, w0, w1, f.delta)
-    return devices
+    emit(devices, m, range(wires))
+    return Netlist(wires, devices, (0, 1), (0, 1))
 
 
 def lower_unitary_zxz(u: GateMatrix) -> Netlist:
@@ -294,7 +332,7 @@ def lower_unitary_zxz(u: GateMatrix) -> Netlist:
     Always emits the full seven-device template (identity becomes all-zero
     parameters) so controlled variants can swap parameter sets in place.
     """
-    return Netlist(2, _zxz_devices(u), (0, 1), (0, 1))
+    return _gate_netlist(_emit_zxz, u)
 
 
 def lower_unitary_zyz_fixed(u: GateMatrix) -> Netlist:
@@ -304,27 +342,12 @@ def lower_unitary_zyz_fixed(u: GateMatrix) -> Netlist:
     PS1(pi) . BS . diag(e^(i a2/2), e^(-i(a2/2 + pi))) . BS = R_y(a2),
     costing four extra devices over the tunable-coupler form.
     """
-    f = euler_zyz(u)
-    devices: list = []
-    _rz_pair(devices, 0, 1, f.alpha1)
-    devices.append(Device("BS", (0, 1)))
-    devices.append(Device("PS", (0,), 0.5 * f.alpha2))
-    devices.append(Device("PS", (1,), -0.5 * f.alpha2 - math.pi))
-    devices.append(Device("BS", (0, 1)))
-    devices.append(Device("PS", (1,), math.pi))
-    _rz_pair(devices, 0, 1, f.alpha3)
-    _global_phase_pair(devices, 0, 1, f.delta)
-    return Netlist(2, devices, (0, 1), (0, 1))
+    return _gate_netlist(_emit_zyz, u)
 
 
 def lower_general_svd(m: GateMatrix) -> Netlist:
     """Unitary-diagonal-unitary architecture accepting any 2x2 gate."""
-    f = svd2(m)
-    devices = _zxz_devices(f.u1)
-    devices.append(gain_device(0, f.d1))
-    devices.append(gain_device(1, f.d2))
-    devices.extend(_zxz_devices(f.u2))
-    return Netlist(2, devices, (0, 1), (0, 1))
+    return _gate_netlist(_emit_svd, m)
 
 
 def lower_mostow(f: MostowFactors) -> Netlist:
@@ -336,13 +359,14 @@ def lower_mostow(f: MostowFactors) -> Netlist:
     """
     u_last, lam1_stage, u_mid, lam2_stage, u_first = f.expanded
     del lam1_stage, lam2_stage  # device values come from the scalar fields
-    devices = _zxz_devices(u_first)
+    devices: list = []
+    _emit_zxz(devices, u_first)
     for wire, value in enumerate(f.lam2):
         _signed_gain(devices, wire, value)
-    devices.extend(_zxz_devices(u_mid))
+    _emit_zxz(devices, u_mid)
     for wire, value in enumerate(f.lam1):
         _signed_gain(devices, wire, value)
-    devices.extend(_zxz_devices(u_last))
+    _emit_zxz(devices, u_last)
     return Netlist(2, devices, (0, 1), (0, 1))
 
 
@@ -385,6 +409,33 @@ def lower_fanin(g: FanInGate) -> Netlist:
     return Netlist(4, devices, (0, 1, 2, 3), (0, 1, 2, 3))
 
 
+def _emit_pauli(devices: list, m: GateMatrix, w):
+    # w[2:8] are the three extra branch rails
+    coef = pauli_decompose(m).alpha
+    # clone tree: after it, wires w[0,2,4,6] carry psi0 and w[1,3,5,7] carry psi1
+    for a, b in ((0, 4), (1, 5), (0, 2), (1, 3), (4, 6), (5, 7)):
+        _sum_block(devices, w[a], w[b])
+    # branch 0 on w[0,1]: a0 I
+    _scale_pair(devices, w[0], w[1], coef[0])
+    # branch 1 on w[2,3]: i a1 Rx(pi)
+    devices.append(Device("DC", (w[2], w[3]), math.pi))
+    _scale_pair(devices, w[2], w[3], 1j * coef[1])
+    # branch 2 on w[4,5]: i a2 Ry(pi) with Ry(pi) = Rz(pi/2) Rx(pi) Rz(-pi/2)
+    devices.append(Device("PS", (w[4],), 0.25 * math.pi))
+    devices.append(Device("PS", (w[5],), -0.25 * math.pi))
+    devices.append(Device("DC", (w[4], w[5]), math.pi))
+    devices.append(Device("PS", (w[4],), -0.25 * math.pi))
+    devices.append(Device("PS", (w[5],), 0.25 * math.pi))
+    _scale_pair(devices, w[4], w[5], 1j * coef[2])
+    # branch 3 on w[6,7]: i a3 Rz(pi)
+    devices.append(Device("PS", (w[6],), -_HALF_PI))
+    devices.append(Device("PS", (w[7],), _HALF_PI))
+    _scale_pair(devices, w[6], w[7], 1j * coef[3])
+    # fan-in tree back onto w[0,1]
+    for a, b in ((0, 2), (4, 6), (1, 3), (5, 7), (0, 4), (1, 5)):
+        _sum_block(devices, w[a], w[b])
+
+
 def lower_pauli_mgate(m: GateMatrix) -> Netlist:
     """Four-branch expansion architecture: m = a0 I + i a1 Rx(pi) + i a2 Ry(pi) + i a3 Rz(pi).
 
@@ -395,31 +446,7 @@ def lower_pauli_mgate(m: GateMatrix) -> Netlist:
     """
     if m.dim != 2:
         raise DimError("expansion architecture is defined for dim 2")
-    coef = pauli_decompose(m).alpha
-    devices: list = []
-    # clone tree: after it, wires (0,2,4,6) carry psi0 and (1,3,5,7) carry psi1
-    for a, b in ((0, 4), (1, 5), (0, 2), (1, 3), (4, 6), (5, 7)):
-        _sum_block(devices, a, b)
-    # branch 0 on (0,1): a0 I
-    _scale_pair(devices, 0, 1, coef[0])
-    # branch 1 on (2,3): i a1 Rx(pi)
-    devices.append(Device("DC", (2, 3), math.pi))
-    _scale_pair(devices, 2, 3, 1j * coef[1])
-    # branch 2 on (4,5): i a2 Ry(pi) with Ry(pi) = Rz(pi/2) Rx(pi) Rz(-pi/2)
-    devices.append(Device("PS", (4,), 0.25 * math.pi))
-    devices.append(Device("PS", (5,), -0.25 * math.pi))
-    devices.append(Device("DC", (4, 5), math.pi))
-    devices.append(Device("PS", (4,), -0.25 * math.pi))
-    devices.append(Device("PS", (5,), 0.25 * math.pi))
-    _scale_pair(devices, 4, 5, 1j * coef[2])
-    # branch 3 on (6,7): i a3 Rz(pi)
-    devices.append(Device("PS", (6,), -_HALF_PI))
-    devices.append(Device("PS", (7,), _HALF_PI))
-    _scale_pair(devices, 6, 7, 1j * coef[3])
-    # fan-in tree back onto (0,1)
-    for a, b in ((0, 2), (4, 6), (1, 3), (5, 7), (0, 4), (1, 5)):
-        _sum_block(devices, a, b)
-    return Netlist(8, devices, (0, 1), (0, 1))
+    return _gate_netlist(_emit_pauli, m, 8)
 
 
 def _basis_word(setting, n_controls: int) -> str:
@@ -487,11 +514,12 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     )
 
 
+# gate emitter and its wire count per circuit architecture
 _CIRCUIT_ARCHES = {
-    "zxz": lower_unitary_zxz,
-    "zyz": lower_unitary_zyz_fixed,
-    "svd": lower_general_svd,
-    "pauli": lower_pauli_mgate,
+    "zxz": (_emit_zxz, 2),
+    "zyz": (_emit_zyz, 2),
+    "svd": (_emit_svd, 2),
+    "pauli": (_emit_pauli, 8),
 }
 
 
@@ -499,81 +527,60 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
     """Compile an acyclic circuit graph to one netlist; feedback is rejected.
 
     Every signal path gets a dedicated wire pair. Gate nodes lower through the
-    chosen architecture in place on their pair; fan-in couples two pairs with
-    the sum block; fan-out (default ancilla only) is the same block fed by a
-    fresh null pair. Unwired garbage ports keep their wires out of the output
-    port list.
+    chosen architecture's emitter straight onto their pair, plus fresh scratch
+    wires for wide architectures; fan-in couples two pairs with the sum block;
+    fan-out (default ancilla only) is the same block fed by a fresh null pair.
+    A node's input pair is the output pair of the edge feeding it, read from
+    the graph's port tables. Unwired garbage ports keep their wires out of the
+    output port list.
     """
     if arch not in _CIRCUIT_ARCHES:
         raise ParamError(f"circuit lowering supports {sorted(_CIRCUIT_ARCHES)}, got {arch!r}")
-    gate_arch = _CIRCUIT_ARCHES[arch]
+    emit, arch_wires = _CIRCUIT_ARCHES[arch]
 
     components = graph.components()
     if any(cyclic for _, cyclic in components):
         raise GraphError("circuit has feedback; only acyclic graphs lower to a netlist")
-    feeds: dict = {}
-    for (src, sp), (dst, dp) in graph.edges:
-        feeds.setdefault(src, []).append(((src, sp), (dst, dp)))
 
     next_wire = 0
 
-    def fresh_pair():
+    def fresh(n: int) -> tuple:
         nonlocal next_wire
-        pair = (next_wire, next_wire + 1)
-        next_wire += 2
-        return pair
+        next_wire += n
+        return tuple(range(next_wire - n, next_wire))
 
-    in_pairs: dict = {}  # (node, input port) -> wire pair
     devices: list = []
-    source_pairs: dict = {}
-    sink_pairs: dict = {}
+    out_pair: dict = {}  # (node, output port) -> wire pair
 
-    def emit_gate_block(sub: Netlist, pair):
-        nonlocal next_wire
-        mapping = {0: pair[0], 1: pair[1]}
-        for w in range(2, sub.wires):  # scratch rails of wide architectures
-            mapping[w] = next_wire
-            next_wire += 1
-        for dev in sub.devices:
-            devices.append(replace(dev, wires=tuple(mapping[w] for w in dev.wires)))
+    def in_pair(nid, port: int) -> tuple:
+        return out_pair[graph.edges[graph.in_edges[nid][port]][0]]
 
-    out_pair: dict = {}
     for (nid,), _ in components:
         node = graph.nodes[nid]
         if isinstance(node, SourceNode):
-            pair = fresh_pair()
-            source_pairs[nid] = pair
-            out_pair[(nid, 0)] = pair
+            out_pair[(nid, 0)] = fresh(2)
         elif isinstance(node, GateNode):
             if node.gate.dim != 2:
                 raise DimError("netlist lowering carries dim-2 signals")
-            pair = in_pairs[(nid, 0)]
-            emit_gate_block(gate_arch(node.gate), pair)
+            pair = in_pair(nid, 0)
+            emit(devices, node.gate, pair + fresh(arch_wires - 2))
             out_pair[(nid, 0)] = pair
         elif isinstance(node, FanInNode):
-            pa = in_pairs[(nid, 0)]
-            pb = in_pairs[(nid, 1)]
+            pa, pb = in_pair(nid, 0), in_pair(nid, 1)
             for k in range(2):
                 _sum_block(devices, pa[k], pb[k], node.fi.n, node.fi.m)
-            out_pair[(nid, 0)] = pa
-            out_pair[(nid, 1)] = pb
+            out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
         elif isinstance(node, FanOutNode):
-            if (nid, 1) in in_pairs:
+            if graph.in_edges[nid][1] is not None:
                 raise GraphError("fan-out with a wired ancilla does not lower")
             if not node.fo.is_default_ancilla:
                 raise GraphError("only default-ancilla fan-out lowers to a netlist")
-            pa = in_pairs[(nid, 0)]
-            pb = fresh_pair()  # null-fed rail
+            pa, pb = in_pair(nid, 0), fresh(2)  # null-fed rail
             for k in range(2):
                 _sum_block(devices, pa[k], pb[k], node.fo.n, node.fo.m)
-            out_pair[(nid, 0)] = pa
-            out_pair[(nid, 1)] = pb
-        elif isinstance(node, SinkNode):
-            sink_pairs[nid] = in_pairs[(nid, 0)]
-        for (src, sp), (dst, dp) in feeds.get(nid, ()):
-            in_pairs[(dst, dp)] = out_pair[(src, sp)]
+            out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
 
     # port order follows the graph's node declaration order, not the topo visit
-    input_ports = [w for nid in graph.nodes if nid in source_pairs for w in source_pairs[nid]]
-    output_ports = [w for nid in graph.nodes if nid in sink_pairs for w in sink_pairs[nid]]
+    input_ports = [w for nid in graph.sources() for w in out_pair[(nid, 0)]]
+    output_ports = [w for nid in graph.sinks() for w in in_pair(nid, 0)]
     return Netlist(next_wire, devices, tuple(input_ports), tuple(output_ports))

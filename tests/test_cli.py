@@ -1,9 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anbit
 from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, pauli
 from anbit.cli import emit_trajectory, main
 from anbit.errors import DegenerateStateError
@@ -218,15 +224,19 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body,message",
     [
-        "WIRES 2\nIN 0 5\nOUT 0 1\n",
-        "WIRES 2\nIN -1 1\nOUT 0 1\n",
-        "WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 0 0.7\n",
-        "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 1 0.5\n",
-        "WIRES 2\nIN 0 1\nOUT 0 1\nBS 0 1 0.3\n",
-        "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 99=2.0\nCTRL * 0=0.5\n",
-        "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nACTIVE 0\nCTRL 1 0=0.5\n",
+        ("WIRES 2\nIN 0 5\nOUT 0 1\n", None),
+        ("WIRES 2\nIN -1 1\nOUT 0 1\n", None),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 0 0.7\n", None),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 1 0.5\n", None),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nBS 0 1 0.3\n", None),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 99=2.0\nCTRL * 0=0.5\n", None),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nACTIVE 0\nCTRL 1 0=0.5\n", None),
+        ("WIRES 2\nIN\nOUT 0 1\n", "netlist has no input ports"),
+        ("WIRES 2\nIN 0 1\nOUT \n", "netlist has no output ports"),
+        # a circuit without sources or sinks: lowering it fails before any netlist is written
+        ('{"nodes": [], "edges": []}', "netlist has no input ports"),
     ],
     ids=[
         "port-past-last-wire",
@@ -236,16 +246,22 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
         "bs-with-value",
         "ctrl-device-past-last",
         "ctrl-word-unmatched-without-star",
+        "no-input-ports",
+        "no-output-ports",
+        "lowered-empty-circuit",
     ],
 )
-def test_analyze_rejects_malformed_netlist(tmp_path, capsys, body):
+def test_analyze_rejects_malformed_netlist(tmp_path, capsys, body, message):
     path = tmp_path / "bad.netlist"
     path.write_text(body)
-    rc, out, err = run_cli(capsys, ["analyze", str(path)])
+    argv = ["lower", str(path), "--arch", "zxz"] if body.startswith("{") else ["analyze", str(path)]
+    rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and out == ""
     payload = json.loads(err)
     assert payload["exit_code"] == 2
     assert payload["error"] in ("ParamError", "ValueError")
+    if message is not None:
+        assert payload["error"] == "ParamError" and payload["message"] == message
 
 
 _GOOD_ENTRIES = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
@@ -293,6 +309,9 @@ _NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g"
         ("simulate", dict(_GOOD_CIRCUIT, nodes=5), _GOOD_STATE, "ValueError"),
         ("simulate", dict(_GOOD_CIRCUIT, sources=5), _GOOD_STATE, "ValueError"),
         ("simulate", _GOOD_CIRCUIT, dict(_GOOD_STATE, delta_t={}), "ValueError"),
+        ("trajectory", {"state": _GOOD_STATE, "axis": 5}, None, "ValueError"),
+        ("trajectory", {"state": _GOOD_STATE, "axis": [0, 0, 1], "steps": None}, None, "ValueError"),
+        ("trajectory", {"state": _GOOD_STATE, "kind": "diagonal", "d1": "x", "d2": 1.0}, None, "ValueError"),
     ],
     ids=[
         "gate-null-re",
@@ -310,6 +329,9 @@ _NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g"
         "circuit-nodes-not-a-list",
         "circuit-sources-not-a-list",
         "state-delta-t-object",
+        "trajectory-axis-number",
+        "trajectory-steps-null",
+        "trajectory-diagonal-d1-string",
     ],
 )
 def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, input_state, error):
@@ -319,6 +341,7 @@ def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, 
         "decompose": ["decompose", str(tpath), "--method", "svd"],
         "measure": ["measure", str(tpath), "--kind", "coherent", "--responsivity", "1"],
         "simulate": ["simulate", str(tpath), "--input", str(tmp_path / "in.json")],
+        "trajectory": ["trajectory", str(tpath)],
     }[command]
     if input_state is not None:
         (tmp_path / "in.json").write_text(json.dumps(input_state))
@@ -467,3 +490,36 @@ def test_argparse_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_at_most_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "anbit":
+            built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState([0.6, 0.8j])))
+    for kind in ("coherent", "differential"):
+        rc, out, _ = run_cli(capsys, ["measure", spath, "--kind", kind, "--responsivity", "1"])
+        assert rc == 0 and json.loads(out)["kind"] == kind
+    assert len(built) <= 1
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = Path(anbit.__file__).resolve().parent.parent
+    missing = str(tmp_path / "missing.netlist")
+    proc = subprocess.run(
+        [sys.executable, "-m", "anbit.cli", "analyze", missing],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "FileNotFoundError" and payload["exit_code"] == 2
+    assert missing in payload["message"]

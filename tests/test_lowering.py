@@ -267,6 +267,11 @@ def test_netlist_wire_bounds():
         Netlist(2, (), (0, 5), (0, 1))
     with pytest.raises(ParamError):
         Netlist(2, (), (0, 1), (-1, 1))
+    # both port lists are non-empty
+    with pytest.raises(ParamError, match="no input ports"):
+        Netlist(2, (), (), (0, 1))
+    with pytest.raises(ParamError, match="no output ports"):
+        Netlist(2, (), (0, 1), ())
     # a two-wire device needs two distinct wires
     with pytest.raises(ParamError):
         Device("DC", (0, 0), 0.7)
@@ -426,3 +431,53 @@ def test_lower_circuit_rejects_wired_ancilla(rng):
     graph = CircuitGraph(nodes, edges)
     with pytest.raises(GraphError):
         lower_circuit(graph)
+
+
+def _ladder(rng, n_rungs: int, unitary: bool) -> CircuitGraph:
+    """n_rungs of fan-out, one gate per branch, fan-in; each difference port ends in a sink."""
+    draw = random_unitary if unitary else random_matrix
+    nodes = {"s": SourceNode()}
+    edges = []
+    prev = ("s", 0)
+    for k in range(n_rungs):
+        fo, a, b, fi, d = (f"{name}{k}" for name in ("fo", "a", "b", "fi", "d"))
+        nodes.update({
+            fo: FanOutNode(FanOutGate(0.8, 0.6)),
+            a: GateNode(GateMatrix(draw(rng))),
+            b: GateNode(GateMatrix(draw(rng))),
+            fi: FanInNode(FanInGate(0.5, 0.5j)),
+            d: SinkNode(),
+        })
+        edges += [
+            (prev, (fo, 0)),
+            ((fo, 0), (a, 0)),
+            ((fo, 1), (b, 0)),
+            ((a, 0), (fi, 0)),
+            ((b, 0), (fi, 1)),
+            ((fi, 1), (d, 0)),
+        ]
+        prev = (fi, 0)
+    nodes["t"] = SinkNode()
+    edges.append((prev, ("t", 0)))
+    return CircuitGraph(nodes, edges)
+
+
+@pytest.mark.parametrize("arch", ["zxz", "svd", "pauli"])
+def test_lower_circuit_builds_each_device_once(arch, rng, monkeypatch):
+    graph = _ladder(rng, 10, unitary=arch == "zxz")  # 20 gates
+    built = []
+    post_init = Device.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Device, "__post_init__", counted)
+    nl = lower_circuit(graph, arch)
+    assert len(built) == len(nl.devices)
+    # every gate, fan-in and fan-out sits on the right wires: the transfer matches solve
+    psi = AnbitState(random_state_vec(rng))
+    res = solve(graph, {"s": psi})
+    want = np.concatenate([res[nid].amps for nid in graph.sinks()])
+    got = nl.forward_transfer() @ psi.amps
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))

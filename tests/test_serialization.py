@@ -173,9 +173,9 @@ def test_gate_from_obj_matches_per_entry_parse(case):
 def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
     calls = []
 
-    def counted(entries, tol, _classify=gates._classify):
+    def counted(entries, _classify=gates._classify):
         calls.append(entries.shape)
-        return _classify(entries, tol)
+        return _classify(entries)
 
     monkeypatch.setattr(gates, "_classify", counted)
     want = {

@@ -331,17 +331,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text = args.handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return 0
     except LoopSingularError as exc:
         return _fail(exc, 3)
     except (ClassError, DimError) as exc:
         return _fail(exc, 4)
     except (AnbitError, ValueError, KeyError, OSError) as exc:
         return _fail(exc, 2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return 0
 
 

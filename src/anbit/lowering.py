@@ -4,11 +4,17 @@ A netlist is an ordered list of device primitives acting in place on numbered
 wires; two wires carry one anbit. Each device is one `Device` record whose
 kind, a key of `DEVICE_KINDS` (phase shifter, tunable coupler, fixed 50:50
 splitter, attenuator, amplifier), fixes its wire count, value domain and
-local 1x1 or 2x2 matrix. Transfers apply those local matrices in place to a
-block with one column per port: forward transfer runs the devices in order
-from the input ports; backward transfer runs them in reverse from the output
-ports with each local matrix transposed, the backward matrix of every
-reciprocal kind here. Forward-backward symmetry compares the two.
+local 1x1 or 2x2 matrix. One coefficient function per kind gives that matrix
+as Python complex numbers; `Device.matrix` builds its ndarray from the same
+function. Transfers apply the local matrices to the rows of a block with one
+column per port: forward transfer runs the devices in order from the input
+ports; backward transfer runs them in reverse from the output ports with each
+local matrix transposed, the backward matrix of every reciprocal kind here.
+Forward-backward symmetry compares the two. A single-wire device (a phase or a
+gain, most of a lowered mesh) is a diagonal factor that commutes along its
+wire to the next two-wire device, so a transfer keeps one pending factor per
+wire and folds it into that device's coefficients, the phase-screen argument
+of Clements et al., Optica 3, 1460 (2016).
 
 Each gate architecture is one emitter that appends its devices to the
 caller's list on the caller's wires, so a standalone gate netlist and a gate
@@ -19,7 +25,7 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -54,48 +60,49 @@ _HALF_PI = 0.5 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _phase(phi):
-    return np.array([[np.exp(1j * phi)]], dtype=complex)
+def _phase_coefs(phi):
+    return (complex(math.cos(phi), math.sin(phi)),)
 
 
-def _coupler(alpha2):
-    # mode-coupling angle alpha2, coupling kL = alpha2/2
-    c, s = np.cos(0.5 * alpha2), np.sin(0.5 * alpha2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def _coupler_coefs(alpha2):
+    # mode-coupling angle alpha2, coupling kL = alpha2/2: [[c, -is], [-is, c]]
+    c, s = math.cos(0.5 * alpha2), math.sin(0.5 * alpha2)
+    return (complex(c), complex(0.0, -s), complex(0.0, -s), complex(c))
 
 
-_SPLITTER = _INV_SQRT2 * np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex)
+_SPLITTER_COEFS = tuple(_INV_SQRT2 * z for z in (1 + 0j, 1j, 1j, 1 + 0j))
 
 
-def _gain(g):
-    return np.array([[g]], dtype=complex)
+def _gain_coefs(g):
+    return (complex(g),)
 
 
 @dataclass(frozen=True)
 class DeviceKind:
     """One device primitive: wire count, value domain and local matrix.
 
-    local(value) is the n_wires x n_wires forward matrix; kinds that are not
-    `valued` have no tunable parameter. A value v of a valued kind must
-    satisfy in_domain(v); `domain` words the rule for the error message.
-    Every kind is reciprocal: its backward matrix is the transpose of the
-    forward one.
+    coefs(value), the one definition of a kind's matrix, gives the entries of
+    the n_wires x n_wires forward matrix as Python complex numbers in row-major
+    order; kinds that are not `valued` have no tunable parameter. A value v of
+    a valued kind must be finite and satisfy in_domain(v); `domain` words the
+    rule for the error message. Every kind is reciprocal: its backward matrix
+    is the transpose of the forward one.
     """
 
     n_wires: int
     valued: bool
-    local: Callable[[float | None], np.ndarray]
+    coefs: Callable[[float | None], tuple]
     in_domain: Callable[[float], bool] = lambda value: True
     domain: str = ""
 
 
 # keyed by the netlist text tag; attenuator gain 0 is the sentinel that blocks a wire
 DEVICE_KINDS = {
-    "PS": DeviceKind(1, True, _phase),  # phase e^(i phi)
-    "DC": DeviceKind(2, True, _coupler),  # tunable coupler
-    "BS": DeviceKind(2, False, lambda _value: _SPLITTER.copy()),  # fixed 50:50 splitter
-    "ATT": DeviceKind(1, True, _gain, lambda g: 0 <= g <= 1, "attenuator gain must be in [0, 1]"),
-    "AMP": DeviceKind(1, True, _gain, lambda g: g > 1, "amplifier gain must exceed 1"),
+    "PS": DeviceKind(1, True, _phase_coefs),  # phase e^(i phi)
+    "DC": DeviceKind(2, True, _coupler_coefs),  # tunable coupler
+    "BS": DeviceKind(2, False, lambda _value: _SPLITTER_COEFS),  # fixed 50:50 splitter
+    "ATT": DeviceKind(1, True, _gain_coefs, lambda g: 0 <= g <= 1, "attenuator gain must be in [0, 1]"),
+    "AMP": DeviceKind(1, True, _gain_coefs, lambda g: g > 1, "amplifier gain must exceed 1"),
 }
 
 
@@ -126,12 +133,16 @@ class Device:
                 raise ParamError(f"{self.kind} takes no value, got {self.value}")
         elif self.value is None:
             raise ParamError(f"{self.kind} needs a value")
+        elif not math.isfinite(self.value):
+            raise ParamError(f"{self.kind} value must be finite, got {self.value}")
         elif not spec.in_domain(self.value):
             raise ParamError(f"{spec.domain}, got {self.value}")
 
     def matrix(self, value=None) -> np.ndarray:
         """Local forward matrix, at `value` in place of the device's own when given."""
-        return DEVICE_KINDS[self.kind].local(self.value if value is None else value)
+        spec = DEVICE_KINDS[self.kind]
+        coefs = spec.coefs(self.value if value is None else value)
+        return np.array(coefs, dtype=complex).reshape(spec.n_wires, spec.n_wires)
 
 
 def gain_device(wire: int, gain: float, binding: str | None = None) -> Device:
@@ -182,10 +193,14 @@ class Netlist:
                     raise ParamError(f"device wire {w} outside 0..{self.wires - 1}")
         last = len(self.devices) - 1
         for setting, values in (self.control_map or {}).items():
-            for idx in values:
+            for idx, value in values.items():
                 if not 0 <= idx <= last:
                     raise ParamError(
                         f"control word {setting!r} sets device {idx}, outside 0..{last}"
+                    )
+                if not math.isfinite(value):
+                    raise ParamError(
+                        f"control word {setting!r} sets device {idx} to {value}, which is not finite"
                     )
         if self.active_setting is not None:
             self._overrides(self.active_setting)
@@ -202,29 +217,38 @@ class Netlist:
         return self.control_map["*"]
 
     def _port_block(self, setting, start_ports, read_ports, backward: bool) -> np.ndarray:
-        """Devices applied in place to a W x |start_ports| block of unit columns.
+        """Devices applied to the rows of a W x |start_ports| block of unit columns.
 
         Each device touches only its own rows, so one pass costs O(D |ports|).
         The backward pass runs the devices in reverse with transposed matrices.
+        A single-wire device is a diagonal factor that commutes along its wire
+        up to the next two-wire device, so it only multiplies its wire's pending
+        Python complex factor. A two-wire device folds both wires' pending
+        factors into its four coefficients, resets them to 1 and replaces its
+        two rows once; the factors still pending scale the rows read out.
         """
         over = self._overrides(setting)
         blk = np.zeros((self.wires, len(start_ports)), dtype=complex)
         blk[start_ports, range(len(start_ports))] = 1.0
+        rows = list(blk)
+        pending = [1.0] * self.wires
         order = range(len(self.devices) - 1, -1, -1) if backward else range(len(self.devices))
         for idx in order:
             dev = self.devices[idx]
-            m = dev.matrix(over.get(idx))
-            if len(dev.wires) == 1:
-                blk[dev.wires[0]] *= m[0, 0]
+            coefs = DEVICE_KINDS[dev.kind].coefs(over.get(idx, dev.value))
+            if len(coefs) == 1:
+                pending[dev.wires[0]] *= coefs[0]
                 continue
+            m00, m01, m10, m11 = coefs
             if backward:
-                m = m.T
+                m01, m10 = m10, m01
             a, b = dev.wires
-            row_a, row_b = blk[a], blk[b]
-            new_a = m[0, 0] * row_a + m[0, 1] * row_b
-            blk[b] = m[1, 0] * row_a + m[1, 1] * row_b
-            blk[a] = new_a
-        return blk[list(read_ports)]
+            pa, pb = pending[a], pending[b]
+            pending[a] = pending[b] = 1.0
+            row_a, row_b = rows[a], rows[b]
+            rows[a] = m00 * pa * row_a + m01 * pb * row_b
+            rows[b] = m10 * pa * row_a + m11 * pb * row_b
+        return np.array([rows[w] * pending[w] for w in read_ports])
 
     def forward_transfer(self, setting: str | None = None) -> np.ndarray:
         """Transfer matrix from input ports to output ports, indexed [out, in]."""
@@ -273,15 +297,20 @@ def scattering_matrix(nl: Netlist, reciprocal: bool = True, tf=None) -> np.ndarr
 # gate, w) writes on the wires w: w[0] and w[1] carry the anbit in and out, any
 # further wires are the architecture's scratch rails.
 
-def _rz_pair(devices: list, w0: int, w1: int, theta: float):
+def _binding(devices: list, bind: bool) -> str | None:
+    # control binding of the device about to be appended: its index in a controlled netlist
+    return f"c{len(devices)}" if bind else None
+
+
+def _rz_pair(devices: list, w0: int, w1: int, theta: float, bind: bool = False):
     # R_z(theta) = diag(e^(-i theta/2), e^(i theta/2)); + 0.0 avoids -0.0 params
-    devices.append(Device("PS", (w0,), -0.5 * theta + 0.0))
-    devices.append(Device("PS", (w1,), 0.5 * theta + 0.0))
+    devices.append(Device("PS", (w0,), -0.5 * theta + 0.0, _binding(devices, bind)))
+    devices.append(Device("PS", (w1,), 0.5 * theta + 0.0, _binding(devices, bind)))
 
 
-def _global_phase_pair(devices: list, w0: int, w1: int, delta: float):
-    devices.append(Device("PS", (w0,), delta))
-    devices.append(Device("PS", (w1,), delta))
+def _global_phase_pair(devices: list, w0: int, w1: int, delta: float, bind: bool = False):
+    devices.append(Device("PS", (w0,), delta, _binding(devices, bind)))
+    devices.append(Device("PS", (w1,), delta, _binding(devices, bind)))
 
 
 def _signed_gain(devices: list, wire: int, value: float):
@@ -292,12 +321,12 @@ def _signed_gain(devices: list, wire: int, value: float):
     devices.append(gain_device(wire, value))
 
 
-def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1)):
+def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1), bind: bool = False):
     f = euler_zxz(u)
-    _rz_pair(devices, w[0], w[1], f.alpha1)
-    devices.append(Device("DC", (w[0], w[1]), f.alpha2))
-    _rz_pair(devices, w[0], w[1], f.alpha3)
-    _global_phase_pair(devices, w[0], w[1], f.delta)
+    _rz_pair(devices, w[0], w[1], f.alpha1, bind)
+    devices.append(Device("DC", (w[0], w[1]), f.alpha2, _binding(devices, bind)))
+    _rz_pair(devices, w[0], w[1], f.alpha3, bind)
+    _global_phase_pair(devices, w[0], w[1], f.delta, bind)
 
 
 def _emit_zyz(devices: list, u: GateMatrix, w):
@@ -312,12 +341,12 @@ def _emit_zyz(devices: list, u: GateMatrix, w):
     _global_phase_pair(devices, w[0], w[1], f.delta)
 
 
-def _emit_svd(devices: list, m: GateMatrix, w):
+def _emit_svd(devices: list, m: GateMatrix, w, bind: bool = False):
     f = svd2(m)
-    _emit_zxz(devices, f.u1, w)
-    devices.append(gain_device(w[0], f.d1))
-    devices.append(gain_device(w[1], f.d2))
-    _emit_zxz(devices, f.u2, w)
+    _emit_zxz(devices, f.u1, w, bind)
+    devices.append(gain_device(w[0], f.d1, _binding(devices, bind)))
+    devices.append(gain_device(w[1], f.d2, _binding(devices, bind)))
+    _emit_zxz(devices, f.u2, w, bind)
 
 
 def _gate_netlist(emit, m: GateMatrix, wires: int = 2) -> Netlist:
@@ -481,36 +510,25 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     other word programs the identity. Devices are emitted carrying the values
     selected by control_setting, which must be a basis state.
     """
-    word = _basis_word(control_setting, cg.n_controls)
-    unitary = cg.target_gate.gate_class is GateClass.UNITARY
-    arch = lower_unitary_zxz if unitary else lower_general_svd
-    target_nl = arch(cg.target_gate)
-    ident_nl = arch(identity_gate(2))
-    if len(target_nl.devices) != len(ident_nl.devices):
-        raise ParamError("architecture templates diverged")  # pragma: no cover
-
     hot_word = "1" * cg.n_controls
-    active_key = hot_word if word == hot_word else "*"
-    source = target_nl if active_key == hot_word else ident_nl
-    devices = []
-    target_vals: dict[int, float] = {}
-    ident_vals: dict[int, float] = {}
-    for idx, dev in enumerate(source.devices):
-        tv = target_nl.devices[idx].value
-        iv = ident_nl.devices[idx].value
-        if tv is not None:
-            target_vals[idx] = float(tv)
-            ident_vals[idx] = float(iv)
-            devices.append(replace(dev, control_binding=f"c{idx}"))
-        else:
-            devices.append(dev)
+    hot = _basis_word(control_setting, cg.n_controls) == hot_word
+    emit = _emit_zxz if cg.target_gate.gate_class is GateClass.UNITARY else _emit_svd
+    # both templates have the same devices, every one valued; the active one's
+    # devices are emitted, each bound to its control as it is built
+    target: list = []
+    ident: list = []
+    emit(target, cg.target_gate, (0, 1), bind=hot)
+    emit(ident, identity_gate(2), (0, 1), bind=not hot)
     return Netlist(
         2,
-        devices,
+        target if hot else ident,
         (0, 1),
         (0, 1),
-        control_map={hot_word: target_vals, "*": ident_vals},
-        active_setting=active_key,
+        control_map={
+            hot_word: {idx: float(dev.value) for idx, dev in enumerate(target)},
+            "*": {idx: float(dev.value) for idx, dev in enumerate(ident)},
+        },
+        active_setting=hot_word if hot else "*",
     )
 
 

@@ -303,20 +303,6 @@ def netlist_to_text(nl: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_device(tag: str, args: list) -> Device:
-    spec = DEVICE_KINDS.get(tag)
-    if spec is None:
-        raise ValueError(f"unknown directive {tag!r}")
-    binding = None
-    if args and args[-1].startswith("@"):
-        binding = args.pop()[1:]
-    want = spec.n_wires + int(spec.valued)
-    if len(args) != want:
-        raise ValueError(f"{tag} takes {want} fields, got {len(args)}")
-    wires = tuple(int(a) for a in args[: spec.n_wires])
-    return Device(tag, wires, float(args[-1]) if spec.valued else None, binding)
-
-
 def netlist_from_text(text: str) -> Netlist:
     wires = None
     in_ports: tuple = ()
@@ -325,12 +311,26 @@ def netlist_from_text(text: str) -> Netlist:
     control_map: dict = {}
     active = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        args = raw.split()
+        if not args or args[0].startswith("#"):
             continue
-        tag, *args = line.split()
+        tag = args.pop(0)
+        # device lines outnumber header lines, so the device table is tried first
+        spec = DEVICE_KINDS.get(tag)
         try:
-            if tag == "WIRES":
+            if spec is not None:
+                binding = None
+                if args and args[-1].startswith("@"):
+                    binding = args.pop()[1:]
+                n_wires = spec.n_wires
+                want = n_wires + int(spec.valued)
+                if len(args) != want:
+                    raise ValueError(f"{tag} takes {want} fields, got {len(args)}")
+                wire = int(args[0])
+                dev_wires = (wire,) if n_wires == 1 else (wire, int(args[1]))
+                value = float(args[n_wires]) if spec.valued else None
+                devices.append(Device(tag, dev_wires, value, binding))
+            elif tag == "WIRES":
                 wires = int(args[0])
             elif tag == "IN":
                 in_ports = tuple(int(a) for a in args)
@@ -346,7 +346,7 @@ def netlist_from_text(text: str) -> Netlist:
                     values[int(key)] = float(val)
                 control_map[setting] = values
             else:
-                devices.append(_parse_device(tag, args))
+                raise ValueError(f"unknown directive {tag!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if wires is None:

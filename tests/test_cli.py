@@ -84,6 +84,18 @@ def test_simulate_csv_and_out_file(tmp_path, capsys, rng):
     assert float(row[2]) == pytest.approx(u[0, 0].real)
 
 
+def test_simulate_out_to_unwritable_path(tmp_path, capsys, rng):
+    circ, _ = basic_circuit(rng)
+    cpath = write_json(tmp_path / "c.json", circ)
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState([1.0, 0.0])))
+    opath = tmp_path / "missing" / "x.json"
+    rc, out, err = run_cli(capsys, ["simulate", cpath, "--input", spath, "--out", str(opath)])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "FileNotFoundError" and payload["exit_code"] == 2
+    assert not opath.exists()
+
+
 def test_simulate_source_mapping(tmp_path, capsys, rng):
     circ, u = basic_circuit(rng)
     cpath = write_json(tmp_path / "c.json", circ)
@@ -235,6 +247,14 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
         ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nACTIVE 0\nCTRL 1 0=0.5\n", None),
         ("WIRES 2\nIN\nOUT 0 1\n", "netlist has no input ports"),
         ("WIRES 2\nIN 0 1\nOUT \n", "netlist has no output ports"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 inf\n", "PS value must be finite, got inf"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 nan\n", "PS value must be finite, got nan"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 1 inf\n", "DC value must be finite, got inf"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nAMP 0 inf\n", "AMP value must be finite, got inf"),
+        (
+            "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 0=nan\nCTRL * 0=0.5\n",
+            "control word '1' sets device 0 to nan, which is not finite",
+        ),
         # a circuit without sources or sinks: lowering it fails before any netlist is written
         ('{"nodes": [], "edges": []}', "netlist has no input ports"),
     ],
@@ -248,6 +268,11 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
         "ctrl-word-unmatched-without-star",
         "no-input-ports",
         "no-output-ports",
+        "ps-inf",
+        "ps-nan",
+        "dc-inf",
+        "amp-inf",
+        "ctrl-nan",
         "lowered-empty-circuit",
     ],
 )

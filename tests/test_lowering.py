@@ -251,6 +251,26 @@ def test_controlled_nonunitary_target(rng):
     assert np.max(np.abs(nl.forward_transfer() - g.entries)) < 1e-11
 
 
+@pytest.mark.parametrize("word", [0, 1])
+@pytest.mark.parametrize("unitary", [True, False], ids=["zxz", "svd"])
+def test_lower_controlled_builds_each_device_at_most_twice(word, unitary, rng, monkeypatch):
+    gate = pauli(1) if unitary else GateMatrix(random_matrix(rng))
+    built = []
+    post_init = Device.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(Device, "__post_init__", counted)
+    nl = lower_controlled_electrooptic(controlled(gate, 1), np.eye(2)[word])
+    # one target and one identity template, the active one bound as it is built
+    assert len(built) == 2 * len(nl.devices)
+    assert [dev.control_binding for dev in nl.devices] == [f"c{i}" for i in range(len(nl.devices))]
+    want = gate.entries if word else np.eye(2)
+    assert np.max(np.abs(nl.forward_transfer() - want)) < 1e-11
+
+
 def test_controlled_rejects_superposed():
     cg = controlled(pauli(1), 1)
     with pytest.raises(ControlEncodingError):
@@ -297,43 +317,69 @@ _KIND_VALUES = {
     "PS": _ANGLES,
     "DC": _ANGLES,
     "BS": st.none(),
-    "ATT": st.floats(0.0, 1.0),
+    "ATT": st.just(0.0) | st.floats(0.0, 1.0),  # gain 0 blocks its wire
     "AMP": st.floats(1.0, 3.0, exclude_min=True),
 }
+# long runs weight each single-wire kind 4:1 against each two-wire kind, as in
+# lowered pauli chains, so most wires carry runs of diagonal factors between couplers
+_LONG_RUN_KINDS = [k for k, spec in DEVICE_KINDS.items() for _ in range(4 if spec.n_wires == 1 else 1)]
 
 
 @st.composite
 def random_netlists(draw):
-    """Netlist of every device kind on up to 8 wires, maybe with a control map."""
-    n_wires = draw(st.integers(1, 8))
-    kinds = [k for k, spec in DEVICE_KINDS.items() if spec.n_wires <= n_wires]
+    """Netlist of every device kind, maybe with a control map.
+
+    Either up to 24 devices of uniformly drawn kinds on up to 8 wires, or a
+    long run of up to 200 devices, mostly single-wire, on 2 to 4 wires.
+    """
+    long_run = draw(st.booleans())
+    n_wires = draw(st.integers(2, 4) if long_run else st.integers(1, 8))
+    pool = _LONG_RUN_KINDS if long_run else DEVICE_KINDS
+    kind_st = st.sampled_from([k for k in pool if DEVICE_KINDS[k].n_wires <= n_wires])
+    wire_st = st.integers(0, n_wires - 1)
+    pair_st = st.permutations(range(n_wires))
     devices = []
-    for _ in range(draw(st.integers(0, 24))):
-        kind = draw(st.sampled_from(kinds))
-        wires = draw(st.permutations(range(n_wires)))[: DEVICE_KINDS[kind].n_wires]
+    for _ in range(draw(st.integers(0, 200 if long_run else 24))):
+        kind = draw(kind_st)
+        wires = (draw(wire_st),) if DEVICE_KINDS[kind].n_wires == 1 else draw(pair_st)[:2]
         devices.append(Device(kind, wires, draw(_KIND_VALUES[kind])))
     ports = st.lists(st.integers(0, n_wires - 1), min_size=1, max_size=n_wires, unique=True)
     control_map = setting = None
     valued = [i for i, dev in enumerate(devices) if dev.value is not None]
     if valued and draw(st.booleans()):
-        words = {word: {i: draw(_ANGLES) for i in valued} for word in ("1", "*")}
-        control_map = words
+        # each word overrides some devices; the others keep their own values
+        overridden = st.lists(st.sampled_from(valued), min_size=1, max_size=24, unique=True)
+        control_map = {word: {i: draw(_ANGLES) for i in draw(overridden)} for word in ("1", "*")}
         setting = draw(st.sampled_from(["1", "0", "*"]))
     nl = Netlist(n_wires, devices, draw(ports), draw(ports), control_map=control_map)
     return nl, setting
 
 
-def dense_forward(nl, setting):
-    """Reference: every device embedded in a W x W identity, multiplied in order."""
+def _dense_product(nl, setting, backward):
+    # every device embedded in a W x W identity; backward takes the devices in
+    # reverse order with transposed matrices
     values = {}
     if setting is not None:
         values = nl.control_map.get(setting, nl.control_map["*"])
+    order = range(len(nl.devices) - 1, -1, -1) if backward else range(len(nl.devices))
     full = np.eye(nl.wires, dtype=complex)
-    for idx, dev in enumerate(nl.devices):
+    for idx in order:
+        dev = nl.devices[idx]
+        local = dev.matrix(values.get(idx))
         step = np.eye(nl.wires, dtype=complex)
-        step[np.ix_(dev.wires, dev.wires)] = dev.matrix(values.get(idx))
+        step[np.ix_(dev.wires, dev.wires)] = local.T if backward else local
         full = step @ full
-    return full[np.ix_(nl.output_ports, nl.input_ports)]
+    return full
+
+
+def dense_forward(nl, setting):
+    """Reference: every device embedded in a W x W identity, multiplied in order."""
+    return _dense_product(nl, setting, backward=False)[np.ix_(nl.output_ports, nl.input_ports)]
+
+
+def dense_backward(nl, setting):
+    """Reference: transposed devices embedded in a W x W identity, multiplied in reverse."""
+    return _dense_product(nl, setting, backward=True)[np.ix_(nl.input_ports, nl.output_ports)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -345,6 +391,16 @@ def test_port_block_matches_dense_product(case):
     assert tf.shape == (len(nl.output_ports), len(nl.input_ports))
     assert np.max(np.abs(tf - dense_forward(nl, setting))) <= 1e-12 * scale
     assert np.max(np.abs(nl.backward_transfer(setting) - tf.T)) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_netlists())
+def test_backward_transfer_matches_dense_reversed_product(case):
+    nl, setting = case
+    tb = nl.backward_transfer(setting)
+    want = dense_backward(nl, setting)
+    assert tb.shape == (len(nl.input_ports), len(nl.output_ports))
+    assert np.max(np.abs(tb - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_lower_circuit_matches_solve(rng):

@@ -1,7 +1,9 @@
 """Combinational and feedback circuits built from gates, fan-in, and fan-out.
 
 Fan-in adds two andits (Cartesian composition keeps it linear); fan-out
-clones one. `solve` resolves a circuit in steady state over the condensation
+clones one. A circuit node is its operator: a `GateMatrix`, `FanInGate` or
+`FanOutGate`, or a `SourceNode`/`SinkNode` marker for the circuit's inputs
+and outputs. `solve` resolves a circuit in steady state over the condensation
 of its node graph into strongly connected components, visited in topological
 order: feed-forward nodes set their output signals directly from their
 already-known inputs, and each feedback component solves only the small
@@ -26,9 +28,6 @@ from .gates import GateMatrix, _singular
 __all__ = [
     "FanInGate",
     "FanOutGate",
-    "GateNode",
-    "FanInNode",
-    "FanOutNode",
     "SourceNode",
     "SinkNode",
     "CircuitGraph",
@@ -205,21 +204,6 @@ def two_anbit_loop(
 
 # --- circuit graphs ---------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GateNode:
-    gate: GateMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class FanInNode:
-    fi: FanInGate = field(default_factory=FanInGate)
-
-
-@dataclass(frozen=True, eq=False)
-class FanOutNode:
-    fo: FanOutGate = field(default_factory=FanOutGate)
-
-
 @dataclass(frozen=True)
 class SourceNode:
     pass
@@ -232,24 +216,22 @@ class SinkNode:
 
 # (inputs, outputs) port counts per node kind
 _PORTS = {
-    GateNode: (1, 1),
-    FanInNode: (2, 2),
-    FanOutNode: (2, 2),
+    GateMatrix: (1, 1),
+    FanInGate: (2, 2),
+    FanOutGate: (2, 2),
     SourceNode: (0, 1),
     SinkNode: (1, 0),
 }
-
-
-def _port_counts(node) -> tuple[int, int]:
-    return _PORTS[type(node)]
 
 
 @dataclass(frozen=True, eq=False)
 class CircuitGraph:
     """Directed signal graph; cycles are permitted and mean physical feedback.
 
-    Edges run from an output port to an input port, written
-    ((from_id, from_port), (to_id, to_port)). Cloning a signal requires an
+    nodes maps each node id to its operator: a GateMatrix (1 input, 1
+    output), FanInGate or FanOutGate (2, 2), SourceNode (0, 1) or SinkNode
+    (1, 0); any other node is a GraphError. Edges run from an output port to
+    an input port, written ((from_id, from_port), (to_id, to_port)). Cloning a signal requires an
     explicit fan-out node; wiring one output to two inputs is an error.
     Fan-in/fan-out second ports are garbage/ancilla and may stay unwired.
 
@@ -270,7 +252,13 @@ class CircuitGraph:
 
     def validate(self):
         """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
-        ins = {nid: [None] * _port_counts(node)[0] for nid, node in self.nodes.items()}
+        ports = {}
+        for nid, node in self.nodes.items():
+            ports[nid] = _PORTS.get(type(node))
+            if ports[nid] is None:
+                kinds = ", ".join(k.__name__ for k in _PORTS)
+                raise GraphError(f"node {nid!r} is a {type(node).__name__}; a node is one of {kinds}")
+        ins = {nid: [None] * ports[nid][0] for nid in self.nodes}
         outs: dict = {nid: [] for nid in self.nodes}
         edges = []
         for i, edge in enumerate(self.edges):
@@ -284,8 +272,7 @@ class CircuitGraph:
                     raise GraphError(f"edge {edge!r}: port {port!r} is not an integer") from None
                 if nid not in self.nodes:
                     raise GraphError(f"edge references unknown node {nid!r}")
-                counts = _port_counts(self.nodes[nid])
-                if not 0 <= port < counts[io]:
+                if not 0 <= port < ports[nid][io]:
                     raise GraphError(f"node {nid!r} has no port {port} on that side")
                 if io == 0:
                     wired = ins[nid][port] is not None
@@ -303,7 +290,7 @@ class CircuitGraph:
         object.__setattr__(self, "out_edges", outs)
         for nid, node in self.nodes.items():
             for port, i in enumerate(ins[nid]):
-                if i is None and not (isinstance(node, FanOutNode) and port == 1):
+                if i is None and not (isinstance(node, FanOutGate) and port == 1):
                     # a fan-out ancilla may stay unwired (implicit null)
                     raise GraphError(f"input port ({nid!r}, {port}) is not fed")
             if isinstance(node, SourceNode) and not outs[nid]:
@@ -385,15 +372,15 @@ def _terms(node, port: int, ins: list) -> list:
     coefficient is a complex scalar or a d x d matrix; an unwired fan-out
     ancilla is the null state and contributes no term.
     """
-    if isinstance(node, GateNode):
-        return [(node.gate.entries, ins[0])]
-    if isinstance(node, FanInNode):
-        w = node.fi.n if port == 0 else node.fi.m
+    if isinstance(node, GateMatrix):
+        return [(node.entries, ins[0])]
+    if isinstance(node, FanInGate):
+        w = node.n if port == 0 else node.m
         return [(w, ins[0]), (w if port == 0 else -w, ins[1])]
-    # FanOutNode; sources are set from the inputs and sinks drive no edge
-    terms = [(node.fo.n if port == 0 else node.fo.m, ins[0])]
+    # FanOutGate; sources are set from the inputs and sinks drive no edge
+    terms = [(node.n if port == 0 else node.m, ins[0])]
     if ins[1] is not None:
-        terms.append((node.fo.m12 if port == 0 else node.fo.m22, ins[1]))
+        terms.append((node.m12 if port == 0 else node.m22, ins[1]))
     return terms
 
 
@@ -458,13 +445,13 @@ def solve(graph: CircuitGraph, inputs: dict) -> dict:
     if any(v != d for v in dims.values()):
         raise DimError("all source states must share one dimension")
     for nid, node in graph.nodes.items():
-        if isinstance(node, GateNode) and node.gate.dim != d:
-            raise DimError(f"gate {nid!r} has dim {node.gate.dim}, circuit carries {d}")
+        if isinstance(node, GateMatrix) and node.dim != d:
+            raise DimError(f"gate {nid!r} has dim {node.dim}, circuit carries {d}")
 
     ins, outs = graph.in_edges, graph.out_edges
     if d != 2:
         for nid, node in graph.nodes.items():
-            if isinstance(node, FanOutNode) and ins[nid][1] is not None and outs[nid]:
+            if isinstance(node, FanOutGate) and ins[nid][1] is not None and outs[nid]:
                 raise DimError("fan-out ancilla submatrices are defined for dim 2")
 
     x: list = [None] * len(graph.edges)  # signal per edge, set in topological order

@@ -49,6 +49,7 @@ from .lowering import (
 )
 from .measurement import measure_coherent, measure_differential
 from .serialization import (
+    _from_pair,
     _number,
     circuit_from_obj,
     dumps,
@@ -203,12 +204,9 @@ def _cmd_lower(args: argparse.Namespace) -> str:
     elif args.arch == "mostow":
         nl = lower_mostow(_mostow_from_obj(obj))
     else:  # fanin
-        try:
-            n = complex(obj["n"][0], obj["n"][1])
-            m = complex(obj["m"][0], obj["m"][1])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"fan-in input needs complex 'n' and 'm' pairs: {exc}") from exc
-        nl = lower_fanin(FanInGate(n, m))
+        if not isinstance(obj, dict):
+            raise ValueError("fan-in input needs complex 'n' and 'm' pairs")
+        nl = lower_fanin(FanInGate(_from_pair(obj.get("n"), "fanin n"), _from_pair(obj.get("m"), "fanin m")))
     return netlist_to_text(nl)
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AnbitState, CompositeState
-from .circuits import CircuitGraph, FanInGate, FanInNode, FanOutNode, GateNode, SourceNode
+from .circuits import CircuitGraph, FanInGate, FanOutGate, SourceNode
 from .decompositions import MostowFactors, euler_zxz, euler_zyz, svd2, pauli_decompose
 from .errors import ControlEncodingError, DimError, GraphError, ParamError
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
@@ -124,18 +124,26 @@ class Device:
         spec = DEVICE_KINDS.get(self.kind)
         if spec is None:
             raise ParamError(f"unknown device kind {self.kind!r}")
-        wires = tuple(self.wires)
+        try:
+            wires = tuple(self.wires)
+        except TypeError:
+            raise ParamError(f"{self.kind} wires must be a sequence, got {self.wires!r}") from None
         object.__setattr__(self, "wires", wires)
         if len(wires) != spec.n_wires or len(set(wires)) != len(wires):
             raise ParamError(f"{self.kind} needs {spec.n_wires} distinct wires, got {wires}")
         if not spec.valued:
             if self.value is not None:
                 raise ParamError(f"{self.kind} takes no value, got {self.value}")
-        elif self.value is None:
+            return
+        if self.value is None:
             raise ParamError(f"{self.kind} needs a value")
-        elif not math.isfinite(self.value):
+        try:
+            finite = math.isfinite(self.value)
+        except TypeError:
+            raise ParamError(f"{self.kind} value must be a real number, got {self.value!r}") from None
+        if not finite:
             raise ParamError(f"{self.kind} value must be finite, got {self.value}")
-        elif not spec.in_domain(self.value):
+        if not spec.in_domain(self.value):
             raise ParamError(f"{spec.domain}, got {self.value}")
 
     def matrix(self, value=None) -> np.ndarray:
@@ -577,25 +585,25 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
         node = graph.nodes[nid]
         if isinstance(node, SourceNode):
             out_pair[(nid, 0)] = fresh(2)
-        elif isinstance(node, GateNode):
-            if node.gate.dim != 2:
+        elif isinstance(node, GateMatrix):
+            if node.dim != 2:
                 raise DimError("netlist lowering carries dim-2 signals")
             pair = in_pair(nid, 0)
-            emit(devices, node.gate, pair + fresh(arch_wires - 2))
+            emit(devices, node, pair + fresh(arch_wires - 2))
             out_pair[(nid, 0)] = pair
-        elif isinstance(node, FanInNode):
+        elif isinstance(node, FanInGate):
             pa, pb = in_pair(nid, 0), in_pair(nid, 1)
             for k in range(2):
-                _sum_block(devices, pa[k], pb[k], node.fi.n, node.fi.m)
+                _sum_block(devices, pa[k], pb[k], node.n, node.m)
             out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
-        elif isinstance(node, FanOutNode):
+        elif isinstance(node, FanOutGate):
             if graph.in_edges[nid][1] is not None:
                 raise GraphError("fan-out with a wired ancilla does not lower")
-            if not node.fo.is_default_ancilla:
+            if not node.is_default_ancilla:
                 raise GraphError("only default-ancilla fan-out lowers to a netlist")
             pa, pb = in_pair(nid, 0), fresh(2)  # null-fed rail
             for k in range(2):
-                _sum_block(devices, pa[k], pb[k], node.fo.n, node.fo.m)
+                _sum_block(devices, pa[k], pb[k], node.n, node.m)
             out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
 
     # port order follows the graph's node declaration order, not the topo visit

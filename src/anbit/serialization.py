@@ -13,16 +13,7 @@ import json
 import numpy as np
 
 from .algebra import AnbitState
-from .circuits import (
-    CircuitGraph,
-    FanInGate,
-    FanInNode,
-    FanOutGate,
-    FanOutNode,
-    GateNode,
-    SinkNode,
-    SourceNode,
-)
+from .circuits import CircuitGraph, FanInGate, FanOutGate, SinkNode, SourceNode
 from .gates import GateMatrix, RotationSpec
 from .lowering import DEVICE_KINDS, Device, Netlist
 from .measurement import MeasurementRecord
@@ -129,16 +120,19 @@ def gate_to_obj(gate: GateMatrix) -> dict:
     }
 
 
-def _square_from_pairs(rows, d: int) -> np.ndarray:
-    """The d x d complex matrix of row-major [re, im] pairs.
+def _square_from_pairs(rows, where: str) -> np.ndarray:
+    """The square complex matrix of a list of d rows of d [re, im] pairs.
 
     Numeric rows take one array conversion: a float64 (d, d, 2) array viewed
     as complex, bit-identical to complex(float(re), float(im)) per entry, -0.0
     and inf included. Whatever does not convert to a numeric array of that
     shape (a null, a nested list, a ragged row, a numeric string, an integer
     beyond 64 bits) is parsed pair by pair, so it is accepted or rejected with
-    a ValueError exactly as `_from_pair` decides.
+    a ValueError exactly as `_from_pair` decides. Errors name `where`.
     """
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"{where} must be a list of rows")
+    d = len(rows)
     try:
         a = np.array(rows)
     except ValueError:  # ragged rows
@@ -148,21 +142,18 @@ def _square_from_pairs(rows, d: int) -> np.ndarray:
     entries = []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != d:
-            raise ValueError("gate entries must be square, row-major")
-        entries.append([_from_pair(v, "entries") for v in row])
+            raise ValueError(f"{where} must be square, row-major")
+        entries.append([_from_pair(v, where) for v in row])
     return np.array(entries, dtype=complex)
 
 
 def gate_from_obj(obj) -> GateMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("gate object needs an 'entries' field")
-    rows = obj["entries"]
-    if not isinstance(rows, (list, tuple)):
-        raise ValueError("gate entries must be a list of rows")
-    d = len(rows)
-    if "dim" in obj and _number(obj["dim"], "gate dim", int) != d:
-        raise ValueError(f"gate dim {obj['dim']} != {d} rows")
-    return GateMatrix(_square_from_pairs(rows, d))
+    entries = _square_from_pairs(obj["entries"], "gate entries")
+    if "dim" in obj and _number(obj["dim"], "gate dim", int) != len(entries):
+        raise ValueError(f"gate dim {obj['dim']} != {len(entries)} rows")
+    return GateMatrix(entries)
 
 
 def rotation_spec_from_obj(obj) -> RotationSpec:
@@ -199,17 +190,15 @@ def circuit_to_obj(graph: CircuitGraph) -> dict:
     sources = []
     sinks = []
     for nid, node in graph.nodes.items():
-        if isinstance(node, GateNode):
-            nodes.append({"id": nid, "kind": "gate", "params": gate_to_obj(node.gate)})
-        elif isinstance(node, FanInNode):
-            nodes.append(
-                {"id": nid, "kind": "fanin", "params": {"n": _pair(node.fi.n), "m": _pair(node.fi.m)}}
-            )
-        elif isinstance(node, FanOutNode):
-            params = {"n": node.fo.n, "m": node.fo.m}
-            if not node.fo.is_default_ancilla:
-                params["m12"] = matrix_to_obj(node.fo.m12)
-                params["m22"] = matrix_to_obj(node.fo.m22)
+        if isinstance(node, GateMatrix):
+            nodes.append({"id": nid, "kind": "gate", "params": gate_to_obj(node)})
+        elif isinstance(node, FanInGate):
+            nodes.append({"id": nid, "kind": "fanin", "params": {"n": _pair(node.n), "m": _pair(node.m)}})
+        elif isinstance(node, FanOutGate):
+            params = {"n": node.n, "m": node.m}
+            if not node.is_default_ancilla:
+                params["m12"] = matrix_to_obj(node.m12)
+                params["m22"] = matrix_to_obj(node.m22)
             nodes.append({"id": nid, "kind": "fanout", "params": params})
         elif isinstance(node, SourceNode):
             nodes.append({"id": nid, "kind": "source", "params": {}})
@@ -219,10 +208,6 @@ def circuit_to_obj(graph: CircuitGraph) -> dict:
             sinks.append(nid)
     edges = [{"from": [a, pa], "to": [b, pb]} for (a, pa), (b, pb) in graph.edges]
     return {"nodes": nodes, "edges": edges, "sources": sources, "sinks": sinks}
-
-
-def _matrix_from_obj(rows, where: str) -> np.ndarray:
-    return np.array([[_from_pair(v, where) for v in row] for row in rows], dtype=complex)
 
 
 def circuit_from_obj(obj) -> CircuitGraph:
@@ -243,19 +228,15 @@ def circuit_from_obj(obj) -> CircuitGraph:
         if nid in nodes:
             raise ValueError(f"duplicate node id {nid!r}")
         if kind == "gate":
-            nodes[nid] = GateNode(gate_from_obj(params))
+            nodes[nid] = gate_from_obj(params)
         elif kind == "fanin":
             n = _from_pair(params.get("n", [1.0, 0.0]), "fanin n")
             m = _from_pair(params.get("m", [1.0, 0.0]), "fanin m")
-            nodes[nid] = FanInNode(FanInGate(n, m))
+            nodes[nid] = FanInGate(n, m)
         elif kind == "fanout":
-            kwargs = {}
-            if "m12" in params:
-                kwargs["m12"] = _matrix_from_obj(params["m12"], "fanout m12")
-            if "m22" in params:
-                kwargs["m22"] = _matrix_from_obj(params["m22"], "fanout m22")
+            kwargs = {k: _square_from_pairs(params[k], f"fanout {k}") for k in ("m12", "m22") if k in params}
             n, m = (_number(params.get(k, 1.0), f"fanout {k}") for k in "nm")
-            nodes[nid] = FanOutNode(FanOutGate(n, m, **kwargs))
+            nodes[nid] = FanOutGate(n, m, **kwargs)
         elif kind == "source":
             nodes[nid] = SourceNode()
         elif kind == "sink":

@@ -15,12 +15,9 @@ from anbit import (
     AnbitState,
     CircuitGraph,
     FanInGate,
-    FanInNode,
     FanOutGate,
-    FanOutNode,
     FbSymmetry,
     GateMatrix,
-    GateNode,
     SinkNode,
     SourceNode,
     TaylorGate,
@@ -121,10 +118,10 @@ def test_compiled_netlists_reproduce_their_gates():
 def single_loop_graph(m1, m2):
     nodes = {
         "src": SourceNode(),
-        "fi": FanInNode(FanInGate(1.0, 1.0)),
-        "g1": GateNode(m1),
-        "fo": FanOutNode(FanOutGate(1.0, 1.0)),
-        "g2": GateNode(m2),
+        "fi": FanInGate(1.0, 1.0),
+        "g1": m1,
+        "fo": FanOutGate(1.0, 1.0),
+        "g2": m2,
         "out": SinkNode(),
     }
     edges = (
@@ -179,12 +176,12 @@ def sequential_two_loop_graph(m1, m2, n1, n2, n3, n4, m3, m4):
     nodes = {
         "s1": SourceNode(),
         "s2": SourceNode(),
-        "fia": FanInNode(FanInGate(n1, 1.0)),
-        "g1": GateNode(m1),
-        "foa": FanOutNode(FanOutGate(n3, m3)),
-        "fib": FanInNode(FanInGate(n2, 1.0)),
-        "g2": GateNode(m2),
-        "fob": FanOutNode(FanOutGate(n4, m4)),
+        "fia": FanInGate(n1, 1.0),
+        "g1": m1,
+        "foa": FanOutGate(n3, m3),
+        "fib": FanInGate(n2, 1.0),
+        "g2": m2,
+        "fob": FanOutGate(n4, m4),
         "outa": SinkNode(),
         "outb": SinkNode(),
     }
@@ -207,14 +204,14 @@ def combinational_graph(a1, a2, b1, b2):
     nodes = {
         "s1": SourceNode(),
         "s2": SourceNode(),
-        "fo1": FanOutNode(FanOutGate(1.0, 1.0)),
-        "fo2": FanOutNode(FanOutGate(1.0, 1.0)),
-        "ga1": GateNode(a1),
-        "gb1": GateNode(b1),
-        "ga2": GateNode(a2),
-        "gb2": GateNode(b2),
-        "fia": FanInNode(FanInGate(1.0, 1.0)),
-        "fib": FanInNode(FanInGate(1.0, 1.0)),
+        "fo1": FanOutGate(1.0, 1.0),
+        "fo2": FanOutGate(1.0, 1.0),
+        "ga1": a1,
+        "gb1": b1,
+        "ga2": a2,
+        "gb2": b2,
+        "fia": FanInGate(1.0, 1.0),
+        "fib": FanInGate(1.0, 1.0),
         "outa": SinkNode(),
         "outb": SinkNode(),
     }

@@ -7,11 +7,8 @@ from anbit import (
     AnbitState,
     CircuitGraph,
     FanInGate,
-    FanInNode,
     FanOutGate,
-    FanOutNode,
     GateMatrix,
-    GateNode,
     SinkNode,
     SourceNode,
     fan_in,
@@ -142,10 +139,10 @@ def loop_graph(m1, m2, n1=1.0, n2=1.0, m1_param=1.0, m2_param=1.0):
     """Single-anbit loop: fan-in, gate, fan-out, with the copy fed back."""
     nodes = {
         "src": SourceNode(),
-        "fi": FanInNode(FanInGate(n1, m1_param)),
-        "g1": GateNode(m1),
-        "fo": FanOutNode(FanOutGate(n2, m2_param)),
-        "g2": GateNode(m2),
+        "fi": FanInGate(n1, m1_param),
+        "g1": m1,
+        "fo": FanOutGate(n2, m2_param),
+        "g2": m2,
         "out": SinkNode(),
         "diff": SinkNode(),
     }
@@ -177,8 +174,8 @@ def test_solve_combinational_chain(rng):
     m2 = GateMatrix(random_matrix(rng))
     nodes = {
         "s": SourceNode(),
-        "a": GateNode(m1),
-        "b": GateNode(m2),
+        "a": m1,
+        "b": m2,
         "t": SinkNode(),
     }
     edges = ((("s", 0), ("a", 0)), (("a", 0), ("b", 0)), (("b", 0), ("t", 0)))
@@ -202,7 +199,7 @@ def test_solve_missing_input():
 
 def test_solve_delta_t_propagation(rng):
     m = GateMatrix(random_matrix(rng))
-    nodes = {"s": SourceNode(), "a": GateNode(m), "t": SinkNode()}
+    nodes = {"s": SourceNode(), "a": m, "t": SinkNode()}
     edges = ((("s", 0), ("a", 0)), (("a", 0), ("t", 0)))
     g = CircuitGraph(nodes, edges)
     out = solve(g, {"s": AnbitState([1.0, 0.0], delta_t=1.5)})["t"]
@@ -220,12 +217,12 @@ def test_two_anbit_loop_matches_sequential_graph(rng):
     nodes = {
         "s1": SourceNode(),
         "s2": SourceNode(),
-        "fia": FanInNode(FanInGate(n1, 1.0)),
-        "g1": GateNode(m1),
-        "foa": FanOutNode(FanOutGate(n3, m3)),
-        "fib": FanInNode(FanInGate(n2, 1.0)),
-        "g2": GateNode(m2),
-        "fob": FanOutNode(FanOutGate(n4, m4)),
+        "fia": FanInGate(n1, 1.0),
+        "g1": m1,
+        "foa": FanOutGate(n3, m3),
+        "fib": FanInGate(n2, 1.0),
+        "g2": m2,
+        "fob": FanOutGate(n4, m4),
         "outa": SinkNode(),
         "outb": SinkNode(),
     }
@@ -265,15 +262,23 @@ def test_graph_validation_unknown_node():
         CircuitGraph(nodes, ((("s", 0), ("ghost", 0)),))
 
 
+@pytest.mark.parametrize("foreign", [5, np.eye(2), identity_gate().entries.tolist()], ids=["int", "ndarray", "list"])
+def test_graph_validation_foreign_node(foreign):
+    nodes = {"s": SourceNode(), "x": foreign, "t": SinkNode()}
+    edges = ((("s", 0), ("x", 0)), (("x", 0), ("t", 0)))
+    with pytest.raises(GraphError, match=f"node 'x' is a {type(foreign).__name__};"):
+        CircuitGraph(nodes, edges)
+
+
 def test_graph_validation_double_wired_port():
-    nodes = {"s": SourceNode(), "a": GateNode(identity_gate()), "t": SinkNode()}
+    nodes = {"s": SourceNode(), "a": identity_gate(), "t": SinkNode()}
     edges = ((("s", 0), ("a", 0)), (("s", 0), ("t", 0)))
     with pytest.raises(GraphError):
         CircuitGraph(nodes, edges)
 
 
 def test_graph_validation_unfed_input():
-    nodes = {"s": SourceNode(), "a": GateNode(identity_gate()), "t": SinkNode()}
+    nodes = {"s": SourceNode(), "a": identity_gate(), "t": SinkNode()}
     edges = ((("s", 0), ("a", 0)),)  # sink input never fed
     with pytest.raises(GraphError):
         CircuitGraph(nodes, edges)
@@ -290,8 +295,8 @@ def test_graph_fanout_ancilla_may_dangle(rng):
     m = GateMatrix(random_matrix(rng))
     nodes = {
         "s": SourceNode(),
-        "fo": FanOutNode(FanOutGate(2.0, 0.5)),
-        "g": GateNode(m),
+        "fo": FanOutGate(2.0, 0.5),
+        "g": m,
         "t1": SinkNode(),
         "t2": SinkNode(),
     }
@@ -327,11 +332,11 @@ def test_witness_differs_generically(rng):
 def test_components_topological_with_cycle_flags():
     nodes = {
         "t": SinkNode(),
-        "fi": FanInNode(),
-        "a": GateNode(identity_gate()),
+        "fi": FanInGate(),
+        "a": identity_gate(),
         "s": SourceNode(),
-        "b": GateNode(identity_gate()),
-        "fo": FanOutNode(),
+        "b": identity_gate(),
+        "fo": FanOutGate(),
     }
     edges = (
         (("s", 0), ("fo", 0)),
@@ -354,10 +359,10 @@ def test_components_topological_with_cycle_flags():
 def _loop_nodes(prefix, m1, m2, n1=1.0, m2_param=1.0):
     """Single-anbit loop nodes named prefix_*: fan-in, gate, fan-out, gate back."""
     nodes = {
-        f"{prefix}_fi": FanInNode(FanInGate(n1, 1.0)),
-        f"{prefix}_g1": GateNode(m1),
-        f"{prefix}_fo": FanOutNode(FanOutGate(1.0, m2_param)),
-        f"{prefix}_g2": GateNode(m2),
+        f"{prefix}_fi": FanInGate(n1, 1.0),
+        f"{prefix}_g1": m1,
+        f"{prefix}_fo": FanOutGate(1.0, m2_param),
+        f"{prefix}_g2": m2,
     }
     edges = [
         ((f"{prefix}_fi", 0), (f"{prefix}_g1", 0)),
@@ -398,7 +403,7 @@ def test_long_census_chain_solves(rng):
     for k in range(160):
         m = random_matrix(rng)
         want = m @ want
-        nodes[f"g{k}"] = GateNode(GateMatrix(m))
+        nodes[f"g{k}"] = GateMatrix(m)
         edges.append(((prev, 0), (f"g{k}", 0)))
         prev = f"g{k}"
     edges.append(((prev, 0), ("t", 0)))
@@ -435,13 +440,13 @@ class _Builder:
 
     def gate(self, port, v, mag):
         m = self.gate_draw(self.rng)
-        g = self.add(GateNode(GateMatrix(m)))
+        g = self.add(GateMatrix(m))
         self.edges.append((port, (g, 0)))
         return (g, 0), m @ v, np.abs(m) @ mag
 
     def fanout(self, port, v, mag):
         n, m = self.rng.uniform(0.5, 1.5, size=2)
-        fo = self.add(FanOutNode(FanOutGate(n, m)))
+        fo = self.add(FanOutGate(n, m))
         self.edges.append((port, (fo, 0)))
         return ((fo, 0), n * v, n * mag), ((fo, 1), m * v, m * mag)
 
@@ -449,14 +454,14 @@ class _Builder:
         """Fan-out of a with its ancilla input wired to b through free m12, m22."""
         n, m = self.rng.uniform(0.5, 1.5, size=2)
         m12, m22 = random_matrix(self.rng), random_matrix(self.rng)
-        fo = self.add(FanOutNode(FanOutGate(n, m, m12, m22)))
+        fo = self.add(FanOutGate(n, m, m12, m22))
         self.edges += [(a[0], (fo, 0)), (b[0], (fo, 1))]
         for port, w, sub in ((0, n, m12), (1, m, m22)):
             self.live.append(((fo, port), w * a[1] + sub @ b[1], w * a[2] + np.abs(sub) @ b[2]))
 
     def fanin(self, a, b, keep_difference=True):
         n, m = random_state_vec(self.rng)
-        fi = self.add(FanInNode(FanInGate(n, m)))
+        fi = self.add(FanInGate(n, m))
         self.edges += [(a[0], (fi, 0)), (b[0], (fi, 1))]
         self.live.append(((fi, 0), n * (a[1] + b[1]), abs(n) * (a[2] + b[2])))
         if keep_difference:
@@ -538,7 +543,7 @@ def _add_loop(b: _Builder, kind: str):
     if kind == "self":  # fan-in whose difference port feeds its own second input
         port = b.take()[0]
         z = random_state_vec(rng)
-        fi = b.add(FanInNode(FanInGate(*(0.7 * z / np.abs(z)))))  # |1 + m| >= 0.3
+        fi = b.add(FanInGate(*(0.7 * z / np.abs(z))))  # |1 + m| >= 0.3
         b.edges += [(port, (fi, 0)), ((fi, 1), (fi, 1))]
         b.live.append(((fi, 0), *unknown))
     elif kind == "loop":
@@ -552,9 +557,9 @@ def _add_loop(b: _Builder, kind: str):
         b.live += [((fo, 0), *unknown), ((fi, 1), *unknown)]
     else:  # crossed two-anbit loop on two open ports
         ports = [b.take()[0], b.take()[0]]
-        fis = [b.add(FanInNode(FanInGate(0.7, 1.0))) for _ in range(2)]
-        gs = [b.add(GateNode(GateMatrix(_contraction(rng)))) for _ in range(2)]
-        fos = [b.add(FanOutNode(FanOutGate(1.0, 0.7))) for _ in range(2)]
+        fis = [b.add(FanInGate(0.7, 1.0)) for _ in range(2)]
+        gs = [b.add(GateMatrix(_contraction(rng))) for _ in range(2)]
+        fos = [b.add(FanOutGate(1.0, 0.7)) for _ in range(2)]
         for k in range(2):
             b.edges += [
                 (ports[k], (fis[k], 0)),
@@ -583,16 +588,16 @@ def dense_solve(graph, inputs):
 
         if isinstance(node, SourceNode):
             rhs[row] = inputs[src].amps
-        elif isinstance(node, GateNode):
-            sub(in_edge[(src, 0)], node.gate.entries)
-        elif isinstance(node, FanInNode):
-            w = node.fi.n if sp == 0 else node.fi.m
+        elif isinstance(node, GateMatrix):
+            sub(in_edge[(src, 0)], node.entries)
+        elif isinstance(node, FanInGate):
+            w = node.n if sp == 0 else node.m
             sub(in_edge[(src, 0)], w * eye)
             sub(in_edge[(src, 1)], (w if sp == 0 else -w) * eye)
         else:
-            sub(in_edge[(src, 0)], (node.fo.n if sp == 0 else node.fo.m) * eye)
+            sub(in_edge[(src, 0)], (node.n if sp == 0 else node.m) * eye)
             if (src, 1) in in_edge:
-                sub(in_edge[(src, 1)], node.fo.m12 if sp == 0 else node.fo.m22)
+                sub(in_edge[(src, 1)], node.m12 if sp == 0 else node.m22)
     x = np.linalg.solve(a, rhs).reshape(-1, d)
     return {nid: x[in_edge[(nid, 0)]] for nid in graph.sinks()}, float(np.max(np.abs(x)))
 

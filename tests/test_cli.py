@@ -330,6 +330,8 @@ _NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g"
         ("simulate", _circuit_with({"id": "f", "kind": "fanin", "params": {"n": [None, 0.0]}}), _GOOD_STATE, "ValueError"),
         ("simulate", _fanout_circuit({"n": None}), _GOOD_STATE, "ValueError"),
         ("simulate", _fanout_circuit([]), _GOOD_STATE, "ValueError"),
+        ("simulate", _fanout_circuit({"m12": 5}), _GOOD_STATE, "ValueError"),
+        ("simulate", _fanout_circuit({"m12": [5, 6]}), _GOOD_STATE, "ValueError"),
         ("simulate", _NULL_PORT_CIRCUIT, _GOOD_STATE, "GraphError"),
         ("simulate", dict(_GOOD_CIRCUIT, nodes=5), _GOOD_STATE, "ValueError"),
         ("simulate", dict(_GOOD_CIRCUIT, sources=5), _GOOD_STATE, "ValueError"),
@@ -337,6 +339,7 @@ _NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g"
         ("trajectory", {"state": _GOOD_STATE, "axis": 5}, None, "ValueError"),
         ("trajectory", {"state": _GOOD_STATE, "axis": [0, 0, 1], "steps": None}, None, "ValueError"),
         ("trajectory", {"state": _GOOD_STATE, "kind": "diagonal", "d1": "x", "d2": 1.0}, None, "ValueError"),
+        ("lower", {"n": [1.0, 2.0, 3.0], "m": [1.0, 0.0]}, None, "ValueError"),
     ],
     ids=[
         "gate-null-re",
@@ -350,6 +353,8 @@ _NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g"
         "circuit-fanin-null-re",
         "circuit-fanout-null-n",
         "circuit-fanout-params-list",
+        "circuit-fanout-m12-number",
+        "circuit-fanout-m12-flat-list",
         "circuit-edge-port-null",
         "circuit-nodes-not-a-list",
         "circuit-sources-not-a-list",
@@ -357,6 +362,7 @@ _NULL_PORT_CIRCUIT = dict(_GOOD_CIRCUIT, edges=[{"from": ["s", None], "to": ["g"
         "trajectory-axis-number",
         "trajectory-steps-null",
         "trajectory-diagonal-d1-string",
+        "fanin-n-three-numbers",
     ],
 )
 def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, input_state, error):
@@ -367,6 +373,7 @@ def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, 
         "measure": ["measure", str(tpath), "--kind", "coherent", "--responsivity", "1"],
         "simulate": ["simulate", str(tpath), "--input", str(tmp_path / "in.json")],
         "trajectory": ["trajectory", str(tpath)],
+        "lower": ["lower", str(tpath), "--arch", "fanin"],
     }[command]
     if input_state is not None:
         (tmp_path / "in.json").write_text(json.dumps(input_state))

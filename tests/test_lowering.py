@@ -8,12 +8,9 @@ from anbit import (
     CircuitGraph,
     Device,
     FanInGate,
-    FanInNode,
     FanOutGate,
-    FanOutNode,
     FbSymmetry,
     GateMatrix,
-    GateNode,
     Netlist,
     SinkNode,
     SourceNode,
@@ -84,6 +81,16 @@ def test_gain_devices():
     assert gain_device(0, 1.0).kind == "ATT"  # boundary stays passive
     with pytest.raises(ParamError):
         gain_device(0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "wires,value",
+    [((0,), "x"), ((0,), 1j), (0, 1.0), (None, 1.0)],
+    ids=["value-string", "value-complex", "wires-int", "wires-none"],
+)
+def test_device_rejects_untyped_inputs(wires, value):
+    with pytest.raises(ParamError):
+        Device("PS", wires, value)
 
 
 def test_attenuator_zero_is_allowed():
@@ -407,9 +414,9 @@ def test_lower_circuit_matches_solve(rng):
     m1 = GateMatrix(random_unitary(rng))
     nodes = {
         "s": SourceNode(),
-        "fo": FanOutNode(FanOutGate(1.0, 1.0)),
-        "g": GateNode(m1),
-        "fi": FanInNode(FanInGate(0.5, 0.5)),
+        "fo": FanOutGate(1.0, 1.0),
+        "g": m1,
+        "fi": FanInGate(0.5, 0.5),
         "t": SinkNode(),
         "d": SinkNode(),
     }
@@ -433,7 +440,7 @@ def test_lower_circuit_matches_solve(rng):
 
 def test_lower_circuit_arch_choices(rng):
     m1 = GateMatrix(random_unitary(rng))
-    nodes = {"s": SourceNode(), "g": GateNode(m1), "t": SinkNode()}
+    nodes = {"s": SourceNode(), "g": m1, "t": SinkNode()}
     edges = ((("s", 0), ("g", 0)), (("g", 0), ("t", 0)))
     graph = CircuitGraph(nodes, edges)
     for arch in ("zxz", "zyz", "svd", "pauli"):
@@ -447,10 +454,10 @@ def test_lower_circuit_rejects_cycles():
     m = GateMatrix(0.5 * np.eye(2))
     nodes = {
         "src": SourceNode(),
-        "fi": FanInNode(FanInGate(1.0, 1.0)),
-        "g1": GateNode(m),
-        "fo": FanOutNode(FanOutGate(1.0, 1.0)),
-        "g2": GateNode(m),
+        "fi": FanInGate(1.0, 1.0),
+        "g1": m,
+        "fo": FanOutGate(1.0, 1.0),
+        "g2": m,
         "out": SinkNode(),
     }
     edges = (
@@ -472,8 +479,8 @@ def test_lower_circuit_rejects_wired_ancilla(rng):
     nodes = {
         "s1": SourceNode(),
         "s2": SourceNode(),
-        "fo": FanOutNode(FanOutGate(1.0, 1.0)),
-        "g": GateNode(m),
+        "fo": FanOutGate(1.0, 1.0),
+        "g": m,
         "t1": SinkNode(),
         "t2": SinkNode(),
     }
@@ -498,10 +505,10 @@ def _ladder(rng, n_rungs: int, unitary: bool) -> CircuitGraph:
     for k in range(n_rungs):
         fo, a, b, fi, d = (f"{name}{k}" for name in ("fo", "a", "b", "fi", "d"))
         nodes.update({
-            fo: FanOutNode(FanOutGate(0.8, 0.6)),
-            a: GateNode(GateMatrix(draw(rng))),
-            b: GateNode(GateMatrix(draw(rng))),
-            fi: FanInNode(FanInGate(0.5, 0.5j)),
+            fo: FanOutGate(0.8, 0.6),
+            a: GateMatrix(draw(rng)),
+            b: GateMatrix(draw(rng)),
+            fi: FanInGate(0.5, 0.5j),
             d: SinkNode(),
         })
         edges += [

@@ -14,11 +14,8 @@ import pytest
 from anbit import (
     CircuitGraph,
     FanInGate,
-    FanInNode,
     FanOutGate,
-    FanOutNode,
     GateMatrix,
-    GateNode,
     SinkNode,
     SourceNode,
     controlled,
@@ -56,12 +53,12 @@ def _ladder(rng):
     h = np.sqrt(0.5)
     nodes = {
         "s": SourceNode(),
-        "fo": FanOutNode(FanOutGate(h, h)),
-        "a1": GateNode(GateMatrix(random_matrix(rng))),
-        "a2": GateNode(GateMatrix(random_matrix(rng))),
-        "b1": GateNode(GateMatrix(random_matrix(rng))),
-        "b2": GateNode(GateMatrix(random_matrix(rng))),
-        "fi": FanInNode(FanInGate(h, h)),
+        "fo": FanOutGate(h, h),
+        "a1": GateMatrix(random_matrix(rng)),
+        "a2": GateMatrix(random_matrix(rng)),
+        "b1": GateMatrix(random_matrix(rng)),
+        "b2": GateMatrix(random_matrix(rng)),
+        "fi": FanInGate(h, h),
         "t": SinkNode(),
         "d": SinkNode(),
     }

@@ -10,11 +10,8 @@ from anbit import (
     CircuitGraph,
     GateClass,
     FanInGate,
-    FanInNode,
     FanOutGate,
-    FanOutNode,
     GateMatrix,
-    GateNode,
     SinkNode,
     SourceNode,
     classify,
@@ -43,6 +40,7 @@ from anbit.serialization import (
 )
 
 from anbit import gates
+from anbit.errors import DimError
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -184,7 +182,7 @@ def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
         "m": (np.array([[1.0, 1.0], [1.0, 1.0]]), GateClass.SINGULAR),
     }
     nodes = {"s": SourceNode(), "t": SinkNode()}
-    nodes.update((nid, GateNode(GateMatrix(m))) for nid, (m, _) in want.items())
+    nodes.update((nid, GateMatrix(m)) for nid, (m, _) in want.items())
     chain = ["s", "u", "g", "m", "t"]
     edges = tuple(((a, 0), (b, 0)) for a, b in zip(chain, chain[1:]))
     obj = json.loads(dumps(circuit_to_obj(CircuitGraph(nodes, edges))))
@@ -193,7 +191,7 @@ def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
     solve(graph, {"s": AnbitState(random_state_vec(rng))})
     assert calls == []
     for nid, (_, cls) in want.items():
-        gate = graph.nodes[nid].gate
+        gate = graph.nodes[nid]
         assert classify(gate) is cls
         assert len(calls) == 1
         assert classify(gate) is cls and gate.gate_class is cls
@@ -229,9 +227,9 @@ def test_record_to_obj_phase_presence():
 def sample_graph(rng):
     nodes = {
         "in": SourceNode(),
-        "fo": FanOutNode(FanOutGate(1.0, 1.0)),
-        "g": GateNode(GateMatrix(random_unitary(rng))),
-        "fi": FanInNode(FanInGate(0.5 + 0.1j, 0.5)),
+        "fo": FanOutGate(1.0, 1.0),
+        "g": GateMatrix(random_unitary(rng)),
+        "fi": FanInGate(0.5 + 0.1j, 0.5),
         "out": SinkNode(),
         "junk": SinkNode(),
     }
@@ -255,6 +253,68 @@ def test_circuit_round_trip_solves_identically(rng):
     assert set(r1) == set(r2)
     for k in r1:
         assert np.array_equal(r1[k].amps, r2[k].amps)
+
+
+def test_circuit_round_trip_every_node_kind(rng):
+    """Every node kind, and a fan-out whose wired ancilla runs through random m12/m22."""
+    m12, m22 = random_matrix(rng), random_matrix(rng)
+    nodes = {
+        "in": SourceNode(),
+        "anc": SourceNode(),
+        "clone": FanOutGate(),  # default ancilla, left unwired
+        "fo": FanOutGate(0.8, 0.6, m12, m22),
+        "g": GateMatrix(random_matrix(rng)),
+        "fi": FanInGate(0.5 + 0.1j, -0.3j),
+        "out": SinkNode(),
+        "diff": SinkNode(),
+        "copy": SinkNode(),
+    }
+    edges = (
+        (("in", 0), ("clone", 0)),
+        (("clone", 0), ("fo", 0)),
+        (("clone", 1), ("copy", 0)),
+        (("anc", 0), ("fo", 1)),
+        (("fo", 0), ("g", 0)),
+        (("fo", 1), ("fi", 1)),
+        (("g", 0), ("fi", 0)),
+        (("fi", 0), ("out", 0)),
+        (("fi", 1), ("diff", 0)),
+    )
+    graph = CircuitGraph(nodes, edges)
+    obj = json.loads(dumps(circuit_to_obj(graph)))
+    assert [spec["kind"] for spec in obj["nodes"]] == [
+        "source", "source", "fanout", "fanout", "gate", "fanin", "sink", "sink", "sink"
+    ]
+    assert "m12" not in obj["nodes"][2]["params"] and "m12" in obj["nodes"][3]["params"]
+    back = circuit_from_obj(obj)
+    assert circuit_to_obj(back) == obj
+    assert np.array_equal(back.nodes["fo"].m12, m12) and np.array_equal(back.nodes["fo"].m22, m22)
+    inputs = {nid: AnbitState(random_state_vec(rng)) for nid in ("in", "anc")}
+    want, got = solve(graph, inputs), solve(back, inputs)
+    assert list(want) == list(got) == ["out", "diff", "copy"]
+    for nid in want:
+        assert want[nid].amps.tobytes() == got[nid].amps.tobytes()
+
+
+def test_fanout_blocks_are_read_as_square_pair_matrices():
+    def fanout(**params):
+        obj = {
+            "nodes": [
+                {"id": "s", "kind": "source"},
+                {"id": "f", "kind": "fanout", "params": params},
+                {"id": "t", "kind": "sink"},
+            ],
+            "edges": [{"from": ["s", 0], "to": ["f", 0]}, {"from": ["f", 0], "to": ["t", 0]}],
+            "sources": ["s"],
+            "sinks": ["t"],
+        }
+        return circuit_from_obj(obj)
+
+    for bad in (5, [5, 6], [[[1.0, 0.0]], [[0.0, 1.0]]], [[[1.0, None]]]):
+        with pytest.raises(ValueError, match="fanout m22"):
+            fanout(m22=bad)
+    with pytest.raises(DimError, match="m12 must be 2x2"):
+        fanout(m12=[[[1.0, 0.0]]])
 
 
 def test_circuit_obj_declares_sources_and_sinks(rng):

@@ -1,32 +1,38 @@
 """Lowering of gates and fan-in blocks to photonic device netlists.
 
 A netlist is an ordered list of device primitives acting in place on numbered
-wires; two wires carry one anbit. Each device is one `Device` record whose
-kind, a key of `DEVICE_KINDS` (phase shifter, tunable coupler, fixed 50:50
-splitter, attenuator, amplifier), fixes its wire count, value domain and
-local 1x1 or 2x2 matrix. One coefficient function per kind gives that matrix
-as Python complex numbers; `Device.matrix` builds its ndarray from the same
-function. Transfers apply the local matrices to the rows of a block with one
+wires; two wires carry one anbit. A device kind, a key of `DEVICE_KINDS`
+(phase shifter, tunable coupler, fixed 50:50 splitter, attenuator,
+amplifier), fixes its wire count, value domain and local 1x1 or 2x2 matrix.
+A `Netlist` stores its devices as columns, one per field, built from
+(kind, wires, value, binding) rows and checked in one pass over the columns;
+`Device` is the row type, checked by the same per-kind rules on its own.
+
+One coefficient function per kind gives its local matrix as Python complex
+numbers. Transfers apply the local matrices to the rows of a block with one
 column per port: forward transfer runs the devices in order from the input
 ports; backward transfer runs them in reverse from the output ports with each
-local matrix transposed, the backward matrix of every reciprocal kind here.
-Forward-backward symmetry compares the two. A single-wire device (a phase or a
-gain, most of a lowered mesh) is a diagonal factor that commutes along its
-wire to the next two-wire device, so a transfer keeps one pending factor per
-wire and folds it into that device's coefficients, the phase-screen argument
-of Clements et al., Optica 3, 1460 (2016).
+local matrix transposed, the backward matrix of every reciprocal kind here. A
+single-wire device (a phase or a gain, most of a lowered mesh) is a diagonal
+factor that commutes along its wire to the next two-wire device, so a
+transfer keeps one pending factor per wire and folds it into that device's
+coefficients, the phase-screen argument of Clements et al., Optica 3, 1460
+(2016).
 
-Each gate architecture is one emitter that appends its devices to the
+Each gate architecture is one emitter that appends its device rows to the
 caller's list on the caller's wires, so a standalone gate netlist and a gate
-inside a lowered circuit are built the same way and every device is built
-once.
+inside a lowered circuit are built the same way.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import compress, repeat
+from operator import eq, index, itemgetter, ne
 from typing import Callable
 
 import numpy as np
@@ -85,8 +91,8 @@ class DeviceKind:
     the n_wires x n_wires forward matrix as Python complex numbers in row-major
     order; kinds that are not `valued` have no tunable parameter. A value v of
     a valued kind must be finite and satisfy in_domain(v); `domain` words the
-    rule for the error message. Every kind is reciprocal: its backward matrix
-    is the transpose of the forward one.
+    rule for the error message. A `reciprocal` kind's backward matrix is the
+    transpose of the forward one; every kind here is.
     """
 
     n_wires: int
@@ -94,6 +100,7 @@ class DeviceKind:
     coefs: Callable[[float | None], tuple]
     in_domain: Callable[[float], bool] = lambda value: True
     domain: str = ""
+    reciprocal: bool = True
 
 
 # keyed by the netlist text tag; attenuator gain 0 is the sentinel that blocks a wire
@@ -104,47 +111,50 @@ DEVICE_KINDS = {
     "ATT": DeviceKind(1, True, _gain_coefs, lambda g: 0 <= g <= 1, "attenuator gain must be in [0, 1]"),
     "AMP": DeviceKind(1, True, _gain_coefs, lambda g: g > 1, "amplifier gain must exceed 1"),
 }
+_N_WIRES = {kind: spec.n_wires for kind, spec in DEVICE_KINDS.items()}
+_VALUED = {kind: spec.valued for kind, spec in DEVICE_KINDS.items()}
+_DOMAINS = [(kind, spec.in_domain) for kind, spec in DEVICE_KINDS.items() if spec.domain]
 
 
-@dataclass(frozen=True)
-class Device:
-    """One device of kind `kind` (a DEVICE_KINDS key) acting on `wires`.
+class Device(namedtuple("Device", "kind wires value control_binding", defaults=(None, None))):
+    """One device of kind `kind` (a DEVICE_KINDS key) acting on `wires`: a netlist row.
 
-    value is the tunable parameter (phase, coupling angle or gain), None for
-    the fixed splitter; control_binding names the electrical control that
-    sets it in a controlled netlist.
+    Built through its kind's rules, the one rule set for device faults, which
+    a `Netlist` applies to rows its column checks reject. value is the tunable
+    parameter (phase, coupling angle or gain), None for the fixed splitter;
+    control_binding names the electrical control that sets it.
     """
 
-    kind: str
-    wires: tuple[int, ...]
-    value: float | None = None
-    control_binding: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        spec = DEVICE_KINDS.get(self.kind)
+    def __new__(cls, kind: str, wires, value=None, control_binding: str | None = None):
+        spec = DEVICE_KINDS.get(kind)
         if spec is None:
-            raise ParamError(f"unknown device kind {self.kind!r}")
+            raise ParamError(f"unknown device kind {kind!r}")
         try:
-            wires = tuple(self.wires)
+            wires = tuple(wires)
         except TypeError:
-            raise ParamError(f"{self.kind} wires must be a sequence, got {self.wires!r}") from None
-        object.__setattr__(self, "wires", wires)
+            raise ParamError(f"{kind} wires must be a sequence, got {wires!r}") from None
+        try:
+            wires = tuple(map(index, wires))
+        except TypeError:
+            raise ParamError(f"{kind} wires must be integers, got {wires!r}") from None
         if len(wires) != spec.n_wires or len(set(wires)) != len(wires):
-            raise ParamError(f"{self.kind} needs {spec.n_wires} distinct wires, got {wires}")
-        if not spec.valued:
-            if self.value is not None:
-                raise ParamError(f"{self.kind} takes no value, got {self.value}")
-            return
-        if self.value is None:
-            raise ParamError(f"{self.kind} needs a value")
-        try:
-            finite = math.isfinite(self.value)
-        except TypeError:
-            raise ParamError(f"{self.kind} value must be a real number, got {self.value!r}") from None
-        if not finite:
-            raise ParamError(f"{self.kind} value must be finite, got {self.value}")
-        if not spec.in_domain(self.value):
-            raise ParamError(f"{spec.domain}, got {self.value}")
+            raise ParamError(f"{kind} needs {spec.n_wires} distinct wires, got {wires}")
+        if not spec.valued and value is not None:
+            raise ParamError(f"{kind} takes no value, got {value}")
+        if spec.valued:
+            if value is None:
+                raise ParamError(f"{kind} needs a value")
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ParamError(f"{kind} value must be a real number, got {value!r}") from None
+            if not finite:
+                raise ParamError(f"{kind} value must be finite, got {value}")
+            if not spec.in_domain(value):
+                raise ParamError(f"{spec.domain}, got {value}")
+        return super().__new__(cls, kind, wires, value, control_binding)
 
     def matrix(self, value=None) -> np.ndarray:
         """Local forward matrix, at `value` in place of the device's own when given."""
@@ -153,11 +163,15 @@ class Device:
         return np.array(coefs, dtype=complex).reshape(spec.n_wires, spec.n_wires)
 
 
-def gain_device(wire: int, gain: float, binding: str | None = None) -> Device:
-    """Attenuator for gain <= 1 (boundary included), amplifier above."""
+def _gain_row(wire: int, gain: float, binding: str | None = None) -> tuple:
     if gain < 0.0:
         raise ParamError("gain device needs a non-negative value; fold signs into a phase")
-    return Device("AMP" if gain > 1.0 else "ATT", (wire,), gain, binding)
+    return ("AMP" if gain > 1.0 else "ATT", (wire,), gain, binding)
+
+
+def gain_device(wire: int, gain: float, binding: str | None = None) -> Device:
+    """Attenuator for gain <= 1 (boundary included), amplifier above."""
+    return Device(*_gain_row(wire, gain, binding))
 
 
 class FbSymmetry(Enum):
@@ -165,12 +179,46 @@ class FbSymmetry(Enum):
     ASYMMETRIC = "Asymmetric"
 
 
-@dataclass(frozen=True, eq=False)
-class Netlist:
-    """Ordered device list on `wires` wires with declared input/output ports.
+def _integer(v, field: str) -> int:
+    try:
+        return index(v)
+    except TypeError:
+        raise ParamError(f"{field} {v!r} is not an integer") from None
 
-    Both port lists are non-empty and every port and device wire lies in
-    0..wires-1.
+
+def _end_wires(kinds, wires, values):
+    """First and last wire of each row if all rows pass the `Device` rules, else None.
+
+    Builtins over whole columns check wire count, integer and distinct wires,
+    finite values in their domain, and None exactly where a kind takes none.
+    """
+    try:
+        need = list(map(_N_WIRES.__getitem__, kinds))
+        valued = list(map(_VALUED.__getitem__, kinds))
+        first = list(map(index, map(itemgetter(0), wires)))
+        last = list(map(index, map(itemgetter(-1), wires)))
+        ok = (
+            list(map(len, wires)) == need
+            and sum(map(ne, first, last)) == need.count(2)
+            and all(map(math.isfinite, compress(values, valued)))
+            and values.count(None) == valued.count(False)
+            and all(all(map(rule, compress(values, map(eq, kinds, repeat(k))))) for k, rule in _DOMAINS)
+        )
+    except (KeyError, TypeError, IndexError):
+        return None
+    return (first, last) if ok else None
+
+
+class Netlist:
+    """Devices on `wires` wires with declared input/output ports, as columns.
+
+    `devices`, ordered (kind, wires, value, binding) rows (`Device` records or
+    plain tuples), is transposed once into one column per field: `kinds`,
+    `wire_a`, `wire_b` (-1 for single-wire kinds), `values` (float64, NaN where
+    a kind takes no value) and `bindings`, checked in one pass; rows that fail
+    it go through `Device`, which raises the fault. `devices` reads the rows
+    back. The wire count, ports and wires are integers, both port lists are
+    non-empty, and every port and device wire lies in 0..wires-1.
 
     control_map, when present, maps a control word (or the fallback "*") to
     {device index: parameter value}; active_setting names the key whose values
@@ -178,40 +226,52 @@ class Netlist:
     without an entry of its own needs the "*" fallback.
     """
 
-    wires: int
-    devices: tuple
-    input_ports: tuple[int, ...]
-    output_ports: tuple[int, ...]
-    control_map: dict | None = None
-    active_setting: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "devices", tuple(self.devices))
-        object.__setattr__(self, "input_ports", tuple(int(w) for w in self.input_ports))
-        object.__setattr__(self, "output_ports", tuple(int(w) for w in self.output_ports))
+    def __init__(self, wires: int, devices, input_ports, output_ports,
+                 control_map: dict | None = None, active_setting: str | None = None):
+        self.wires = _integer(wires, "netlist wire count")
+        self.input_ports = tuple(_integer(w, "input port") for w in input_ports)
+        self.output_ports = tuple(_integer(w, "output port") for w in output_ports)
+        self.control_map, self.active_setting = control_map, active_setting
         for side, ports in (("input", self.input_ports), ("output", self.output_ports)):
             if not ports:
                 raise ParamError(f"netlist has no {side} ports")
         for w in self.input_ports + self.output_ports:
             if not 0 <= w < self.wires:
                 raise ParamError(f"port wire {w} outside 0..{self.wires - 1}")
-        for dev in self.devices:
-            for w in dev.wires:
-                if not 0 <= w < self.wires:
-                    raise ParamError(f"device wire {w} outside 0..{self.wires - 1}")
-        last = len(self.devices) - 1
-        for setting, values in (self.control_map or {}).items():
+        rows = tuple(devices)
+        if set(map(len, rows)) - {4}:
+            raise ParamError("netlist devices are (kind, wires, value, binding) rows")
+        kinds, wires, values, bindings = zip(*rows) if rows else ((),) * 4
+        ends = _end_wires(kinds, wires, values)
+        if ends is None:  # a fault, which the row's Device raises, or types to normalize
+            kinds, wires, values, bindings = zip(*(Device(*row) for row in rows))
+            ends = _end_wires(kinds, wires, values)
+        first, last = ends
+        if first and (min(min(first), min(last)) < 0 or max(max(first), max(last)) >= self.wires):
+            w = next(w for pair in zip(first, last) for w in pair if not 0 <= w < self.wires)
+            raise ParamError(f"device wire {w} outside 0..{self.wires - 1}")
+        self.kinds, self.bindings, self.values = kinds, bindings, np.array(values, dtype=float)
+        self.wire_a, self.wire_b = tuple(first), tuple([b if a != b else -1 for a, b in zip(first, last)])
+        top = len(kinds) - 1
+        for setting, values in (control_map or {}).items():
             for idx, value in values.items():
-                if not 0 <= idx <= last:
-                    raise ParamError(
-                        f"control word {setting!r} sets device {idx}, outside 0..{last}"
-                    )
+                if not 0 <= idx <= top:
+                    raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
                 if not math.isfinite(value):
                     raise ParamError(
                         f"control word {setting!r} sets device {idx} to {value}, which is not finite"
                     )
-        if self.active_setting is not None:
-            self._overrides(self.active_setting)
+        if active_setting is not None:
+            self._overrides(active_setting)
+
+    @cached_property
+    def devices(self) -> tuple:
+        """The rows as `Device` records, built without checking them again."""
+        cols = zip(self.kinds, self.wire_a, self.wire_b, self.values.tolist(), self.bindings)
+        return tuple(
+            Device._make((k, (a,) if b < 0 else (a, b), v if _VALUED[k] else None, bind))
+            for k, a, b, v, bind in cols
+        )
 
     def _overrides(self, setting: str | None) -> dict:
         if setting is None:
@@ -230,27 +290,28 @@ class Netlist:
         Each device touches only its own rows, so one pass costs O(D |ports|).
         The backward pass runs the devices in reverse with transposed matrices.
         A single-wire device is a diagonal factor that commutes along its wire
-        up to the next two-wire device, so it only multiplies its wire's pending
-        Python complex factor. A two-wire device folds both wires' pending
-        factors into its four coefficients, resets them to 1 and replaces its
-        two rows once; the factors still pending scale the rows read out.
+        up to the next two-wire device, so it only multiplies its wire's
+        pending Python complex factor. A two-wire device folds both wires'
+        pending factors into its four coefficients, resets them to 1 and
+        replaces its two rows once; the factors still pending scale the rows
+        read out.
         """
-        over = self._overrides(setting)
+        values = self.values.tolist()
+        for idx, value in self._overrides(setting).items():
+            values[idx] = value
         blk = np.zeros((self.wires, len(start_ports)), dtype=complex)
         blk[start_ports, range(len(start_ports))] = 1.0
         rows = list(blk)
         pending = [1.0] * self.wires
-        order = range(len(self.devices) - 1, -1, -1) if backward else range(len(self.devices))
-        for idx in order:
-            dev = self.devices[idx]
-            coefs = DEVICE_KINDS[dev.kind].coefs(over.get(idx, dev.value))
-            if len(coefs) == 1:
-                pending[dev.wires[0]] *= coefs[0]
+        cols = (self.kinds, self.wire_a, self.wire_b, values)
+        for kind, a, b, value in zip(*map(reversed, cols)) if backward else zip(*cols):
+            coefs = DEVICE_KINDS[kind].coefs(value)
+            if b < 0:
+                pending[a] *= coefs[0]
                 continue
             m00, m01, m10, m11 = coefs
             if backward:
                 m01, m10 = m10, m01
-            a, b = dev.wires
             pa, pb = pending[a], pending[b]
             pending[a] = pending[b] = 1.0
             row_a, row_b = rows[a], rows[b]
@@ -301,8 +362,9 @@ def scattering_matrix(nl: Netlist, reciprocal: bool = True, tf=None) -> np.ndarr
 
 
 # --- stage emitters ---------------------------------------------------------
-# Each appends devices to the caller's list. A gate emitter _emit_<arch>(devices,
-# gate, w) writes on the wires w: w[0] and w[1] carry the anbit in and out, any
+# Each appends (kind, wires, value, binding) rows to the caller's list, checked
+# later with the netlist they build. A gate emitter _emit_<arch>(devices, gate,
+# w) writes on the wires w: w[0] and w[1] carry the anbit in and out, any
 # further wires are the architecture's scratch rails.
 
 def _binding(devices: list, bind: bool) -> str | None:
@@ -312,27 +374,27 @@ def _binding(devices: list, bind: bool) -> str | None:
 
 def _rz_pair(devices: list, w0: int, w1: int, theta: float, bind: bool = False):
     # R_z(theta) = diag(e^(-i theta/2), e^(i theta/2)); + 0.0 avoids -0.0 params
-    devices.append(Device("PS", (w0,), -0.5 * theta + 0.0, _binding(devices, bind)))
-    devices.append(Device("PS", (w1,), 0.5 * theta + 0.0, _binding(devices, bind)))
+    devices.append(("PS", (w0,), -0.5 * theta + 0.0, _binding(devices, bind)))
+    devices.append(("PS", (w1,), 0.5 * theta + 0.0, _binding(devices, bind)))
 
 
 def _global_phase_pair(devices: list, w0: int, w1: int, delta: float, bind: bool = False):
-    devices.append(Device("PS", (w0,), delta, _binding(devices, bind)))
-    devices.append(Device("PS", (w1,), delta, _binding(devices, bind)))
+    devices.append(("PS", (w0,), delta, _binding(devices, bind)))
+    devices.append(("PS", (w1,), delta, _binding(devices, bind)))
 
 
 def _signed_gain(devices: list, wire: int, value: float):
     # negative diagonal entries are a pi phase shift plus a positive gain
     if value < 0.0:
-        devices.append(Device("PS", (wire,), math.pi))
+        devices.append(("PS", (wire,), math.pi, None))
         value = -value
-    devices.append(gain_device(wire, value))
+    devices.append(_gain_row(wire, value))
 
 
 def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1), bind: bool = False):
     f = euler_zxz(u)
     _rz_pair(devices, w[0], w[1], f.alpha1, bind)
-    devices.append(Device("DC", (w[0], w[1]), f.alpha2, _binding(devices, bind)))
+    devices.append(("DC", (w[0], w[1]), f.alpha2, _binding(devices, bind)))
     _rz_pair(devices, w[0], w[1], f.alpha3, bind)
     _global_phase_pair(devices, w[0], w[1], f.delta, bind)
 
@@ -340,11 +402,11 @@ def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1), bind: bool = False):
 def _emit_zyz(devices: list, u: GateMatrix, w):
     f = euler_zyz(u)
     _rz_pair(devices, w[0], w[1], f.alpha1)
-    devices.append(Device("BS", (w[0], w[1])))
-    devices.append(Device("PS", (w[0],), 0.5 * f.alpha2))
-    devices.append(Device("PS", (w[1],), -0.5 * f.alpha2 - math.pi))
-    devices.append(Device("BS", (w[0], w[1])))
-    devices.append(Device("PS", (w[1],), math.pi))
+    devices.append(("BS", (w[0], w[1]), None, None))
+    devices.append(("PS", (w[0],), 0.5 * f.alpha2, None))
+    devices.append(("PS", (w[1],), -0.5 * f.alpha2 - math.pi, None))
+    devices.append(("BS", (w[0], w[1]), None, None))
+    devices.append(("PS", (w[1],), math.pi, None))
     _rz_pair(devices, w[0], w[1], f.alpha3)
     _global_phase_pair(devices, w[0], w[1], f.delta)
 
@@ -352,8 +414,8 @@ def _emit_zyz(devices: list, u: GateMatrix, w):
 def _emit_svd(devices: list, m: GateMatrix, w, bind: bool = False):
     f = svd2(m)
     _emit_zxz(devices, f.u1, w, bind)
-    devices.append(gain_device(w[0], f.d1, _binding(devices, bind)))
-    devices.append(gain_device(w[1], f.d2, _binding(devices, bind)))
+    devices.append(_gain_row(w[0], f.d1, _binding(devices, bind)))
+    devices.append(_gain_row(w[1], f.d2, _binding(devices, bind)))
     _emit_zxz(devices, f.u2, w, bind)
 
 
@@ -394,8 +456,7 @@ def lower_mostow(f: MostowFactors) -> Netlist:
     diagonal stage (lam2) may carry negative entries in general, realized as a
     pi phase shift plus a positive gain; lam1 = (e^-a, e^a) is always positive.
     """
-    u_last, lam1_stage, u_mid, lam2_stage, u_first = f.expanded
-    del lam1_stage, lam2_stage  # device values come from the scalar fields
+    u_last, _, u_mid, _, u_first = f.expanded  # device values come from the scalar fields
     devices: list = []
     _emit_zxz(devices, u_first)
     for wire, value in enumerate(f.lam2):
@@ -409,11 +470,10 @@ def lower_mostow(f: MostowFactors) -> Netlist:
 
 def _scale_pair(devices: list, w0: int, w1: int, z: complex):
     # multiply both wires of a branch by the complex scalar z
-    ph = float(np.angle(z))
-    g = abs(z)
+    ph, g = float(np.angle(z)), abs(z)
     for w in (w0, w1):
-        devices.append(Device("PS", (w,), ph))
-        devices.append(gain_device(w, g))
+        devices.append(("PS", (w,), ph, None))
+        devices.append(_gain_row(w, g))
 
 
 def _sum_block(devices: list, a: int, b: int, n: complex = 1.0, m: complex = 1.0):
@@ -422,15 +482,14 @@ def _sum_block(devices: list, a: int, b: int, n: complex = 1.0, m: complex = 1.0
     Factorized as A.B.C with C a -pi/2 phase on b, B the 50:50 splitter, and
     A the diagonal (sqrt2 n, -i sqrt2 m) realized as phase plus gain per wire.
     """
-    n = complex(n)
-    m = complex(m)
-    devices.append(Device("PS", (b,), -_HALF_PI))
-    devices.append(Device("BS", (a, b)))
+    n, m = complex(n), complex(m)
+    devices.append(("PS", (b,), -_HALF_PI, None))
+    devices.append(("BS", (a, b), None, None))
     root2 = math.sqrt(2.0)
-    devices.append(Device("PS", (a,), float(np.angle(n))))
-    devices.append(gain_device(a, root2 * abs(n)))
-    devices.append(Device("PS", (b,), float(np.angle(m)) - _HALF_PI))
-    devices.append(gain_device(b, root2 * abs(m)))
+    devices.append(("PS", (a,), float(np.angle(n)), None))
+    devices.append(_gain_row(a, root2 * abs(n)))
+    devices.append(("PS", (b,), float(np.angle(m)) - _HALF_PI, None))
+    devices.append(_gain_row(b, root2 * abs(m)))
 
 
 def lower_fanin(g: FanInGate) -> Netlist:
@@ -455,18 +514,18 @@ def _emit_pauli(devices: list, m: GateMatrix, w):
     # branch 0 on w[0,1]: a0 I
     _scale_pair(devices, w[0], w[1], coef[0])
     # branch 1 on w[2,3]: i a1 Rx(pi)
-    devices.append(Device("DC", (w[2], w[3]), math.pi))
+    devices.append(("DC", (w[2], w[3]), math.pi, None))
     _scale_pair(devices, w[2], w[3], 1j * coef[1])
     # branch 2 on w[4,5]: i a2 Ry(pi) with Ry(pi) = Rz(pi/2) Rx(pi) Rz(-pi/2)
-    devices.append(Device("PS", (w[4],), 0.25 * math.pi))
-    devices.append(Device("PS", (w[5],), -0.25 * math.pi))
-    devices.append(Device("DC", (w[4], w[5]), math.pi))
-    devices.append(Device("PS", (w[4],), -0.25 * math.pi))
-    devices.append(Device("PS", (w[5],), 0.25 * math.pi))
+    devices.append(("PS", (w[4],), 0.25 * math.pi, None))
+    devices.append(("PS", (w[5],), -0.25 * math.pi, None))
+    devices.append(("DC", (w[4], w[5]), math.pi, None))
+    devices.append(("PS", (w[4],), -0.25 * math.pi, None))
+    devices.append(("PS", (w[5],), 0.25 * math.pi, None))
     _scale_pair(devices, w[4], w[5], 1j * coef[2])
     # branch 3 on w[6,7]: i a3 Rz(pi)
-    devices.append(Device("PS", (w[6],), -_HALF_PI))
-    devices.append(Device("PS", (w[7],), _HALF_PI))
+    devices.append(("PS", (w[6],), -_HALF_PI, None))
+    devices.append(("PS", (w[7],), _HALF_PI, None))
     _scale_pair(devices, w[6], w[7], 1j * coef[3])
     # fan-in tree back onto w[0,1]
     for a, b in ((0, 2), (4, 6), (1, 3), (5, 7), (0, 4), (1, 5)):
@@ -522,22 +581,13 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     hot = _basis_word(control_setting, cg.n_controls) == hot_word
     emit = _emit_zxz if cg.target_gate.gate_class is GateClass.UNITARY else _emit_svd
     # both templates have the same devices, every one valued; the active one's
-    # devices are emitted, each bound to its control as it is built
-    target: list = []
-    ident: list = []
-    emit(target, cg.target_gate, (0, 1), bind=hot)
-    emit(ident, identity_gate(2), (0, 1), bind=not hot)
-    return Netlist(
-        2,
-        target if hot else ident,
-        (0, 1),
-        (0, 1),
-        control_map={
-            hot_word: {idx: float(dev.value) for idx, dev in enumerate(target)},
-            "*": {idx: float(dev.value) for idx, dev in enumerate(ident)},
-        },
-        active_setting=hot_word if hot else "*",
-    )
+    # rows are the netlist's, each bound to its control as it is emitted
+    rows: dict = {hot_word: [], "*": []}
+    emit(rows[hot_word], cg.target_gate, (0, 1), bind=hot)
+    emit(rows["*"], identity_gate(2), (0, 1), bind=not hot)
+    control_map = {word: dict(enumerate(float(row[2]) for row in r)) for word, r in rows.items()}
+    active = hot_word if hot else "*"
+    return Netlist(2, rows[active], (0, 1), (0, 1), control_map=control_map, active_setting=active)
 
 
 # gate emitter and its wire count per circuit architecture

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import AnbitState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SinkNode, SourceNode
 from .gates import GateMatrix, RotationSpec
-from .lowering import DEVICE_KINDS, Device, Netlist
+from .lowering import DEVICE_KINDS, Netlist
 from .measurement import MeasurementRecord
 
 __all__ = [
@@ -268,13 +268,13 @@ def netlist_to_text(nl: Netlist) -> str:
     lines = [f"WIRES {nl.wires}"]
     lines.append("IN " + " ".join(str(w) for w in nl.input_ports))
     lines.append("OUT " + " ".join(str(w) for w in nl.output_ports))
-    for dev in nl.devices:
-        parts = [dev.kind] + [str(w) for w in dev.wires]
-        if dev.value is not None:
-            parts.append(fmt_float(dev.value))
-        if dev.control_binding is not None:
-            parts.append(f"@{dev.control_binding}")
-        lines.append(" ".join(parts))
+    for kind, a, b, value, binding in zip(nl.kinds, nl.wire_a, nl.wire_b, nl.values.tolist(), nl.bindings):
+        line = f"{kind} {a}" if b < 0 else f"{kind} {a} {b}"
+        if DEVICE_KINDS[kind].valued:
+            line += " " + fmt_float(value)
+        if binding is not None:
+            line += " @" + binding
+        lines.append(line)
     if nl.active_setting is not None:
         lines.append(f"ACTIVE {nl.active_setting}")
     if nl.control_map:
@@ -293,36 +293,36 @@ def netlist_from_text(text: str) -> Netlist:
     active = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         args = raw.split()
-        if not args or args[0].startswith("#"):
+        if not args:
             continue
-        tag = args.pop(0)
+        tag = args[0]
         # device lines outnumber header lines, so the device table is tried first
         spec = DEVICE_KINDS.get(tag)
         try:
             if spec is not None:
-                binding = None
-                if args and args[-1].startswith("@"):
-                    binding = args.pop()[1:]
                 n_wires = spec.n_wires
-                want = n_wires + int(spec.valued)
-                if len(args) != want:
-                    raise ValueError(f"{tag} takes {want} fields, got {len(args)}")
-                wire = int(args[0])
-                dev_wires = (wire,) if n_wires == 1 else (wire, int(args[1]))
-                value = float(args[n_wires]) if spec.valued else None
-                devices.append(Device(tag, dev_wires, value, binding))
+                want = n_wires + spec.valued
+                binding = None
+                if args[-1][0] == "@":
+                    binding = args.pop()[1:]
+                if len(args) != want + 1:
+                    raise ValueError(f"{tag} takes {want} fields, got {len(args) - 1}")
+                dev_wires = (int(args[1]),) if n_wires == 1 else (int(args[1]), int(args[2]))
+                devices.append((tag, dev_wires, float(args[want]) if spec.valued else None, binding))
+            elif tag[0] == "#":
+                continue
             elif tag == "WIRES":
-                wires = int(args[0])
+                wires = int(args[1])
             elif tag == "IN":
-                in_ports = tuple(int(a) for a in args)
+                in_ports = tuple(int(a) for a in args[1:])
             elif tag == "OUT":
-                out_ports = tuple(int(a) for a in args)
+                out_ports = tuple(int(a) for a in args[1:])
             elif tag == "ACTIVE":
-                active = args[0]
+                active = args[1]
             elif tag == "CTRL":
-                setting = args[0]
+                setting = args[1]
                 values = {}
-                for pair in args[1:]:
+                for pair in args[2:]:
                     key, _, val = pair.partition("=")
                     values[int(key)] = float(val)
                 control_map[setting] = values

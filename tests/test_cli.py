@@ -232,7 +232,7 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
     path.write_text(netlist_to_text(lower_unitary_zxz(GateMatrix(random_unitary(rng)))))
     rc, _, _ = run_cli(capsys, ["analyze", str(path)])
     assert rc == 0
-    assert calls == {"forward_transfer": 1, "backward_transfer": 1}
+    assert calls == {"forward_transfer": 1}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,10 @@ from anbit import (
     scattering_matrix,
     solve,
 )
+from anbit import lowering
 from anbit.errors import ControlEncodingError, GraphError, ParamError
 from anbit.lowering import DEVICE_KINDS
+from anbit.serialization import netlist_from_text
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -91,6 +95,60 @@ def test_gain_devices():
 def test_device_rejects_untyped_inputs(wires, value):
     with pytest.raises(ParamError):
         Device("PS", wires, value)
+
+
+# (Device arguments, the same device as a netlist text line, message); the
+# text format has positional fields, so a wrong wire count, a value on BS or a
+# missing value is a field-count error there (test_netlist_text_parse_errors)
+_DEVICE_FAULTS = {
+    "wire-count": (("PS", (0, 1), 0.5), None, "PS needs 1 distinct wires, got (0, 1)"),
+    "repeated-wire": (("DC", (0, 0), 0.7), "DC 0 0 0.7", "DC needs 2 distinct wires, got (0, 0)"),
+    "bs-value": (("BS", (0, 1), 0.3), None, "BS takes no value, got 0.3"),
+    "missing-value": (("PS", (0,), None), None, "PS needs a value"),
+    "ps-inf": (("PS", (0,), math.inf), "PS 0 inf", "PS value must be finite, got inf"),
+    "ps-nan": (("PS", (0,), math.nan), "PS 0 nan", "PS value must be finite, got nan"),
+    "dc-inf": (("DC", (0, 1), math.inf), "DC 0 1 inf", "DC value must be finite, got inf"),
+    "amp-inf": (("AMP", (0,), math.inf), "AMP 0 inf", "AMP value must be finite, got inf"),
+    "att-high": (("ATT", (0,), 1.5), "ATT 0 1.5", "attenuator gain must be in [0, 1], got 1.5"),
+    "att-negative": (("ATT", (0,), -0.1), "ATT 0 -0.1", "attenuator gain must be in [0, 1], got -0.1"),
+    "amp-low": (("AMP", (0,), 0.9), "AMP 0 0.9", "amplifier gain must exceed 1, got 0.9"),
+}
+
+
+@pytest.mark.parametrize("args,line,message", _DEVICE_FAULTS.values(), ids=_DEVICE_FAULTS)
+def test_device_faults_share_one_rule_set(args, line, message):
+    # a Device record, a plain row through the netlist's column check and the
+    # text parser report each fault with the same message
+    with pytest.raises(ParamError) as by_device:
+        Device(*args)
+    with pytest.raises(ParamError) as by_row:
+        Netlist(2, [(*args, None)], (0,), (0,))
+    assert str(by_device.value) == str(by_row.value) == message
+    if line is not None:
+        with pytest.raises(ParamError) as by_text:
+            netlist_from_text(f"WIRES 2\nIN 0\nOUT 0\n{line}\n")
+        assert str(by_text.value) == message
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: Netlist(1, [Device("PS", ("a",), 1.0)], (0,), (0,)), "PS wires"),
+        (lambda: Netlist(1, [("PS", ("a",), 1.0, None)], (0,), (0,)), "PS wires"),
+        (lambda: Netlist(2, [("PS", (1.5,), 1.0, None)], (0,), (0,)), "PS wires"),
+        (lambda: Netlist(2, [("DC", (0, 1.0), 1.0, None)], (0,), (0,)), "DC wires"),
+        (lambda: Netlist(2.5, [], (0,), (0,)), "netlist wire count"),
+        (lambda: Netlist("2", [], (0,), (0,)), "netlist wire count"),
+        (lambda: Netlist(2, [], (0.7,), (1,)), "input port"),
+        (lambda: Netlist(2, [], (0,), (1.9,)), "output port"),
+    ],
+    ids=["device-str", "row-str", "row-float", "coupler-float", "count-float", "count-str",
+         "input-float", "output-float"],
+)
+def test_netlist_indices_are_integers(build, field):
+    # each is a typed error naming its field, not a TypeError or a silent truncation
+    with pytest.raises(ParamError, match=field):
+        build()
 
 
 def test_attenuator_zero_is_allowed():
@@ -258,21 +316,34 @@ def test_controlled_nonunitary_target(rng):
     assert np.max(np.abs(nl.forward_transfer() - g.entries)) < 1e-11
 
 
+def _count_checks(monkeypatch) -> tuple:
+    """Rows per netlist column check, and the kinds of `Device` records built."""
+    passes, built = [], []
+    end_wires, device_new = lowering._end_wires, Device.__new__
+
+    def counted_columns(kinds, wires, values):
+        passes.append(len(kinds))
+        return end_wires(kinds, wires, values)
+
+    def counted_device(cls, kind, *args):
+        built.append(kind)
+        return device_new(cls, kind, *args)
+
+    monkeypatch.setattr(lowering, "_end_wires", counted_columns)
+    monkeypatch.setattr(Device, "__new__", counted_device)
+    return passes, built
+
+
 @pytest.mark.parametrize("word", [0, 1])
 @pytest.mark.parametrize("unitary", [True, False], ids=["zxz", "svd"])
 def test_lower_controlled_builds_each_device_at_most_twice(word, unitary, rng, monkeypatch):
     gate = pauli(1) if unitary else GateMatrix(random_matrix(rng))
-    built = []
-    post_init = Device.__post_init__
-
-    def counted(self):
-        built.append(self.kind)
-        post_init(self)
-
-    monkeypatch.setattr(Device, "__post_init__", counted)
+    passes, built = _count_checks(monkeypatch)
     nl = lower_controlled_electrooptic(controlled(gate, 1), np.eye(2)[word])
-    # one target and one identity template, the active one bound as it is built
-    assert len(built) == 2 * len(nl.devices)
+    # a target and an identity template are emitted as plain rows, the active
+    # one bound as it is built; only the netlist's rows are checked, in one
+    # column pass, and no `Device` record is built
+    assert passes == [len(nl.devices)] and built == []
     assert [dev.control_binding for dev in nl.devices] == [f"c{i}" for i in range(len(nl.devices))]
     want = gate.entries if word else np.eye(2)
     assert np.max(np.abs(nl.forward_transfer() - want)) < 1e-11
@@ -320,6 +391,7 @@ def test_control_map_bounds():
 
 
 _ANGLES = st.floats(-7.0, 7.0, allow_nan=False)
+_BINDINGS = st.none() | st.text("ab_09", min_size=1, max_size=3)
 _KIND_VALUES = {
     "PS": _ANGLES,
     "DC": _ANGLES,
@@ -334,7 +406,7 @@ _LONG_RUN_KINDS = [k for k, spec in DEVICE_KINDS.items() for _ in range(4 if spe
 
 @st.composite
 def random_netlists(draw):
-    """Netlist of every device kind, maybe with a control map.
+    """Netlist of every device kind, some bound to controls, maybe with a control map.
 
     Either up to 24 devices of uniformly drawn kinds on up to 8 wires, or a
     long run of up to 200 devices, mostly single-wire, on 2 to 4 wires.
@@ -349,7 +421,7 @@ def random_netlists(draw):
     for _ in range(draw(st.integers(0, 200 if long_run else 24))):
         kind = draw(kind_st)
         wires = (draw(wire_st),) if DEVICE_KINDS[kind].n_wires == 1 else draw(pair_st)[:2]
-        devices.append(Device(kind, wires, draw(_KIND_VALUES[kind])))
+        devices.append(Device(kind, wires, draw(_KIND_VALUES[kind]), draw(_BINDINGS)))
     ports = st.lists(st.integers(0, n_wires - 1), min_size=1, max_size=n_wires, unique=True)
     control_map = setting = None
     valued = [i for i, dev in enumerate(devices) if dev.value is not None]
@@ -528,16 +600,11 @@ def _ladder(rng, n_rungs: int, unitary: bool) -> CircuitGraph:
 @pytest.mark.parametrize("arch", ["zxz", "svd", "pauli"])
 def test_lower_circuit_builds_each_device_once(arch, rng, monkeypatch):
     graph = _ladder(rng, 10, unitary=arch == "zxz")  # 20 gates
-    built = []
-    post_init = Device.__post_init__
-
-    def counted(self):
-        built.append(self.kind)
-        post_init(self)
-
-    monkeypatch.setattr(Device, "__post_init__", counted)
+    passes, built = _count_checks(monkeypatch)
     nl = lower_circuit(graph, arch)
-    assert len(built) == len(nl.devices)
+    # every device is emitted once as a plain row and checked once, in the
+    # netlist's one column pass; no `Device` record is built
+    assert passes == [len(nl.devices)] and built == []
     # every gate, fan-in and fan-out sits on the right wires: the transfer matches solve
     psi = AnbitState(random_state_vec(rng))
     res = solve(graph, {"s": psi})

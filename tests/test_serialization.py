@@ -12,6 +12,7 @@ from anbit import (
     FanInGate,
     FanOutGate,
     GateMatrix,
+    Netlist,
     SinkNode,
     SourceNode,
     classify,
@@ -43,6 +44,7 @@ from anbit import gates
 from anbit.errors import DimError
 
 from conftest import random_matrix, random_state_vec, random_unitary
+from test_lowering import random_netlists
 
 
 def test_fmt_float_round_trips(rng):
@@ -341,6 +343,26 @@ def test_netlist_text_round_trip(rng):
         back = netlist_from_text(text)
         assert netlist_to_text(back) == text
         assert np.array_equal(back.forward_transfer(), nl.forward_transfer())
+
+
+def _columns(nl) -> tuple:
+    return nl.kinds, nl.wire_a, nl.wire_b, nl.values.tobytes(), nl.bindings
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_netlists())
+def test_netlist_text_round_trip_property(case):
+    nl, setting = case
+    text = netlist_to_text(nl)
+    back = netlist_from_text(text)
+    assert netlist_to_text(back) == text
+    assert _columns(back) == _columns(nl)
+    assert back.forward_transfer(setting).tobytes() == nl.forward_transfer(setting).tobytes()
+    assert back.backward_transfer(setting).tobytes() == nl.backward_transfer(setting).tobytes()
+    # the rows read back as Device records rebuild the same netlist
+    rebuilt = Netlist(nl.wires, nl.devices, nl.input_ports, nl.output_ports, nl.control_map)
+    assert _columns(rebuilt) == _columns(nl) and rebuilt.devices == nl.devices
+    assert netlist_to_text(rebuilt) == text
 
 
 def test_netlist_text_headers(rng):

@@ -4,9 +4,9 @@ A netlist is an ordered list of device primitives acting in place on numbered
 wires; two wires carry one anbit. A device kind, a key of `DEVICE_KINDS`
 (phase shifter, tunable coupler, fixed 50:50 splitter, attenuator,
 amplifier), fixes its wire count, value domain and local 1x1 or 2x2 matrix.
-A `Netlist` stores its devices as columns, one per field, built from
-(kind, wires, value, binding) rows and checked in one pass over the columns;
-`Device` is the row type, checked by the same per-kind rules on its own.
+A `Netlist` stores its devices as tuple columns, one per field, built from
+(kind, wires, value, binding) rows in one pass that checks each row by its
+kind's rules; `Device` is the row type, checked by the same pass on its one row.
 
 One coefficient function per kind gives its local matrix as Python complex
 numbers. Transfers apply the local matrices to the rows of a block with one
@@ -31,8 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
-from operator import eq, index, itemgetter, ne
+from operator import index
 from typing import Callable
 
 import numpy as np
@@ -111,50 +110,22 @@ DEVICE_KINDS = {
     "ATT": DeviceKind(1, True, _gain_coefs, lambda g: 0 <= g <= 1, "attenuator gain must be in [0, 1]"),
     "AMP": DeviceKind(1, True, _gain_coefs, lambda g: g > 1, "amplifier gain must exceed 1"),
 }
-_N_WIRES = {kind: spec.n_wires for kind, spec in DEVICE_KINDS.items()}
-_VALUED = {kind: spec.valued for kind, spec in DEVICE_KINDS.items()}
-_DOMAINS = [(kind, spec.in_domain) for kind, spec in DEVICE_KINDS.items() if spec.domain]
 
 
 class Device(namedtuple("Device", "kind wires value control_binding", defaults=(None, None))):
     """One device of kind `kind` (a DEVICE_KINDS key) acting on `wires`: a netlist row.
 
-    Built through its kind's rules, the one rule set for device faults, which
-    a `Netlist` applies to rows its column checks reject. value is the tunable
-    parameter (phase, coupling angle or gain), None for the fixed splitter;
-    control_binding names the electrical control that sets it.
+    Checked by the same rules as a netlist's rows, less the wire range a lone
+    device has none of. value is the tunable parameter (phase, coupling angle
+    or gain, stored as a float), None for the fixed splitter; control_binding
+    names the electrical control that sets it.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, wires, value=None, control_binding: str | None = None):
-        spec = DEVICE_KINDS.get(kind)
-        if spec is None:
-            raise ParamError(f"unknown device kind {kind!r}")
-        try:
-            wires = tuple(wires)
-        except TypeError:
-            raise ParamError(f"{kind} wires must be a sequence, got {wires!r}") from None
-        try:
-            wires = tuple(map(index, wires))
-        except TypeError:
-            raise ParamError(f"{kind} wires must be integers, got {wires!r}") from None
-        if len(wires) != spec.n_wires or len(set(wires)) != len(wires):
-            raise ParamError(f"{kind} needs {spec.n_wires} distinct wires, got {wires}")
-        if not spec.valued and value is not None:
-            raise ParamError(f"{kind} takes no value, got {value}")
-        if spec.valued:
-            if value is None:
-                raise ParamError(f"{kind} needs a value")
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise ParamError(f"{kind} value must be a real number, got {value!r}") from None
-            if not finite:
-                raise ParamError(f"{kind} value must be finite, got {value}")
-            if not spec.in_domain(value):
-                raise ParamError(f"{spec.domain}, got {value}")
-        return super().__new__(cls, kind, wires, value, control_binding)
+        _, (a,), (b,), (value,), _ = _device_columns(((kind, wires, value, control_binding),), None)
+        return super().__new__(cls, kind, (a, b)[: DEVICE_KINDS[kind].n_wires], value, control_binding)
 
     def matrix(self, value=None) -> np.ndarray:
         """Local forward matrix, at `value` in place of the device's own when given."""
@@ -186,38 +157,70 @@ def _integer(v, field: str) -> int:
         raise ParamError(f"{field} {v!r} is not an integer") from None
 
 
-def _end_wires(kinds, wires, values):
-    """First and last wire of each row if all rows pass the `Device` rules, else None.
+def _device_columns(rows, width: int | None) -> list:
+    """Kind, first wire, second wire (-1 for one), value and binding columns of rows.
 
-    Builtins over whole columns check wire count, integer and distinct wires,
-    finite values in their domain, and None exactly where a kind takes none.
+    The one rule set for device faults, applied to each (kind, wires, value,
+    binding) row in turn; the first faulty row raises. Wires are any iterable
+    of as many distinct integers as the kind needs, in 0..width-1 unless width
+    is None. A valued kind takes a finite real value in its domain, stored as a
+    float; the others take None.
     """
-    try:
-        need = list(map(_N_WIRES.__getitem__, kinds))
-        valued = list(map(_VALUED.__getitem__, kinds))
-        first = list(map(index, map(itemgetter(0), wires)))
-        last = list(map(index, map(itemgetter(-1), wires)))
-        ok = (
-            list(map(len, wires)) == need
-            and sum(map(ne, first, last)) == need.count(2)
-            and all(map(math.isfinite, compress(values, valued)))
-            and values.count(None) == valued.count(False)
-            and all(all(map(rule, compress(values, map(eq, kinds, repeat(k))))) for k, rule in _DOMAINS)
-        )
-    except (KeyError, TypeError, IndexError):
-        return None
-    return (first, last) if ok else None
+    cols = kinds, wire_a, wire_b, values, bindings = [], [], [], [], []
+    for row in rows:
+        try:
+            kind, wires, value, binding = row
+        except (TypeError, ValueError):
+            raise ParamError("netlist devices are (kind, wires, value, binding) rows") from None
+        spec = DEVICE_KINDS.get(kind)
+        if spec is None:
+            raise ParamError(f"unknown device kind {kind!r}")
+        if type(wires) is not tuple:
+            try:
+                wires = tuple(wires)
+            except TypeError:
+                raise ParamError(f"{kind} wires must be a sequence, got {wires!r}") from None
+        n = spec.n_wires
+        try:  # a non-integer wire is reported before a wrong count or a repeat
+            if len(wires) != n or n == 2 and index(wires[0]) == index(wires[1]):
+                raise ParamError(f"{kind} needs {n} distinct wires, got {tuple(map(index, wires))}")
+            a = index(wires[0])
+            b = index(wires[1]) if n == 2 else -1
+        except TypeError:
+            raise ParamError(f"{kind} wires must be integers, got {wires!r}") from None
+        if spec.valued:
+            if value is None:
+                raise ParamError(f"{kind} needs a value")
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ParamError(f"{kind} value must be a real number, got {value!r}") from None
+            if not finite:
+                raise ParamError(f"{kind} value must be finite, got {value}")
+            if spec.domain and not spec.in_domain(value):
+                raise ParamError(f"{spec.domain}, got {value}")
+            value = float(value)
+        elif value is not None:
+            raise ParamError(f"{kind} takes no value, got {value}")
+        if width is not None and not (0 <= a < width and (n == 1 or 0 <= b < width)):
+            raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
+        kinds.append(kind)
+        wire_a.append(a)
+        wire_b.append(b)
+        values.append(value)
+        bindings.append(binding)
+    return cols
 
 
 class Netlist:
     """Devices on `wires` wires with declared input/output ports, as columns.
 
     `devices`, ordered (kind, wires, value, binding) rows (`Device` records or
-    plain tuples), is transposed once into one column per field: `kinds`,
-    `wire_a`, `wire_b` (-1 for single-wire kinds), `values` (float64, NaN where
-    a kind takes no value) and `bindings`, checked in one pass; rows that fail
-    it go through `Device`, which raises the fault. `devices` reads the rows
-    back. The wire count, ports and wires are integers, both port lists are
+    plain tuples), is checked row by row and split in the same pass into one
+    tuple column per field: `kinds`, `wire_a`, `wire_b` (-1 for single-wire
+    kinds), `values` (floats, None where a kind takes no value) and
+    `bindings`; the first faulty row raises. `devices` reads the rows back.
+    The wire count, ports and wires are integers, both port lists are
     non-empty, and every port and device wire lies in 0..wires-1.
 
     control_map, when present, maps a control word (or the fallback "*") to
@@ -238,21 +241,9 @@ class Netlist:
         for w in self.input_ports + self.output_ports:
             if not 0 <= w < self.wires:
                 raise ParamError(f"port wire {w} outside 0..{self.wires - 1}")
-        rows = tuple(devices)
-        if set(map(len, rows)) - {4}:
-            raise ParamError("netlist devices are (kind, wires, value, binding) rows")
-        kinds, wires, values, bindings = zip(*rows) if rows else ((),) * 4
-        ends = _end_wires(kinds, wires, values)
-        if ends is None:  # a fault, which the row's Device raises, or types to normalize
-            kinds, wires, values, bindings = zip(*(Device(*row) for row in rows))
-            ends = _end_wires(kinds, wires, values)
-        first, last = ends
-        if first and (min(min(first), min(last)) < 0 or max(max(first), max(last)) >= self.wires):
-            w = next(w for pair in zip(first, last) for w in pair if not 0 <= w < self.wires)
-            raise ParamError(f"device wire {w} outside 0..{self.wires - 1}")
-        self.kinds, self.bindings, self.values = kinds, bindings, np.array(values, dtype=float)
-        self.wire_a, self.wire_b = tuple(first), tuple([b if a != b else -1 for a, b in zip(first, last)])
-        top = len(kinds) - 1
+        cols = map(tuple, _device_columns(devices, self.wires))
+        self.kinds, self.wire_a, self.wire_b, self.values, self.bindings = cols
+        top = len(self.kinds) - 1
         for setting, values in (control_map or {}).items():
             for idx, value in values.items():
                 if not 0 <= idx <= top:
@@ -267,11 +258,8 @@ class Netlist:
     @cached_property
     def devices(self) -> tuple:
         """The rows as `Device` records, built without checking them again."""
-        cols = zip(self.kinds, self.wire_a, self.wire_b, self.values.tolist(), self.bindings)
-        return tuple(
-            Device._make((k, (a,) if b < 0 else (a, b), v if _VALUED[k] else None, bind))
-            for k, a, b, v, bind in cols
-        )
+        cols = zip(self.kinds, self.wire_a, self.wire_b, self.values, self.bindings)
+        return tuple(Device._make((k, (a,) if b < 0 else (a, b), v, bind)) for k, a, b, v, bind in cols)
 
     def _overrides(self, setting: str | None) -> dict:
         if setting is None:
@@ -296,7 +284,7 @@ class Netlist:
         replaces its two rows once; the factors still pending scale the rows
         read out.
         """
-        values = self.values.tolist()
+        values = list(self.values)
         for idx, value in self._overrides(setting).items():
             values[idx] = value
         blk = np.zeros((self.wires, len(start_ports)), dtype=complex)
@@ -367,20 +355,15 @@ def scattering_matrix(nl: Netlist, reciprocal: bool = True, tf=None) -> np.ndarr
 # w) writes on the wires w: w[0] and w[1] carry the anbit in and out, any
 # further wires are the architecture's scratch rails.
 
-def _binding(devices: list, bind: bool) -> str | None:
-    # control binding of the device about to be appended: its index in a controlled netlist
-    return f"c{len(devices)}" if bind else None
-
-
-def _rz_pair(devices: list, w0: int, w1: int, theta: float, bind: bool = False):
+def _rz_pair(devices: list, w0: int, w1: int, theta: float):
     # R_z(theta) = diag(e^(-i theta/2), e^(i theta/2)); + 0.0 avoids -0.0 params
-    devices.append(("PS", (w0,), -0.5 * theta + 0.0, _binding(devices, bind)))
-    devices.append(("PS", (w1,), 0.5 * theta + 0.0, _binding(devices, bind)))
+    devices.append(("PS", (w0,), -0.5 * theta + 0.0, None))
+    devices.append(("PS", (w1,), 0.5 * theta + 0.0, None))
 
 
-def _global_phase_pair(devices: list, w0: int, w1: int, delta: float, bind: bool = False):
-    devices.append(("PS", (w0,), delta, _binding(devices, bind)))
-    devices.append(("PS", (w1,), delta, _binding(devices, bind)))
+def _global_phase_pair(devices: list, w0: int, w1: int, delta: float):
+    devices.append(("PS", (w0,), delta, None))
+    devices.append(("PS", (w1,), delta, None))
 
 
 def _signed_gain(devices: list, wire: int, value: float):
@@ -391,12 +374,12 @@ def _signed_gain(devices: list, wire: int, value: float):
     devices.append(_gain_row(wire, value))
 
 
-def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1), bind: bool = False):
+def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1)):
     f = euler_zxz(u)
-    _rz_pair(devices, w[0], w[1], f.alpha1, bind)
-    devices.append(("DC", (w[0], w[1]), f.alpha2, _binding(devices, bind)))
-    _rz_pair(devices, w[0], w[1], f.alpha3, bind)
-    _global_phase_pair(devices, w[0], w[1], f.delta, bind)
+    _rz_pair(devices, w[0], w[1], f.alpha1)
+    devices.append(("DC", (w[0], w[1]), f.alpha2, None))
+    _rz_pair(devices, w[0], w[1], f.alpha3)
+    _global_phase_pair(devices, w[0], w[1], f.delta)
 
 
 def _emit_zyz(devices: list, u: GateMatrix, w):
@@ -411,12 +394,12 @@ def _emit_zyz(devices: list, u: GateMatrix, w):
     _global_phase_pair(devices, w[0], w[1], f.delta)
 
 
-def _emit_svd(devices: list, m: GateMatrix, w, bind: bool = False):
+def _emit_svd(devices: list, m: GateMatrix, w):
     f = svd2(m)
-    _emit_zxz(devices, f.u1, w, bind)
-    devices.append(_gain_row(w[0], f.d1, _binding(devices, bind)))
-    devices.append(_gain_row(w[1], f.d2, _binding(devices, bind)))
-    _emit_zxz(devices, f.u2, w, bind)
+    _emit_zxz(devices, f.u1, w)
+    devices.append(_gain_row(w[0], f.d1))
+    devices.append(_gain_row(w[1], f.d2))
+    _emit_zxz(devices, f.u2, w)
 
 
 def _gate_netlist(emit, m: GateMatrix, wires: int = 2) -> Netlist:
@@ -581,13 +564,14 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     hot = _basis_word(control_setting, cg.n_controls) == hot_word
     emit = _emit_zxz if cg.target_gate.gate_class is GateClass.UNITARY else _emit_svd
     # both templates have the same devices, every one valued; the active one's
-    # rows are the netlist's, each bound to its control as it is emitted
+    # rows are the netlist's, device k bound to control ck
     rows: dict = {hot_word: [], "*": []}
-    emit(rows[hot_word], cg.target_gate, (0, 1), bind=hot)
-    emit(rows["*"], identity_gate(2), (0, 1), bind=not hot)
+    emit(rows[hot_word], cg.target_gate, (0, 1))
+    emit(rows["*"], identity_gate(2), (0, 1))
     control_map = {word: dict(enumerate(float(row[2]) for row in r)) for word, r in rows.items()}
     active = hot_word if hot else "*"
-    return Netlist(2, rows[active], (0, 1), (0, 1), control_map=control_map, active_setting=active)
+    bound = [(kind, wires, value, f"c{k}") for k, (kind, wires, value, _) in enumerate(rows[active])]
+    return Netlist(2, bound, (0, 1), (0, 1), control_map=control_map, active_setting=active)
 
 
 # gate emitter and its wire count per circuit architecture

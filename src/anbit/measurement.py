@@ -50,6 +50,8 @@ def _check(state: AnbitState, r) -> float:
     r = float(r)
     if not r > 0.0:
         raise ParamError("responsivity must be positive")
+    if r == math.inf:
+        raise ParamError(f"responsivity must be finite, got {r}")
     return r
 
 

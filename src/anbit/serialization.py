@@ -9,6 +9,7 @@ All parse problems raise ValueError with a message naming the offending field.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -43,6 +44,8 @@ def _emit(obj, out: list):
     if obj is None or obj is True or obj is False or isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite float {obj} as JSON")
         out.append(fmt_float(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -268,7 +271,7 @@ def netlist_to_text(nl: Netlist) -> str:
     lines = [f"WIRES {nl.wires}"]
     lines.append("IN " + " ".join(str(w) for w in nl.input_ports))
     lines.append("OUT " + " ".join(str(w) for w in nl.output_ports))
-    for kind, a, b, value, binding in zip(nl.kinds, nl.wire_a, nl.wire_b, nl.values.tolist(), nl.bindings):
+    for kind, a, b, value, binding in zip(nl.kinds, nl.wire_a, nl.wire_b, nl.values, nl.bindings):
         line = f"{kind} {a}" if b < 0 else f"{kind} {a} {b}"
         if DEVICE_KINDS[kind].valued:
             line += " " + fmt_float(value)
@@ -291,6 +294,7 @@ def netlist_from_text(text: str) -> Netlist:
     devices: list = []
     control_map: dict = {}
     active = None
+    seen: set = set()  # header directives read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         args = raw.split()
         if not args:
@@ -311,23 +315,28 @@ def netlist_from_text(text: str) -> Netlist:
                 devices.append((tag, dev_wires, float(args[want]) if spec.valued else None, binding))
             elif tag[0] == "#":
                 continue
-            elif tag == "WIRES":
-                wires = int(args[1])
-            elif tag == "IN":
-                in_ports = tuple(int(a) for a in args[1:])
-            elif tag == "OUT":
-                out_ports = tuple(int(a) for a in args[1:])
-            elif tag == "ACTIVE":
-                active = args[1]
             elif tag == "CTRL":
-                setting = args[1]
-                values = {}
-                for pair in args[2:]:
-                    key, _, val = pair.partition("=")
-                    values[int(key)] = float(val)
+                setting, pairs = args[1], [pair.partition("=") for pair in args[2:]]
+                values = {int(key): float(val) for key, _, val in pairs}
+                if setting in control_map:
+                    raise ValueError(f"repeated CTRL word {setting!r}")
+                if len(values) < len(pairs):
+                    raise ValueError(f"CTRL {setting} sets a device twice")
                 control_map[setting] = values
+            elif tag in seen:
+                raise ValueError(f"repeated {tag} directive")
             else:
-                raise ValueError(f"unknown directive {tag!r}")
+                seen.add(tag)
+                if tag == "WIRES":
+                    wires = int(args[1])
+                elif tag == "IN":
+                    in_ports = tuple(int(a) for a in args[1:])
+                elif tag == "OUT":
+                    out_ports = tuple(int(a) for a in args[1:])
+                elif tag == "ACTIVE":
+                    active = args[1]
+                else:
+                    raise ValueError(f"unknown directive {tag!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if wires is None:

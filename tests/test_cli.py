@@ -512,6 +512,24 @@ def test_exit_code_bad_json(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv,obj",
+    [
+        (["measure", "--kind", "coherent", "--responsivity", "inf"], '{"amps": [[1, 0], [0, 0]]}'),
+        (["decompose", "--method", "svd"], '{"entries": [[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]}'),
+        (["decompose", "--method", "pauli"], '{"entries": [[[1e400, 0], [0, 0]], [[0, 0], [1, 0]]]}'),
+    ],
+    ids=["measure-inf-responsivity", "svd-inf-entry", "pauli-inf-entry"],
+)
+def test_non_finite_results_fail_typed(tmp_path, capsys, argv, obj):
+    # JSON has no inf/nan tokens: the run exits 2 with its error line instead
+    path = tmp_path / "in.json"
+    path.write_text(obj)
+    rc, out, err = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+    assert rc == 2 and out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
 def test_argparse_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "x.json", "--method", "bogus"])

@@ -151,6 +151,41 @@ def test_netlist_indices_are_integers(build, field):
         build()
 
 
+def test_negative_second_wire_is_out_of_range():
+    # -1 marks a single-wire row in wire_b, so it must never be stored for a DC
+    with pytest.raises(ParamError, match="device wire -1 outside 0..1"):
+        Netlist(2, [("DC", (0, -1), 0.5, None)], (0,), (0,))
+    with pytest.raises(ParamError, match="device wire -1 outside 0..1"):
+        netlist_from_text("WIRES 2\nIN 0\nOUT 0\nDC 0 -1 0.5\n")
+
+
+def test_first_faulty_row_reports():
+    rows = [
+        ("PS", (0,), 0.5, None),
+        ("ATT", (0,), 1.5, None),
+        ("PS", (1,), 0.5, None),
+        ("PS", (0,), math.inf, None),
+    ]
+    with pytest.raises(ParamError, match=r"attenuator gain must be in \[0, 1\], got 1.5"):
+        Netlist(2, rows, (0,), (0,))
+
+
+@pytest.mark.parametrize(
+    "wires",
+    [[0, 1], range(2), (np.int64(0), np.int32(1)), np.arange(2)],
+    ids=["list", "range", "numpy-scalars", "numpy-array"],
+)
+def test_wires_are_any_integer_sequence(wires):
+    nl = Netlist(2, [("DC", wires, 0.5, None)], (0,), (0,))
+    assert nl.devices[0].wires == (0, 1) and type(nl.devices[0].wires[0]) is int
+    assert Device("DC", wires, 0.5).wires == (0, 1)
+
+
+def test_valued_rows_store_floats():
+    nl = Netlist(1, [("PS", (0,), 1, None)], (0,), (0,))
+    assert type(nl.devices[0].value) is float and nl.devices[0].value == 1.0
+
+
 def test_attenuator_zero_is_allowed():
     # hard block: used to terminate a wire
     assert Device("ATT", (0,), 0.0).matrix()[0, 0] == 0.0
@@ -317,19 +352,20 @@ def test_controlled_nonunitary_target(rng):
 
 
 def _count_checks(monkeypatch) -> tuple:
-    """Rows per netlist column check, and the kinds of `Device` records built."""
+    """Rows per netlist row check, and the kinds of `Device` records built."""
     passes, built = [], []
-    end_wires, device_new = lowering._end_wires, Device.__new__
+    device_columns, device_new = lowering._device_columns, Device.__new__
 
-    def counted_columns(kinds, wires, values):
-        passes.append(len(kinds))
-        return end_wires(kinds, wires, values)
+    def counted_columns(rows, width):
+        rows = list(rows)
+        passes.append(len(rows))
+        return device_columns(rows, width)
 
     def counted_device(cls, kind, *args):
         built.append(kind)
         return device_new(cls, kind, *args)
 
-    monkeypatch.setattr(lowering, "_end_wires", counted_columns)
+    monkeypatch.setattr(lowering, "_device_columns", counted_columns)
     monkeypatch.setattr(Device, "__new__", counted_device)
     return passes, built
 

@@ -118,6 +118,12 @@ def test_measurement_validation():
         measure_differential(AnbitState([1.0, 0.0]), -1.0)
 
 
+@pytest.mark.parametrize("measure", [measure_coherent, measure_differential])
+def test_measurement_rejects_infinite_responsivity(measure):
+    with pytest.raises(ParamError, match="responsivity must be finite, got inf"):
+        measure(AnbitState([1.0, 0.0]), float("inf"))
+
+
 def test_differential_of_coherent_recovery_commutes(rng):
     # measuring the coherent reconstruction gives the original record
     for _ in range(50):

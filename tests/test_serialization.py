@@ -70,6 +70,13 @@ def test_dumps_rejects_unknown_types():
         dumps({"x": object()})
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_dumps_rejects_non_finite_floats(x):
+    # JSON has no token for them; bare inf/nan would not re-parse
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"value": [1.0, x]})
+
+
 def test_state_round_trip(rng):
     for dt in (None, 0.0, 1.25):
         s = AnbitState(random_state_vec(rng, 3), delta_t=dt)
@@ -346,7 +353,7 @@ def test_netlist_text_round_trip(rng):
 
 
 def _columns(nl) -> tuple:
-    return nl.kinds, nl.wire_a, nl.wire_b, nl.values.tobytes(), nl.bindings
+    return nl.kinds, nl.wire_a, nl.wire_b, nl.values, nl.bindings
 
 
 @settings(max_examples=100, deadline=None)
@@ -396,6 +403,24 @@ def test_netlist_text_parse_errors():
         netlist_from_text("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 1 0.5\n")
     with pytest.raises(ValueError, match="line 4: BS takes 2 fields, got 3"):
         netlist_from_text("WIRES 2\nIN 0 1\nOUT 0 1\nBS 0 1 0.3 @c0\n")
+
+
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        ("WIRES 3\n", "line 5: repeated WIRES directive"),
+        ("IN 1\n", "line 5: repeated IN directive"),
+        ("OUT 1\n", "line 5: repeated OUT directive"),
+        ("ACTIVE * \nACTIVE 1\nCTRL * 0=0.5\n", "line 6: repeated ACTIVE directive"),
+        ("CTRL * 0=0.5\nCTRL * 0=0.7\n", "line 6: repeated CTRL word '\\*'"),
+        ("CTRL * 0=0.5 0=0.7\n", "line 5: CTRL \\* sets a device twice"),
+    ],
+    ids=["wires", "in", "out", "active", "ctrl-word", "ctrl-index"],
+)
+def test_netlist_text_rejects_repeated_directives(tail, message):
+    # a second header line or control entry would otherwise replace the first
+    with pytest.raises(ValueError, match=message):
+        netlist_from_text("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5\n" + tail)
 
 
 def test_netlist_text_skips_comments_and_blanks():

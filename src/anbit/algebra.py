@@ -89,11 +89,6 @@ class AnbitState:
         return float(np.sum(self.amps.real**2 + self.amps.imag**2))
 
     @property
-    def power(self) -> float:
-        """Total power P carried by the state (alias of norm_sq)."""
-        return self.norm_sq
-
-    @property
     def is_null(self) -> bool:
         return bool(np.all(self.amps == 0))
 

@@ -215,8 +215,8 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     # every kind's backward matrix is its transpose, so T_b = T_f^T: one sweep serves both
     report = {
         "reciprocal": all(DEVICE_KINDS[kind].reciprocal for kind in set(nl.kinds)),
-        "fb_symmetric": check_fb_symmetry(nl, tf, tf.T) is FbSymmetry.SYMMETRIC,
-        "s_matrix": matrix_to_obj(scattering_matrix(nl, reciprocal=True, tf=tf)),
+        "fb_symmetric": check_fb_symmetry(tf, tf.T) is FbSymmetry.SYMMETRIC,
+        "s_matrix": matrix_to_obj(scattering_matrix(tf, tf.T)),
     }
     return dumps(report) + "\n"
 
@@ -247,6 +247,8 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
         raise ValueError("sweep spec needs a 'state' field")
     state = state_from_obj(spec["state"])
     steps = _number(spec.get("steps", 100), "steps", int)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     kind = spec.get("kind", "rotation")
     if kind == "rotation":
         rows = emit_trajectory(

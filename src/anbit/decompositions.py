@@ -235,6 +235,15 @@ def pauli_reconstruct(c: PauliCoefficients) -> GateMatrix:
 _U1 = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)
 
 
+def _exp_pair(x0: float, x1: float, what: str) -> tuple[float, float]:
+    """(e^x0, e^x1) as floats; a ParamError naming `what` if one is not finite."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        pair = (float(np.exp(x0)), float(np.exp(x1)))
+    if not np.isfinite(pair).all():
+        raise ParamError(f"{what} overflows its exponential")
+    return pair
+
+
 def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
     """Build g = u e^(iA) e^B and its five-stage unitary/diagonal expansion.
 
@@ -255,6 +264,8 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
     b = np.array(b_matrix, dtype=complex)
     if b.shape != (2, 2):
         raise DimError("b_matrix must be 2x2")
+    if not np.isfinite(b).all():
+        raise ParamError("b_matrix must be finite")
     b_scale = max(float(np.max(np.abs(b))), 1.0)
     if float(np.max(np.abs(b.imag))) > 1e-12 * b_scale:
         raise SymmetryError("b_matrix must be real")
@@ -262,7 +273,7 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
     if abs(br[0, 1] - br[1, 0]) > 1e-12 + 1e-9 * b_scale:
         raise SymmetryError("b_matrix must be symmetric")
 
-    lam1 = (float(np.exp(-a)), float(np.exp(a)))
+    lam1 = _exp_pair(-a, a, f"antisymmetric parameter {a}")
 
     mu, vecs = np.linalg.eigh(0.5 * (br + br.T))  # ascending
     if mu[1] - mu[0] <= 1e-12 * np.linalg.norm(br):
@@ -274,7 +285,7 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
         if v1[int(abs(v1[1]) >= abs(v1[0]))] < 0.0:
             v1 = -v1  # largest-magnitude entry non-negative (ties: the second)
         u2 = np.column_stack([v1, [-v1[1], v1[0]]])
-    lam2 = (float(np.exp(mu_hi)), float(np.exp(mu_lo)))
+    lam2 = _exp_pair(mu_hi, mu_lo, f"b_matrix eigenvalue {max(mu_hi, mu_lo)}")
     u2c = u2.astype(complex)
 
     stages = (

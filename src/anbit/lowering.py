@@ -6,7 +6,8 @@ wires; two wires carry one anbit. A device kind, a key of `DEVICE_KINDS`
 amplifier), fixes its wire count, value domain and local 1x1 or 2x2 matrix.
 A `Netlist` stores its devices as tuple columns, one per field, built from
 (kind, wires, value, binding) rows in one pass that checks each row by its
-kind's rules; `Device` is the row type, checked by the same pass on its one row.
+kind's rules, the only place a row is checked; `Device` is the plain record
+`Netlist.devices` reads the rows back as.
 
 One coefficient function per kind gives its local matrix as Python complex
 numbers. Transfers apply the local matrices to the rows of a block with one
@@ -46,7 +47,6 @@ __all__ = [
     "Device",
     "Netlist",
     "FbSymmetry",
-    "gain_device",
     "lower_unitary_zxz",
     "lower_unitary_zyz_fixed",
     "lower_general_svd",
@@ -112,37 +112,14 @@ DEVICE_KINDS = {
 }
 
 
-class Device(namedtuple("Device", "kind wires value control_binding", defaults=(None, None))):
-    """One device of kind `kind` (a DEVICE_KINDS key) acting on `wires`: a netlist row.
-
-    Checked by the same rules as a netlist's rows, less the wire range a lone
-    device has none of. value is the tunable parameter (phase, coupling angle
-    or gain, stored as a float), None for the fixed splitter; control_binding
-    names the electrical control that sets it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, wires, value=None, control_binding: str | None = None):
-        _, (a,), (b,), (value,), _ = _device_columns(((kind, wires, value, control_binding),), None)
-        return super().__new__(cls, kind, (a, b)[: DEVICE_KINDS[kind].n_wires], value, control_binding)
-
-    def matrix(self, value=None) -> np.ndarray:
-        """Local forward matrix, at `value` in place of the device's own when given."""
-        spec = DEVICE_KINDS[self.kind]
-        coefs = spec.coefs(self.value if value is None else value)
-        return np.array(coefs, dtype=complex).reshape(spec.n_wires, spec.n_wires)
+# one netlist row: value is the tunable parameter (phase, coupling angle or
+# gain), None for the fixed splitter; control_binding names the control that sets it
+Device = namedtuple("Device", "kind wires value control_binding", defaults=(None, None))
 
 
-def _gain_row(wire: int, gain: float, binding: str | None = None) -> tuple:
-    if gain < 0.0:
-        raise ParamError("gain device needs a non-negative value; fold signs into a phase")
-    return ("AMP" if gain > 1.0 else "ATT", (wire,), gain, binding)
-
-
-def gain_device(wire: int, gain: float, binding: str | None = None) -> Device:
-    """Attenuator for gain <= 1 (boundary included), amplifier above."""
-    return Device(*_gain_row(wire, gain, binding))
+def _gain_row(wire: int, gain: float) -> tuple:
+    # attenuator for gain <= 1 (boundary included), amplifier above
+    return ("AMP" if gain > 1.0 else "ATT", (wire,), gain, None)
 
 
 class FbSymmetry(Enum):
@@ -157,14 +134,14 @@ def _integer(v, field: str) -> int:
         raise ParamError(f"{field} {v!r} is not an integer") from None
 
 
-def _device_columns(rows, width: int | None) -> list:
+def _device_columns(rows, width: int) -> list:
     """Kind, first wire, second wire (-1 for one), value and binding columns of rows.
 
     The one rule set for device faults, applied to each (kind, wires, value,
     binding) row in turn; the first faulty row raises. Wires are any iterable
-    of as many distinct integers as the kind needs, in 0..width-1 unless width
-    is None. A valued kind takes a finite real value in its domain, stored as a
-    float; the others take None.
+    of as many distinct integers in 0..width-1 as the kind needs. A valued kind
+    takes a finite real value in its domain, stored as a float; the others take
+    None.
     """
     cols = kinds, wire_a, wire_b, values, bindings = [], [], [], [], []
     for row in rows:
@@ -195,6 +172,8 @@ def _device_columns(rows, width: int | None) -> list:
                 finite = math.isfinite(value)
             except TypeError:
                 raise ParamError(f"{kind} value must be a real number, got {value!r}") from None
+            except OverflowError:  # an integer past the float range, too long to print
+                raise ParamError(f"{kind} value is too large for a float") from None
             if not finite:
                 raise ParamError(f"{kind} value must be finite, got {value}")
             if spec.domain and not spec.in_domain(value):
@@ -202,7 +181,7 @@ def _device_columns(rows, width: int | None) -> list:
             value = float(value)
         elif value is not None:
             raise ParamError(f"{kind} takes no value, got {value}")
-        if width is not None and not (0 <= a < width and (n == 1 or 0 <= b < width)):
+        if not (0 <= a < width and (n == 1 or 0 <= b < width)):
             raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
         kinds.append(kind)
         wire_a.append(a)
@@ -225,8 +204,9 @@ class Netlist:
 
     control_map, when present, maps a control word (or the fallback "*") to
     {device index: parameter value}; active_setting names the key whose values
-    the emitted devices carry. Every device index lies in 0..D-1, and a word
-    without an entry of its own needs the "*" fallback.
+    the emitted devices carry, so each of its entries equals the value of the
+    device it sets. Every device index lies in 0..D-1, and a word without an
+    entry of its own needs the "*" fallback.
     """
 
     def __init__(self, wires: int, devices, input_ports, output_ports,
@@ -248,12 +228,23 @@ class Netlist:
             for idx, value in values.items():
                 if not 0 <= idx <= top:
                     raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
-                if not math.isfinite(value):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:
+                    raise ParamError(
+                        f"control word {setting!r} sets device {idx} to a value too large for a float"
+                    ) from None
+                if not finite:
                     raise ParamError(
                         f"control word {setting!r} sets device {idx} to {value}, which is not finite"
                     )
-        if active_setting is not None:
-            self._overrides(active_setting)
+        # the devices carry the active word's values: both copies must agree
+        for idx, value in self._overrides(active_setting).items():
+            if value != self.values[idx]:
+                raise ParamError(
+                    f"active control word {active_setting!r} sets device {idx} to {value}, "
+                    f"but the device carries {self.values[idx]}"
+                )
 
     @cached_property
     def devices(self) -> tuple:
@@ -316,14 +307,8 @@ class Netlist:
         return self._port_block(setting, self.output_ports, self.input_ports, backward=True)
 
 
-def check_fb_symmetry(nl: Netlist, tf=None, tb=None) -> FbSymmetry:
-    """Symmetric when forward and backward transfer matrices coincide.
-
-    tf and tb, when given, are nl's forward and backward transfers already
-    computed by the caller; each one missing is computed here.
-    """
-    tf = nl.forward_transfer() if tf is None else tf
-    tb = nl.backward_transfer() if tb is None else tb
+def check_fb_symmetry(tf: np.ndarray, tb: np.ndarray) -> FbSymmetry:
+    """Symmetric when a netlist's forward and backward transfers tf and tb coincide."""
     if tf.shape != tb.shape:
         return FbSymmetry.ASYMMETRIC
     scale = max(1.0, float(np.max(np.abs(tf))))
@@ -332,17 +317,13 @@ def check_fb_symmetry(nl: Netlist, tf=None, tb=None) -> FbSymmetry:
     return FbSymmetry.ASYMMETRIC
 
 
-def scattering_matrix(nl: Netlist, reciprocal: bool = True, tf=None) -> np.ndarray:
+def scattering_matrix(tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
     """Port scattering matrix [[0, T_b], [T_f, 0]] of a non-reflective netlist.
 
-    With the reciprocal flag the backward block is taken as T_f^T directly;
-    otherwise it is computed by the reversed-stage traversal, which agrees
-    for the reciprocal device models shipped here. tf, when given, is nl's
-    forward transfer already computed by the caller.
+    tf is the forward transfer [out, in] and tb the backward one [in, out]; for
+    reciprocal devices tb is tf^T, and the matrix is symmetric.
     """
-    tf = nl.forward_transfer() if tf is None else tf
-    tb = tf.T if reciprocal else nl.backward_transfer()
-    n_in, n_out = len(nl.input_ports), len(nl.output_ports)
+    n_out, n_in = tf.shape
     s = np.zeros((n_in + n_out, n_in + n_out), dtype=complex)
     s[:n_in, n_in:] = tb
     s[n_in:, :n_in] = tf
@@ -364,14 +345,6 @@ def _rz_pair(devices: list, w0: int, w1: int, theta: float):
 def _global_phase_pair(devices: list, w0: int, w1: int, delta: float):
     devices.append(("PS", (w0,), delta, None))
     devices.append(("PS", (w1,), delta, None))
-
-
-def _signed_gain(devices: list, wire: int, value: float):
-    # negative diagonal entries are a pi phase shift plus a positive gain
-    if value < 0.0:
-        devices.append(("PS", (wire,), math.pi, None))
-        value = -value
-    devices.append(_gain_row(wire, value))
 
 
 def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1)):
@@ -435,18 +408,16 @@ def lower_general_svd(m: GateMatrix) -> Netlist:
 def lower_mostow(f: MostowFactors) -> Netlist:
     """Five-stage architecture: three unitary blocks around two diagonal stages.
 
-    Application order is the reverse of the factor product order. The first
-    diagonal stage (lam2) may carry negative entries in general, realized as a
-    pi phase shift plus a positive gain; lam1 = (e^-a, e^a) is always positive.
+    Application order is the reverse of the factor product order. Both
+    diagonal stages are exponentials, lam2 = e^(eigenvalues of B) and
+    lam1 = (e^-a, e^a), so each entry is one positive gain device.
     """
     u_last, _, u_mid, _, u_first = f.expanded  # device values come from the scalar fields
     devices: list = []
     _emit_zxz(devices, u_first)
-    for wire, value in enumerate(f.lam2):
-        _signed_gain(devices, wire, value)
+    devices.extend(_gain_row(wire, value) for wire, value in enumerate(f.lam2))
     _emit_zxz(devices, u_mid)
-    for wire, value in enumerate(f.lam1):
-        _signed_gain(devices, wire, value)
+    devices.extend(_gain_row(wire, value) for wire, value in enumerate(f.lam1))
     _emit_zxz(devices, u_last)
     return Netlist(2, devices, (0, 1), (0, 1))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AnbitState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SinkNode, SourceNode
-from .gates import GateMatrix, RotationSpec
+from .gates import GateMatrix
 from .lowering import DEVICE_KINDS, Netlist
 from .measurement import MeasurementRecord
 
@@ -26,7 +26,6 @@ __all__ = [
     "state_from_obj",
     "gate_to_obj",
     "gate_from_obj",
-    "rotation_spec_from_obj",
     "record_to_obj",
     "circuit_to_obj",
     "circuit_from_obj",
@@ -157,16 +156,6 @@ def gate_from_obj(obj) -> GateMatrix:
     if "dim" in obj and _number(obj["dim"], "gate dim", int) != len(entries):
         raise ValueError(f"gate dim {obj['dim']} != {len(entries)} rows")
     return GateMatrix(entries)
-
-
-def rotation_spec_from_obj(obj) -> RotationSpec:
-    try:
-        axis = tuple(float(v) for v in obj["axis"])
-        angle = float(obj["angle"])
-        phase = float(obj.get("global_phase", 0.0))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"rotation spec: {exc}") from exc
-    return RotationSpec(axis, angle, phase)
 
 
 def matrix_to_obj(m: np.ndarray) -> list:

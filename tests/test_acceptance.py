@@ -353,14 +353,17 @@ def test_fan_in_fan_out_laws():
 def test_reciprocity_and_direction_symmetry():
     rng = np.random.default_rng(7)
 
+    def fb_symmetry(nl):
+        return check_fb_symmetry(nl.forward_transfer(), nl.backward_transfer())
+
     # fan-in netlist: symmetric exactly when both gains agree
     for _ in range(50):
         n = rng.uniform(0.2, 1.5)
-        assert check_fb_symmetry(lower_fanin(FanInGate(n, n))) is FbSymmetry.SYMMETRIC
+        assert fb_symmetry(lower_fanin(FanInGate(n, n))) is FbSymmetry.SYMMETRIC
         m = rng.uniform(0.2, 1.5)
         if abs(n - m) < 1e-3:
             continue
-        assert check_fb_symmetry(lower_fanin(FanInGate(n, m))) is FbSymmetry.ASYMMETRIC
+        assert fb_symmetry(lower_fanin(FanInGate(n, m))) is FbSymmetry.ASYMMETRIC
 
     # unequal outer phase stages flip the direction behavior
     checked = 0
@@ -371,10 +374,11 @@ def test_reciprocity_and_direction_symmetry():
         gap = min(gap, 2.0 * np.pi - gap)
         if gap < 1e-3 or np.sin(0.5 * f.alpha2) < 1e-3:
             continue
-        assert check_fb_symmetry(lower_unitary_zxz(u)) is FbSymmetry.ASYMMETRIC
+        assert fb_symmetry(lower_unitary_zxz(u)) is FbSymmetry.ASYMMETRIC
         checked += 1
 
-    # reciprocal scattering matrices are symmetric
+    # reciprocal scattering matrices are symmetric; the backward block comes
+    # from the reversed sweep, so the symmetry is measured, not built in
     for maker in (
         lambda: lower_unitary_zxz(GateMatrix(random_unitary(rng))),
         lambda: lower_unitary_zyz_fixed(GateMatrix(random_unitary(rng))),
@@ -383,7 +387,8 @@ def test_reciprocity_and_direction_symmetry():
         lambda: lower_fanin(FanInGate(0.9, 0.4)),
     ):
         for _ in range(10):
-            s = scattering_matrix(maker(), reciprocal=True)
+            nl = maker()
+            s = scattering_matrix(nl.forward_transfer(), nl.backward_transfer())
             assert np.max(np.abs(s - s.T)) < 1e-12
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import anbit
-from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, pauli
+from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, mostow_synthesize, pauli
 from anbit.cli import emit_trajectory, main
 from anbit.errors import DegenerateStateError
 from anbit.serialization import (
@@ -163,6 +163,52 @@ def test_decompose_mostow_synth(tmp_path, capsys):
         "u2_dag",
     ]
     assert obj["reconstruction_error"] < 1e-12
+
+
+_MOSTOW_B = [[0.25, 0.1], [0.1, -0.3]]
+
+
+def test_lower_mostow_then_analyze(tmp_path, capsys, rng):
+    u = GateMatrix(random_unitary(rng))
+    spec = {"unitary": gate_to_obj(u), "antisymmetric_param": 0.4, "symmetric": _MOSTOW_B}
+    rc, out, _ = run_cli(capsys, ["lower", write_json(tmp_path / "m.json", spec), "--arch", "mostow"])
+    assert rc == 0
+    net = tmp_path / "m.netlist"
+    net.write_text(out)
+    rc, out, _ = run_cli(capsys, ["analyze", str(net)])
+    assert rc == 0
+    s = np.array([[complex(*pair) for pair in row] for row in json.loads(out)["s_matrix"]])
+    want = mostow_synthesize(u, 0.4, np.array(_MOSTOW_B)).target().entries
+    assert np.max(np.abs(s[2:, :2] - want)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv", [["lower", "--arch", "mostow"], ["decompose", "--method", "mostow-synth"]], ids=["lower", "decompose"]
+)
+@pytest.mark.parametrize(
+    "fields,error,message",
+    [
+        ({"unitary": None}, "ValueError", None),
+        ({"symmetric": None}, "ValueError", None),
+        ({"symmetric": [[float("nan"), 0.1], [0.1, -0.3]]}, "ParamError", "b_matrix must be finite"),
+        ({"symmetric": [[0.25, float("inf")], [float("inf"), -0.3]]}, "ParamError", "b_matrix must be finite"),
+        ({"antisymmetric_param": 800.0}, "ParamError", "antisymmetric parameter 800.0 overflows its exponential"),
+        ({"symmetric": [[800.0, 0.0], [0.0, -0.3]]}, "ParamError", "b_matrix eigenvalue 800.0 overflows its exponential"),
+    ],
+    ids=["no-unitary", "no-symmetric", "b-nan", "b-infinity", "a-overflow", "b-eigenvalue-overflow"],
+)
+def test_mostow_rejects_malformed_spec(tmp_path, capsys, argv, fields, error, message):
+    spec = {"unitary": gate_to_obj(identity_gate()), "antisymmetric_param": 0.4, "symmetric": _MOSTOW_B}
+    spec.update(fields)
+    spec = {key: value for key, value in spec.items() if value is not None}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))  # NaN and Infinity literals, which json.loads accepts
+    rc, out, err = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == error
+    if message is not None:
+        assert payload["message"] == message
 
 
 def test_decompose_euler_rejects_nonunitary(tmp_path, capsys):
@@ -464,6 +510,20 @@ def test_trajectory_rejects_non_qubit_state(tmp_path, capsys, sweep):
     rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
     assert rc == 4 and out == ""
     assert json.loads(err)["error"] == "DimError"
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+@pytest.mark.parametrize(
+    "sweep",
+    [{"kind": "rotation", "axis": [0.0, 0.0, 1.0]}, {"kind": "diagonal", "d1": 1.0, "d2": 0.5}],
+    ids=["rotation", "diagonal"],
+)
+def test_trajectory_steps_must_be_positive(tmp_path, capsys, sweep, steps):
+    spec = dict(sweep, steps=steps, state=_GOOD_STATE)
+    rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+    assert rc == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and payload["message"] == "steps must be >= 1"
 
 
 def test_emit_trajectory_null_state():

@@ -23,7 +23,7 @@ from anbit import (
     svd2,
     svd_reconstruct,
 )
-from anbit.errors import ClassError, SymmetryError
+from anbit.errors import ClassError, ParamError, SymmetryError
 
 from conftest import random_matrix, random_unitary
 
@@ -240,6 +240,24 @@ def test_mostow_validation():
         mostow_synthesize(identity_gate(), 0.1, np.array([[0.1, 1.0], [0.0, 0.2]]))
     with pytest.raises(SymmetryError):
         mostow_synthesize(identity_gate(), 0.1, np.array([[0.1, 1j], [-1j, 0.2]]))
+
+
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        (0.1, [[np.nan, 0.0], [0.0, 0.2]], "b_matrix must be finite"),
+        (0.1, [[0.1, np.inf], [np.inf, 0.2]], "b_matrix must be finite"),
+        (800.0, B_EXAMPLE, "antisymmetric parameter 800.0 overflows its exponential"),
+        (-800.0, B_EXAMPLE, "antisymmetric parameter -800.0 overflows its exponential"),
+        (0.1, [[800.0, 0.0], [0.0, 0.2]], "b_matrix eigenvalue 800.0 overflows its exponential"),
+    ],
+    ids=["b-nan", "b-inf", "a-overflow", "a-negative-overflow", "b-eigenvalue-overflow"],
+)
+def test_mostow_rejects_non_finite_factors(a, b, message):
+    # a factor of inf or nan would only fail later, as a device value or in the JSON writer
+    with pytest.raises(ParamError) as exc:
+        mostow_synthesize(identity_gate(), a, np.array(b))
+    assert str(exc.value) == message
 
 
 # --- one contract for every decomposition and lowering -----------------------

@@ -19,7 +19,6 @@ from anbit import (
     check_fb_symmetry,
     controlled,
     euler_zxz,
-    gain_device,
     identity_gate,
     lower_circuit,
     lower_controlled_electrooptic,
@@ -42,49 +41,49 @@ from anbit.serialization import netlist_from_text
 from conftest import random_matrix, random_state_vec, random_unitary
 
 
+def _one_device(kind, wires, value=None):
+    """Forward transfer of a netlist holding one device, its wires the ports."""
+    return Netlist(len(wires), [(kind, wires, value, None)], wires, wires).forward_transfer()
+
+
 def test_phase_shifter_matrix():
-    d = Device("PS", (0,), np.pi / 2.0)
-    assert np.allclose(d.matrix(), [[1j]], atol=1e-15)
-    assert np.allclose(d.matrix(0.0), [[1.0]], atol=1e-15)
+    assert np.allclose(_one_device("PS", (0,), np.pi / 2.0), [[1j]], atol=1e-15)
+    assert np.allclose(_one_device("PS", (0,), 0.0), [[1.0]], atol=1e-15)
 
 
 def test_coupler_matrix():
-    d = Device("DC", (0, 1), np.pi)
-    assert np.allclose(d.matrix(), [[0, -1j], [-1j, 0]], atol=1e-15)
+    assert np.allclose(_one_device("DC", (0, 1), np.pi), [[0, -1j], [-1j, 0]], atol=1e-15)
     a = 0.7
-    d = Device("DC", (0, 1), a)
     c, s = np.cos(a / 2.0), np.sin(a / 2.0)
-    assert np.allclose(d.matrix(), [[c, -1j * s], [-1j * s, c]], atol=1e-15)
+    assert np.allclose(_one_device("DC", (0, 1), a), [[c, -1j * s], [-1j * s, c]], atol=1e-15)
     # symmetric device: the backward transfer equals the forward one
-    nl = Netlist(2, (d,), (0, 1), (0, 1))
+    nl = Netlist(2, [("DC", (0, 1), a, None)], (0, 1), (0, 1))
     assert np.allclose(nl.backward_transfer(), nl.forward_transfer(), atol=1e-15)
 
 
 def test_splitter_matrix():
-    d = Device("BS", (0, 1))
     want = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2.0)
-    assert np.allclose(d.matrix(), want, atol=1e-15)
-    assert d.value is None
+    assert np.allclose(_one_device("BS", (0, 1)), want, atol=1e-15)
+    assert Netlist(2, [("BS", (0, 1), None, None)], (0,), (0,)).devices[0].value is None
     with pytest.raises(ParamError):
-        Device("BS", (0, 1), 0.3)
+        Netlist(2, [("BS", (0, 1), 0.3, None)], (0,), (0,))
 
 
 def test_gain_devices():
-    att = Device("ATT", (0,), 0.5)
-    assert np.allclose(att.matrix(), [[0.5]])
-    amp = Device("AMP", (0,), 2.0)
-    assert np.allclose(amp.matrix(), [[2.0]])
-    with pytest.raises(ParamError):
-        Device("ATT", (0,), 1.5)
-    with pytest.raises(ParamError):
-        Device("ATT", (0,), -0.1)
-    with pytest.raises(ParamError):
-        Device("AMP", (0,), 0.9)
-    assert gain_device(0, 0.3).kind == "ATT"
-    assert gain_device(0, 3.0).kind == "AMP"
-    assert gain_device(0, 1.0).kind == "ATT"  # boundary stays passive
-    with pytest.raises(ParamError):
-        gain_device(0, -2.0)
+    assert np.allclose(_one_device("ATT", (0,), 0.5), [[0.5]])
+    assert np.allclose(_one_device("AMP", (0,), 2.0), [[2.0]])
+    for kind, gain in (("ATT", 1.5), ("ATT", -0.1), ("AMP", 0.9)):
+        with pytest.raises(ParamError):
+            Netlist(1, [(kind, (0,), gain, None)], (0,), (0,))
+    # the lowering picks each gain's kind: singular value 3 is an amplifier,
+    # 0.3 an attenuator, and the boundary 1 stays passive
+    for d2 in (0.3, 1.0):
+        nl = lower_general_svd(GateMatrix(np.diag([3.0, d2])))
+        gains = [(d.kind, d.value) for d in nl.devices if d.kind in ("ATT", "AMP")]
+        assert gains == [("AMP", 3.0), ("ATT", d2)]
+    # a negative gain row is an attenuator outside its domain
+    with pytest.raises(ParamError, match=r"attenuator gain must be in \[0, 1\], got -2.0"):
+        Netlist(1, [lowering._gain_row(0, -2.0)], (0,), (0,))
 
 
 @pytest.mark.parametrize(
@@ -94,10 +93,10 @@ def test_gain_devices():
 )
 def test_device_rejects_untyped_inputs(wires, value):
     with pytest.raises(ParamError):
-        Device("PS", wires, value)
+        Netlist(1, [("PS", wires, value, None)], (0,), (0,))
 
 
-# (Device arguments, the same device as a netlist text line, message); the
+# (device row less its binding, the same device as a netlist text line, message); the
 # text format has positional fields, so a wrong wire count, a value on BS or a
 # missing value is a field-count error there (test_netlist_text_parse_errors)
 _DEVICE_FAULTS = {
@@ -117,13 +116,11 @@ _DEVICE_FAULTS = {
 
 @pytest.mark.parametrize("args,line,message", _DEVICE_FAULTS.values(), ids=_DEVICE_FAULTS)
 def test_device_faults_share_one_rule_set(args, line, message):
-    # a Device record, a plain row through the netlist's column check and the
-    # text parser report each fault with the same message
-    with pytest.raises(ParamError) as by_device:
-        Device(*args)
+    # a netlist row, checked by the netlist's one row loop, and the text parser
+    # report each fault with the same message
     with pytest.raises(ParamError) as by_row:
         Netlist(2, [(*args, None)], (0,), (0,))
-    assert str(by_device.value) == str(by_row.value) == message
+    assert str(by_row.value) == message
     if line is not None:
         with pytest.raises(ParamError) as by_text:
             netlist_from_text(f"WIRES 2\nIN 0\nOUT 0\n{line}\n")
@@ -178,7 +175,6 @@ def test_first_faulty_row_reports():
 def test_wires_are_any_integer_sequence(wires):
     nl = Netlist(2, [("DC", wires, 0.5, None)], (0,), (0,))
     assert nl.devices[0].wires == (0, 1) and type(nl.devices[0].wires[0]) is int
-    assert Device("DC", wires, 0.5).wires == (0, 1)
 
 
 def test_valued_rows_store_floats():
@@ -188,7 +184,7 @@ def test_valued_rows_store_floats():
 
 def test_attenuator_zero_is_allowed():
     # hard block: used to terminate a wire
-    assert Device("ATT", (0,), 0.0).matrix()[0, 0] == 0.0
+    assert _one_device("ATT", (0,), 0.0)[0, 0] == 0.0
 
 
 def test_zxz_device_count_and_transfer(rng):
@@ -265,26 +261,26 @@ def test_singular_gate_lowers_with_zero_attenuator():
     assert min(gains) == pytest.approx(0.0, abs=1e-14)
 
 
+def _fb_symmetry(nl):
+    return check_fb_symmetry(nl.forward_transfer(), nl.backward_transfer())
+
+
 def test_fb_symmetry_fanin():
-    assert check_fb_symmetry(lower_fanin(FanInGate(1.0, 1.0))) is FbSymmetry.SYMMETRIC
-    assert (
-        check_fb_symmetry(lower_fanin(FanInGate(0.7, 0.7))) is FbSymmetry.SYMMETRIC
-    )
-    assert (
-        check_fb_symmetry(lower_fanin(FanInGate(1.0, 0.5))) is FbSymmetry.ASYMMETRIC
-    )
+    assert _fb_symmetry(lower_fanin(FanInGate(1.0, 1.0))) is FbSymmetry.SYMMETRIC
+    assert _fb_symmetry(lower_fanin(FanInGate(0.7, 0.7))) is FbSymmetry.SYMMETRIC
+    assert _fb_symmetry(lower_fanin(FanInGate(1.0, 0.5))) is FbSymmetry.ASYMMETRIC
 
 
 def test_fb_symmetry_zxz():
     # equal outer angles: symmetric
-    assert check_fb_symmetry(lower_unitary_zxz(pauli(1))) is FbSymmetry.SYMMETRIC
+    assert _fb_symmetry(lower_unitary_zxz(pauli(1))) is FbSymmetry.SYMMETRIC
     f = euler_zxz(pauli(1))
     assert f.alpha1 == f.alpha3
     # generic gate with distinct outer angles: asymmetric
     h = GateMatrix(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0))
     fh = euler_zxz(h)
     assert abs(fh.alpha1 - fh.alpha3) > 1e-3
-    assert check_fb_symmetry(lower_unitary_zxz(h)) is FbSymmetry.ASYMMETRIC
+    assert _fb_symmetry(lower_unitary_zxz(h)) is FbSymmetry.ASYMMETRIC
 
 
 def test_fb_symmetry_enum_values():
@@ -299,7 +295,8 @@ def test_scattering_matrix_reciprocal(rng):
         lambda: lower_fanin(FanInGate(1.0, 0.5)),
     ):
         nl = maker()
-        s = scattering_matrix(nl, reciprocal=True)
+        tf = nl.forward_transfer()
+        s = scattering_matrix(tf, tf.T)
         n = len(nl.input_ports)
         assert s.shape == (2 * n, 2 * n)
         assert np.max(np.abs(s - s.T)) < 1e-12
@@ -311,7 +308,7 @@ def test_scattering_matrix_reciprocal(rng):
 
 def test_scattering_matrix_nonreciprocal_uses_backward():
     nl = lower_fanin(FanInGate(1.0, 0.5))
-    s = scattering_matrix(nl, reciprocal=False)
+    s = scattering_matrix(nl.forward_transfer(), nl.backward_transfer())
     n = len(nl.input_ports)
     assert np.allclose(s[:n, n:], nl.backward_transfer(), atol=1e-14)
 
@@ -351,35 +348,30 @@ def test_controlled_nonunitary_target(rng):
     assert np.max(np.abs(nl.forward_transfer() - g.entries)) < 1e-11
 
 
-def _count_checks(monkeypatch) -> tuple:
-    """Rows per netlist row check, and the kinds of `Device` records built."""
-    passes, built = [], []
-    device_columns, device_new = lowering._device_columns, Device.__new__
+def _count_checks(monkeypatch) -> list:
+    """Rows per netlist row check."""
+    passes = []
+    device_columns = lowering._device_columns
 
     def counted_columns(rows, width):
         rows = list(rows)
         passes.append(len(rows))
         return device_columns(rows, width)
 
-    def counted_device(cls, kind, *args):
-        built.append(kind)
-        return device_new(cls, kind, *args)
-
     monkeypatch.setattr(lowering, "_device_columns", counted_columns)
-    monkeypatch.setattr(Device, "__new__", counted_device)
-    return passes, built
+    return passes
 
 
 @pytest.mark.parametrize("word", [0, 1])
 @pytest.mark.parametrize("unitary", [True, False], ids=["zxz", "svd"])
 def test_lower_controlled_builds_each_device_at_most_twice(word, unitary, rng, monkeypatch):
     gate = pauli(1) if unitary else GateMatrix(random_matrix(rng))
-    passes, built = _count_checks(monkeypatch)
+    passes = _count_checks(monkeypatch)
     nl = lower_controlled_electrooptic(controlled(gate, 1), np.eye(2)[word])
-    # a target and an identity template are emitted as plain rows, the active
-    # one bound as it is built; only the netlist's rows are checked, in one
-    # column pass, and no `Device` record is built
-    assert passes == [len(nl.devices)] and built == []
+    # a target and an identity template are emitted as plain rows, then the
+    # active one's rows are renumbered c0..cN; only those rows are checked,
+    # once, by the netlist's row loop
+    assert passes == [len(nl.devices)]
     assert [dev.control_binding for dev in nl.devices] == [f"c{i}" for i in range(len(nl.devices))]
     want = gate.entries if word else np.eye(2)
     assert np.max(np.abs(nl.forward_transfer() - want)) < 1e-11
@@ -408,9 +400,36 @@ def test_netlist_wire_bounds():
         Netlist(2, (), (0, 1), ())
     # a two-wire device needs two distinct wires
     with pytest.raises(ParamError):
-        Device("DC", (0, 0), 0.7)
+        Netlist(2, [("DC", (0, 0), 0.7, None)], (0,), (0,))
     with pytest.raises(ParamError):
-        Device("PS", (0, 1), 0.5)
+        Netlist(2, [("PS", (0, 1), 0.5, None)], (0,), (0,))
+
+
+def test_huge_integer_device_value_is_a_param_error():
+    # an integer past the float range fails the finiteness check as a typed error
+    with pytest.raises(ParamError) as exc:
+        Netlist(1, [("PS", (0,), 10**400, None)], (0,), (0,))
+    assert str(exc.value) == "PS value is too large for a float"
+
+
+def test_huge_integer_control_value_is_a_param_error():
+    with pytest.raises(ParamError) as exc:
+        Netlist(1, [("PS", (0,), 0.5, "c0")], (0,), (0,), control_map={"1": {0: 0.5}, "*": {0: 10**400}})
+    assert str(exc.value) == "control word '*' sets device 0 to a value too large for a float"
+
+
+def test_active_word_agrees_with_device_values():
+    # the devices carry the active word's values; a second, different copy is rejected
+    text = "WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nACTIVE 1\nCTRL 1 0=1.5\nCTRL * 0=0\n"
+    with pytest.raises(ParamError) as exc:
+        netlist_from_text(text)
+    assert str(exc.value) == "active control word '1' sets device 0 to 1.5, but the device carries 0.5"
+    # a word without an entry of its own is held to the "*" fallback
+    ps = [("PS", (0,), 0.5, "c0")]
+    with pytest.raises(ParamError, match="active control word '0' sets device 0 to 0.0, but"):
+        Netlist(1, ps, (0,), (0,), control_map={"1": {0: 0.5}, "*": {0: 0.0}}, active_setting="0")
+    nl = netlist_from_text(text.replace("0=1.5", "0=0.5"))
+    assert np.array_equal(nl.forward_transfer(), nl.forward_transfer("1"))
 
 
 def test_control_map_bounds():
@@ -480,7 +499,8 @@ def _dense_product(nl, setting, backward):
     full = np.eye(nl.wires, dtype=complex)
     for idx in order:
         dev = nl.devices[idx]
-        local = dev.matrix(values.get(idx))
+        n = len(dev.wires)
+        local = np.array(DEVICE_KINDS[dev.kind].coefs(values.get(idx, dev.value))).reshape(n, n)
         step = np.eye(nl.wires, dtype=complex)
         step[np.ix_(dev.wires, dev.wires)] = local.T if backward else local
         full = step @ full
@@ -636,11 +656,11 @@ def _ladder(rng, n_rungs: int, unitary: bool) -> CircuitGraph:
 @pytest.mark.parametrize("arch", ["zxz", "svd", "pauli"])
 def test_lower_circuit_builds_each_device_once(arch, rng, monkeypatch):
     graph = _ladder(rng, 10, unitary=arch == "zxz")  # 20 gates
-    passes, built = _count_checks(monkeypatch)
+    passes = _count_checks(monkeypatch)
     nl = lower_circuit(graph, arch)
-    # every device is emitted once as a plain row and checked once, in the
-    # netlist's one column pass; no `Device` record is built
-    assert passes == [len(nl.devices)] and built == []
+    # every device is emitted once as a plain row and checked once, by the
+    # netlist's row loop
+    assert passes == [len(nl.devices)]
     # every gate, fan-in and fan-out sits on the right wires: the transfer matches solve
     psi = AnbitState(random_state_vec(rng))
     res = solve(graph, {"s": psi})

@@ -35,7 +35,6 @@ from anbit.serialization import (
     netlist_from_text,
     netlist_to_text,
     record_to_obj,
-    rotation_spec_from_obj,
     state_from_obj,
     state_to_obj,
 )
@@ -207,18 +206,6 @@ def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
         assert repr(gate) == f"GateMatrix(dim=2, class={cls.value})"
         assert len(calls) == 1
         calls.clear()
-
-
-def test_rotation_spec_from_obj():
-    spec = rotation_spec_from_obj(
-        {"axis": [0.0, 0.0, 1.0], "angle": 0.5, "global_phase": 0.25}
-    )
-    assert spec.axis == (0.0, 0.0, 1.0)
-    assert spec.angle == 0.5
-    assert spec.global_phase == 0.25
-    # global_phase defaults to zero
-    spec = rotation_spec_from_obj({"axis": [1.0, 0.0, 0.0], "angle": 1.0})
-    assert spec.global_phase == 0.0
 
 
 def test_record_to_obj_phase_presence():

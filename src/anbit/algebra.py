@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, DimError, ModeError, ParamError
+from .errors import DegenerateStateError, DimError, ModeError, ParamError, _integer
 
 __all__ = [
     "ATOL",
@@ -53,8 +53,9 @@ def values_close(x, y, atol: float = ATOL, rtol: float = RTOL) -> bool:
     return bool(np.all(np.abs(x - y) <= bound))
 
 
-def _frozen_vector(amps) -> np.ndarray:
-    a = np.array(amps, dtype=complex)
+def _frozen(values) -> np.ndarray:
+    """A read-only complex copy: the storage of every state and gate."""
+    a = np.array(values, dtype=complex)
     a.setflags(write=False)
     return a
 
@@ -72,7 +73,7 @@ class AnbitState:
     delta_t: float | None = None
 
     def __post_init__(self):
-        a = _frozen_vector(self.amps)
+        a = _frozen(self.amps)
         if a.ndim != 1 or a.size == 0:
             raise DimError("amplitudes must form a non-empty 1-D vector")
         object.__setattr__(self, "amps", a)
@@ -98,6 +99,7 @@ class AnbitState:
 
 def null_state(dim: int = 2, delta_t: float | None = None) -> AnbitState:
     """The additive identity of Cartesian composition."""
+    dim = _integer(dim, "dim")
     if dim < 1:
         raise DimError("dim must be >= 1")
     return AnbitState(np.zeros(dim, dtype=complex), delta_t)
@@ -128,9 +130,9 @@ class CompositeState:
     def __post_init__(self):
         if self.mode not in (TENSOR, CARTESIAN):
             raise ModeError(f"unknown composition mode {self.mode!r}")
-        flat = _frozen_vector(self.flat)
+        flat = _frozen(self.flat)
         object.__setattr__(self, "flat", flat)
-        dims = tuple(int(d) for d in self.part_dims)
+        dims = tuple(_integer(d, "part dim") for d in self.part_dims)
         if not dims or any(d < 1 for d in dims):
             raise DimError("part_dims must be positive")
         object.__setattr__(self, "part_dims", dims)

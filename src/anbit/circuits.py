@@ -163,8 +163,6 @@ def two_anbit_loop(
     n2=1.0,
     n3=1.0,
     n4=1.0,
-    m1_param=1.0,
-    m2_param=1.0,
     m3=1.0,
     m4=1.0,
 ) -> tuple[GateMatrix, GateMatrix, GateMatrix, GateMatrix]:
@@ -175,15 +173,13 @@ def two_anbit_loop(
       A2 = n1 n2 n3 m4 (I - k M1 M2)^(-1) M1 M2
       B1 = n1 n2 m3 n4 (I - k M2 M1)^(-1) M2 M1
       B2 = n2 n4 (I - k M2 M1)^(-1) M2
-    m1_param/m2_param are the fan-in difference weights; they only scale
-    garbage ports and never enter the four operators.
+    The fan-in difference weights only scale garbage ports, so they are not
+    parameters here.
     """
     if m1.dim != m2.dim:
         raise DimError("loop gates must share a dimension")
     n1 = _nonzero_complex(n1, "n1")
     n2 = _nonzero_complex(n2, "n2")
-    _nonzero_complex(m1_param, "m1_param")
-    _nonzero_complex(m2_param, "m2_param")
     n3 = _positive_real(n3, "n3")
     n4 = _positive_real(n4, "n4")
     m3 = _positive_real(m3, "m3")

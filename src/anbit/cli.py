@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from operator import index
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from .decompositions import (
     svd2,
     svd_reconstruct,
 )
-from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError
+from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError, _integer
 from .gates import RotationSpec, rotation_matrix
 from .lowering import (
     DEVICE_KINDS,
-    FbSymmetry,
     check_fb_symmetry,
     lower_circuit,
     lower_fanin,
@@ -97,7 +97,7 @@ def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phas
     over [start, end] and returns rows (step, radius, theta, phi). Unitary
     sweeps keep the radius constant.
     """
-    steps = int(steps)
+    steps = _integer(steps, "steps")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     axis, phase = tuple(axis), float(global_phase)
@@ -128,22 +128,13 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     return dumps(out) + "\n"
 
 
-def _euler_factor_objs(f) -> list:
-    return [
-        {"name": "delta", "value": f.delta},
-        {"name": "alpha1", "value": f.alpha1},
-        {"name": "alpha2", "value": f.alpha2},
-        {"name": "alpha3", "value": f.alpha3},
-    ]
-
-
 def _cmd_decompose(args: argparse.Namespace) -> str:
     obj = _load_json(args.target)
     method = args.method
     if method in ("euler-zxz", "euler-zyz"):
         gate = gate_from_obj(obj)
         f = euler_zxz(gate) if method == "euler-zxz" else euler_zyz(gate)
-        factors = _euler_factor_objs(f)
+        factors = [{"name": k, "value": getattr(f, k)} for k in ("delta", "alpha1", "alpha2", "alpha3")]
         err = _fro(euler_reconstruct(f).entries, gate.entries)
     elif method == "svd":
         gate = gate_from_obj(obj)
@@ -157,11 +148,9 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
         err = _fro(svd_reconstruct(f).entries, gate.entries)
     elif method == "pauli":
         gate = gate_from_obj(obj)
-        c = pauli_decompose(gate)
-        factors = [
-            {"name": f"alpha{k}", "value": [c.alpha[k].real, c.alpha[k].imag]} for k in range(4)
-        ]
-        err = _fro(pauli_reconstruct(c).entries, gate.entries)
+        alpha = pauli_decompose(gate)
+        factors = [{"name": f"alpha{k}", "value": [a.real, a.imag]} for k, a in enumerate(alpha)]
+        err = _fro(pauli_reconstruct(alpha).entries, gate.entries)
     else:  # mostow-synth
         f = _mostow_from_obj(obj)
         stage_names = ("u_u1", "lam1", "u1_dag_u2", "lam2", "u2_dag")
@@ -215,7 +204,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     # every kind's backward matrix is its transpose, so T_b = T_f^T: one sweep serves both
     report = {
         "reciprocal": all(DEVICE_KINDS[kind].reciprocal for kind in set(nl.kinds)),
-        "fb_symmetric": check_fb_symmetry(tf, tf.T) is FbSymmetry.SYMMETRIC,
+        "fb_symmetric": check_fb_symmetry(tf, tf.T),
         "s_matrix": matrix_to_obj(scattering_matrix(tf, tf.T)),
     }
     return dumps(report) + "\n"
@@ -246,7 +235,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
     if not isinstance(spec, dict) or "state" not in spec:
         raise ValueError("sweep spec needs a 'state' field")
     state = state_from_obj(spec["state"])
-    steps = _number(spec.get("steps", 100), "steps", int)
+    steps = _number(spec.get("steps", 100), "steps", index)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     kind = spec.get("kind", "rotation")
@@ -327,7 +316,9 @@ def main(argv=None) -> int:
     """Parse argv (default sys.argv[1:]), run the subcommand; returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
+        # a non-finite result is reported by its one error line, not by numpy warnings
+        with np.errstate(all="ignore"):
+            text = args.handler(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -8,6 +8,7 @@ a real symmetric exponent (eigensolved by LAPACK ``np.linalg.eigh``, ``dsyevd``)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .gates import (
     GateClass,
     GateMatrix,
     RotationSpec,
-    classify,
     pauli,
     rotation_matrix,
 )
@@ -28,7 +28,6 @@ from .gates import (
 __all__ = [
     "EulerFactors",
     "SvdFactors",
-    "PauliCoefficients",
     "MostowFactors",
     "euler_zxz",
     "euler_zyz",
@@ -68,13 +67,6 @@ class SvdFactors:
     u1: GateMatrix
 
 
-@dataclass(frozen=True)
-class PauliCoefficients:
-    """Coefficients alpha_k of m = sum_k alpha_k sigma_k."""
-
-    alpha: tuple[complex, complex, complex, complex]
-
-
 @dataclass(frozen=True, eq=False)
 class MostowFactors:
     """Synthesis data for g = u . e^(iA) . e^B with A antisymmetric, B symmetric.
@@ -85,9 +77,7 @@ class MostowFactors:
 
     u: GateMatrix
     a: float
-    b_matrix: np.ndarray
     expanded: tuple[GateMatrix, GateMatrix, GateMatrix, GateMatrix, GateMatrix]
-    u1: GateMatrix
     u2: GateMatrix
     lam1: tuple[float, float]
     lam2: tuple[float, float]
@@ -114,7 +104,7 @@ def _wrap_2pi(x: float) -> tuple[float, int]:
 def _euler_angles(u: GateMatrix, middle: str) -> EulerFactors:
     if u.dim != 2:
         raise DimError("Euler factorization is defined for dim 2")
-    if classify(u) is not GateClass.UNITARY:
+    if u.gate_class is not GateClass.UNITARY:
         raise ClassError("Euler factorization needs a unitary gate")
     e = u.entries
     det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
@@ -204,8 +194,8 @@ def svd_reconstruct(f: SvdFactors) -> GateMatrix:
     return GateMatrix(f.u2.entries @ d @ f.u1.entries)
 
 
-def pauli_decompose(m: GateMatrix) -> PauliCoefficients:
-    """Coefficients of the Pauli expansion, exact in closed form.
+def pauli_decompose(m: GateMatrix) -> tuple[complex, complex, complex, complex]:
+    """Coefficients (alpha0, ..., alpha3) of m = sum_k alpha_k sigma_k, exact in closed form.
 
     alpha0 = (m11 + m22)/2, alpha1 = (m12 + m21)/2,
     alpha2 = i (m12 - m21)/2, alpha3 = (m11 - m22)/2.
@@ -213,20 +203,19 @@ def pauli_decompose(m: GateMatrix) -> PauliCoefficients:
     if m.dim != 2:
         raise DimError("Pauli expansion is defined for dim 2")
     e = m.entries
-    return PauliCoefficients(
-        (
-            complex(0.5 * (e[0, 0] + e[1, 1])),
-            complex(0.5 * (e[0, 1] + e[1, 0])),
-            complex(0.5j * (e[0, 1] - e[1, 0])),
-            complex(0.5 * (e[0, 0] - e[1, 1])),
-        )
+    return (
+        complex(0.5 * (e[0, 0] + e[1, 1])),
+        complex(0.5 * (e[0, 1] + e[1, 0])),
+        complex(0.5j * (e[0, 1] - e[1, 0])),
+        complex(0.5 * (e[0, 0] - e[1, 1])),
     )
 
 
-def pauli_reconstruct(c: PauliCoefficients) -> GateMatrix:
+def pauli_reconstruct(alpha: tuple) -> GateMatrix:
+    """sum_k alpha_k sigma_k of the four coefficients `pauli_decompose` returns."""
     m = np.zeros((2, 2), dtype=complex)
     for k in range(4):
-        m = m + c.alpha[k] * pauli(k).entries
+        m = m + alpha[k] * pauli(k).entries
     return GateMatrix(m)
 
 
@@ -256,7 +245,7 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
     """
     if u.dim != 2:
         raise DimError("synthesis is defined for dim 2")
-    if classify(u) is not GateClass.UNITARY:
+    if u.gate_class is not GateClass.UNITARY:
         raise ClassError("first factor must be unitary")
     a = float(a)
     if not np.isfinite(a):
@@ -275,8 +264,9 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
 
     lam1 = _exp_pair(-a, a, f"antisymmetric parameter {a}")
 
-    mu, vecs = np.linalg.eigh(0.5 * (br + br.T))  # ascending
-    if mu[1] - mu[0] <= 1e-12 * np.linalg.norm(br):
+    # each sum is of halves, so entries near the float limit cannot overflow it
+    mu, vecs = np.linalg.eigh(0.5 * br + 0.5 * br.T)  # ascending
+    if 0.5 * mu[1] - 0.5 * mu[0] <= 1e-12 * math.hypot(*(0.5 * br).flat):  # gap vs ||B||_F
         u2 = np.eye(2)
         mu_hi, mu_lo = br[0, 0], br[1, 1]  # B ~ I; keep the basis pairing
     else:
@@ -295,14 +285,10 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
         GateMatrix(np.diag(lam2).astype(complex)),
         GateMatrix(u2c.T.conj()),
     )
-    b_frozen = np.array(br)
-    b_frozen.setflags(write=False)
     return MostowFactors(
         u=u,
         a=a,
-        b_matrix=b_frozen,
         expanded=stages,
-        u1=GateMatrix(_U1),
         u2=GateMatrix(u2c),
         lam1=lam1,
         lam2=lam2,

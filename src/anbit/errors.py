@@ -1,4 +1,6 @@
-"""Error taxonomy shared by every anbit module."""
+"""Error taxonomy shared by every anbit module, and its one rule for integer arguments."""
+
+from operator import index
 
 __all__ = [
     "AnbitError",
@@ -62,3 +64,11 @@ class ModeError(AnbitError):
 
 class OrderError(AnbitError):
     """Requested series order exceeds the supplied derivative data."""
+
+
+def _integer(v, field: str) -> int:
+    """v read by `operator.index`, so 1.5 and "2" are refused, not truncated or parsed."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ParamError(f"{field} {v!r} is not an integer") from None

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AnbitState, CompositeState, TENSOR
-from .errors import AxisError, DimError, ParamError
+from .algebra import AnbitState, CompositeState, TENSOR, _frozen
+from .errors import AxisError, DimError, ParamError, _integer
 
 __all__ = [
     "GateClass",
@@ -29,7 +29,6 @@ __all__ = [
     "rotation_matrix",
     "pauli",
     "apply",
-    "classify",
     "controlled",
     "apply_controlled_superposed",
     "nand_emulate",
@@ -63,12 +62,6 @@ class GateClass(Enum):
     SINGULAR = "singular"
 
 
-def _frozen_matrix(entries) -> np.ndarray:
-    e = np.array(entries, dtype=complex)
-    e.setflags(write=False)
-    return e
-
-
 def _singular(a: np.ndarray) -> bool:
     """The one singularity test of gates and loop systems: relative smallest singular value."""
     sigma = np.linalg.svd(a, compute_uv=False)
@@ -94,7 +87,7 @@ class GateMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = _frozen_matrix(self.entries)
+        e = _frozen(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] == 0:
             raise DimError("gate entries must form a square non-empty matrix")
         object.__setattr__(self, "entries", e)
@@ -168,6 +161,7 @@ _PAULI = (
 
 def pauli(k: int) -> GateMatrix:
     """Pauli matrix sigma_k for k in {0,1,2,3}; sigma_k = i R_axis(pi) for k >= 1."""
+    k = _integer(k, "pauli index")
     if k not in (0, 1, 2, 3):
         raise IndexError(f"pauli index must be 0..3, got {k}")
     return GateMatrix(_PAULI[k])
@@ -178,11 +172,6 @@ def apply(gate: GateMatrix, state: AnbitState) -> AnbitState:
     if gate.dim != state.dim:
         raise DimError(f"gate dim {gate.dim} != state dim {state.dim}")
     return AnbitState(gate.entries @ state.amps, state.delta_t)
-
-
-def classify(gate: GateMatrix) -> GateClass:
-    """Gate class with Unitary taking precedence over GeneralLinear."""
-    return gate.gate_class
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +208,7 @@ def controlled(target: GateMatrix, n_controls: int) -> ControlledGate:
     """
     if target.dim != 2:
         raise DimError("controlled targets must have dim 2")
-    n = int(n_controls)
+    n = _integer(n_controls, "n_controls")
     if n < 1 or n > MAX_CONTROLS:
         raise ParamError(f"n_controls must be in 1..{MAX_CONTROLS}")
     return ControlledGate(n, target)

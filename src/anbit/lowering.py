@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from operator import index
 from typing import Callable
@@ -40,13 +39,12 @@ import numpy as np
 from .algebra import AnbitState, CompositeState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SourceNode
 from .decompositions import MostowFactors, euler_zxz, euler_zyz, svd2, pauli_decompose
-from .errors import ControlEncodingError, DimError, GraphError, ParamError
+from .errors import ControlEncodingError, DimError, GraphError, ParamError, _integer
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
 
 __all__ = [
     "Device",
     "Netlist",
-    "FbSymmetry",
     "lower_unitary_zxz",
     "lower_unitary_zyz_fixed",
     "lower_general_svd",
@@ -120,18 +118,6 @@ Device = namedtuple("Device", "kind wires value control_binding", defaults=(None
 def _gain_row(wire: int, gain: float) -> tuple:
     # attenuator for gain <= 1 (boundary included), amplifier above
     return ("AMP" if gain > 1.0 else "ATT", (wire,), gain, None)
-
-
-class FbSymmetry(Enum):
-    SYMMETRIC = "Symmetric"
-    ASYMMETRIC = "Asymmetric"
-
-
-def _integer(v, field: str) -> int:
-    try:
-        return index(v)
-    except TypeError:
-        raise ParamError(f"{field} {v!r} is not an integer") from None
 
 
 def _device_columns(rows, width: int) -> list:
@@ -225,19 +211,23 @@ class Netlist:
         self.kinds, self.wire_a, self.wire_b, self.values, self.bindings = cols
         top = len(self.kinds) - 1
         for setting, values in (control_map or {}).items():
-            for idx, value in values.items():
+            try:
+                entries = values.items()
+            except AttributeError:
+                raise ParamError(f"control word {setting!r} maps to {values!r}, not to {{device: value}}") from None
+            for idx, value in entries:
+                idx = _integer(idx, f"control word {setting!r} device index")
                 if not 0 <= idx <= top:
                     raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
+                sets = f"control word {setting!r} sets device {idx} to"
                 try:
                     finite = math.isfinite(value)
+                except TypeError:
+                    raise ParamError(f"{sets} {value!r}, not a real number") from None
                 except OverflowError:
-                    raise ParamError(
-                        f"control word {setting!r} sets device {idx} to a value too large for a float"
-                    ) from None
+                    raise ParamError(f"{sets} a value too large for a float") from None
                 if not finite:
-                    raise ParamError(
-                        f"control word {setting!r} sets device {idx} to {value}, which is not finite"
-                    )
+                    raise ParamError(f"{sets} {value}, which is not finite")
         # the devices carry the active word's values: both copies must agree
         for idx, value in self._overrides(active_setting).items():
             if value != self.values[idx]:
@@ -307,14 +297,12 @@ class Netlist:
         return self._port_block(setting, self.output_ports, self.input_ports, backward=True)
 
 
-def check_fb_symmetry(tf: np.ndarray, tb: np.ndarray) -> FbSymmetry:
-    """Symmetric when a netlist's forward and backward transfers tf and tb coincide."""
+def check_fb_symmetry(tf: np.ndarray, tb: np.ndarray) -> bool:
+    """Whether a netlist's forward and backward transfers tf and tb coincide."""
     if tf.shape != tb.shape:
-        return FbSymmetry.ASYMMETRIC
+        return False
     scale = max(1.0, float(np.max(np.abs(tf))))
-    if float(np.max(np.abs(tb - tf))) <= FB_TOL * scale:
-        return FbSymmetry.SYMMETRIC
-    return FbSymmetry.ASYMMETRIC
+    return float(np.max(np.abs(tb - tf))) <= FB_TOL * scale
 
 
 def scattering_matrix(tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -375,7 +363,8 @@ def _emit_svd(devices: list, m: GateMatrix, w):
     _emit_zxz(devices, f.u2, w)
 
 
-def _gate_netlist(emit, m: GateMatrix, wires: int = 2) -> Netlist:
+def _gate_netlist(arch: str, m: GateMatrix) -> Netlist:
+    emit, wires = _CIRCUIT_ARCHES[arch]
     devices: list = []
     emit(devices, m, range(wires))
     return Netlist(wires, devices, (0, 1), (0, 1))
@@ -387,7 +376,7 @@ def lower_unitary_zxz(u: GateMatrix) -> Netlist:
     Always emits the full seven-device template (identity becomes all-zero
     parameters) so controlled variants can swap parameter sets in place.
     """
-    return _gate_netlist(_emit_zxz, u)
+    return _gate_netlist("zxz", u)
 
 
 def lower_unitary_zyz_fixed(u: GateMatrix) -> Netlist:
@@ -397,12 +386,12 @@ def lower_unitary_zyz_fixed(u: GateMatrix) -> Netlist:
     PS1(pi) . BS . diag(e^(i a2/2), e^(-i(a2/2 + pi))) . BS = R_y(a2),
     costing four extra devices over the tunable-coupler form.
     """
-    return _gate_netlist(_emit_zyz, u)
+    return _gate_netlist("zyz", u)
 
 
 def lower_general_svd(m: GateMatrix) -> Netlist:
     """Unitary-diagonal-unitary architecture accepting any 2x2 gate."""
-    return _gate_netlist(_emit_svd, m)
+    return _gate_netlist("svd", m)
 
 
 def lower_mostow(f: MostowFactors) -> Netlist:
@@ -461,7 +450,7 @@ def lower_fanin(g: FanInGate) -> Netlist:
 
 def _emit_pauli(devices: list, m: GateMatrix, w):
     # w[2:8] are the three extra branch rails
-    coef = pauli_decompose(m).alpha
+    coef = pauli_decompose(m)
     # clone tree: after it, wires w[0,2,4,6] carry psi0 and w[1,3,5,7] carry psi1
     for a, b in ((0, 4), (1, 5), (0, 2), (1, 3), (4, 6), (5, 7)):
         _sum_block(devices, w[a], w[b])
@@ -494,9 +483,7 @@ def lower_pauli_mgate(m: GateMatrix) -> Netlist:
     more devices than the unitary-diagonal-unitary form; provided for the
     architecture comparison, not as the preferred compilation path.
     """
-    if m.dim != 2:
-        raise DimError("expansion architecture is defined for dim 2")
-    return _gate_netlist(_emit_pauli, m, 8)
+    return _gate_netlist("pauli", m)
 
 
 def _basis_word(setting, n_controls: int) -> str:
@@ -545,7 +532,7 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     return Netlist(2, bound, (0, 1), (0, 1), control_map=control_map, active_setting=active)
 
 
-# gate emitter and its wire count per circuit architecture
+# gate emitter and its wire count per gate or circuit architecture
 _CIRCUIT_ARCHES = {
     "zxz": (_emit_zxz, 2),
     "zyz": (_emit_zyz, 2),
@@ -596,17 +583,16 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
             pair = in_pair(nid, 0)
             emit(devices, node, pair + fresh(arch_wires - 2))
             out_pair[(nid, 0)] = pair
-        elif isinstance(node, FanInGate):
-            pa, pb = in_pair(nid, 0), in_pair(nid, 1)
-            for k in range(2):
-                _sum_block(devices, pa[k], pb[k], node.n, node.m)
-            out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
-        elif isinstance(node, FanOutGate):
-            if graph.in_edges[nid][1] is not None:
+        elif isinstance(node, (FanInGate, FanOutGate)):
+            if isinstance(node, FanInGate):
+                pb = in_pair(nid, 1)
+            elif graph.in_edges[nid][1] is not None:
                 raise GraphError("fan-out with a wired ancilla does not lower")
-            if not node.is_default_ancilla:
+            elif not node.is_default_ancilla:
                 raise GraphError("only default-ancilla fan-out lowers to a netlist")
-            pa, pb = in_pair(nid, 0), fresh(2)  # null-fed rail
+            else:
+                pb = fresh(2)  # null-fed rail
+            pa = in_pair(nid, 0)
             for k in range(2):
                 _sum_block(devices, pa[k], pb[k], node.n, node.m)
             out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CARTESIAN, AnbitState, CompositeState
-from .errors import DimError, ModeError, OrderError, ParamError
+from .errors import DimError, ModeError, OrderError, ParamError, _integer
 from .gates import GateMatrix
 
 __all__ = ["TaylorGate", "SpmParams", "taylor_apply", "spm_gate", "ann_layer"]
@@ -39,6 +39,7 @@ class TaylorGate:
         ref = np.array(self.ref_point, dtype=complex).reshape(-1)
         ref.setflags(write=False)
         object.__setattr__(self, "ref_point", ref)
+        object.__setattr__(self, "max_order", _integer(self.max_order, "max_order"))
         if self.max_order < 1:
             raise ParamError("max_order must be >= 1")
         d = ref.size
@@ -46,7 +47,7 @@ class TaylorGate:
         for comp in self.derivative_tensors:
             by_order = {}
             for n, tensor in comp.items():
-                n = int(n)
+                n = _integer(n, "tensor order")
                 if not 1 <= n <= self.max_order:
                     raise OrderError(f"tensor order {n} outside 1..{self.max_order}")
                 t = np.array(tensor, dtype=complex)
@@ -70,7 +71,7 @@ def taylor_apply(gate: TaylorGate, state: AnbitState, order: int) -> AnbitState:
     Each order-n term is the tensor contraction of the n-th partials with
     (z - z_ref) repeated n times, divided by n!.
     """
-    order = int(order)
+    order = _integer(order, "order")
     if order < 1 or order > gate.max_order:
         raise OrderError(f"order must be in 1..{gate.max_order}")
     if state.dim != gate.dim:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import index
 
 import numpy as np
 
@@ -35,7 +36,12 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    """Shortest 17-significant-digit decimal; losslessly re-parses to the same double."""
+    """Shortest 17-significant-digit decimal; losslessly re-parses to the same double.
+
+    inf and nan are refused, as JSON has no token for them; CSV and netlist text follow suit.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x} as JSON")
     return format(float(x), ".17g")
 
 
@@ -43,8 +49,6 @@ def _emit(obj, out: list):
     if obj is None or obj is True or obj is False or isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialize non-finite float {obj} as JSON")
         out.append(fmt_float(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -109,7 +113,7 @@ def state_from_obj(obj) -> AnbitState:
     if not isinstance(obj["amps"], (list, tuple)):
         raise ValueError("amps: expected a list of [re, im] pairs")
     amps = [_from_pair(v, "amps") for v in obj["amps"]]
-    if "dim" in obj and _number(obj["dim"], "state dim", int) != len(amps):
+    if "dim" in obj and _number(obj["dim"], "state dim", index) != len(amps):
         raise ValueError(f"state dim {obj['dim']} != {len(amps)} amplitudes")
     dt = obj.get("delta_t")
     return AnbitState(amps, None if dt is None else _number(dt, "delta_t"))
@@ -153,7 +157,7 @@ def gate_from_obj(obj) -> GateMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("gate object needs an 'entries' field")
     entries = _square_from_pairs(obj["entries"], "gate entries")
-    if "dim" in obj and _number(obj["dim"], "gate dim", int) != len(entries):
+    if "dim" in obj and _number(obj["dim"], "gate dim", index) != len(entries):
         raise ValueError(f"gate dim {obj['dim']} != {len(entries)} rows")
     return GateMatrix(entries)
 

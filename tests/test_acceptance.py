@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from anbit import (
+    AXIS_Z,
     AnbitState,
     CircuitGraph,
+    CompositeState,
     FanInGate,
     FanOutGate,
-    FbSymmetry,
     GateMatrix,
     SinkNode,
     SourceNode,
@@ -60,6 +61,8 @@ from anbit import (
     two_anbit_loop,
 )
 from anbit.cli import emit_trajectory
+from anbit.errors import ParamError
+from anbit.serialization import gate_from_obj, state_from_obj
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -359,11 +362,11 @@ def test_reciprocity_and_direction_symmetry():
     # fan-in netlist: symmetric exactly when both gains agree
     for _ in range(50):
         n = rng.uniform(0.2, 1.5)
-        assert fb_symmetry(lower_fanin(FanInGate(n, n))) is FbSymmetry.SYMMETRIC
+        assert fb_symmetry(lower_fanin(FanInGate(n, n))) is True
         m = rng.uniform(0.2, 1.5)
         if abs(n - m) < 1e-3:
             continue
-        assert fb_symmetry(lower_fanin(FanInGate(n, m))) is FbSymmetry.ASYMMETRIC
+        assert fb_symmetry(lower_fanin(FanInGate(n, m))) is False
 
     # unequal outer phase stages flip the direction behavior
     checked = 0
@@ -374,7 +377,7 @@ def test_reciprocity_and_direction_symmetry():
         gap = min(gap, 2.0 * np.pi - gap)
         if gap < 1e-3 or np.sin(0.5 * f.alpha2) < 1e-3:
             continue
-        assert fb_symmetry(lower_unitary_zxz(u)) is FbSymmetry.ASYMMETRIC
+        assert fb_symmetry(lower_unitary_zxz(u)) is False
         checked += 1
 
     # reciprocal scattering matrices are symmetric; the backward block comes
@@ -491,3 +494,39 @@ def test_nonlinear_gates():
         x = cartesian_compose([AnbitState([v]) for v in random_state_vec(rng, d)])
         out = ann_layer(w, lambda z: z, x)
         assert np.max(np.abs(out.flat - w.entries @ x.flat)) < 1e-12
+
+
+_X_RESPONSE = TaylorGate(np.zeros(2), ({1: [1.0, 0.0]},), max_order=1)
+_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: controlled(pauli(1), 1.5), ParamError, "n_controls 1.5 is not an integer"),
+        (lambda: controlled(pauli(1), "2"), ParamError, "n_controls '2' is not an integer"),
+        (lambda: taylor_apply(_X_RESPONSE, AnbitState([1.0, 0.0]), 1.5), ParamError, "order 1.5 is not an integer"),
+        (lambda: TaylorGate(np.zeros(2), ({1: [1.0, 0.0]},), max_order=1.5), ParamError,
+         "max_order 1.5 is not an integer"),
+        (lambda: TaylorGate(np.zeros(2), ({1.5: [1.0, 0.0]},), max_order=2), ParamError,
+         "tensor order 1.5 is not an integer"),
+        (lambda: CompositeState("cartesian", [1.0, 2.0], (1.5, 1)), ParamError, "part dim 1.5 is not an integer"),
+        (lambda: emit_trajectory(AXIS_Z, 0.0, 1.0, AnbitState([1.0, 0.0]), 2.5), ParamError,
+         "steps 2.5 is not an integer"),
+        (lambda: pauli(1.0), ParamError, "pauli index 1.0 is not an integer"),
+        (lambda: null_state(2.5), ParamError, "dim 2.5 is not an integer"),
+        (lambda: state_from_obj({"dim": 2.9, "amps": _PAIRS[0]}), ValueError,
+         "state dim: 'float' object cannot be interpreted as an integer"),
+        (lambda: gate_from_obj({"dim": 2.5, "entries": _PAIRS}), ValueError,
+         "gate dim: 'float' object cannot be interpreted as an integer"),
+    ],
+    ids=[
+        "controlled-float", "controlled-str", "taylor-order", "taylor-max-order", "taylor-tensor-order",
+        "part-dims", "trajectory-steps", "pauli-index", "null-state-dim", "state-json-dim", "gate-json-dim",
+    ],
+)
+def test_integer_arguments_are_not_truncated(call, error, message):
+    # every integer argument is read by operator.index: 1.5 and "2" fail typed, never as 1 or 2
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

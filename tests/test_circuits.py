@@ -630,3 +630,45 @@ def test_feedback_solve_matches_dense_global_solve(case):
     want, scale = dense_solve(graph, inputs)
     for sink, v in want.items():
         assert np.max(np.abs(out[sink].amps - v)) <= 1e-9 * max(1.0, scale)
+
+
+def test_solve_dim3_loop_matches_loop_equivalent():
+    # solve is dimension-generic outside fan-out ancillas; a dim-3 loop meets the oracle
+    rng = np.random.default_rng(3)
+    m1, m2 = (GateMatrix(0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))) for _ in range(2))
+    psi = AnbitState(random_state_vec(rng, 3))
+    out = solve(loop_graph(m1, m2, n1=0.9, n2=1.1, m2_param=0.7), {"src": psi})["out"]
+    want = loop_equivalent(m1, m2, 0.9, 1.1, 0.7).entries @ psi.amps
+    assert np.max(np.abs(out.amps - want)) < 1e-14
+
+
+def _two_source_fanout():
+    # a fan-out whose ancilla input is wired to a second source
+    nodes = {"s1": SourceNode(), "s2": SourceNode(), "fo": FanOutGate(), "t1": SinkNode(), "t2": SinkNode()}
+    edges = ((("s1", 0), ("fo", 0)), (("s2", 0), ("fo", 1)), (("fo", 0), ("t1", 0)), (("fo", 1), ("t2", 0)))
+    return CircuitGraph(nodes, edges)
+
+
+@pytest.mark.parametrize(
+    "graph,inputs,message",
+    [
+        (_two_source_fanout(), {"s1": AnbitState(np.ones(3)), "s2": AnbitState(np.ones(3))},
+         "fan-out ancilla submatrices are defined for dim 2"),
+        (_two_source_fanout(), {"s1": AnbitState(np.ones(2)), "s2": AnbitState(np.ones(3))},
+         "all source states must share one dimension"),
+        (CircuitGraph({"s": SourceNode(), "g": identity_gate(), "t": SinkNode()}, ((("s", 0), ("g", 0)), (("g", 0), ("t", 0)))),
+         {"s": AnbitState(np.ones(3))}, "gate 'g' has dim 2, circuit carries 3"),
+    ],
+    ids=["dim3-wired-ancilla", "mixed-source-dims", "gate-of-another-dim"],
+)
+def test_solve_rejects_mixed_dimensions(graph, inputs, message):
+    with pytest.raises(DimError) as exc:
+        solve(graph, inputs)
+    assert str(exc.value) == message
+
+
+def test_graph_validation_source_drives_nothing():
+    nodes = {"s": SourceNode(), "idle": SourceNode(), "t": SinkNode()}
+    with pytest.raises(GraphError) as exc:
+        CircuitGraph(nodes, ((("s", 0), ("t", 0)),))
+    assert str(exc.value) == "source 'idle' drives nothing"

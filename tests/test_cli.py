@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -429,6 +430,70 @@ def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, 
     assert payload["exit_code"] == 2 and payload["error"] == error
 
 
+_TWO_SOURCE_CIRCUIT = {
+    "nodes": [{"id": n, "kind": k} for n, k in (("s1", "source"), ("s2", "source"), ("f", "fanin"), ("t1", "sink"), ("t2", "sink"))],
+    "edges": [
+        {"from": ["s1", 0], "to": ["f", 0]},
+        {"from": ["s2", 0], "to": ["f", 1]},
+        {"from": ["f", 0], "to": ["t1", 0]},
+        {"from": ["f", 1], "to": ["t2", 0]},
+    ],
+    "sources": ["s1", "s2"],
+    "sinks": ["t1", "t2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,target,input_state,message",
+    [
+        ("decompose", {"dim": 2}, None, "gate object needs an 'entries' field"),
+        ("measure", {"dim": 2}, None, "state object needs an 'amps' field"),
+        ("simulate", dict(_GOOD_CIRCUIT, nodes=[{"id": "s", "kind": "source"}, {"id": "s", "kind": "sink"}]),
+         _GOOD_STATE, "duplicate node id 's'"),
+        ("simulate", _circuit_with({"id": "m", "kind": "mirror"}), _GOOD_STATE, "unknown node kind 'mirror'"),
+        ("simulate", dict(_GOOD_CIRCUIT, nodes=[{"kind": "source"}]), _GOOD_STATE, "node spec: 'id'"),
+        ("simulate", dict(_GOOD_CIRCUIT, nodes=[5]), _GOOD_STATE, "node spec: 'int' object is not subscriptable"),
+        ("simulate", dict(_GOOD_CIRCUIT, edges=[{"from": ["s", 0]}]), _GOOD_STATE, "edge spec: 'to'"),
+        ("simulate", dict(_GOOD_CIRCUIT, edges=[{"from": ["s", 0, 1], "to": ["g", 0]}]), _GOOD_STATE,
+         "edge spec: too many values to unpack (expected 2)"),
+        ("simulate", _TWO_SOURCE_CIRCUIT, _GOOD_STATE, "single input state but circuit has 2 sources"),
+        ("simulate", _GOOD_CIRCUIT, [_GOOD_STATE], "input must be a state object or a source-to-state mapping"),
+        ("trajectory", {"axis": [0, 0, 1]}, None, "sweep spec needs a 'state' field"),
+        ("trajectory", {"state": _GOOD_STATE, "kind": "spiral"}, None, "unknown sweep kind 'spiral'"),
+        ("trajectory", {"state": _GOOD_STATE, "axis": [0, 0, 1], "steps": 2.5}, None,
+         "steps: 'float' object cannot be interpreted as an integer"),
+    ],
+    ids=[
+        "gate-no-entries",
+        "state-no-amps",
+        "circuit-duplicate-id",
+        "circuit-unknown-kind",
+        "circuit-node-without-id",
+        "circuit-node-not-an-object",
+        "circuit-edge-without-to",
+        "circuit-edge-end-triple",
+        "simulate-one-state-two-sources",
+        "simulate-input-list",
+        "trajectory-no-state",
+        "trajectory-unknown-kind",
+        "trajectory-fractional-steps",
+    ],
+)
+def test_json_inputs_name_their_fault(tmp_path, capsys, command, target, input_state, message):
+    tpath = write_json(tmp_path / "target.json", target)
+    argv = {
+        "decompose": ["decompose", tpath, "--method", "svd"],
+        "measure": ["measure", tpath, "--kind", "coherent", "--responsivity", "1"],
+        "simulate": ["simulate", tpath, "--input", str(tmp_path / "in.json")],
+        "trajectory": ["trajectory", tpath],
+    }[command]
+    if input_state is not None:
+        write_json(tmp_path / "in.json", input_state)
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message, "exit_code": 2}
+
+
 def test_measure_cli(tmp_path, capsys):
     s = AnbitState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     spath = write_json(tmp_path / "s.json", state_to_obj(s))
@@ -588,6 +653,51 @@ def test_non_finite_results_fail_typed(tmp_path, capsys, argv, obj):
     rc, out, err = run_cli(capsys, [argv[0], str(path), *argv[1:]])
     assert rc == 2 and out == ""
     assert json.loads(err)["exit_code"] == 2
+
+
+_INF_GATE = {"entries": [[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]}  # "inf" is written as 1e400
+
+
+@pytest.mark.parametrize(
+    "argv,target,code",
+    [
+        (["simulate", "--input", "S", "--format", "csv"], _circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE}), 2),
+        (["simulate", "--input", "S"], _circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE}), 2),
+        (["trajectory"], {"state": {"amps": [[1e300, 0], [1e300, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
+        (["trajectory"], {"state": {"amps": [["inf", 0], [1, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
+        (["decompose", "--method", "pauli"], _INF_GATE, 2),
+        (["decompose", "--method", "euler-zxz"], _INF_GATE, 4),
+        (["lower", "--arch", "zxz"], _INF_GATE, 4),
+        (["lower", "--arch", "zyz"], _INF_GATE, 4),
+        (["lower", "--arch", "pauli"], _INF_GATE, 2),
+        (["measure", "--kind", "coherent", "--responsivity", "1"], {"amps": [["inf", 0], [1, 0]]}, 2),
+        (["measure", "--kind", "differential", "--responsivity", "1"], {"amps": [["inf", 0], [1, 0]]}, 2),
+    ],
+    ids=[
+        "simulate-csv",
+        "simulate-json",
+        "trajectory-radius-overflow",
+        "trajectory-inf-amp",
+        "decompose-pauli",
+        "decompose-euler-zxz",
+        "lower-zxz",
+        "lower-zyz",
+        "lower-pauli",
+        "measure-coherent",
+        "measure-differential",
+    ],
+)
+def test_non_finite_runs_print_one_error_line(tmp_path, capsys, argv, target, code):
+    # CSV refuses inf and nan as JSON does, and numpy warns of none of them:
+    # the run's one error line is all it writes
+    tpath, spath = tmp_path / "target.json", write_json(tmp_path / "s.json", _GOOD_STATE)
+    tpath.write_text(json.dumps(target).replace('"inf"', "1e400"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, [argv[0], str(tpath), *(spath if a == "S" else a for a in argv[1:])])
+    assert [str(w.message) for w in caught] == []
+    assert rc == code and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["exit_code"] == code
 
 
 def test_argparse_rejects_unknown_method(tmp_path):

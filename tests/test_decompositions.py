@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from anbit import (
     GateClass,
     GateMatrix,
-    classify,
     euler_reconstruct,
     euler_zxz,
     euler_zyz,
@@ -149,9 +150,9 @@ def test_svd2_singular_input():
 
 def test_pauli_coefficients_frozen():
     c = pauli_decompose(pauli(2))
-    assert np.allclose(c.alpha, (0, 0, 1, 0), atol=1e-15)
+    assert np.allclose(c, (0, 0, 1, 0), atol=1e-15)
     c = pauli_decompose(GateMatrix([[1.0, 2.0], [3.0j, 4.0]]))
-    assert np.allclose(c.alpha, (2.5, 1 + 1.5j, 1.5 + 1j, -1.5), atol=1e-15)
+    assert np.allclose(c, (2.5, 1 + 1.5j, 1.5 + 1j, -1.5), atol=1e-15)
 
 
 def test_pauli_trace_oracle(rng):
@@ -161,7 +162,7 @@ def test_pauli_trace_oracle(rng):
         c = pauli_decompose(m)
         for k in range(4):
             want = 0.5 * np.trace(pauli(k).entries @ m.entries)
-            assert c.alpha[k] == pytest.approx(want, abs=1e-13)
+            assert c[k] == pytest.approx(want, abs=1e-13)
 
 
 def test_pauli_round_trip(rng):
@@ -177,7 +178,7 @@ def test_pauli_linearity(rng):
     ca, cb = pauli_decompose(a), pauli_decompose(b)
     csum = pauli_decompose(GateMatrix(a.entries + 2.0 * b.entries))
     for k in range(4):
-        assert csum.alpha[k] == pytest.approx(ca.alpha[k] + 2.0 * cb.alpha[k])
+        assert csum[k] == pytest.approx(ca[k] + 2.0 * cb[k])
 
 
 B_EXAMPLE = np.array([[0.25, 0.1], [0.1, -0.3]])
@@ -260,6 +261,16 @@ def test_mostow_rejects_non_finite_factors(a, b, message):
     assert str(exc.value) == message
 
 
+def test_mostow_symmetrizes_b_near_the_float_limit():
+    # B is symmetrized as a sum of halves: an entry near the float limit does not
+    # overflow it, the error names the finite eigenvalue, and nothing warns
+    b = np.array([[1e308, 1e308], [1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match=r"^b_matrix eigenvalue 1\.6180339887\d*e\+308 overflows its exponential$"):
+            mostow_synthesize(identity_gate(), 0.1, b)
+
+
 # --- one contract for every decomposition and lowering -----------------------
 
 TOL = 1e-9  # lowered forward transfers, relative (the benchmark's reference TOL)
@@ -273,7 +284,7 @@ def rel(got, want):
 
 
 def assert_unitary(g):
-    assert classify(g) is GateClass.UNITARY
+    assert g.gate_class is GateClass.UNITARY
 
 
 def check_contract(m, rng, unitary=False):

@@ -15,7 +15,6 @@ from anbit import (
     RotationSpec,
     apply,
     apply_controlled_superposed,
-    classify,
     controlled,
     identity_gate,
     nand_emulate,
@@ -103,29 +102,29 @@ def test_apply_dim_mismatch():
 
 def test_classify_unitary(rng):
     for _ in range(20):
-        assert classify(GateMatrix(random_unitary(rng))) is GateClass.UNITARY
+        assert GateMatrix(random_unitary(rng)).gate_class is GateClass.UNITARY
 
 
 def test_classify_general_linear():
     g = GateMatrix([[2.0, 0.0], [0.0, 1.0]])
-    assert classify(g) is GateClass.GENERAL_LINEAR
+    assert g.gate_class is GateClass.GENERAL_LINEAR
 
 
 def test_classify_singular():
     g = GateMatrix([[1.0, 1.0], [1.0, 1.0]])
-    assert classify(g) is GateClass.SINGULAR
-    assert classify(GateMatrix(np.zeros((2, 2)))) is GateClass.SINGULAR
+    assert g.gate_class is GateClass.SINGULAR
+    assert GateMatrix(np.zeros((2, 2))).gate_class is GateClass.SINGULAR
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_classify_non_finite_is_general_linear():
     for bad in (np.inf, -np.inf, np.nan):
-        assert classify(GateMatrix([[bad, 0.0], [0.0, 1.0]])) is GateClass.GENERAL_LINEAR
+        assert GateMatrix([[bad, 0.0], [0.0, 1.0]]).gate_class is GateClass.GENERAL_LINEAR
 
 
 def test_classify_precedence_identity():
     # unitary wins over general linear for the identity
-    assert classify(identity_gate()) is GateClass.UNITARY
+    assert identity_gate().gate_class is GateClass.UNITARY
 
 
 def with_singular_values(seed, s):
@@ -155,8 +154,8 @@ def test_singular_split_is_invariant_under_scaling(seed, s, drop, k, theta):
     # invertible with condition <= 1e6, or rank deficient, at every scale
     f = with_singular_values(seed, [0.0] + s[1:] if drop else s)
     c = 10.0**k * np.exp(1j * theta)
-    assert (classify(GateMatrix(f)) is GateClass.SINGULAR) == drop
-    assert (classify(GateMatrix(c * f)) is GateClass.SINGULAR) == drop
+    assert (GateMatrix(f).gate_class is GateClass.SINGULAR) == drop
+    assert (GateMatrix(c * f).gate_class is GateClass.SINGULAR) == drop
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,8 +171,8 @@ def test_controlled_keeps_target_invertibility(seed, s0, s1, drop, n):
     # [1e-3, 1e3] (or one of them 0) its split follows F's at every n
     f = GateMatrix(with_singular_values(seed, [0.0 if drop else s0, s1]))
     embedded = controlled(f, n).embedded
-    assert (classify(f) is GateClass.SINGULAR) == drop
-    assert (classify(embedded) is GateClass.SINGULAR) == drop
+    assert (f.gate_class is GateClass.SINGULAR) == drop
+    assert (embedded.gate_class is GateClass.SINGULAR) == drop
 
 
 def test_controlled_is_structural_and_dense_embedding_is_capped(monkeypatch):

@@ -11,7 +11,6 @@ from anbit import (
     Device,
     FanInGate,
     FanOutGate,
-    FbSymmetry,
     GateMatrix,
     Netlist,
     SinkNode,
@@ -32,9 +31,10 @@ from anbit import (
     pauli,
     scattering_matrix,
     solve,
+    tensor_compose,
 )
 from anbit import lowering
-from anbit.errors import ControlEncodingError, GraphError, ParamError
+from anbit.errors import ControlEncodingError, DimError, GraphError, ParamError
 from anbit.lowering import DEVICE_KINDS
 from anbit.serialization import netlist_from_text
 
@@ -266,26 +266,21 @@ def _fb_symmetry(nl):
 
 
 def test_fb_symmetry_fanin():
-    assert _fb_symmetry(lower_fanin(FanInGate(1.0, 1.0))) is FbSymmetry.SYMMETRIC
-    assert _fb_symmetry(lower_fanin(FanInGate(0.7, 0.7))) is FbSymmetry.SYMMETRIC
-    assert _fb_symmetry(lower_fanin(FanInGate(1.0, 0.5))) is FbSymmetry.ASYMMETRIC
+    assert _fb_symmetry(lower_fanin(FanInGate(1.0, 1.0))) is True
+    assert _fb_symmetry(lower_fanin(FanInGate(0.7, 0.7))) is True
+    assert _fb_symmetry(lower_fanin(FanInGate(1.0, 0.5))) is False
 
 
 def test_fb_symmetry_zxz():
     # equal outer angles: symmetric
-    assert _fb_symmetry(lower_unitary_zxz(pauli(1))) is FbSymmetry.SYMMETRIC
+    assert _fb_symmetry(lower_unitary_zxz(pauli(1))) is True
     f = euler_zxz(pauli(1))
     assert f.alpha1 == f.alpha3
     # generic gate with distinct outer angles: asymmetric
     h = GateMatrix(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0))
     fh = euler_zxz(h)
     assert abs(fh.alpha1 - fh.alpha3) > 1e-3
-    assert _fb_symmetry(lower_unitary_zxz(h)) is FbSymmetry.ASYMMETRIC
-
-
-def test_fb_symmetry_enum_values():
-    assert FbSymmetry.SYMMETRIC.value == "Symmetric"
-    assert FbSymmetry.ASYMMETRIC.value == "Asymmetric"
+    assert _fb_symmetry(lower_unitary_zxz(h)) is False
 
 
 def test_scattering_matrix_reciprocal(rng):
@@ -667,3 +662,77 @@ def test_lower_circuit_builds_each_device_once(arch, rng, monkeypatch):
     want = np.concatenate([res[nid].amps for nid in graph.sinks()])
     got = nl.forward_transfer() @ psi.amps
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_fb_symmetry_of_non_square_transfers():
+    nl = netlist_from_text("WIRES 2\nIN 0 1\nOUT 0\nBS 0 1\n")
+    tf, tb = nl.forward_transfer(), nl.backward_transfer()
+    assert tf.shape == (1, 2) and tb.shape == (2, 1)
+    assert check_fb_symmetry(tf, tb) is False
+
+
+@pytest.mark.parametrize(
+    "control_map,message",
+    [
+        ({"*": {0: "x"}}, "control word '*' sets device 0 to 'x', not a real number"),
+        ({"*": {0: 1j}}, "control word '*' sets device 0 to 1j, not a real number"),
+        ({"*": {"0": 0.5}}, "control word '*' device index '0' is not an integer"),
+        ({"*": {0.0: 0.5}}, "control word '*' device index 0.0 is not an integer"),
+        ({"*": [0.5]}, "control word '*' maps to [0.5], not to {device: value}"),
+    ],
+    ids=["str-value", "complex-value", "str-index", "float-index", "list-entry"],
+)
+def test_control_map_entries_are_typed(control_map, message):
+    with pytest.raises(ParamError) as exc:
+        Netlist(1, [("PS", (0,), 0.5, None)], (0,), (0,), control_map=control_map)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "setting,error,message",
+    [
+        ([0.0, 1.0], DimError, "control setting needs dim 4, got 2"),
+        ([1.0, 0.0, 0.0, 1.0], ControlEncodingError, "control setting is superposed"),
+        ([0.0, 0.0, 0.0, 0.0], ControlEncodingError, "control setting has no unit-amplitude slot"),
+        ([0.0, 0.5, 0.0, 0.0], ControlEncodingError, "control setting is not a computational basis state"),
+    ],
+    ids=["wrong-dim", "two-unit-slots", "no-unit-slot", "off-basis"],
+)
+def test_control_setting_must_be_one_basis_word(setting, error, message):
+    with pytest.raises(error) as exc:
+        lower_controlled_electrooptic(controlled(pauli(1), 2), setting)
+    assert str(exc.value) == message
+
+
+def test_control_setting_may_be_a_composite_state():
+    nl = lower_controlled_electrooptic(controlled(pauli(1), 2), tensor_compose([AnbitState([0.0, 1.0])] * 2))
+    assert nl.active_setting == "11"
+    assert np.max(np.abs(nl.forward_transfer() - pauli(1).entries)) < 1e-12
+
+
+def _fanout_to_two_sinks(fo):
+    nodes = {"s": SourceNode(), "fo": fo, "t1": SinkNode(), "t2": SinkNode()}
+    return CircuitGraph(nodes, ((("s", 0), ("fo", 0)), (("fo", 0), ("t1", 0)), (("fo", 1), ("t2", 0))))
+
+
+@pytest.mark.parametrize(
+    "graph,error,message",
+    [
+        (CircuitGraph({"s": SourceNode(), "g": GateMatrix(np.eye(3)), "t": SinkNode()},
+                      ((("s", 0), ("g", 0)), (("g", 0), ("t", 0)))),
+         DimError, "netlist lowering carries dim-2 signals"),
+        (_fanout_to_two_sinks(FanOutGate(1.0, 1.0, m12=2.0 * np.eye(2))),
+         GraphError, "only default-ancilla fan-out lowers to a netlist"),
+    ],
+    ids=["dim3-gate", "custom-m12"],
+)
+def test_lower_circuit_rejects_nodes_without_a_netlist_form(graph, error, message):
+    with pytest.raises(error) as exc:
+        lower_circuit(graph)
+    assert str(exc.value) == message
+
+
+def test_pauli_lowering_of_dim3_gate_is_a_dim_error():
+    with pytest.raises(DimError) as exc:
+        lower_pauli_mgate(GateMatrix(np.eye(3)))
+    assert str(exc.value) == "Pauli expansion is defined for dim 2"

@@ -15,7 +15,6 @@ from anbit import (
     Netlist,
     SinkNode,
     SourceNode,
-    classify,
     controlled,
     lower_controlled_electrooptic,
     lower_fanin,
@@ -200,9 +199,9 @@ def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
     assert calls == []
     for nid, (_, cls) in want.items():
         gate = graph.nodes[nid]
-        assert classify(gate) is cls
+        assert gate.gate_class is cls
         assert len(calls) == 1
-        assert classify(gate) is cls and gate.gate_class is cls
+        assert gate.gate_class is cls
         assert repr(gate) == f"GateMatrix(dim=2, class={cls.value})"
         assert len(calls) == 1
         calls.clear()

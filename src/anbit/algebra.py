@@ -8,6 +8,7 @@ delta_t is carried as metadata, never simulated as a waveform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,17 +191,25 @@ def to_bloch(state: AnbitState) -> BlochPoint:
     """Sphere coordinates of a 2-dimensional state.
 
     radius = sqrt(P), theta = 2*atan2(|a1|, |a0|), phi = arg(a1) - arg(a0)
-    wrapped into [0, 2*pi). The null state has undefined angles.
+    wrapped into [0, 2*pi). The null state has undefined angles. Where the
+    squares of P under- or overflow, the radius is the scaled hypot of the
+    four amplitude parts, which stays a float from 5e-324 to 1.8e308.
     """
     if state.dim != 2:
         raise DimError("sphere coordinates are defined for dim 2")
-    p = state.norm_sq
-    if p == 0.0:
+    z0, z1 = state.amps.tolist()
+    # norm_sq on Python floats, which under- or overflow without a warning
+    p = z0.real * z0.real + z0.imag * z0.imag + (z1.real * z1.real + z1.imag * z1.imag)
+    if p == 0.0 or p == math.inf:
+        radius = math.hypot(z0.real, z0.imag, z1.real, z1.imag)
+    else:
+        radius = math.sqrt(p)
+    if radius == 0.0:
         raise DegenerateStateError("null state has undefined sphere angles")
     a0, a1 = state.amps
     theta = 2.0 * np.arctan2(abs(a1), abs(a0))
     phi = float(np.angle(a1) - np.angle(a0))
-    return BlochPoint(float(np.sqrt(p)), float(theta), phi)
+    return BlochPoint(radius, float(theta), phi)
 
 
 def from_bloch(p: BlochPoint) -> AnbitState:

@@ -1,13 +1,20 @@
 """Factorizations of 2x2 gates into photonic-implementable stage sequences.
 
-Covers Euler ZXZ/ZYZ angle extraction for unitaries, the 2x2 SVD by LAPACK
-(``np.linalg.svd``, ``zgesdd``), the Pauli-basis expansion, and polar-style
-synthesis of invertible gates from a unitary, an antisymmetric parameter, and
-a real symmetric exponent (eigensolved by LAPACK ``np.linalg.eigh``, ``dsyevd``).
+Covers Euler ZXZ/ZYZ angle extraction for unitaries, the 2x2 SVD, the
+Pauli-basis expansion, and polar-style synthesis of invertible gates from a
+unitary, an antisymmetric parameter, and a real symmetric exponent
+(eigensolved by LAPACK ``np.linalg.eigh``, ``dsyevd``).
+
+The Euler angles and the SVD's phase pinning work on the four entries read
+once as Python numbers: the unitarity test is the dim-2 Gram deviation that
+``gate_class`` uses, and each angle is ``np.arctan2`` of two floats, which
+matches ``np.angle`` bit for bit. LAPACK (``np.linalg.svd``, ``zgesdd``) is
+called only for the singular vectors.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,6 +28,7 @@ from .gates import (
     GateClass,
     GateMatrix,
     RotationSpec,
+    _unitary2,
     pauli,
     rotation_matrix,
 )
@@ -43,7 +51,7 @@ __all__ = [
 # z-angles are non-unique (gimbal lock); alpha1 is pinned to 0 there.
 GIMBAL_TOL = 1e-12
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -91,9 +99,14 @@ class MostowFactors:
         return GateMatrix(self.u.entries @ e1 @ e2)
 
 
+def _angle(y: float, x: float) -> float:
+    """atan2(y, x) as np.angle computes it; math.atan2 differs in the last bit on some inputs."""
+    return float(np.arctan2(y, x))
+
+
 def _wrap_2pi(x: float) -> tuple[float, int]:
     """Reduce into [0, 2*pi); also return the number of full turns removed."""
-    k = int(np.floor(x / _TWO_PI))
+    k = math.floor(x / _TWO_PI)
     y = x - _TWO_PI * k
     if y >= _TWO_PI:  # rounding can land exactly on the period
         y -= _TWO_PI
@@ -104,29 +117,31 @@ def _wrap_2pi(x: float) -> tuple[float, int]:
 def _euler_angles(u: GateMatrix, middle: str) -> EulerFactors:
     if u.dim != 2:
         raise DimError("Euler factorization is defined for dim 2")
-    if u.gate_class is not GateClass.UNITARY:
+    rows = u.entries.tolist()
+    if not _unitary2(rows):  # the test behind gate_class, on the entries read here
         raise ClassError("Euler factorization needs a unitary gate")
-    e = u.entries
-    det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    (e00, e01), (e10, e11) = rows
+    det = e00 * e11 - e01 * e10
     # principal root of det = e^(2i delta), then delta forced into [0, pi);
     # the sign this absorbs keeps the remainder special-unitary
-    delta = 0.5 * float(np.angle(det))
+    delta = 0.5 * _angle(det.imag, det.real)
     if delta < 0.0:
-        delta += np.pi
-    v = np.exp(-1j * delta) * e
+        delta += math.pi
+    ph = cmath.exp(-1j * delta)
+    v00, v01, v10, v11 = ph * e00, ph * e01, ph * e10, ph * e11
 
-    s = 0.5 * (abs(v[0, 1]) + abs(v[1, 0]))  # sin(alpha2/2) >= 0
-    c = 0.5 * (abs(v[0, 0]) + abs(v[1, 1]))  # cos(alpha2/2), >= 0 convention
-    alpha2 = 2.0 * float(np.arctan2(s, c))
+    s = 0.5 * (abs(v01) + abs(v10))  # sin(alpha2/2) >= 0
+    c = 0.5 * (abs(v00) + abs(v11))  # cos(alpha2/2), >= 0 convention
+    alpha2 = 2.0 * _angle(s, c)
 
-    big_sum = -2.0 * float(np.angle(v[0, 0]))  # alpha1 + alpha3
+    big_sum = -2.0 * _angle(v00.imag, v00.real)  # alpha1 + alpha3
     if s < GIMBAL_TOL:
         raw1, raw3 = 0.0, big_sum
     else:
         if middle == "zxz":
-            diff = 2.0 * (float(np.angle(v[0, 1])) + 0.5 * np.pi)
+            diff = 2.0 * (_angle(v01.imag, v01.real) + 0.5 * math.pi)
         else:
-            diff = 2.0 * float(np.angle(-v[0, 1]))
+            diff = 2.0 * _angle(-v01.imag, -v01.real)
         raw1 = 0.5 * (big_sum + diff)
         raw3 = 0.5 * (big_sum - diff)
 
@@ -134,7 +149,7 @@ def _euler_angles(u: GateMatrix, middle: str) -> EulerFactors:
     alpha3, k3 = _wrap_2pi(raw3)
     if (k1 + k3) % 2:
         # each 2*pi wrap of a z-angle negates the product; compensate globally
-        delta += np.pi
+        delta += math.pi
     return EulerFactors(delta, alpha1, alpha2, alpha3, middle)
 
 
@@ -164,28 +179,38 @@ def euler_reconstruct(f: EulerFactors) -> GateMatrix:
 
 
 def svd2(m: GateMatrix) -> SvdFactors:
-    """2x2 SVD of m itself by LAPACK (``np.linalg.svd``, driver ``zgesdd``).
+    """2x2 SVD of m: singular vectors by LAPACK, phases pinned on Python scalars.
 
-    Phase convention: each column of u1^dag is scaled so its largest-modulus
-    entry is real positive, with the compensating phase absorbed into u2;
-    degenerate spectra (scaled unitaries, d1 = d2 up to rounding) fall back
-    to the canonical basis u1 = I, u2 = m / d1. This pins a unique factor set
-    for golden-file comparisons.
+    Only the factorization itself calls LAPACK (``np.linalg.svd``, driver
+    ``zgesdd``); the phase pinning and the degenerate fallback work on its
+    rows read once with ``tolist()``, and each factor is built once. Phase
+    convention: each column of u1^dag is scaled so its largest-modulus entry
+    (the first on a tie) is real positive, with the compensating phase
+    absorbed into u2; degenerate spectra (scaled unitaries, d1 = d2 up to
+    rounding) fall back to the canonical basis u1 = I, u2 = m / d1. This pins
+    a unique factor set for golden-file comparisons.
     """
     if m.dim != 2:
         raise DimError("svd2 is defined for dim 2")
     u, s, vh = np.linalg.svd(m.entries)
-    d1, d2 = float(s[0]), float(s[1])
+    d1, d2 = s.tolist()
     if d1 - d2 <= 1e-13 * d1:  # scaled unitary (identity and zero included)
-        vh = np.eye(2, dtype=complex)
-        u = m.entries / d1 if d1 > 0.0 else np.eye(2, dtype=complex)
-    for k in range(2):  # row k of u1 = vh is the conjugate of column k of u1^dag
-        j = int(np.argmax(np.abs(vh[k])))
-        mag = abs(vh[k, j])
-        p = vh[k, j] / mag
-        vh[k] *= np.conj(p)
-        vh[k, j] = mag  # force exactly real
-        u[:, k] *= p
+        vh = [[1.0, 0.0], [0.0, 1.0]]
+        u = [[1.0, 0.0], [0.0, 1.0]]
+        if d1 > 0.0:
+            u = [[x / d1 for x in row] for row in m.entries.tolist()]
+    else:
+        u, vh = u.tolist(), vh.tolist()
+    for k, row in enumerate(vh):  # row k of u1 = vh is the conjugate of column k of u1^dag
+        j = int(abs(row[1]) > abs(row[0]))
+        mag = abs(row[j])
+        p = row[j] / mag
+        pc = p.conjugate()
+        row[0] *= pc
+        row[1] *= pc
+        row[j] = mag  # force exactly real
+        u[0][k] *= p
+        u[1][k] *= p
     return SvdFactors(u2=GateMatrix(u), d1=d1, d2=d2, u1=GateMatrix(vh))
 
 
@@ -224,12 +249,18 @@ def pauli_reconstruct(alpha: tuple) -> GateMatrix:
 _U1 = np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / np.sqrt(2.0)
 
 
-def _exp_pair(x0: float, x1: float, what: str) -> tuple[float, float]:
-    """(e^x0, e^x1) as floats; a ParamError naming `what` if one is not finite."""
-    with np.errstate(over="ignore"):  # an overflow is reported below
+def _exp_pair(x0: float, x1: float, what) -> tuple[float, float]:
+    """(e^x0, e^x1) as positive finite floats.
+
+    An exponential that overflows to inf or underflows to 0 (a gain that
+    blocks its wire) is a ParamError naming what(x) of its argument x.
+    """
+    with np.errstate(over="ignore", under="ignore"):  # reported below
         pair = (float(np.exp(x0)), float(np.exp(x1)))
-    if not np.isfinite(pair).all():
-        raise ParamError(f"{what} overflows its exponential")
+    if math.inf in pair:
+        raise ParamError(f"{what(max(x0, x1))} overflows its exponential")
+    if 0.0 in pair:
+        raise ParamError(f"{what(min(x0, x1))} underflows its exponential")
     return pair
 
 
@@ -262,7 +293,7 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
     if abs(br[0, 1] - br[1, 0]) > 1e-12 + 1e-9 * b_scale:
         raise SymmetryError("b_matrix must be symmetric")
 
-    lam1 = _exp_pair(-a, a, f"antisymmetric parameter {a}")
+    lam1 = _exp_pair(-a, a, lambda _: f"antisymmetric parameter {a}")
 
     # each sum is of halves, so entries near the float limit cannot overflow it
     mu, vecs = np.linalg.eigh(0.5 * br + 0.5 * br.T)  # ascending
@@ -275,7 +306,7 @@ def mostow_synthesize(u: GateMatrix, a: float, b_matrix) -> MostowFactors:
         if v1[int(abs(v1[1]) >= abs(v1[0]))] < 0.0:
             v1 = -v1  # largest-magnitude entry non-negative (ties: the second)
         u2 = np.column_stack([v1, [-v1[1], v1[0]]])
-    lam2 = _exp_pair(mu_hi, mu_lo, f"b_matrix eigenvalue {max(mu_hi, mu_lo)}")
+    lam2 = _exp_pair(mu_hi, mu_lo, "b_matrix eigenvalue {}".format)
     u2c = u2.astype(complex)
 
     stages = (

@@ -8,6 +8,7 @@ and kept; building a gate only copies and checks its entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -68,10 +69,27 @@ def _singular(a: np.ndarray) -> bool:
     return bool(sigma[-1] <= SINGULAR_RTOL * sigma[0])
 
 
+def _unitary2(rows: list) -> bool:
+    """The dim-2 unitarity test ||F^dag F - I||_F <= CLASSIFY_TOL * 2 on Python scalars.
+
+    rows is entries.tolist(). Squares are products, never ** or abs(), so huge
+    entries give inf and inf or nan entries give inf or nan: never unitary.
+    """
+    (a, b), (c, d) = rows
+    g00 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0
+    g11 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0
+    g01 = a.conjugate() * b + c.conjugate() * d
+    dev_sq = g00 * g00 + g11 * g11 + 2.0 * (g01.real * g01.real + g01.imag * g01.imag)
+    return math.sqrt(dev_sq) <= CLASSIFY_TOL * 2
+
+
 def _classify(entries: np.ndarray) -> GateClass:
     d = entries.shape[0]
-    gram_dev = np.linalg.norm(entries.conj().T @ entries - np.eye(d))
-    if gram_dev <= CLASSIFY_TOL * d:
+    if d == 2:
+        unitary = _unitary2(entries.tolist())
+    else:
+        unitary = np.linalg.norm(entries.conj().T @ entries - np.eye(d)) <= CLASSIFY_TOL * d
+    if unitary:
         return GateClass.UNITARY
     # inf or nan entries have no singular values to compare (LAPACK's SVD
     # fails on nan); such a gate stays GENERAL_LINEAR, as under the det test

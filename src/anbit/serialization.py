@@ -38,10 +38,11 @@ __all__ = [
 def fmt_float(x: float) -> str:
     """Shortest 17-significant-digit decimal; losslessly re-parses to the same double.
 
-    inf and nan are refused, as JSON has no token for them; CSV and netlist text follow suit.
+    inf and nan are refused, as JSON has no token for them; CSV and netlist text
+    follow suit, with the same message for every format.
     """
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x} as JSON")
+        raise ValueError(f"cannot serialize non-finite float {x}")
     return format(float(x), ".17g")
 
 

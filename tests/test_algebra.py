@@ -127,6 +127,20 @@ def test_to_bloch_null_raises():
         to_bloch(null_state(2))
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-200, 5e-324], ids=["squares-overflow", "squares-underflow", "subnormal"])
+def test_to_bloch_radius_beyond_the_range_of_its_square(scale):
+    # P = |a0|^2 + |a1|^2 leaves the floats, the radius sqrt(P) does not
+    a = np.array([3.0, 4.0j]) * scale
+    b = to_bloch(AnbitState(a))
+    assert b.radius == pytest.approx(5.0 * scale, rel=1e-15)
+    assert b.theta == pytest.approx(2.0 * np.arctan2(4.0, 3.0), rel=1e-15)
+    assert b.phi == pytest.approx(0.5 * np.pi, rel=1e-15)
+
+
+def test_to_bloch_radius_past_the_float_limit_is_inf():
+    assert to_bloch(AnbitState([1.5e308, 1.5e308])).radius == np.inf
+
+
 def test_to_bloch_dim_guard():
     with pytest.raises(DimError):
         to_bloch(AnbitState([1.0, 0.0, 0.0]))

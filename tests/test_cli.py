@@ -663,7 +663,7 @@ _INF_GATE = {"entries": [[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]}  # "inf" is wr
     [
         (["simulate", "--input", "S", "--format", "csv"], _circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE}), 2),
         (["simulate", "--input", "S"], _circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE}), 2),
-        (["trajectory"], {"state": {"amps": [[1e300, 0], [1e300, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
+        (["trajectory"], {"state": {"amps": [[1.5e308, 0], [1.5e308, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
         (["trajectory"], {"state": {"amps": [["inf", 0], [1, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
         (["decompose", "--method", "pauli"], _INF_GATE, 2),
         (["decompose", "--method", "euler-zxz"], _INF_GATE, 4),
@@ -698,6 +698,25 @@ def test_non_finite_runs_print_one_error_line(tmp_path, capsys, argv, target, co
     assert [str(w.message) for w in caught] == []
     assert rc == code and out == ""
     assert len(err.splitlines()) == 1 and json.loads(err)["exit_code"] == code
+
+
+def test_non_finite_error_names_no_format(tmp_path, capsys):
+    # the same refusal serves JSON, CSV and netlist text, so it names none of them
+    cpath, spath = tmp_path / "c.json", write_json(tmp_path / "s.json", _GOOD_STATE)
+    cpath.write_text(json.dumps(_circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE})).replace('"inf"', "1e400"))
+    rc, out, err = run_cli(capsys, ["simulate", str(cpath), "--input", spath, "--format", "csv"])
+    assert rc == 2 and out == ""
+    message = json.loads(err)["message"]
+    assert message.startswith("cannot serialize non-finite float ") and "JSON" not in message
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200], ids=["squares-overflow", "squares-underflow"])
+def test_trajectory_radius_beyond_the_range_of_its_square(tmp_path, capsys, scale):
+    spec = {"state": {"amps": [[scale, 0], [scale, 0]]}, "axis": [0, 0, 1], "steps": 3}
+    rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+    assert rc == 0 and err == ""
+    radii = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert radii == pytest.approx([np.sqrt(2.0) * scale] * 3, rel=1e-15)
 
 
 def test_argparse_rejects_unknown_method(tmp_path):

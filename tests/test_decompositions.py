@@ -261,6 +261,19 @@ def test_mostow_rejects_non_finite_factors(a, b, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("b", [[[-800.0, 0.0], [0.0, 0.2]], [[0.2, 0.0], [0.0, -800.0]]], ids=["first", "second"])
+def test_mostow_rejects_underflowing_exponential(b):
+    # e^-800 is 0.0 in floats: a gain of 0 would block its wire, and e^B is invertible
+    with pytest.raises(ParamError) as exc:
+        mostow_synthesize(identity_gate(), 0.0, np.array(b))
+    assert str(exc.value) == "b_matrix eigenvalue -800.0 underflows its exponential"
+
+
+def test_mostow_accepts_subnormal_exponential():
+    f = mostow_synthesize(identity_gate(), 0.0, np.diag([0.0, -740.0]))
+    assert f.lam2 == (1.0, float(np.exp(-740.0))) and f.lam2[1] > 0.0
+
+
 def test_mostow_symmetrizes_b_near_the_float_limit():
     # B is symmetrized as a sum of halves: an entry near the float limit does not
     # overflow it, the error names the finite eigenvalue, and nothing warns

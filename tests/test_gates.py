@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anbit import (
@@ -22,7 +22,7 @@ from anbit import (
     rotation_matrix,
 )
 from anbit.errors import AxisError, DimError, ParamError
-from anbit.gates import MAX_CONTROLS, MAX_DENSE_CONTROLS
+from anbit.gates import CLASSIFY_TOL, MAX_CONTROLS, MAX_DENSE_CONTROLS, SINGULAR_RTOL, _unitary2
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -120,6 +120,57 @@ def test_classify_singular():
 def test_classify_non_finite_is_general_linear():
     for bad in (np.inf, -np.inf, np.nan):
         assert GateMatrix([[bad, 0.0], [0.0, 1.0]]).gate_class is GateClass.GENERAL_LINEAR
+
+
+def dense_gram_dev(m):
+    """||F^dag F - I||_F by dense numpy, the unitarity test of every dim."""
+    return np.linalg.norm(m.conj().T @ m - np.eye(len(m)))
+
+
+def dense_rule(m):
+    """The gate class by the dense Gram test and the relative sigma_min test."""
+    if dense_gram_dev(m) <= CLASSIFY_TOL * len(m):
+        return GateClass.UNITARY
+    if np.isfinite(m).all():
+        sigma = np.linalg.svd(m, compute_uv=False)
+        if sigma[-1] <= SINGULAR_RTOL * sigma[0]:
+            return GateClass.SINGULAR
+    return GateClass.GENERAL_LINEAR
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["haar", "census", "perturbed", "non-finite"]),
+    st.floats(-13.0, -5.0),
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+def test_dim2_unitarity_test_agrees_with_the_dense_one(seed, family, log_eps, bad):
+    rng = np.random.default_rng(seed)
+    if family == "haar":
+        m = random_unitary(rng)
+    elif family == "census":
+        m = random_matrix(rng)
+    elif family == "perturbed":
+        # U + eps G, away from a factor-2 band around the threshold
+        m = random_unitary(rng) + 10.0**log_eps * random_matrix(rng)
+        dev, limit = dense_gram_dev(m), CLASSIFY_TOL * 2
+        assume(not 0.5 * limit <= dev <= 2.0 * limit)
+    else:
+        m = random_matrix(rng)
+        m[rng.integers(2), rng.integers(2)] = bad
+    unitary = bool(dense_gram_dev(m) <= CLASSIFY_TOL * 2)
+    assert _unitary2(m.tolist()) == unitary
+    assert GateMatrix(m).gate_class is dense_rule(m)
+    if family == "non-finite":
+        assert GateMatrix(m).gate_class is GateClass.GENERAL_LINEAR
+
+
+def test_dim2_unitarity_test_on_huge_entries_is_not_unitary():
+    # squares of 1e200 overflow to inf: a deviation of inf, never an exception
+    assert _unitary2([[1e200 + 0j, 0j], [0j, 1e200 + 0j]]) is False
+    assert GateMatrix([[1e200, 0.0], [0.0, 1e200]]).gate_class is GateClass.GENERAL_LINEAR
 
 
 def test_classify_precedence_identity():

@@ -3,7 +3,8 @@
 The files under tests/golden/ hold `netlist_to_text` output for the inputs
 built here. A change to the device format, to a lowering or to float
 emission shows up as a diff against them; a real output change updates the
-file deliberately, never to silence this test.
+file deliberately, never to silence this test. Each committed file must also
+still realize the gate its case draws, computed here without the lowering.
 """
 
 from pathlib import Path
@@ -29,7 +30,7 @@ from anbit import (
     lower_unitary_zyz_fixed,
     mostow_synthesize,
 )
-from anbit.serialization import netlist_to_text
+from anbit.serialization import netlist_from_text, netlist_to_text
 
 from conftest import random_matrix, random_unitary
 
@@ -91,12 +92,72 @@ CASES = {
 }
 
 
+def _stream(name: str):
+    """Each golden case draws from its own seeded stream."""
+    return np.random.default_rng([20260816, list(CASES).index(name)])
+
+
 def build(name: str):
-    """Netlist of one golden case; each case draws from its own seeded stream."""
-    return CASES[name](np.random.default_rng([20260816, list(CASES).index(name)]))
+    """Netlist of one golden case."""
+    return CASES[name](_stream(name))
+
+
+# --- what each case realizes, drawn in the order its CASES entry draws -------
+
+TOL = 1e-9  # lowered forward transfers, relative (the benchmark's reference TOL)
+
+
+def _mostow_target(rng):
+    q = rng.normal(size=(2, 2))
+    u = random_unitary(rng)
+    w, v = np.linalg.eigh(0.5 * (q + q.T))
+    a = 0.3
+    e_ia = np.array([[np.cosh(a), 1j * np.sinh(a)], [-1j * np.sinh(a), np.cosh(a)]])
+    return {None: u @ e_ia @ v @ np.diag(np.exp(w)) @ v.T}
+
+
+def _fanin_target(rng):
+    n = complex(rng.normal(), rng.normal())
+    m = complex(rng.normal(), rng.normal())
+    return {None: np.kron(np.array([[n, n], [m, -m]]), np.eye(2))}
+
+
+def _controlled_target(word):
+    def target(rng):
+        f = random_matrix(rng)
+        return {"11": f, "00": np.eye(2), None: f if word == "11" else np.eye(2)}
+    return target
+
+
+def _ladder_target(rng):
+    # fan-out (h, h), two 2-gate branches, fan-in (h, h): sum anbit to t, difference to d
+    a1, a2, b1, b2 = (random_matrix(rng) for _ in range(4))
+    a, b = a2 @ a1, b2 @ b1
+    return {None: np.vstack([0.5 * (a + b), 0.5 * (a - b)])}
+
+
+TARGETS = {
+    "zxz": lambda rng: {None: random_unitary(rng)},
+    "zyz": lambda rng: {None: random_unitary(rng)},
+    "svd": lambda rng: {None: random_matrix(rng)},
+    "mostow": _mostow_target,
+    "pauli": lambda rng: {None: random_matrix(rng)},
+    "fanin": _fanin_target,
+    "controlled_11": _controlled_target("11"),
+    "controlled_01": _controlled_target("01"),
+    "ladder_svd": _ladder_target,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_netlist_text_matches_golden(name):
     want = (GOLDEN / f"{name}.netlist").read_text(encoding="utf-8")
     assert netlist_to_text(build(name)) == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_netlist_realizes_its_gate(name):
+    nl = netlist_from_text((GOLDEN / f"{name}.netlist").read_text(encoding="utf-8"))
+    for setting, want in TARGETS[name](_stream(name)).items():
+        got = nl.forward_transfer(setting)
+        assert np.linalg.norm(got - want) <= TOL * np.linalg.norm(want), setting

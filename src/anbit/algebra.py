@@ -86,11 +86,6 @@ class AnbitState:
         return self.amps.size
 
     @property
-    def norm_sq(self) -> float:
-        # re^2 + im^2 summed directly; avoids the abs() round trip
-        return float(np.sum(self.amps.real**2 + self.amps.imag**2))
-
-    @property
     def is_null(self) -> bool:
         return bool(np.all(self.amps == 0))
 
@@ -198,7 +193,7 @@ def to_bloch(state: AnbitState) -> BlochPoint:
     if state.dim != 2:
         raise DimError("sphere coordinates are defined for dim 2")
     z0, z1 = state.amps.tolist()
-    # norm_sq on Python floats, which under- or overflow without a warning
+    # |z0|^2 + |z1|^2 on Python floats, which under- or overflow without a warning
     p = z0.real * z0.real + z0.imag * z0.imag + (z1.real * z1.real + z1.imag * z1.imag)
     if p == 0.0 or p == math.inf:
         radius = math.hypot(z0.real, z0.imag, z1.real, z1.imag)

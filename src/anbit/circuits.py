@@ -3,15 +3,14 @@
 Fan-in adds two andits (Cartesian composition keeps it linear); fan-out
 clones one. A circuit node is its operator: a `GateMatrix`, `FanInGate` or
 `FanOutGate`, or a `SourceNode`/`SinkNode` marker for the circuit's inputs
-and outputs. `solve` resolves a circuit in steady state over the condensation
-of its node graph into strongly connected components, visited in topological
-order: feed-forward nodes set their output signals directly from their
-already-known inputs, and each feedback component solves only the small
-linear system over its own internal wires. A graph indexes its edges by node
-and port once, when it is validated; the component search, `solve` and the
-netlist lowering all read those tables. The closed-form resolvent formulas
-for the canonical single- and two-anbit loops are also provided and serve as
-oracles for the generic solver.
+and outputs. `solve` resolves a circuit in steady state in one walk over its
+strongly connected components, in topological order: each node sets its
+output signals from its already-known inputs, and a feedback component is
+first cut open at its back edges, so that one small closure system over the
+cut signals settles it. A graph indexes its edges by node and port once,
+when it is validated; the component search, `solve` and the netlist lowering
+all read those tables. The closed-form resolvent formulas for the canonical
+single- and two-anbit loops serve as oracles for the generic solver.
 """
 
 from __future__ import annotations
@@ -250,6 +249,8 @@ class CircuitGraph:
         """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
         ports = {}
         for nid, node in self.nodes.items():
+            if not isinstance(nid, str):
+                raise GraphError(f"node id {nid!r} is not a string")
             ports[nid] = _PORTS.get(type(node))
             if ports[nid] is None:
                 kinds = ", ".join(k.__name__ for k in _PORTS)
@@ -258,29 +259,23 @@ class CircuitGraph:
         outs: dict = {nid: [] for nid in self.nodes}
         edges = []
         for i, edge in enumerate(self.edges):
-            (src, sp), (dst, dp) = edge
-            ends = []
+            try:
+                (src, sp), (dst, dp) = edge
+                sp, dp = operator.index(sp), operator.index(dp)
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {edge!r} is not two (node, integer port) ends") from None
+            src, dst = str(src), str(dst)
             for nid, port, io in ((src, sp, 1), (dst, dp, 0)):
-                nid = str(nid)
-                try:
-                    port = operator.index(port)
-                except TypeError:
-                    raise GraphError(f"edge {edge!r}: port {port!r} is not an integer") from None
                 if nid not in self.nodes:
                     raise GraphError(f"edge references unknown node {nid!r}")
                 if not 0 <= port < ports[nid][io]:
                     raise GraphError(f"node {nid!r} has no port {port} on that side")
-                if io == 0:
-                    wired = ins[nid][port] is not None
-                else:
-                    wired = any(p == port for _, p in outs[nid])
+                wired = ins[nid][port] is not None if io == 0 else any(p == port for _, p in outs[nid])
                 if wired:
                     raise GraphError(f"port {(nid, port)} wired twice; cloning needs a fan-out node")
-                ends.append((nid, port))
-            (src, sp), (dst, dp) = ends
             outs[src].append((i, sp))
             ins[dst][dp] = i
-            edges.append(tuple(ends))
+            edges.append(((src, sp), (dst, dp)))
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "in_edges", ins)
         object.__setattr__(self, "out_edges", outs)
@@ -306,8 +301,10 @@ class CircuitGraph:
         in edge order; components come out in reverse topological order and
         are returned reversed. Every node of an acyclic graph is reachable
         from a source, so its order depends on the source and edge order
-        only. A component is cyclic when it holds more than one node or a
-        node wired to itself.
+        only. The members of a component are listed in DFS visiting order,
+        so the edges that run back against that order close all its cycles.
+        A component is cyclic when it holds more than one node or a node
+        wired to itself.
         """
         ids = list(self.nodes)
         pos = {nid: k for k, nid in enumerate(ids)}
@@ -315,7 +312,6 @@ class CircuitGraph:
         looped = {v for v, ws in enumerate(succ) if v in ws}
         index = [-1] * len(ids)
         low = [0] * len(ids)
-        on_stack = [False] * len(ids)
         stack: list = []
         work: list = []  # DFS path: (node, its successors not yet tried)
         found: list = []
@@ -326,7 +322,6 @@ class CircuitGraph:
             index[v] = low[v] = count
             count += 1
             stack.append(v)
-            on_stack[v] = True
             work.append((v, iter(succ[v])))
 
         fed = [any(i is not None for i in self.in_edges[nid]) for nid in ids]
@@ -340,7 +335,7 @@ class CircuitGraph:
                     if index[w] < 0:
                         visit(w)
                         break
-                    if on_stack[w] and index[w] < low[v]:
+                    if index[w] < low[v]:
                         low[v] = index[w]
                 else:
                     work.pop()
@@ -352,10 +347,12 @@ class CircuitGraph:
                         members = []
                         while True:
                             w = stack.pop()
-                            on_stack[w] = False
+                            index[w] = len(ids)  # done: above every low-link, so it lowers none
                             members.append(ids[w])
                             if w == v:
                                 break
+                        if len(members) > 1:
+                            members.reverse()  # popped last-visited first
                         found.append((members, len(members) > 1 or v in looped))
         found.reverse()
         return found
@@ -380,58 +377,52 @@ def _terms(node, port: int, ins: list) -> list:
     return terms
 
 
-def _apply(coef, v: np.ndarray) -> np.ndarray:
-    return coef @ v if isinstance(coef, np.ndarray) else coef * v
+def _tear(graph: CircuitGraph, members: list, x: list, d: int) -> tuple:
+    """Cut a feedback component open after the heads of its back edges.
 
-
-def _solve_feedback(graph: CircuitGraph, members: list, x: list, d: int):
-    """Set the signals of one feedback component's internal edges; returns those edges.
-
-    One block equation per internal edge; signals entering from earlier
-    components are known in x and move to the right-hand side.
+    A back edge runs to a member, its head, that does not come after its
+    tail in the member order. The heads' internal outputs are cut: their
+    k = c . d signals are unknowns y, and each signal in the component is a
+    (d, 1 + k) block [a | B] for a + B y, so x now holds an entering signal
+    as [x | 0] and a cut one as its unit columns. Cut there, a fan-in head's
+    output is solved for, not formed as the sum of its entering and fed-back
+    signals, which cancel in a strong loop. Returns (walk order with the
+    heads last, cut edges in column order).
     """
-    member_set = set(members)
-    inner: dict = {}  # internal edge -> position in the local system
-    for nid in members:
-        for i, _ in graph.out_edges[nid]:
-            if graph.edges[i][1][0] in member_set:
-                inner[i] = len(inner)
-    eye = np.eye(d, dtype=complex)
-    a = np.eye(len(inner) * d, dtype=complex)
-    b = np.zeros((len(inner), d), dtype=complex)
-    for i, k in inner.items():
-        (src, sp), _ = graph.edges[i]
-        for coef, j in _terms(graph.nodes[src], sp, graph.in_edges[src]):
-            if j in inner:
-                blk = coef if isinstance(coef, np.ndarray) else coef * eye
-                a[k * d:(k + 1) * d, inner[j] * d:(inner[j] + 1) * d] -= blk
-            else:
-                b[k] += _apply(coef, x[j])
-    if _singular(a):
-        ids = sorted(members, key=list(graph.nodes).index)
-        raise LoopSingularError(f"feedback loop through nodes {ids} is singular; no steady state")
-    x_inner = np.linalg.solve(a, b.reshape(-1)).reshape(-1, d)
-    for i, k in inner.items():
-        x[i] = x_inner[k]
-    return inner
+    pos = {nid: p for p, nid in enumerate(members)}
+    heads, entering = {}, []  # heads as dict keys, in member order
+    for p, nid in enumerate(members):
+        for j in graph.in_edges[nid]:
+            q = -1 if j is None else pos.get(graph.edges[j][0][0])  # -1: an unwired ancilla
+            if q is None:
+                entering.append(j)
+            elif q >= p:
+                heads[nid] = None
+    cut = {i: c for c, i in enumerate(i for h in heads for i, _ in graph.out_edges[h] if graph.edges[i][1][0] in pos)}
+    k = len(cut) * d
+    for j in entering:
+        x[j] = np.hstack((x[j][:, None], np.zeros((d, k))))
+    for j, c in cut.items():
+        x[j] = np.eye(d, 1 + k, 1 + c * d, dtype=complex)
+    return sorted(members, key=heads.__contains__), cut
 
 
 def solve(graph: CircuitGraph, inputs: dict) -> dict:
     """Steady-state signals at every sink, keyed by sink node id.
 
-    Each edge carries one signal, produced by exactly one output port. The
-    strongly connected components of the node graph are visited in
-    topological order. A feed-forward node sets its output edges from its
-    already-known input edges. A feedback component assembles one block
-    equation per internal edge, moves the edges entering it from earlier
-    components to the right-hand side, and solves that local system by direct
-    elimination; LoopSingularError names the component's nodes when the
-    system is singular.
+    Each edge carries one signal, set by one walk over the strongly connected
+    components in topological order: a node sets its output edges from its
+    known input edges. A feedback component is torn first (`_tear`; Kron,
+    Diakoptics, 1963), and the cut signals its walk produces must equal y.
+    That closure, (I - B_cut) y = a_cut, has the determinant of the
+    component's full wire equations (Schur complement). LoopSingularError
+    names the component's nodes when it is singular; otherwise each signal
+    in it becomes a + B y.
     """
     sources = graph.sources()
-    missing = [s for s in sources if s not in inputs]
+    missing = [s for s in sources if s not in inputs or not isinstance(inputs[s], AnbitState)]
     if missing:
-        raise GraphError(f"sources without inputs: {missing}")
+        raise GraphError(f"sources without an AnbitState input: {missing}")
     extra = [s for s in inputs if s not in sources]
     if extra:
         raise GraphError(f"inputs for non-source nodes: {extra}")
@@ -451,21 +442,30 @@ def solve(graph: CircuitGraph, inputs: dict) -> dict:
                 raise DimError("fan-out ancilla submatrices are defined for dim 2")
 
     x: list = [None] * len(graph.edges)  # signal per edge, set in topological order
+    produced: dict = {}  # cut edge -> the block its head sets; x keeps the unit columns
     for members, cyclic in graph.components():
-        inner = _solve_feedback(graph, members, x, d) if cyclic else ()
+        members, cut = _tear(graph, members, x, d) if cyclic else (members, ())
         for nid in members:
             node = graph.nodes[nid]
             for i, sp in outs[nid]:
-                if i in inner:
-                    continue
                 if isinstance(node, SourceNode):
                     x[i] = inputs[nid].amps
                     continue
                 total = None
                 for coef, j in _terms(node, sp, ins[nid]):
-                    term = _apply(coef, x[j])
+                    term = coef @ x[j] if isinstance(coef, np.ndarray) else coef * x[j]
                     total = term if total is None else total + term
-                x[i] = total
+                (produced if i in cut else x)[i] = total
+        if cyclic:
+            closure = np.concatenate([produced[i] for i in cut])
+            system = np.eye(len(closure), dtype=complex) - closure[:, 1:]
+            if _singular(system):
+                ids = sorted(members, key=list(graph.nodes).index)
+                raise LoopSingularError(f"feedback loop through nodes {ids} is singular; no steady state")
+            y = np.concatenate(([1.0], np.linalg.solve(system, closure[:, 0])))
+            for nid in members:
+                for i, _ in outs[nid]:
+                    x[i] = x[i] @ y
 
     dts = {inputs[s].delta_t for s in sources}
     dt = dts.pop() if len(dts) == 1 else None

@@ -39,11 +39,11 @@ __all__ = [
 # lowered stages accumulate rounding, hence the slack over machine epsilon.
 CLASSIFY_TOL = 1e-9
 
-# A matrix A (a gate, a loop resolvent, or one feedback component's wire
-# equations) counts as singular when sigma_min(A) <= SINGULAR_RTOL *
-# sigma_max(A): a relative test on the smallest singular value, invariant
-# under scaling and free of the det's d-th power (Higham, Accuracy and
-# Stability of Numerical Algorithms, ch. 7).
+# A matrix A (a gate, a loop resolvent, or the closure I - B_cut over the cut
+# signals of one torn feedback component) counts as singular when
+# sigma_min(A) <= SINGULAR_RTOL * sigma_max(A): a relative test on the
+# smallest singular value, invariant under scaling and free of the det's d-th
+# power (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).
 SINGULAR_RTOL = 1e-12
 
 # A controlled gate acts on 2^(n+1) amplitudes. Gates up to MAX_CONTROLS are

@@ -27,7 +27,6 @@ def test_state_basics():
     s = AnbitState([1.0, 2.0j])
     assert s.dim == 2
     assert s.delta_t is None
-    assert s.norm_sq == pytest.approx(5.0)
     t = AnbitState([0.5], delta_t=1.5)
     assert t.dim == 1
     assert t.delta_t == 1.5
@@ -41,7 +40,6 @@ def test_state_rejects_empty():
 def test_null_state():
     z = null_state(3)
     assert z.dim == 3
-    assert z.norm_sq == 0.0
     assert np.array_equal(z.amps, np.zeros(3, dtype=complex))
 
 

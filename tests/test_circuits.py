@@ -20,6 +20,7 @@ from anbit import (
     solve,
     two_anbit_loop,
 )
+from anbit import circuits
 from anbit.errors import DimError, GraphError, LoopSingularError, ParamError
 
 from conftest import random_matrix, random_state_vec, random_unitary
@@ -169,6 +170,17 @@ def test_solve_loop_matches_loop_equivalent(rng):
         assert np.max(np.abs(out.amps - want)) < 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e6, 1e7, 1e8])
+def test_loop_label_does_not_depend_on_gate_scale(s):
+    # the loop gain s * (0.5 / s) is the same at every s, and so is the steady state
+    rng = np.random.default_rng(5)
+    m1, m2 = GateMatrix(s * random_unitary(rng)), GateMatrix(0.5 / s * random_unitary(rng))
+    psi = AnbitState(random_state_vec(rng))
+    out = solve(loop_graph(m1, m2, n1=0.9, m2_param=0.7), {"src": psi})["out"].amps
+    want = loop_equivalent(m1, m2, 0.9, 1.0, 0.7).entries @ psi.amps
+    assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_solve_combinational_chain(rng):
     m1 = GateMatrix(random_matrix(rng))
     m2 = GateMatrix(random_matrix(rng))
@@ -262,12 +274,25 @@ def test_graph_validation_unknown_node():
         CircuitGraph(nodes, ((("s", 0), ("ghost", 0)),))
 
 
-@pytest.mark.parametrize("foreign", [5, np.eye(2), identity_gate().entries.tolist()], ids=["int", "ndarray", "list"])
-def test_graph_validation_foreign_node(foreign):
-    nodes = {"s": SourceNode(), "x": foreign, "t": SinkNode()}
-    edges = ((("s", 0), ("x", 0)), (("x", 0), ("t", 0)))
-    with pytest.raises(GraphError, match=f"node 'x' is a {type(foreign).__name__};"):
+def _through(node):
+    return {"s": SourceNode(), "x": node, "t": SinkNode()}, ((("s", 0), ("x", 0)), (("x", 0), ("t", 0)))
+
+
+@pytest.mark.parametrize(
+    "nodes,edges,message",
+    [
+        (*_through(5), "node 'x' is a int;"),
+        (*_through(np.eye(2)), "node 'x' is a ndarray;"),
+        (*_through(identity_gate().entries.tolist()), "node 'x' is a list;"),
+        ({"s": SourceNode(), "t": SinkNode()}, [[("s", 0)]], "edge [('s', 0)] is not two (node, integer port) ends"),
+        ({"s": SourceNode(), 1: SinkNode()}, [(("s", 0), (1, 0))], "node id 1 is not a string"),
+    ],
+    ids=["int", "ndarray", "list", "edge-with-one-end", "integer-node-id"],
+)
+def test_graph_validation_foreign_node(nodes, edges, message):
+    with pytest.raises(GraphError) as exc:
         CircuitGraph(nodes, edges)
+    assert str(exc.value).startswith(message)
 
 
 def test_graph_validation_double_wired_port():
@@ -371,6 +396,38 @@ def _loop_nodes(prefix, m1, m2, n1=1.0, m2_param=1.0):
         ((f"{prefix}_g2", 0), (f"{prefix}_fi", 1)),
     ]
     return nodes, edges
+
+
+def _ring_nodes(prefix, gates, n1=1.0, m2_param=1.0):
+    """A run of gates closed into a loop through one fan-in and one fan-out."""
+    nodes = {f"{prefix}_fi": FanInGate(n1, 1.0), f"{prefix}_fo": FanOutGate(1.0, m2_param)}
+    edges = [((f"{prefix}_fo", 1), (f"{prefix}_fi", 1))]
+    prev = (f"{prefix}_fi", 0)
+    for k, gate in enumerate(gates):
+        nodes[f"{prefix}_g{k}"] = gate
+        edges.append((prev, (f"{prefix}_g{k}", 0)))
+        prev = (f"{prefix}_g{k}", 0)
+    edges.append((prev, (f"{prefix}_fo", 0)))
+    return nodes, edges
+
+
+def _cross_nodes(prefix, m1, m2):
+    """Crossed two-anbit loop: each fan-out's copy feeds the other anbit's fan-in."""
+    nodes, edges = {}, []
+    for k, m in enumerate((m1, m2)):
+        fi, g, fo = f"{prefix}_fi{k}", f"{prefix}_g{k}", f"{prefix}_fo{k}"
+        nodes.update({fi: FanInGate(0.7, 1.0), g: m, fo: FanOutGate(1.0, 0.7)})
+        edges += [((fi, 0), (g, 0)), ((g, 0), (fo, 0)), ((fo, 1), (f"{prefix}_fi{1 - k}", 1))]
+    return nodes, edges
+
+
+def _nested_nodes(prefix, m1, m2, m3, m4, n1=1.0, m2_param=1.0):
+    """A single-anbit loop with a second one inside its feedback path, ahead of its gate back."""
+    nodes, edges = _loop_nodes(f"{prefix}o", m1, m2, n1, m2_param)
+    inner, inner_edges = _loop_nodes(f"{prefix}i", m3, m4, n1, m2_param)
+    edges.remove(((f"{prefix}o_fo", 1), (f"{prefix}o_g2", 0)))
+    edges += inner_edges + [((f"{prefix}o_fo", 1), (f"{prefix}i_fi", 0)), ((f"{prefix}i_fo", 0), (f"{prefix}o_g2", 0))]
+    return {**nodes, **inner}, edges
 
 
 def test_singular_loop_error_names_its_component(rng):
@@ -546,28 +603,27 @@ def _add_loop(b: _Builder, kind: str):
         fi = b.add(FanInGate(*(0.7 * z / np.abs(z))))  # |1 + m| >= 0.3
         b.edges += [(port, (fi, 0)), ((fi, 1), (fi, 1))]
         b.live.append(((fi, 0), *unknown))
-    elif kind == "loop":
-        nodes, edges = _loop_nodes(
-            f"L{len(b.nodes)}", GateMatrix(_contraction(rng)), GateMatrix(_contraction(rng)),
-            n1=complex(*rng.uniform(-0.7, 0.7, 2)), m2_param=rng.uniform(0.3, 1.0),
-        )
-        fi, _g1, fo, _g2 = nodes
+    elif kind in ("loop", "ring", "nested"):
+        entry, prefix = b.take()[0], f"L{len(b.nodes)}"
+        weights = {"n1": complex(*rng.uniform(-0.7, 0.7, 2)), "m2_param": rng.uniform(0.3, 1.0)}
+        if kind == "loop":
+            nodes, edges = _loop_nodes(prefix, GateMatrix(_contraction(rng)), GateMatrix(_contraction(rng)), **weights)
+        elif kind == "ring":  # unitary gates: the loop gain is |n1| m2_param < 1
+            gates = [GateMatrix(random_unitary(rng)) for _ in range(b.draw(st.integers(1, 200)))]
+            nodes, edges = _ring_nodes(prefix, gates, **weights)
+        else:
+            nodes, edges = _nested_nodes(prefix, *(GateMatrix(_contraction(rng)) for _ in range(4)), **weights)
+            b.live.append(((f"{prefix}i_fi", 1), *unknown))
+            prefix += "o"
         b.nodes.update(nodes)
-        b.edges += edges + [(b.take()[0], (fi, 0))]
-        b.live += [((fo, 0), *unknown), ((fi, 1), *unknown)]
+        b.edges += edges + [(entry, (f"{prefix}_fi", 0))]
+        b.live += [((f"{prefix}_fo", 0), *unknown), ((f"{prefix}_fi", 1), *unknown)]
     else:  # crossed two-anbit loop on two open ports
-        ports = [b.take()[0], b.take()[0]]
-        fis = [b.add(FanInGate(0.7, 1.0)) for _ in range(2)]
-        gs = [b.add(GateMatrix(_contraction(rng))) for _ in range(2)]
-        fos = [b.add(FanOutGate(1.0, 0.7)) for _ in range(2)]
-        for k in range(2):
-            b.edges += [
-                (ports[k], (fis[k], 0)),
-                ((fis[k], 0), (gs[k], 0)),
-                ((gs[k], 0), (fos[k], 0)),
-                ((fos[k], 1), (fis[1 - k], 1)),
-            ]
-            b.live.append(((fos[k], 0), *unknown))
+        prefix = f"L{len(b.nodes)}"
+        nodes, edges = _cross_nodes(prefix, GateMatrix(_contraction(rng)), GateMatrix(_contraction(rng)))
+        b.nodes.update(nodes)
+        b.edges += edges + [(b.take()[0], (f"{prefix}_fi{k}", 0)) for k in range(2)]
+        b.live += [((f"{prefix}_fo{k}", 0), *unknown) for k in range(2)]
     b.loops += 1
 
 
@@ -604,11 +660,16 @@ def dense_solve(graph, inputs):
 
 @st.composite
 def feedback_circuits(draw):
-    """Unitary-gate feed-forward parts around one or two embedded feedback loops."""
+    """Unitary-gate feed-forward parts around one or two embedded feedback loops.
+
+    A loop is a fan-in fed back to itself, a single-anbit loop, the crossed
+    two-anbit loop, a ring of 1-200 gates or a loop nested in another's
+    feedback path.
+    """
     b = _Builder(draw, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), random_unitary)
     for _ in range(draw(st.integers(1, 3))):
         b.source()
-    loops = draw(st.lists(st.sampled_from(["self", "loop", "cross"]), min_size=1, max_size=2))
+    loops = draw(st.lists(st.sampled_from(["self", "loop", "cross", "ring", "nested"]), min_size=1, max_size=2))
     for kind in loops:
         for _ in range(draw(st.integers(0, 8))):
             b.step(["gate", "rung", "fanout", "fanin", "ancilla"])
@@ -632,6 +693,29 @@ def test_feedback_solve_matches_dense_global_solve(case):
         assert np.max(np.abs(out[sink].amps - v)) <= 1e-9 * max(1.0, scale)
 
 
+def test_feedback_closes_over_its_cut_signals_only(rng, monkeypatch):
+    # a loop is torn at one edge, a nested pair at two: the closure is 2x2 or 4x4 whatever the length
+    shapes = []
+    singular = circuits._singular
+    monkeypatch.setattr(circuits, "_singular", lambda a: shapes.append(a.shape) or singular(a))
+
+    def closures(nodes, edges, n_ends):
+        shapes.clear()
+        ends = {**{f"s{k}": SourceNode() for k in range(n_ends)}, **{f"t{k}": SinkNode() for k in range(n_ends)}}
+        solve(CircuitGraph({**ends, **nodes}, edges), {f"s{k}": AnbitState([1.0, 0.5j]) for k in range(n_ends)})
+        return shapes
+
+    ring, ring_edges = _ring_nodes("r", [GateMatrix(random_unitary(rng)) for _ in range(400)], n1=0.7)
+    assert closures(ring, ring_edges + [(("s0", 0), ("r_fi", 0)), (("r_fo", 0), ("t0", 0))], 1) == [(2, 2)]
+    cross, cross_edges = _cross_nodes("c", GateMatrix(_contraction(rng)), GateMatrix(_contraction(rng)))
+    for k in range(2):
+        cross_edges += [((f"s{k}", 0), (f"c_fi{k}", 0)), ((f"c_fo{k}", 0), (f"t{k}", 0))]
+    assert closures(cross, cross_edges, 2) == [(2, 2)]
+    nested, nested_edges = _nested_nodes("n", *(GateMatrix(_contraction(rng)) for _ in range(4)), n1=0.7)
+    nested_edges += [(("s0", 0), ("no_fi", 0)), (("no_fo", 0), ("t0", 0))]
+    assert len(closures(nested, nested_edges, 1)) == 1 and shapes[0] <= (4, 4)
+
+
 def test_solve_dim3_loop_matches_loop_equivalent():
     # solve is dimension-generic outside fan-out ancillas; a dim-3 loop meets the oracle
     rng = np.random.default_rng(3)
@@ -650,19 +734,21 @@ def _two_source_fanout():
 
 
 @pytest.mark.parametrize(
-    "graph,inputs,message",
+    "graph,inputs,error,message",
     [
         (_two_source_fanout(), {"s1": AnbitState(np.ones(3)), "s2": AnbitState(np.ones(3))},
-         "fan-out ancilla submatrices are defined for dim 2"),
+         DimError, "fan-out ancilla submatrices are defined for dim 2"),
         (_two_source_fanout(), {"s1": AnbitState(np.ones(2)), "s2": AnbitState(np.ones(3))},
-         "all source states must share one dimension"),
-        (CircuitGraph({"s": SourceNode(), "g": identity_gate(), "t": SinkNode()}, ((("s", 0), ("g", 0)), (("g", 0), ("t", 0)))),
-         {"s": AnbitState(np.ones(3))}, "gate 'g' has dim 2, circuit carries 3"),
+         DimError, "all source states must share one dimension"),
+        (CircuitGraph(*_through(identity_gate())), {"s": AnbitState(np.ones(3))},
+         DimError, "gate 'x' has dim 2, circuit carries 3"),
+        (CircuitGraph(*_through(identity_gate())), {"s": [1, 0]},
+         GraphError, "sources without an AnbitState input: ['s']"),
     ],
-    ids=["dim3-wired-ancilla", "mixed-source-dims", "gate-of-another-dim"],
+    ids=["dim3-wired-ancilla", "mixed-source-dims", "gate-of-another-dim", "input-not-a-state"],
 )
-def test_solve_rejects_mixed_dimensions(graph, inputs, message):
-    with pytest.raises(DimError) as exc:
+def test_solve_rejects_mixed_dimensions(graph, inputs, error, message):
+    with pytest.raises(error) as exc:
         solve(graph, inputs)
     assert str(exc.value) == message
 

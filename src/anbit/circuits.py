@@ -233,13 +233,15 @@ class CircuitGraph:
     `validate` builds the per-node port tables every later pass reads:
     in_edges[node] holds the index of the edge feeding each input port (None
     when unwired), out_edges[node] the (edge index, output port) pairs the
-    node drives, in edge order.
+    node drives, in edge order. Nodes and edges are fixed from then on, so
+    `components()` searches them once and keeps the result.
     """
 
     nodes: dict
     edges: tuple
     in_edges: dict = field(init=False, repr=False)
     out_edges: dict = field(init=False, repr=False)
+    _components: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
@@ -279,6 +281,7 @@ class CircuitGraph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "in_edges", ins)
         object.__setattr__(self, "out_edges", outs)
+        object.__setattr__(self, "_components", None)
         for nid, node in self.nodes.items():
             for port, i in enumerate(ins[nid]):
                 if i is None and not (isinstance(node, FanOutGate) and port == 1):
@@ -295,6 +298,17 @@ class CircuitGraph:
 
     def components(self) -> list:
         """Strongly connected components in topological order, as (node ids, cyclic).
+
+        Searched on the first call and kept on the graph: `solve`, every later
+        `solve` and `lower_circuit` read the same list, which none of them
+        changes (do not modify it either).
+        """
+        if self._components is None:
+            object.__setattr__(self, "_components", self._tarjan())
+        return self._components
+
+    def _tarjan(self) -> list:
+        """The component search behind `components()`.
 
         Iterative Tarjan (SIAM J. Comput. 1, 1972): roots are tried in node
         declaration order, nodes with no incoming edge first, and successors

@@ -4,7 +4,11 @@ Subcommands: simulate, decompose, lower, analyze, measure, trajectory. The
 argument parser is built once per process; each subcommand's parser carries
 its handler, which takes the parsed arguments and returns the output text.
 All outputs are deterministic: JSON uses 17-significant-digit floats and
-stable key order, CSV uses the same float formatting. Exit codes: 0 success,
+stable key order, CSV uses the same float formatting. `simulate` and `lower`
+read a circuit through one slot that keeps the last circuit parsed in this
+process with its file text: a run on byte-identical text reuses that graph
+(graphs are immutable, so the output is the same), and any other text is
+parsed and replaces it. Exit codes: 0 success,
 2 parse/validation problems, 3 singular feedback loops, 4 gate class or
 dimension errors. Errors print one structured JSON object on stderr.
 
@@ -23,7 +27,7 @@ from operator import index
 import numpy as np
 
 from .algebra import AnbitState, to_bloch
-from .circuits import FanInGate, solve
+from .circuits import CircuitGraph, FanInGate, solve
 from .decompositions import (
     euler_reconstruct,
     euler_zxz,
@@ -76,6 +80,25 @@ def _load_json(path: str):
     return json.loads(_read(path))
 
 
+# (file text, CircuitGraph) of the last circuit read, rebound as one tuple so a
+# reader never pairs one text with another text's graph
+_last_circuit: tuple = (None, None)
+
+
+def _read_circuit(text: str, obj=None) -> CircuitGraph:
+    """The CircuitGraph of circuit JSON `text`, already decoded as `obj` if given.
+
+    Byte-identical text returns the graph kept from the last read; other text
+    is parsed and kept in its place. A parse that raises keeps nothing.
+    """
+    global _last_circuit
+    last_text, graph = _last_circuit
+    if text != last_text:
+        graph = circuit_from_obj(json.loads(text) if obj is None else obj)
+        _last_circuit = (text, graph)
+    return graph
+
+
 def _fro(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
@@ -106,7 +129,7 @@ def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phas
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    graph = circuit_from_obj(_load_json(args.target))
+    graph = _read_circuit(_read(args.target))
     raw = _load_json(args.input_path)
     if isinstance(raw, dict) and "amps" in raw:
         sources = graph.sources()
@@ -178,9 +201,11 @@ def _mostow_from_obj(obj):
 
 
 def _cmd_lower(args: argparse.Namespace) -> str:
-    obj = _load_json(args.target)
-    if isinstance(obj, dict) and "nodes" in obj:
-        nl = lower_circuit(circuit_from_obj(obj), args.arch)
+    text = _read(args.target)
+    kept = text == _last_circuit[0]
+    obj = None if kept else json.loads(text)
+    if kept or isinstance(obj, dict) and "nodes" in obj:
+        nl = lower_circuit(_read_circuit(text, obj), args.arch)
     elif args.arch == "zxz":
         nl = lower_unitary_zxz(gate_from_obj(obj))
     elif args.arch == "zyz":

@@ -228,6 +228,12 @@ class Netlist:
                     raise ParamError(f"{sets} a value too large for a float") from None
                 if not finite:
                     raise ParamError(f"{sets} {value}, which is not finite")
+                kind = self.kinds[idx]
+                spec = DEVICE_KINDS[kind]
+                if not spec.valued:
+                    raise ParamError(f"{sets} {value}, but {kind} takes no value")
+                if spec.domain and not spec.in_domain(value):
+                    raise ParamError(f"{sets} {value}, outside the {kind} domain: {spec.domain}")
         # the devices carry the active word's values: both copies must agree
         for idx, value in self._overrides(active_setting).items():
             if value != self.values[idx]:
@@ -509,14 +515,37 @@ def _basis_word(setting, n_controls: int) -> str:
     return format(hot, f"0{n_controls}b")
 
 
+def _shared_kinds(rows: dict) -> dict:
+    """Word -> rows with one device kind at each position under every word.
+
+    The words' rows come from one emitter, so they differ in kind only where a
+    gain is an amplifier under one word and an attenuator under another.
+    Wherever any word's gain exceeds 1, every word gets a fixed amplifier at
+    the largest of those gains, followed by an attenuator at its own gain over
+    that largest one; both then lie in their kinds' domains under every word.
+    """
+    shared: dict = {word: [] for word in rows}
+    for devs in zip(*rows.values()):
+        kind, wires = devs[0][:2]
+        top = max(dev[2] for dev in devs) if kind in ("ATT", "AMP") else 1.0
+        for out, dev in zip(shared.values(), devs):
+            if top > 1.0:
+                out += [("AMP", wires, top, None), ("ATT", wires, dev[2] / top, None)]
+            else:
+                out.append(dev)
+    return shared
+
+
 def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlist:
     """Target MCA with the control word routed to electrical parameter sets.
 
-    The optical netlist is exactly the target gate's architecture (Euler form
-    for unitaries, unitary-diagonal-unitary otherwise). The control map holds
-    two parameter assignments: the all-ones word programs the target, every
-    other word programs the identity. Devices are emitted carrying the values
-    selected by control_setting, which must be a basis state.
+    The optical netlist is the target gate's architecture (Euler form for
+    unitaries, unitary-diagonal-unitary otherwise), with each gain that
+    exceeds 1 under some word split into a fixed amplifier and a tunable
+    attenuator (`_shared_kinds`). The control map holds two parameter
+    assignments: the all-ones word programs the target, every other word
+    programs the identity. Devices are emitted carrying the values selected
+    by control_setting, which must be a basis state.
     """
     hot_word = "1" * cg.n_controls
     hot = _basis_word(control_setting, cg.n_controls) == hot_word
@@ -526,6 +555,7 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     rows: dict = {hot_word: [], "*": []}
     emit(rows[hot_word], cg.target_gate, (0, 1))
     emit(rows["*"], identity_gate(2), (0, 1))
+    rows = _shared_kinds(rows)
     control_map = {word: dict(enumerate(float(row[2]) for row in r)) for word, r in rows.items()}
     active = hot_word if hot else "*"
     bound = [(kind, wires, value, f"c{k}") for k, (kind, wires, value, _) in enumerate(rows[active])]

@@ -20,7 +20,7 @@ from anbit import (
     solve,
     two_anbit_loop,
 )
-from anbit import circuits
+from anbit import circuits, lower_circuit
 from anbit.errors import DimError, GraphError, LoopSingularError, ParamError
 
 from conftest import random_matrix, random_state_vec, random_unitary
@@ -379,6 +379,26 @@ def test_components_topological_with_cycle_flags():
     assert {members[0]: cyclic for members, cyclic in comps} == {
         "s": False, "fo": False, "a": False, "fi": True, "b": False, "t": False
     }
+
+
+def test_components_are_searched_once_per_graph(rng, monkeypatch):
+    # solve, a second solve on another input and the lowering share one search
+    searched = []
+    tarjan = CircuitGraph._tarjan
+    monkeypatch.setattr(CircuitGraph, "_tarjan", lambda self: searched.append(self) or tarjan(self))
+    gates = {"a": GateMatrix(random_unitary(rng)), "b": GateMatrix(random_matrix(rng))}
+    chain = CircuitGraph(
+        {"s": SourceNode(), **gates, "t": SinkNode()},
+        ((("s", 0), ("a", 0)), (("a", 0), ("b", 0)), (("b", 0), ("t", 0))),
+    )
+    loop = loop_graph(GateMatrix(_contraction(rng)), GateMatrix(_contraction(rng)))
+    for graph in (chain, loop):
+        first = graph.components()
+        for vec in ([1.0, 0.0], [0.3, -0.2j]):
+            solve(graph, {graph.sources()[0]: AnbitState(vec)})
+        assert graph.components() is first
+    lower_circuit(chain, arch="svd")
+    assert searched == [chain, loop]
 
 
 def _loop_nodes(prefix, m1, m2, n1=1.0, m2_param=1.0):

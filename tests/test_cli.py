@@ -1,9 +1,13 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +16,7 @@ import pytest
 
 import anbit
 from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, mostow_synthesize, pauli
+from anbit import cli
 from anbit.cli import emit_trajectory, main
 from anbit.errors import DegenerateStateError
 from anbit.serialization import (
@@ -302,6 +307,11 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
             "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 0=nan\nCTRL * 0=0.5\n",
             "control word '1' sets device 0 to nan, which is not finite",
         ),
+        # a control word may not turn an attenuator into a gain of 5
+        (
+            "WIRES 1\nIN 0\nOUT 0\nATT 0 0.5 @c0\nCTRL 1 0=5.0\nCTRL * 0=0.5\n",
+            "control word '1' sets device 0 to 5.0, outside the ATT domain: attenuator gain must be in [0, 1]",
+        ),
         # a circuit without sources or sinks: lowering it fails before any netlist is written
         ('{"nodes": [], "edges": []}', "netlist has no input ports"),
     ],
@@ -320,6 +330,7 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
         "dc-inf",
         "amp-inf",
         "ctrl-nan",
+        "ctrl-att-gain",
         "lowered-empty-circuit",
     ],
 )
@@ -762,3 +773,202 @@ def test_python_m_runs_the_cli(tmp_path):
     payload = json.loads(proc.stderr)
     assert payload["error"] == "FileNotFoundError" and payload["exit_code"] == 2
     assert missing in payload["message"]
+
+
+# --- the circuit slot: the last circuit read, kept with its file text --------
+
+def _gate_node(nid, m):
+    return {"id": nid, "kind": "gate", "params": gate_to_obj(GateMatrix(m))}
+
+
+def _loop_circuit(rng):
+    """Fan-in, gate, fan-out, with the copy fed back through a second gate."""
+    return {
+        "nodes": [
+            {"id": "src", "kind": "source", "params": {}},
+            {"id": "fi", "kind": "fanin", "params": {"n": [0.8, 0.1], "m": [1.0, 0.0]}},
+            _gate_node("g1", 0.6 * random_unitary(rng)),
+            {"id": "fo", "kind": "fanout", "params": {"n": 1.0, "m": 0.5}},
+            _gate_node("g2", 0.7 * random_unitary(rng)),
+            {"id": "out", "kind": "sink", "params": {}},
+        ],
+        "edges": [
+            {"from": ["src", 0], "to": ["fi", 0]},
+            {"from": ["fi", 0], "to": ["g1", 0]},
+            {"from": ["g1", 0], "to": ["fo", 0]},
+            {"from": ["fo", 0], "to": ["out", 0]},
+            {"from": ["fo", 1], "to": ["g2", 0]},
+            {"from": ["g2", 0], "to": ["fi", 1]},
+        ],
+        "sources": ["src"],
+        "sinks": ["out"],
+    }
+
+
+def _ladder_circuit(rng):
+    """Fan-out into two 2-gate branches, summed and differenced by a fan-in."""
+    h = float(np.sqrt(0.5))
+    gates = [_gate_node(nid, random_unitary(rng)) for nid in ("a1", "a2", "b1", "b2")]
+    return {
+        "nodes": [
+            {"id": "s", "kind": "source", "params": {}},
+            {"id": "fo", "kind": "fanout", "params": {"n": h, "m": h}},
+            *gates,
+            {"id": "fi", "kind": "fanin", "params": {"n": [h, 0.0], "m": [h, 0.0]}},
+            {"id": "t", "kind": "sink", "params": {}},
+            {"id": "d", "kind": "sink", "params": {}},
+        ],
+        "edges": [
+            {"from": ["s", 0], "to": ["fo", 0]},
+            {"from": ["fo", 0], "to": ["a1", 0]},
+            {"from": ["a1", 0], "to": ["a2", 0]},
+            {"from": ["fo", 1], "to": ["b1", 0]},
+            {"from": ["b1", 0], "to": ["b2", 0]},
+            {"from": ["a2", 0], "to": ["fi", 0]},
+            {"from": ["b2", 0], "to": ["fi", 1]},
+            {"from": ["fi", 0], "to": ["t", 0]},
+            {"from": ["fi", 1], "to": ["d", 0]},
+        ],
+        "sources": ["s"],
+        "sinks": ["t", "d"],
+    }
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """The circuit slot as a fresh process starts it; the test's graphs are dropped after it."""
+    monkeypatch.setattr(cli, "_last_circuit", (None, None))
+
+
+def test_rewritten_circuit_of_the_same_length_is_read_again(tmp_path, capsys, empty_slot):
+    # one gate entry changes and the file keeps its length: the new circuit is simulated
+    circ = _circuit_with(_gate_node("g", np.diag([0.25, 0.5])))
+    text = dumps(circ)
+    path = tmp_path / "c.json"
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState([1.0, 1.0])))
+    outs = []
+    for entry in ("0.25", "0.75"):
+        path.write_text(text.replace("0.25", entry))
+        rc, out, _ = run_cli(capsys, ["simulate", str(path), "--input", spath])
+        assert rc == 0
+        outs.append(json.loads(out)["outputs"]["t"]["amps"])
+    assert len(text.replace("0.25", "0.75")) == len(text)
+    assert outs == [[[0.25, 0.0], [0.5, 0.0]], [[0.75, 0.0], [0.5, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["{not json", dumps({"nodes": [{"id": "s", "kind": "source"}], "edges": [{"from": ["s", 0], "to": ["x", 0]}],
+                         "sources": ["s"]})],
+    ids=["json", "graph"],
+)
+def test_a_circuit_that_fails_to_parse_is_not_kept(tmp_path, capsys, empty_slot, bad, rng):
+    bad_path, good_path = tmp_path / "bad.json", tmp_path / "good.json"
+    bad_path.write_text(bad)
+    circ, u = basic_circuit(rng)
+    good_path.write_text(dumps(circ))
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState([0.6, 0.8j])))
+    fresh = run_cli(capsys, ["simulate", str(bad_path), "--input", spath])
+    assert fresh[0] == 2 and fresh[1] == "" and cli._last_circuit == (None, None)
+    rc, out, _ = run_cli(capsys, ["simulate", str(good_path), "--input", spath])
+    assert rc == 0
+    amps = np.array([complex(*pair) for pair in json.loads(out)["outputs"]["t"]["amps"]])
+    assert np.max(np.abs(amps - u @ np.array([0.6, 0.8j]))) < 1e-14
+    assert run_cli(capsys, ["simulate", str(bad_path), "--input", spath]) == fresh
+    assert cli._last_circuit[0] == good_path.read_text()
+
+
+def test_the_slot_holds_one_graph(tmp_path, capsys, monkeypatch, empty_slot, rng):
+    graphs = []  # a weak reference to each graph parsed
+    parse = cli.circuit_from_obj
+
+    def recorded(obj):
+        graph = parse(obj)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(cli, "circuit_from_obj", recorded)
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState([1.0, 0.0])))
+    for name in ("first", "second", "second"):
+        cpath = write_json(tmp_path / f"{name}.json", _ladder_circuit(np.random.default_rng(len(name))))
+        rc, _, _ = run_cli(capsys, ["simulate", cpath, "--input", spath])
+        assert rc == 0
+    gc.collect()
+    assert len(graphs) == 2  # the repeat is read from the slot
+    assert graphs[0]() is None and graphs[1]() is cli._last_circuit[1]
+
+
+def test_lower_after_simulate_prints_the_netlist_of_lower_alone(tmp_path, capsys, monkeypatch, rng):
+    cpath = write_json(tmp_path / "c.json", basic_circuit(rng)[0])
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState([1.0, 0.0])))
+    lower = ["lower", cpath, "--arch", "zxz"]
+    monkeypatch.setattr(cli, "_last_circuit", (None, None))
+    alone = run_cli(capsys, lower)
+    monkeypatch.setattr(cli, "_last_circuit", (None, None))
+    assert run_cli(capsys, ["simulate", cpath, "--input", spath])[0] == 0
+    graph = cli._last_circuit[1]
+    assert run_cli(capsys, lower) == alone and alone[0] == 0
+    assert cli._last_circuit[1] is graph
+
+
+def _chain_circuit(prefix: str, n: int) -> dict:
+    ids = [f"{prefix}{k}" for k in range(n)]
+    path = ["s", *ids, "t"]
+    return {
+        "nodes": [
+            {"id": "s", "kind": "source"},
+            *(_gate_node(nid, np.eye(2)) for nid in ids),
+            {"id": "t", "kind": "sink"},
+        ],
+        "edges": [{"from": [a, 0], "to": [b, 0]} for a, b in zip(path, path[1:])],
+        "sources": ["s"],
+        "sinks": ["t"],
+    }
+
+
+def test_threads_reading_two_circuits_get_each_its_own_graph(empty_slot):
+    # the slot is one tuple: a reader racing another never pairs a text with the other
+    # text's graph; 100-gate chains keep each parse long enough for the readers to interleave
+    texts = {prefix: dumps(_chain_circuit(prefix, 100)) for prefix in ("a", "b")}
+    start = threading.Barrier(4)
+    wrong, failed = [], []
+
+    def read(prefix):
+        try:
+            start.wait(timeout=60)
+            deadline = time.perf_counter() + 0.3
+            while time.perf_counter() < deadline:
+                if f"{prefix}0" not in cli._read_circuit(texts[prefix]).nodes:
+                    wrong.append(prefix)
+        except Exception as exc:  # reported below; a thread's exception would not fail the test
+            failed.append(exc)
+
+    threads = [threading.Thread(target=read, args=(prefix,)) for prefix in "abab"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failed == [] and wrong == []
+
+
+@pytest.mark.parametrize("build", [_loop_circuit, _ladder_circuit], ids=["loop", "ladder"])
+def test_in_process_runs_print_what_a_fresh_process_prints(tmp_path, capsys, empty_slot, build, rng):
+    # the subprocess starts with an empty slot; in process, the first run fills it and the second reads it
+    cpath = write_json(tmp_path / "c.json", build(rng))
+    spath = write_json(tmp_path / "s.json", state_to_obj(AnbitState(random_state_vec(rng))))
+    argv = ["simulate", cpath, "--input", spath]
+    proc = subprocess.run(
+        [sys.executable, "-m", "anbit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(anbit.__file__).resolve().parent.parent)),
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert run_cli(capsys, argv) == run_cli(capsys, argv) == (0, proc.stdout, "")

@@ -476,9 +476,12 @@ def random_netlists(draw):
     control_map = setting = None
     valued = [i for i, dev in enumerate(devices) if dev.value is not None]
     if valued and draw(st.booleans()):
-        # each word overrides some devices; the others keep their own values
+        # each word overrides some devices, each within its kind's domain; the
+        # others keep their own values
         overridden = st.lists(st.sampled_from(valued), min_size=1, max_size=24, unique=True)
-        control_map = {word: {i: draw(_ANGLES) for i in draw(overridden)} for word in ("1", "*")}
+        control_map = {
+            word: {i: draw(_KIND_VALUES[devices[i].kind]) for i in draw(overridden)} for word in ("1", "*")
+        }
         setting = draw(st.sampled_from(["1", "0", "*"]))
     nl = Netlist(n_wires, devices, draw(ports), draw(ports), control_map=control_map)
     return nl, setting
@@ -686,6 +689,42 @@ def test_control_map_entries_are_typed(control_map, message):
     with pytest.raises(ParamError) as exc:
         Netlist(1, [("PS", (0,), 0.5, None)], (0,), (0,), control_map=control_map)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "row,value,message",
+    [
+        (("ATT", (0,), 0.5, "c0"), 5.0, "control word '1' sets device 0 to 5.0, outside the ATT domain: "
+         "attenuator gain must be in [0, 1]"),
+        (("ATT", (0,), 0.5, "c0"), -0.5, "control word '1' sets device 0 to -0.5, outside the ATT domain: "
+         "attenuator gain must be in [0, 1]"),
+        (("AMP", (0,), 2.0, "c0"), 1.0, "control word '1' sets device 0 to 1.0, outside the AMP domain: "
+         "amplifier gain must exceed 1"),
+        (("BS", (0, 1), None, "c0"), 0.5, "control word '1' sets device 0 to 0.5, but BS takes no value"),
+    ],
+    ids=["att-gain", "att-negative", "amp-unit", "bs-value"],
+)
+def test_control_values_obey_their_device_domains(row, value, message):
+    # a word's value is held to the rules of the device it sets, as the device's own value is
+    with pytest.raises(ParamError) as exc:
+        Netlist(2, [row], (0, 1), (0, 1), control_map={"1": {0: value}})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("word", [0, 1])
+def test_controlled_gains_lie_in_their_domains_under_every_word(word, rng):
+    # gain 3 under the target word, 1 under the identity: both words share a fixed
+    # amplifier at 3 and set the attenuator after it to 1 and 1/3
+    g = GateMatrix(random_unitary(rng) @ np.diag([3.0, 0.5]) @ random_unitary(rng))
+    nl = lower_controlled_electrooptic(controlled(g, 1), np.eye(2)[word])
+    for setting, values in nl.control_map.items():
+        for idx, value in values.items():
+            spec = DEVICE_KINDS[nl.kinds[idx]]
+            assert spec.in_domain(value), (setting, idx, nl.kinds[idx], value)
+    assert nl.kinds.count("AMP") == 1
+    assert nl.control_map["1"][nl.kinds.index("AMP")] == nl.control_map["*"][nl.kinds.index("AMP")]
+    assert np.max(np.abs(nl.forward_transfer("1") - g.entries)) < 1e-11
+    assert np.max(np.abs(nl.forward_transfer("0") - np.eye(2))) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,14 @@
 Fan-in adds two andits (Cartesian composition keeps it linear); fan-out
 clones one. A circuit node is its operator: a `GateMatrix`, `FanInGate` or
 `FanOutGate`, or a `SourceNode`/`SinkNode` marker for the circuit's inputs
-and outputs. `solve` resolves a circuit in steady state in one walk over its
-strongly connected components, in topological order: each node sets its
-output signals from its already-known inputs, and a feedback component is
-first cut open at its back edges, so that one small closure system over the
-cut signals settles it. A graph indexes its edges by node and port once,
-when it is validated; the component search, `solve` and the netlist lowering
-all read those tables. The closed-form resolvent formulas for the canonical
-single- and two-anbit loops serve as oracles for the generic solver.
+and outputs. `circuit_transfer` computes a circuit's linear map in one walk
+over its strongly connected components in topological order, from identity
+columns: each node sets its outputs from its known inputs, and a feedback
+component is first cut open at its back edges, so that one small closure
+system settles it. The graph keeps the map; `solve` applies it to inputs.
+A validated graph indexes its edges by node and port and lists its sources
+and sinks; the walk and the netlist lowering read those tables. Closed-form
+resolvents of the single- and two-anbit loops are oracles for the walk.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "loop_equivalent",
     "two_anbit_loop",
     "solve",
+    "circuit_transfer",
     "fanin_tensor_nonlinearity_witness",
 ]
 
@@ -234,14 +235,16 @@ class CircuitGraph:
     in_edges[node] holds the index of the edge feeding each input port (None
     when unwired), out_edges[node] the (edge index, output port) pairs the
     node drives, in edge order. Nodes and edges are fixed from then on, so
-    `components()` searches them once and keeps the result.
+    `components()` and `circuit_transfer` (per dim) run once and keep their result.
     """
 
     nodes: dict
     edges: tuple
     in_edges: dict = field(init=False, repr=False)
     out_edges: dict = field(init=False, repr=False)
+    _ends: tuple = field(init=False, repr=False, compare=False)
     _components: list | None = field(init=False, repr=False, compare=False)
+    _transfers: dict = field(init=False, repr=False, compare=False)  # dim -> (map, clean)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
@@ -282,6 +285,9 @@ class CircuitGraph:
         object.__setattr__(self, "in_edges", ins)
         object.__setattr__(self, "out_edges", outs)
         object.__setattr__(self, "_components", None)
+        object.__setattr__(self, "_transfers", {})
+        ends = (tuple(n for n in ins if isinstance(self.nodes[n], k)) for k in (SourceNode, SinkNode))
+        object.__setattr__(self, "_ends", tuple(ends))  # (source ids, sink ids), in declaration order
         for nid, node in self.nodes.items():
             for port, i in enumerate(ins[nid]):
                 if i is None and not (isinstance(node, FanOutGate) and port == 1):
@@ -291,10 +297,10 @@ class CircuitGraph:
                 raise GraphError(f"source {nid!r} drives nothing")
 
     def sources(self) -> list:
-        return [nid for nid, n in self.nodes.items() if isinstance(n, SourceNode)]
+        return list(self._ends[0])
 
     def sinks(self) -> list:
-        return [nid for nid, n in self.nodes.items() if isinstance(n, SinkNode)]
+        return list(self._ends[1])
 
     def components(self) -> list:
         """Strongly connected components in topological order, as (node ids, cyclic).
@@ -391,17 +397,17 @@ def _terms(node, port: int, ins: list) -> list:
     return terms
 
 
-def _tear(graph: CircuitGraph, members: list, x: list, d: int) -> tuple:
+def _tear(graph: CircuitGraph, members: list, x: list, d: int, w: int) -> tuple:
     """Cut a feedback component open after the heads of its back edges.
 
     A back edge runs to a member, its head, that does not come after its
     tail in the member order. The heads' internal outputs are cut: their
-    k = c . d signals are unknowns y, and each signal in the component is a
-    (d, 1 + k) block [a | B] for a + B y, so x now holds an entering signal
-    as [x | 0] and a cut one as its unit columns. Cut there, a fan-in head's
+    k = c . d signals are unknowns y, and each (d, w) signal in the component
+    becomes a (d, w + k) block [a | B] for a + B y: an entering signal as
+    [x | 0] and a cut one as its unit columns. Cut there, a fan-in head's
     output is solved for, not formed as the sum of its entering and fed-back
     signals, which cancel in a strong loop. Returns (walk order with the
-    heads last, cut edges in column order).
+    heads last, cut edges in column order, edges leaving the component).
     """
     pos = {nid: p for p, nid in enumerate(members)}
     heads, entering = {}, []  # heads as dict keys, in member order
@@ -415,25 +421,80 @@ def _tear(graph: CircuitGraph, members: list, x: list, d: int) -> tuple:
     cut = {i: c for c, i in enumerate(i for h in heads for i, _ in graph.out_edges[h] if graph.edges[i][1][0] in pos)}
     k = len(cut) * d
     for j in entering:
-        x[j] = np.hstack((x[j][:, None], np.zeros((d, k))))
+        x[j] = np.hstack((x[j], np.zeros((d, k))))
     for j, c in cut.items():
-        x[j] = np.eye(d, 1 + k, 1 + c * d, dtype=complex)
-    return sorted(members, key=heads.__contains__), cut
+        x[j] = np.eye(d, w + k, w + c * d, dtype=complex)
+    exits = [i for nid in members for i, _ in graph.out_edges[nid] if graph.edges[i][1][0] not in pos]
+    return sorted(members, key=heads.__contains__), cut, exits
+
+
+def _walk(graph: CircuitGraph, d: int, rhs: np.ndarray) -> np.ndarray:
+    """The sinks' (d, w) signals stacked in declaration order; source k emits rows k.d to k.d+d of rhs.
+
+    Each edge carries one block, set in topological order of the components
+    from the node's known input edges. A feedback component is torn first
+    (`_tear`; Kron, Diakoptics, 1963), and the cut signals its walk produces
+    must equal Y. That closure, (I - B_cut) Y = A_cut, has the determinant of
+    the component's full wire equations (Schur complement). LoopSingularError
+    names its nodes when it is singular; otherwise each block leaving it becomes A + B Y.
+    """
+    ins, outs = graph.in_edges, graph.out_edges
+    emitted, w = {s: rhs[k * d:(k + 1) * d] for k, s in enumerate(graph._ends[0])}, rhs.shape[1]
+    x: list = [None] * len(graph.edges)  # block per edge, set in topological order
+    produced: dict = {}  # cut edge -> the block its head sets; x keeps the unit columns
+    for members, cyclic in graph.components():
+        members, cut, exits = _tear(graph, members, x, d, w) if cyclic else (members, (), ())
+        for nid in members:
+            node = graph.nodes[nid]
+            for i, sp in outs[nid]:
+                if isinstance(node, SourceNode):
+                    x[i] = emitted[nid]
+                    continue
+                total = None
+                for coef, j in _terms(node, sp, ins[nid]):
+                    term = coef.dot(x[j]) if isinstance(coef, np.ndarray) else coef * x[j]
+                    total = term if total is None else total + term
+                (produced if i in cut else x)[i] = total
+        if cyclic:
+            closure = np.concatenate([produced[i] for i in cut])
+            system = np.eye(len(closure), dtype=complex) - closure[:, w:]
+            if _singular(system):
+                ids = sorted(members, key=list(graph.nodes).index)
+                raise LoopSingularError(f"feedback loop through nodes {ids} is singular; no steady state")
+            y = np.vstack((np.eye(w), np.linalg.solve(system, closure[:, :w])))
+            for i in exits:  # signals inside the component have no later reader
+                x[i] = x[i].dot(y)
+    return np.concatenate([x[ins[t][0]] for t in graph._ends[1]] or [np.zeros((0, w), complex)])
+
+
+def circuit_transfer(graph: CircuitGraph, dim: int = 2) -> np.ndarray:
+    """The circuit's [sink . dim, source . dim] map, sinks and sources in declaration order.
+
+    Walked from identity columns on the first call at this dim and kept, read-only, on the
+    graph; DimError and LoopSingularError keep nothing. Entries past the float range are inf or nan.
+    """
+    if dim not in graph._transfers:
+        for nid, node in graph.nodes.items():
+            if isinstance(node, GateMatrix) and node.dim != dim:
+                raise DimError(f"gate {nid!r} has dim {node.dim}, circuit carries {dim}")
+        if dim != 2 and any(isinstance(v, FanOutGate) and graph.in_edges[n][1] is not None and graph.out_edges[n]
+                            for n, v in graph.nodes.items()):
+            raise DimError("fan-out ancilla submatrices are defined for dim 2")
+        flagged = []  # floating-point exceptions met by the walk
+        with np.errstate(all="call", call=lambda kind, _: flagged.append(kind)):
+            t = _walk(graph, dim, np.eye(len(graph._ends[0]) * dim, dtype=complex))
+        t.setflags(write=False)
+        graph._transfers[dim] = (t, not flagged and bool(np.isfinite(t).all()))
+    return graph._transfers[dim][0]
 
 
 def solve(graph: CircuitGraph, inputs: dict) -> dict:
-    """Steady-state signals at every sink, keyed by sink node id.
+    """Steady-state signals at every sink, keyed by sink node id: the kept map times the inputs.
 
-    Each edge carries one signal, set by one walk over the strongly connected
-    components in topological order: a node sets its output edges from its
-    known input edges. A feedback component is torn first (`_tear`; Kron,
-    Diakoptics, 1963), and the cut signals its walk produces must equal y.
-    That closure, (I - B_cut) y = a_cut, has the determinant of the
-    component's full wire equations (Schur complement). LoopSingularError
-    names the component's nodes when it is singular; otherwise each signal
-    in it becomes a + B y.
+    Where walking the map overflowed, underflowed or met inf or nan, it would
+    lose what a walk of the inputs keeps, so `_walk` runs on them instead.
     """
-    sources = graph.sources()
+    sources = graph._ends[0]
     missing = [s for s in sources if s not in inputs or not isinstance(inputs[s], AnbitState)]
     if missing:
         raise GraphError(f"sources without an AnbitState input: {missing}")
@@ -445,45 +506,13 @@ def solve(graph: CircuitGraph, inputs: dict) -> dict:
     d = next(iter(dims.values()), 2)
     if any(v != d for v in dims.values()):
         raise DimError("all source states must share one dimension")
-    for nid, node in graph.nodes.items():
-        if isinstance(node, GateMatrix) and node.dim != d:
-            raise DimError(f"gate {nid!r} has dim {node.dim}, circuit carries {d}")
-
-    ins, outs = graph.in_edges, graph.out_edges
-    if d != 2:
-        for nid, node in graph.nodes.items():
-            if isinstance(node, FanOutGate) and ins[nid][1] is not None and outs[nid]:
-                raise DimError("fan-out ancilla submatrices are defined for dim 2")
-
-    x: list = [None] * len(graph.edges)  # signal per edge, set in topological order
-    produced: dict = {}  # cut edge -> the block its head sets; x keeps the unit columns
-    for members, cyclic in graph.components():
-        members, cut = _tear(graph, members, x, d) if cyclic else (members, ())
-        for nid in members:
-            node = graph.nodes[nid]
-            for i, sp in outs[nid]:
-                if isinstance(node, SourceNode):
-                    x[i] = inputs[nid].amps
-                    continue
-                total = None
-                for coef, j in _terms(node, sp, ins[nid]):
-                    term = coef @ x[j] if isinstance(coef, np.ndarray) else coef * x[j]
-                    total = term if total is None else total + term
-                (produced if i in cut else x)[i] = total
-        if cyclic:
-            closure = np.concatenate([produced[i] for i in cut])
-            system = np.eye(len(closure), dtype=complex) - closure[:, 1:]
-            if _singular(system):
-                ids = sorted(members, key=list(graph.nodes).index)
-                raise LoopSingularError(f"feedback loop through nodes {ids} is singular; no steady state")
-            y = np.concatenate(([1.0], np.linalg.solve(system, closure[:, 0])))
-            for nid in members:
-                for i, _ in outs[nid]:
-                    x[i] = x[i] @ y
+    t = circuit_transfer(graph, d)
+    amps = np.concatenate([inputs[s].amps for s in sources]) if sources else np.zeros(0, complex)
+    x = t.dot(amps) if graph._transfers[d][1] else _walk(graph, d, amps[:, None])[:, 0]
 
     dts = {inputs[s].delta_t for s in sources}
     dt = dts.pop() if len(dts) == 1 else None
-    return {nid: AnbitState(x[ins[nid][0]], dt) for nid in graph.sinks()}
+    return {nid: AnbitState(x[k * d:(k + 1) * d], dt) for k, nid in enumerate(graph._ends[1])}
 
 
 def fanin_tensor_nonlinearity_witness(psi: AnbitState, phi: AnbitState):

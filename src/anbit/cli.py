@@ -7,8 +7,8 @@ All outputs are deterministic: JSON uses 17-significant-digit floats and
 stable key order, CSV uses the same float formatting. `simulate` and `lower`
 read a circuit through one slot that keeps the last circuit parsed in this
 process with its file text: a run on byte-identical text reuses that graph
-(graphs are immutable, so the output is the same), and any other text is
-parsed and replaces it. Exit codes: 0 success,
+and the transfer map the graph keeps, so `simulate` is one matrix product;
+other text is parsed and replaces it. Exit codes: 0 success,
 2 parse/validation problems, 3 singular feedback loops, 4 gate class or
 dimension errors. Errors print one structured JSON object on stderr.
 

@@ -667,6 +667,7 @@ def test_non_finite_results_fail_typed(tmp_path, capsys, argv, obj):
 
 
 _INF_GATE = {"entries": [[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]}  # "inf" is written as 1e400
+_NAN_GATE = {"entries": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}  # written as NaN, which json.loads accepts
 
 
 @pytest.mark.parametrize(
@@ -674,6 +675,7 @@ _INF_GATE = {"entries": [[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]}  # "inf" is wr
     [
         (["simulate", "--input", "S", "--format", "csv"], _circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE}), 2),
         (["simulate", "--input", "S"], _circuit_with({"id": "g", "kind": "gate", "params": _INF_GATE}), 2),
+        (["simulate", "--input", "S"], _circuit_with({"id": "g", "kind": "gate", "params": _NAN_GATE}), 2),
         (["trajectory"], {"state": {"amps": [[1.5e308, 0], [1.5e308, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
         (["trajectory"], {"state": {"amps": [["inf", 0], [1, 0]]}, "axis": [0, 0, 1], "steps": 3}, 2),
         (["decompose", "--method", "pauli"], _INF_GATE, 2),
@@ -687,6 +689,7 @@ _INF_GATE = {"entries": [[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]}  # "inf" is wr
     ids=[
         "simulate-csv",
         "simulate-json",
+        "simulate-nan-gate",
         "trajectory-radius-overflow",
         "trajectory-inf-amp",
         "decompose-pauli",

@@ -487,9 +487,9 @@ def random_netlists(draw):
     return nl, setting
 
 
-def _dense_product(nl, setting, backward):
+def _dense_product(nl, setting, backward, absolute=False):
     # every device embedded in a W x W identity; backward takes the devices in
-    # reverse order with transposed matrices
+    # reverse order with transposed matrices, absolute their entrywise |.|
     values = {}
     if setting is not None:
         values = nl.control_map.get(setting, nl.control_map["*"])
@@ -499,9 +499,12 @@ def _dense_product(nl, setting, backward):
         dev = nl.devices[idx]
         n = len(dev.wires)
         local = np.array(DEVICE_KINDS[dev.kind].coefs(values.get(idx, dev.value))).reshape(n, n)
+        local = np.abs(local) if absolute else local
         step = np.eye(nl.wires, dtype=complex)
         step[np.ix_(dev.wires, dev.wires)] = local.T if backward else local
         full = step @ full
+        if absolute:  # below the normal range rounding is absolute, at each device
+            full += np.finfo(float).tiny
     return full
 
 
@@ -515,15 +518,25 @@ def dense_backward(nl, setting):
     return _dense_product(nl, setting, backward=True)[np.ix_(nl.input_ports, nl.output_ports)]
 
 
+def rounding_scale(nl, setting):
+    """The entrywise product of the devices' absolute matrices, [output, input] ports.
+
+    It bounds the rounding of any order of the product entry by entry, where
+    a run of gains that cancels to a small transfer leaves |T| far below it;
+    the smallest normal float added after each device covers underflow.
+    """
+    return _dense_product(nl, setting, False, absolute=True)[np.ix_(nl.output_ports, nl.input_ports)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_netlists())
 def test_port_block_matches_dense_product(case):
     nl, setting = case
     tf = nl.forward_transfer(setting)
-    scale = max(1.0, float(np.max(np.abs(tf))))
+    scale = rounding_scale(nl, setting)
     assert tf.shape == (len(nl.output_ports), len(nl.input_ports))
-    assert np.max(np.abs(tf - dense_forward(nl, setting))) <= 1e-12 * scale
-    assert np.max(np.abs(nl.backward_transfer(setting) - tf.T)) <= 1e-12 * scale
+    assert np.all(np.abs(tf - dense_forward(nl, setting)) <= 1e-12 * scale)
+    assert np.all(np.abs(nl.backward_transfer(setting) - tf.T) <= 1e-12 * scale.T)
 
 
 @settings(max_examples=100, deadline=None)
@@ -533,7 +546,8 @@ def test_backward_transfer_matches_dense_reversed_product(case):
     tb = nl.backward_transfer(setting)
     want = dense_backward(nl, setting)
     assert tb.shape == (len(nl.input_ports), len(nl.output_ports))
-    assert np.max(np.abs(tb - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+    # the reversed product of transposes has the transposed absolute bound
+    assert np.all(np.abs(tb - want) <= 1e-12 * rounding_scale(nl, setting).T)
 
 
 def test_lower_circuit_matches_solve(rng):

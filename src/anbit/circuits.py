@@ -8,9 +8,10 @@ over its strongly connected components in topological order, from identity
 columns: each node sets its outputs from its known inputs, and a feedback
 component is first cut open at its back edges, so that one small closure
 system settles it. The graph keeps the map; `solve` applies it to inputs.
-A validated graph indexes its edges by node and port and lists its sources
-and sinks; the walk and the netlist lowering read those tables. Closed-form
-resolvents of the single- and two-anbit loops are oracles for the walk.
+A graph is checked once, when it is built, and indexes its edges by node and
+port and lists its sources, sinks and components; the walk and the netlist
+lowering read those tables. Closed-form resolvents of the single- and
+two-anbit loops are oracles for the walk.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AnbitState
-from .errors import DimError, GraphError, LoopSingularError, ParamError
+from .errors import DimError, GraphError, LoopSingularError, ParamError, _integer
 from .gates import GateMatrix, _singular
 
 __all__ = [
@@ -231,11 +232,11 @@ class CircuitGraph:
     explicit fan-out node; wiring one output to two inputs is an error.
     Fan-in/fan-out second ports are garbage/ancilla and may stay unwired.
 
-    `validate` builds the per-node port tables every later pass reads:
+    Construction checks the wiring and builds every table later passes read:
     in_edges[node] holds the index of the edge feeding each input port (None
-    when unwired), out_edges[node] the (edge index, output port) pairs the
-    node drives, in edge order. Nodes and edges are fixed from then on, so
-    `components()` and `circuit_transfer` (per dim) run once and keep their result.
+    when unwired), out_edges[node] the (edge index, output port) pairs the node
+    drives, in edge order, then the sources, sinks and `components()`. Nodes and
+    edges are fixed from then on; `circuit_transfer` keeps its map per dim.
     """
 
     nodes: dict
@@ -243,15 +244,12 @@ class CircuitGraph:
     in_edges: dict = field(init=False, repr=False)
     out_edges: dict = field(init=False, repr=False)
     _ends: tuple = field(init=False, repr=False, compare=False)
-    _components: list | None = field(init=False, repr=False, compare=False)
+    _components: list = field(init=False, repr=False, compare=False)
     _transfers: dict = field(init=False, repr=False, compare=False)  # dim -> (map, clean)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", dict(self.nodes))
-        self.validate()
-
-    def validate(self):
         """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
+        object.__setattr__(self, "nodes", dict(self.nodes))
         ports = {}
         for nid, node in self.nodes.items():
             if not isinstance(nid, str):
@@ -284,7 +282,6 @@ class CircuitGraph:
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "in_edges", ins)
         object.__setattr__(self, "out_edges", outs)
-        object.__setattr__(self, "_components", None)
         object.__setattr__(self, "_transfers", {})
         ends = (tuple(n for n in ins if isinstance(self.nodes[n], k)) for k in (SourceNode, SinkNode))
         object.__setattr__(self, "_ends", tuple(ends))  # (source ids, sink ids), in declaration order
@@ -295,6 +292,7 @@ class CircuitGraph:
                     raise GraphError(f"input port ({nid!r}, {port}) is not fed")
             if isinstance(node, SourceNode) and not outs[nid]:
                 raise GraphError(f"source {nid!r} drives nothing")
+        object.__setattr__(self, "_components", self._tarjan())
 
     def sources(self) -> list:
         return list(self._ends[0])
@@ -305,16 +303,13 @@ class CircuitGraph:
     def components(self) -> list:
         """Strongly connected components in topological order, as (node ids, cyclic).
 
-        Searched on the first call and kept on the graph: `solve`, every later
-        `solve` and `lower_circuit` read the same list, which none of them
-        changes (do not modify it either).
+        Found when the graph is built: every `solve` and `lower_circuit` read
+        this same list, which none of them changes (do not modify it either).
         """
-        if self._components is None:
-            object.__setattr__(self, "_components", self._tarjan())
         return self._components
 
     def _tarjan(self) -> list:
-        """The component search behind `components()`.
+        """The component search behind `components()`, run once by the constructor.
 
         Iterative Tarjan (SIAM J. Comput. 1, 1972): roots are tried in node
         declaration order, nodes with no incoming edge first, and successors
@@ -432,11 +427,12 @@ def _walk(graph: CircuitGraph, d: int, rhs: np.ndarray) -> np.ndarray:
     """The sinks' (d, w) signals stacked in declaration order; source k emits rows k.d to k.d+d of rhs.
 
     Each edge carries one block, set in topological order of the components
-    from the node's known input edges. A feedback component is torn first
-    (`_tear`; Kron, Diakoptics, 1963), and the cut signals its walk produces
-    must equal Y. That closure, (I - B_cut) Y = A_cut, has the determinant of
-    the component's full wire equations (Schur complement). LoopSingularError
-    names its nodes when it is singular; otherwise each block leaving it becomes A + B Y.
+    from the node's known input edges and dropped once its one reader has run.
+    A feedback component is torn first (`_tear`; Kron, Diakoptics, 1963), and
+    the cut signals its walk produces must equal Y. That closure,
+    (I - B_cut) Y = A_cut, has the determinant of the component's full wire
+    equations (Schur complement). LoopSingularError names its nodes when it is
+    singular; otherwise each block leaving it becomes A + B Y.
     """
     ins, outs = graph.in_edges, graph.out_edges
     emitted, w = {s: rhs[k * d:(k + 1) * d] for k, s in enumerate(graph._ends[0])}, rhs.shape[1]
@@ -455,6 +451,9 @@ def _walk(graph: CircuitGraph, d: int, rhs: np.ndarray) -> np.ndarray:
                     term = coef.dot(x[j]) if isinstance(coef, np.ndarray) else coef * x[j]
                     total = term if total is None else total + term
                 (produced if i in cut else x)[i] = total
+            for j in ins[nid] if outs[nid] else ():  # sinks keep theirs for the final read
+                if j is not None:
+                    x[j] = None
         if cyclic:
             closure = np.concatenate([produced[i] for i in cut])
             system = np.eye(len(closure), dtype=complex) - closure[:, w:]
@@ -471,8 +470,11 @@ def circuit_transfer(graph: CircuitGraph, dim: int = 2) -> np.ndarray:
     """The circuit's [sink . dim, source . dim] map, sinks and sources in declaration order.
 
     Walked from identity columns on the first call at this dim and kept, read-only, on the
-    graph; DimError and LoopSingularError keep nothing. Entries past the float range are inf or nan.
+    graph; an error keeps nothing. Entries past the float range are inf or nan.
     """
+    dim = _integer(dim, "dim")
+    if dim < 1:
+        raise DimError("dim must be >= 1")
     if dim not in graph._transfers:
         for nid, node in graph.nodes.items():
             if isinstance(node, GateMatrix) and node.dim != dim:

@@ -4,11 +4,11 @@ Subcommands: simulate, decompose, lower, analyze, measure, trajectory. The
 argument parser is built once per process; each subcommand's parser carries
 its handler, which takes the parsed arguments and returns the output text.
 All outputs are deterministic: JSON uses 17-significant-digit floats and
-stable key order, CSV uses the same float formatting. `simulate` and `lower`
-read a circuit through one slot that keeps the last circuit parsed in this
-process with its file text: a run on byte-identical text reuses that graph
-and the transfer map the graph keeps, so `simulate` is one matrix product;
-other text is parsed and replaces it. Exit codes: 0 success,
+stable key order, CSV uses the same float formatting. `simulate` reads its
+circuit through one slot that keeps the last circuit parsed in this process
+with its file text: a run on byte-identical text reuses that graph and the
+transfer map the graph keeps, so it is one matrix product; other text is
+parsed and replaces it. Exit codes: 0 success,
 2 parse/validation problems, 3 singular feedback loops, 4 gate class or
 dimension errors. Errors print one structured JSON object on stderr.
 
@@ -41,7 +41,6 @@ from .decompositions import (
 from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError, _integer
 from .gates import RotationSpec, rotation_matrix
 from .lowering import (
-    DEVICE_KINDS,
     check_fb_symmetry,
     lower_circuit,
     lower_fanin,
@@ -85,8 +84,8 @@ def _load_json(path: str):
 _last_circuit: tuple = (None, None)
 
 
-def _read_circuit(text: str, obj=None) -> CircuitGraph:
-    """The CircuitGraph of circuit JSON `text`, already decoded as `obj` if given.
+def _read_circuit(text: str) -> CircuitGraph:
+    """The CircuitGraph of circuit JSON `text`.
 
     Byte-identical text returns the graph kept from the last read; other text
     is parsed and kept in its place. A parse that raises keeps nothing.
@@ -94,7 +93,7 @@ def _read_circuit(text: str, obj=None) -> CircuitGraph:
     global _last_circuit
     last_text, graph = _last_circuit
     if text != last_text:
-        graph = circuit_from_obj(json.loads(text) if obj is None else obj)
+        graph = circuit_from_obj(json.loads(text))
         _last_circuit = (text, graph)
     return graph
 
@@ -201,11 +200,9 @@ def _mostow_from_obj(obj):
 
 
 def _cmd_lower(args: argparse.Namespace) -> str:
-    text = _read(args.target)
-    kept = text == _last_circuit[0]
-    obj = None if kept else json.loads(text)
-    if kept or isinstance(obj, dict) and "nodes" in obj:
-        nl = lower_circuit(_read_circuit(text, obj), args.arch)
+    obj = _load_json(args.target)
+    if isinstance(obj, dict) and "nodes" in obj:
+        nl = lower_circuit(circuit_from_obj(obj), args.arch)
     elif args.arch == "zxz":
         nl = lower_unitary_zxz(gate_from_obj(obj))
     elif args.arch == "zyz":
@@ -226,9 +223,10 @@ def _cmd_lower(args: argparse.Namespace) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> str:
     nl = netlist_from_text(_read(args.target))
     tf = nl.forward_transfer()
-    # every kind's backward matrix is its transpose, so T_b = T_f^T: one sweep serves both
+    # every device kind is reciprocal (its backward matrix is its transpose), so every
+    # netlist is, and T_b = T_f^T: one sweep serves both
     report = {
-        "reciprocal": all(DEVICE_KINDS[kind].reciprocal for kind in set(nl.kinds)),
+        "reciprocal": True,
         "fb_symmetric": check_fb_symmetry(tf, tf.T),
         "s_matrix": matrix_to_obj(scattering_matrix(tf, tf.T)),
     }

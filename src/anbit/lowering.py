@@ -88,8 +88,8 @@ class DeviceKind:
     the n_wires x n_wires forward matrix as Python complex numbers in row-major
     order; kinds that are not `valued` have no tunable parameter. A value v of
     a valued kind must be finite and satisfy in_domain(v); `domain` words the
-    rule for the error message. A `reciprocal` kind's backward matrix is the
-    transpose of the forward one; every kind here is.
+    rule for the error message. Every kind is reciprocal: its backward matrix
+    is the transpose of the forward one.
     """
 
     n_wires: int
@@ -97,7 +97,6 @@ class DeviceKind:
     coefs: Callable[[float | None], tuple]
     in_domain: Callable[[float], bool] = lambda value: True
     domain: str = ""
-    reciprocal: bool = True
 
 
 # keyed by the netlist text tag; attenuator gain 0 is the sentinel that blocks a wire

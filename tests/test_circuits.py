@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,28 @@ def test_components_are_searched_once_per_graph(rng, monkeypatch):
     assert searched == [chain, loop]
 
 
+def test_walk_drops_each_block_once_its_reader_has_run():
+    # a 128-source fan-in tree: the blocks alive at once are the walk's frontier, so the
+    # peak stays near the identity right-hand side, not at twice it
+    n = 128
+    nodes = {f"s{k}": SourceNode() for k in range(n)}
+    edges, level = [], [(f"s{k}", 0) for k in range(n)]
+    while len(level) > 1:
+        ids = [f"f{len(nodes) + k}" for k in range(len(level) // 2)]
+        nodes.update((f, FanInGate()) for f in ids)
+        edges += [e for f, a, b in zip(ids, level[::2], level[1::2]) for e in ((a, (f, 0)), (b, (f, 1)))]
+        level = [(f, 0) for f in ids]
+    graph = CircuitGraph({**nodes, "t": SinkNode()}, edges + [(level[0], ("t", 0))])
+    tracemalloc.start()
+    try:
+        transfer = circuit_transfer(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(transfer, np.tile(np.eye(2), n))
+    assert peak <= 1.5 * (2 * n) ** 2 * np.dtype(complex).itemsize
+
+
 def test_two_solves_walk_the_graph_once(rng, monkeypatch):
     # the first solve walks identity columns and keeps the map; the second input and
     # circuit_transfer read it
@@ -442,6 +466,25 @@ def test_two_solves_walk_the_graph_once(rng, monkeypatch):
     assert walks == [graph]
     for v, out in zip(vecs, outs):
         np.testing.assert_array_equal(np.concatenate([out["out"].amps, out["diff"].amps]), transfer @ v)
+
+
+@pytest.mark.parametrize("dim,error", [("2", ParamError), (2.0, ParamError), (None, ParamError),
+                                       (0, DimError), (-1, DimError)])
+def test_transfer_refuses_a_dim_that_is_not_a_positive_integer(dim, error, monkeypatch):
+    # a gate-free fan-out circuit carries any dim, so only the dim rule can refuse it;
+    # a refused dim walks nothing and keeps nothing
+    walks = []
+    walk = circuits._walk
+    monkeypatch.setattr(circuits, "_walk", lambda *args: walks.append(args[0]) or walk(*args))
+    graph = CircuitGraph(
+        {"s": SourceNode(), "fo": FanOutGate(), "t": SinkNode(), "u": SinkNode()},
+        ((("s", 0), ("fo", 0)), (("fo", 0), ("t", 0)), (("fo", 1), ("u", 0))),
+    )
+    with pytest.raises(error, match="dim"):
+        circuit_transfer(graph, dim)
+    assert walks == []
+    np.testing.assert_array_equal(circuit_transfer(graph, 2), np.vstack((np.eye(2), np.eye(2))))
+    assert walks == [graph]
 
 
 def test_transfer_stacks_sources_in_declaration_order(rng):

@@ -55,7 +55,14 @@ def values_close(x, y, atol: float = ATOL, rtol: float = RTOL) -> bool:
 
 
 def _frozen(values) -> np.ndarray:
-    """A read-only complex copy: the storage of every state and gate."""
+    """The read-only complex storage of every state and gate: a copy, unless values is a
+    complex array over immutable bytes (a view of the parser's gate stack), which nothing can write."""
+    if type(values) is np.ndarray and values.dtype == complex:
+        base = values.base
+        while type(base) is np.ndarray:
+            base = base.base
+        if type(base) is bytes:
+            return values
     a = np.array(values, dtype=complex)
     a.setflags(write=False)
     return a

@@ -8,10 +8,11 @@ over its strongly connected components in topological order, from identity
 columns: each node sets its outputs from its known inputs, and a feedback
 component is first cut open at its back edges, so that one small closure
 system settles it. The graph keeps the map; `solve` applies it to inputs.
-A graph is checked once, when it is built, and indexes its edges by node and
-port and lists its sources, sinks and components; the walk and the netlist
-lowering read those tables. Closed-form resolvents of the single- and
-two-anbit loops are oracles for the walk.
+A graph is checked once, when it is built: it numbers its nodes, indexes its
+edges by node and port, and lists its sources, sinks and components; the
+component search, the walk and the netlist lowering read those tables.
+Closed-form resolvents of the single- and two-anbit loops are oracles for
+the walk.
 """
 
 from __future__ import annotations
@@ -232,65 +233,73 @@ class CircuitGraph:
     explicit fan-out node; wiring one output to two inputs is an error.
     Fan-in/fan-out second ports are garbage/ancilla and may stay unwired.
 
-    Construction checks the wiring and builds every table later passes read:
-    in_edges[node] holds the index of the edge feeding each input port (None
-    when unwired), out_edges[node] the (edge index, output port) pairs the node
-    drives, in edge order, then the sources, sinks and `components()`. Nodes and
-    edges are fixed from then on; `circuit_transfer` keeps its map per dim.
+    Construction numbers the nodes once, checks the wiring in one pass over
+    the edges and builds every table later passes read: in_edges[node] holds
+    the index of the edge feeding each input port (None when unwired),
+    out_edges[node] the (edge index, output port) pairs the node drives, in
+    edge order, and _succ the node numbers they feed, then the sources, sinks
+    and `components()`. Nodes and edges are fixed from then on;
+    `circuit_transfer` keeps its map per dim.
     """
 
     nodes: dict
     edges: tuple
     in_edges: dict = field(init=False, repr=False)
     out_edges: dict = field(init=False, repr=False)
+    _succ: list = field(init=False, repr=False, compare=False)
     _ends: tuple = field(init=False, repr=False, compare=False)
     _components: list = field(init=False, repr=False, compare=False)
     _transfers: dict = field(init=False, repr=False, compare=False)  # dim -> (map, clean)
 
     def __post_init__(self):
         """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
-        object.__setattr__(self, "nodes", dict(self.nodes))
-        ports = {}
-        for nid, node in self.nodes.items():
+        nodes, index = dict(self.nodes), operator.index
+        object.__setattr__(self, "nodes", nodes)
+        pos, ports = {}, []  # node id -> number; number -> (inputs, outputs)
+        for nid, node in nodes.items():
             if not isinstance(nid, str):
                 raise GraphError(f"node id {nid!r} is not a string")
-            ports[nid] = _PORTS.get(type(node))
-            if ports[nid] is None:
+            pos[nid] = len(ports)
+            ports.append(_PORTS.get(type(node)))
+            if ports[-1] is None:
                 kinds = ", ".join(k.__name__ for k in _PORTS)
                 raise GraphError(f"node {nid!r} is a {type(node).__name__}; a node is one of {kinds}")
-        ins = {nid: [None] * ports[nid][0] for nid in self.nodes}
-        outs: dict = {nid: [] for nid in self.nodes}
+        ins = [[None] * n for n, _ in ports]
+        outs: list = [[] for _ in ports]
+        succ: list = [[] for _ in ports]
         edges = []
         for i, edge in enumerate(self.edges):
             try:
                 (src, sp), (dst, dp) = edge
-                sp, dp = operator.index(sp), operator.index(dp)
+                sp, dp = index(sp), index(dp)
             except (TypeError, ValueError):
                 raise GraphError(f"edge {edge!r} is not two (node, integer port) ends") from None
             src, dst = str(src), str(dst)
-            for nid, port, io in ((src, sp, 1), (dst, dp, 0)):
-                if nid not in self.nodes:
+            s, t = pos.get(src), pos.get(dst)
+            for nid, v, port, io in ((src, s, sp, 1), (dst, t, dp, 0)):
+                if v is None:
                     raise GraphError(f"edge references unknown node {nid!r}")
-                if not 0 <= port < ports[nid][io]:
+                if not 0 <= port < ports[v][io]:
                     raise GraphError(f"node {nid!r} has no port {port} on that side")
-                wired = ins[nid][port] is not None if io == 0 else any(p == port for _, p in outs[nid])
-                if wired:
+                if any(p == port for _, p in outs[v]) if io else ins[v][port] is not None:
                     raise GraphError(f"port {(nid, port)} wired twice; cloning needs a fan-out node")
-            outs[src].append((i, sp))
-            ins[dst][dp] = i
+            outs[s].append((i, sp))
+            succ[s].append(t)
+            ins[t][dp] = i
             edges.append(((src, sp), (dst, dp)))
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "in_edges", ins)
-        object.__setattr__(self, "out_edges", outs)
+        object.__setattr__(self, "in_edges", dict(zip(nodes, ins)))
+        object.__setattr__(self, "out_edges", dict(zip(nodes, outs)))
+        object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_transfers", {})
-        ends = (tuple(n for n in ins if isinstance(self.nodes[n], k)) for k in (SourceNode, SinkNode))
+        ends = (tuple(nid for nid, node in nodes.items() if type(node) is k) for k in (SourceNode, SinkNode))
         object.__setattr__(self, "_ends", tuple(ends))  # (source ids, sink ids), in declaration order
-        for nid, node in self.nodes.items():
-            for port, i in enumerate(ins[nid]):
-                if i is None and not (isinstance(node, FanOutGate) and port == 1):
+        for (nid, node), fed, drives in zip(nodes.items(), ins, outs):
+            for port, i in enumerate(fed) if None in fed else ():
+                if i is None and not (type(node) is FanOutGate and port == 1):
                     # a fan-out ancilla may stay unwired (implicit null)
                     raise GraphError(f"input port ({nid!r}, {port}) is not fed")
-            if isinstance(node, SourceNode) and not outs[nid]:
+            if not drives and type(node) is SourceNode:
                 raise GraphError(f"source {nid!r} drives nothing")
         object.__setattr__(self, "_components", self._tarjan())
 
@@ -311,44 +320,39 @@ class CircuitGraph:
     def _tarjan(self) -> list:
         """The component search behind `components()`, run once by the constructor.
 
-        Iterative Tarjan (SIAM J. Comput. 1, 1972): roots are tried in node
-        declaration order, nodes with no incoming edge first, and successors
-        in edge order; components come out in reverse topological order and
-        are returned reversed. Every node of an acyclic graph is reachable
-        from a source, so its order depends on the source and edge order
-        only. The members of a component are listed in DFS visiting order,
-        so the edges that run back against that order close all its cycles.
-        A component is cyclic when it holds more than one node or a node
-        wired to itself.
+        Iterative Tarjan (SIAM J. Comput. 1, 1972) on the constructor's
+        successor lists: roots are tried in node declaration order, sources
+        first, and successors in edge order; components come out in reverse
+        topological order and are returned reversed. Every node of an acyclic
+        graph is reachable from a source, so its order depends on the source
+        and edge order only. The members of a component are listed in DFS
+        visiting order, so the edges that run back against that order close
+        all its cycles. A component is cyclic when it holds more than one node
+        or a node wired to itself.
         """
-        ids = list(self.nodes)
-        pos = {nid: k for k, nid in enumerate(ids)}
-        succ = [[pos[self.edges[i][1][0]] for i, _ in self.out_edges[nid]] for nid in ids]
-        looped = {v for v, ws in enumerate(succ) if v in ws}
-        index = [-1] * len(ids)
-        low = [0] * len(ids)
+        ids, succ = list(self.nodes), self._succ
+        n = len(ids)
+        index = [-1] * n
+        low = [0] * n
         stack: list = []
-        work: list = []  # DFS path: (node, its successors not yet tried)
         found: list = []
         count = 0
-
-        def visit(v):
-            nonlocal count
-            index[v] = low[v] = count
-            count += 1
-            stack.append(v)
-            work.append((v, iter(succ[v])))
-
-        fed = [any(i is not None for i in self.in_edges[nid]) for nid in ids]
-        for root in sorted(range(len(ids)), key=fed.__getitem__):  # stable: unfed first
+        sources = [v for v, fed in enumerate(self.in_edges.values()) if not fed]
+        for root in (*sources, *range(n)):
             if index[root] >= 0:
                 continue
-            visit(root)
+            index[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            work = [(root, iter(succ[root]))]  # DFS path: (node, its successors not yet tried)
             while work:
                 v, children = work[-1]
                 for w in children:
                     if index[w] < 0:
-                        visit(w)
+                        index[w] = low[w] = count
+                        count += 1
+                        stack.append(w)
+                        work.append((w, iter(succ[w])))
                         break
                     if index[w] < low[v]:
                         low[v] = index[w]
@@ -359,33 +363,30 @@ class CircuitGraph:
                         if low[v] < low[parent]:
                             low[parent] = low[v]
                     if low[v] == index[v]:
-                        members = []
-                        while True:
+                        w = stack.pop()
+                        members = [ids[w]]
+                        index[w] = n  # done: above every low-link, so it lowers none
+                        while w != v:
                             w = stack.pop()
-                            index[w] = len(ids)  # done: above every low-link, so it lowers none
                             members.append(ids[w])
-                            if w == v:
-                                break
+                            index[w] = n
                         if len(members) > 1:
                             members.reverse()  # popped last-visited first
-                        found.append((members, len(members) > 1 or v in looped))
+                        found.append((members, len(members) > 1 or v in succ[v]))
         found.reverse()
         return found
 
 
-def _terms(node, port: int, ins: list) -> list:
-    """(coefficient, input edge) pairs: output `port` of `node` is the sum of coefficient . input.
+def _fan_terms(node, port: int, ins: list) -> list:
+    """(coefficient, input edge) pairs: output `port` of a fan-in or fan-out is the sum of coefficient . input.
 
     ins holds the node's input edge per input port (None when unwired). A
-    coefficient is a complex scalar or a d x d matrix; an unwired fan-out
+    coefficient is a complex scalar or a 2 x 2 matrix; an unwired fan-out
     ancilla is the null state and contributes no term.
     """
-    if isinstance(node, GateMatrix):
-        return [(node.entries, ins[0])]
-    if isinstance(node, FanInGate):
+    if type(node) is FanInGate:
         w = node.n if port == 0 else node.m
         return [(w, ins[0]), (w if port == 0 else -w, ins[1])]
-    # FanOutGate; sources are set from the inputs and sinks drive no edge
     terms = [(node.n if port == 0 else node.m, ins[0])]
     if ins[1] is not None:
         terms.append((node.m12 if port == 0 else node.m22, ins[1]))
@@ -434,31 +435,33 @@ def _walk(graph: CircuitGraph, d: int, rhs: np.ndarray) -> np.ndarray:
     equations (Schur complement). LoopSingularError names its nodes when it is
     singular; otherwise each block leaving it becomes A + B Y.
     """
-    ins, outs = graph.in_edges, graph.out_edges
+    nodes, ins, outs = graph.nodes, graph.in_edges, graph.out_edges
     emitted, w = {s: rhs[k * d:(k + 1) * d] for k, s in enumerate(graph._ends[0])}, rhs.shape[1]
     x: list = [None] * len(graph.edges)  # block per edge, set in topological order
     produced: dict = {}  # cut edge -> the block its head sets; x keeps the unit columns
     for members, cyclic in graph.components():
         members, cut, exits = _tear(graph, members, x, d, w) if cyclic else (members, (), ())
         for nid in members:
-            node = graph.nodes[nid]
+            node, fed = nodes[nid], ins[nid]
             for i, sp in outs[nid]:
-                if isinstance(node, SourceNode):
-                    x[i] = emitted[nid]
-                    continue
-                total = None
-                for coef, j in _terms(node, sp, ins[nid]):
-                    term = coef.dot(x[j]) if isinstance(coef, np.ndarray) else coef * x[j]
-                    total = term if total is None else total + term
+                if type(node) is GateMatrix:
+                    total = node.entries.dot(x[fed[0]])
+                elif type(node) is SourceNode:
+                    total = emitted[nid]
+                else:
+                    total = None
+                    for coef, j in _fan_terms(node, sp, fed):
+                        term = coef.dot(x[j]) if isinstance(coef, np.ndarray) else coef * x[j]
+                        total = term if total is None else total + term
                 (produced if i in cut else x)[i] = total
-            for j in ins[nid] if outs[nid] else ():  # sinks keep theirs for the final read
+            for j in fed if outs[nid] else ():  # sinks keep theirs for the final read
                 if j is not None:
                     x[j] = None
         if cyclic:
             closure = np.concatenate([produced[i] for i in cut])
             system = np.eye(len(closure), dtype=complex) - closure[:, w:]
             if _singular(system):
-                ids = sorted(members, key=list(graph.nodes).index)
+                ids = sorted(members, key=list(nodes).index)
                 raise LoopSingularError(f"feedback loop through nodes {ids} is singular; no steady state")
             y = np.vstack((np.eye(w), np.linalg.solve(system, closure[:, :w])))
             for i in exits:  # signals inside the component have no later reader

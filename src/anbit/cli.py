@@ -38,7 +38,7 @@ from .decompositions import (
     svd2,
     svd_reconstruct,
 )
-from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError, _integer
+from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError, ParamError, _integer
 from .gates import RotationSpec, rotation_matrix
 from .lowering import (
     check_fb_symmetry,
@@ -112,16 +112,27 @@ def _sweep(state: AnbitState, matrices) -> list:
     return [(k, p.radius, p.theta, p.phi) for k, p in enumerate(points)]
 
 
+# A sweep allocates all its steps at once and prints one row per step, so a
+# count above this cap is refused before anything is allocated.
+MAX_STEPS = 10**6
+
+
+def _steps(steps: int) -> int:
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise ParamError(f"steps must be at most {MAX_STEPS}")
+    return steps
+
+
 def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phase=0.0):
     """Sphere coordinates of rotation-swept outputs on a fixed input state.
 
     Applies e^(i global_phase) R_axis(angle) for `steps` angles evenly spaced
-    over [start, end] and returns rows (step, radius, theta, phi). Unitary
-    sweeps keep the radius constant.
+    over [start, end] and returns rows (step, radius, theta, phi); `steps` is
+    1 to MAX_STEPS. Unitary sweeps keep the radius constant.
     """
-    steps = _integer(steps, "steps")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _steps(_integer(steps, "steps"))
     axis, phase = tuple(axis), float(global_phase)
     angles = np.linspace(float(start), float(end), steps)
     return _sweep(state, (rotation_matrix(RotationSpec(axis, a, phase)).entries for a in angles))
@@ -194,7 +205,7 @@ def _mostow_from_obj(obj):
         u = gate_from_obj(obj["unitary"])
         a = float(obj["antisymmetric_param"])
         b = np.array(obj["symmetric"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer past the float range
         raise ValueError(f"synthesis input: {exc}") from exc
     return mostow_synthesize(u, a, b)
 
@@ -258,9 +269,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
     if not isinstance(spec, dict) or "state" not in spec:
         raise ValueError("sweep spec needs a 'state' field")
     state = state_from_obj(spec["state"])
-    steps = _number(spec.get("steps", 100), "steps", index)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _steps(_number(spec.get("steps", 100), "steps", index))
     kind = spec.get("kind", "rotation")
     if kind == "rotation":
         rows = emit_trajectory(

@@ -3,7 +3,8 @@
 Gate classes: a unitary gate (U-gate) preserves power; an invertible
 non-unitary gate (G-gate) is still reversible; a singular gate (M-gate)
 destroys information. A gate's class is computed the first time it is read
-and kept; building a gate only copies and checks its entries.
+and kept; building a gate checks its entries and copies them, unless they
+are a view of a parsed circuit's one immutable stack (`algebra._frozen`).
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class RotationSpec:
         ax = tuple(float(v) for v in self.axis)
         if len(ax) != 3:
             raise AxisError("axis must have three components")
-        norm = float(np.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        norm = float(np.sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2]))  # inf past the float range
+        if not abs(norm - 1.0) <= 1e-9:  # nan is not unit length either
             raise AxisError(f"axis must be unit length, got norm {norm}")
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "angle", float(self.angle))

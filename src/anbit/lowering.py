@@ -13,7 +13,8 @@ One coefficient function per kind gives its local matrix as Python complex
 numbers. Transfers apply the local matrices to the rows of a block with one
 column per port: forward transfer runs the devices in order from the input
 ports; backward transfer runs them in reverse from the output ports with each
-local matrix transposed, the backward matrix of every reciprocal kind here. A
+local matrix transposed, the backward matrix of every reciprocal kind here;
+every local matrix is symmetric, so the transpose is the matrix itself. A
 single-wire device (a phase or a gain, most of a lowered mesh) is a diagonal
 factor that commutes along its wire to the next two-wire device, so a
 transfer keeps one pending factor per wire and folds it into that device's
@@ -89,7 +90,8 @@ class DeviceKind:
     order; kinds that are not `valued` have no tunable parameter. A value v of
     a valued kind must be finite and satisfy in_domain(v); `domain` words the
     rule for the error message. Every kind is reciprocal: its backward matrix
-    is the transpose of the forward one.
+    is the transpose of the forward one, and equals it, since every matrix
+    here is symmetric (m01 == m10).
     """
 
     n_wires: int
@@ -262,7 +264,8 @@ class Netlist:
         """Devices applied to the rows of a W x |start_ports| block of unit columns.
 
         Each device touches only its own rows, so one pass costs O(D |ports|).
-        The backward pass runs the devices in reverse with transposed matrices.
+        The backward pass runs the devices in reverse with transposed matrices,
+        which are the matrices themselves: every kind's is symmetric.
         A single-wire device is a diagonal factor that commutes along its wire
         up to the next two-wire device, so it only multiplies its wire's
         pending Python complex factor. A two-wire device folds both wires'
@@ -284,8 +287,6 @@ class Netlist:
                 pending[a] *= coefs[0]
                 continue
             m00, m01, m10, m11 = coefs
-            if backward:
-                m01, m10 = m10, m01
             pa, pb = pending[a], pending[b]
             pending[a] = pending[b] = 1.0
             row_a, row_b = rows[a], rows[b]

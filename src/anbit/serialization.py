@@ -127,25 +127,34 @@ def gate_to_obj(gate: GateMatrix) -> dict:
     }
 
 
+def _stacked(mats):
+    """Views of mats, d x d lists of numeric [re, im] pairs of one d, in one immutable complex array, or None.
+
+    Bit-identical to complex(float(re), float(im)) per entry, -0.0 and inf included. A ragged row, mixed
+    dims, a null, a nested list, a numeric string or an integer beyond 64 bits gives None.
+    """
+    try:
+        a = np.array(mats)
+    except ValueError:  # ragged rows
+        return None
+    if a.dtype.kind not in "biuf" or a.ndim != 4 or a.shape[1:] != (a.shape[1], a.shape[1], 2) or not a.shape[1]:
+        return None
+    return iter(np.frombuffer(np.asarray(a, dtype=float).tobytes(), complex).reshape(a.shape[:3]))
+
+
 def _square_from_pairs(rows, where: str) -> np.ndarray:
     """The square complex matrix of a list of d rows of d [re, im] pairs.
 
-    Numeric rows take one array conversion: a float64 (d, d, 2) array viewed
-    as complex, bit-identical to complex(float(re), float(im)) per entry, -0.0
-    and inf included. Whatever does not convert to a numeric array of that
-    shape (a null, a nested list, a ragged row, a numeric string, an integer
-    beyond 64 bits) is parsed pair by pair, so it is accepted or rejected with
-    a ValueError exactly as `_from_pair` decides. Errors name `where`.
+    Numeric rows take one `_stacked` conversion. What does not convert is
+    parsed pair by pair, so it is accepted or rejected with a ValueError
+    exactly as `_from_pair` decides. Errors name `where`.
     """
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"{where} must be a list of rows")
+    stack = _stacked([rows])
+    if stack is not None:
+        return next(stack)
     d = len(rows)
-    try:
-        a = np.array(rows)
-    except ValueError:  # ragged rows
-        a = None
-    if a is not None and a.dtype.kind in "biuf" and a.shape == (d, d, 2):
-        return np.asarray(a, dtype=float).view(complex)[..., 0]
     entries = []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != d:
@@ -157,7 +166,10 @@ def _square_from_pairs(rows, where: str) -> np.ndarray:
 def gate_from_obj(obj) -> GateMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("gate object needs an 'entries' field")
-    entries = _square_from_pairs(obj["entries"], "gate entries")
+    return _gate(obj, _square_from_pairs(obj["entries"], "gate entries"))
+
+
+def _gate(obj: dict, entries: np.ndarray) -> GateMatrix:
     if "dim" in obj and _number(obj["dim"], "gate dim", index) != len(entries):
         raise ValueError(f"gate dim {obj['dim']} != {len(entries)} rows")
     return GateMatrix(entries)
@@ -213,6 +225,11 @@ def circuit_from_obj(obj) -> CircuitGraph:
     if not isinstance(obj["nodes"], list) or not isinstance(obj["edges"], list):
         raise ValueError("circuit 'nodes' and 'edges' must be lists")
     nodes = {}
+    try:  # every gate's entries in one conversion when they stack; else gate by gate
+        rows = [spec["params"]["entries"] for spec in obj["nodes"] if spec["kind"] == "gate"]
+        stack = _stacked(rows) if all(isinstance(r, (list, tuple)) for r in rows) else None
+    except (KeyError, TypeError):  # a malformed spec, reported below
+        stack = None
     for spec in obj["nodes"]:
         try:
             nid = str(spec["id"])
@@ -225,7 +242,7 @@ def circuit_from_obj(obj) -> CircuitGraph:
         if nid in nodes:
             raise ValueError(f"duplicate node id {nid!r}")
         if kind == "gate":
-            nodes[nid] = gate_from_obj(params)
+            nodes[nid] = gate_from_obj(params) if stack is None else _gate(params, next(stack))
         elif kind == "fanin":
             n = _from_pair(params.get("n", [1.0, 0.0]), "fanin n")
             m = _from_pair(params.get("m", [1.0, 0.0]), "fanin m")

@@ -17,8 +17,8 @@ import pytest
 import anbit
 from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, mostow_synthesize, pauli
 from anbit import cli
-from anbit.cli import emit_trajectory, main
-from anbit.errors import DegenerateStateError
+from anbit.cli import MAX_STEPS, emit_trajectory, main
+from anbit.errors import DegenerateStateError, ParamError
 from anbit.serialization import (
     circuit_to_obj,
     dumps,
@@ -200,8 +200,11 @@ def test_lower_mostow_then_analyze(tmp_path, capsys, rng):
         ({"symmetric": [[0.25, float("inf")], [float("inf"), -0.3]]}, "ParamError", "b_matrix must be finite"),
         ({"antisymmetric_param": 800.0}, "ParamError", "antisymmetric parameter 800.0 overflows its exponential"),
         ({"symmetric": [[800.0, 0.0], [0.0, -0.3]]}, "ParamError", "b_matrix eigenvalue 800.0 overflows its exponential"),
+        ({"antisymmetric_param": 10**400}, "ValueError", "synthesis input: int too large to convert to float"),
+        ({"symmetric": [[0.25, 10**400], [0.1, -0.3]]}, "ValueError", "synthesis input: int too large to convert to float"),
     ],
-    ids=["no-unitary", "no-symmetric", "b-nan", "b-infinity", "a-overflow", "b-eigenvalue-overflow"],
+    ids=["no-unitary", "no-symmetric", "b-nan", "b-infinity", "a-overflow", "b-eigenvalue-overflow",
+         "a-integer-past-float-range", "b-integer-past-float-range"],
 )
 def test_mostow_rejects_malformed_spec(tmp_path, capsys, argv, fields, error, message):
     spec = {"unitary": gate_to_obj(identity_gate()), "antisymmetric_param": 0.4, "symmetric": _MOSTOW_B}
@@ -600,6 +603,29 @@ def test_trajectory_steps_must_be_positive(tmp_path, capsys, sweep, steps):
     assert rc == 2 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "ValueError" and payload["message"] == "steps must be >= 1"
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 2**63])
+@pytest.mark.parametrize(
+    "sweep",
+    [{"kind": "rotation", "axis": [0.0, 0.0, 1.0]}, {"kind": "diagonal", "d1": 1.0, "d2": 0.5}],
+    ids=["rotation", "diagonal"],
+)
+def test_trajectory_steps_are_capped(tmp_path, capsys, sweep, steps):
+    # refused before any array of that length is allocated
+    spec = dict(sweep, steps=steps, state=_GOOD_STATE)
+    rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ParamError", "message": f"steps must be at most {MAX_STEPS}", "exit_code": 2}
+    with pytest.raises(ParamError):
+        emit_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, AnbitState([1.0, 0.0]), steps)
+
+
+def test_trajectory_axis_past_the_float_range_is_not_unit(tmp_path, capsys):
+    spec = {"state": _GOOD_STATE, "axis": [1e308, 0.5, 0.9], "steps": 3}
+    rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "AxisError", "message": "axis must be unit length, got norm inf", "exit_code": 2}
 
 
 def test_emit_trajectory_null_state():

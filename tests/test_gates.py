@@ -44,7 +44,12 @@ def test_gate_matrix_frozen():
     g = pauli(1)
     with pytest.raises(ValueError):
         g.entries[0, 0] = 5.0
-
+    x = np.eye(2, dtype=complex)
+    h = GateMatrix(x)  # a caller's array is copied, never adopted
+    x[0, 0] = 5.0
+    assert h.entries[0, 0] == 1.0 and not h.entries.flags.writeable
+    with pytest.raises(ValueError, match="complex"):
+        GateMatrix(b"abcd")  # bytes are not a buffer to adopt: numpy's own conversion error
 
 def test_identity_gate():
     assert np.array_equal(identity_gate().entries, np.eye(2))
@@ -56,6 +61,9 @@ def test_rotation_spec_validation():
         RotationSpec((1.0, 1.0), 0.5)
     with pytest.raises(AxisError):
         RotationSpec((1.0, 1.0, 0.0), 0.5)  # not unit length
+    for axis in ((float("nan"), 0.0, 1.0), (1e308, 0.5, 0.9), (float("inf"), 0.0, 0.0)):
+        with pytest.raises(AxisError):
+            RotationSpec(axis, 0.5)
 
 
 def test_rotation_matrix_z():

@@ -789,3 +789,14 @@ def test_pauli_lowering_of_dim3_gate_is_a_dim_error():
     with pytest.raises(DimError) as exc:
         lower_pauli_mgate(GateMatrix(np.eye(3)))
     assert str(exc.value) == "Pauli expansion is defined for dim 2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_two_wire_kinds_are_symmetric(data):
+    # the backward pass applies each two-wire matrix as it is, which is its transpose only when m01 == m10
+    for tag, spec in DEVICE_KINDS.items():
+        if spec.n_wires == 2:
+            value = data.draw(st.floats(allow_nan=False, allow_infinity=False).filter(spec.in_domain)) if spec.valued else None
+            m00, m01, m10, m11 = spec.coefs(value)
+            assert m01 == m10, (tag, value)

@@ -175,6 +175,85 @@ def test_gate_from_obj_matches_per_entry_parse(case):
         gate_from_obj(obj)
 
 
+def _gate_chain(gate_params):
+    """Circuit object of one source, the given gate nodes in a chain, and one sink."""
+    ids = [f"g{k}" for k in range(len(gate_params))]
+    gates = [{"id": i, "kind": "gate", "params": p} for i, p in zip(ids, gate_params)]
+    path = ["s", *ids, "t"]
+    return {
+        "nodes": [{"id": "s", "kind": "source"}, *gates, {"id": "t", "kind": "sink"}],
+        "edges": [{"from": [a, 0], "to": [b, 0]} for a, b in zip(path, path[1:])],
+        "sources": ["s"],
+        "sinks": ["t"],
+    }
+
+
+def _assert_parses_gate_by_gate(gate_params):
+    """circuit_from_obj gives each gate gate_from_obj's entries, bit for bit, or raises what the first failing gate does."""
+    try:
+        want = [gate_from_obj(p).entries for p in gate_params]
+    except (ValueError, DimError) as exc:
+        with pytest.raises(type(exc)) as got:
+            circuit_from_obj(_gate_chain(gate_params))
+        assert str(got.value) == str(exc)
+        return None
+    graph = circuit_from_obj(_gate_chain(gate_params))
+    for k, entries in enumerate(want):
+        got = graph.nodes[f"g{k}"].entries
+        assert got.shape == entries.shape and got.tobytes() == entries.tobytes()
+        assert not got.flags.writeable
+    return graph
+
+
+# every float json.loads can give, signed zeros, infinities, nan and 1e308 drawn often
+stack_reals = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]), st.integers(-(2**53), 2**53)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.lists(st.lists(stack_reals, min_size=2, max_size=2), min_size=d, max_size=d), min_size=d, max_size=d),
+    min_size=1, max_size=6)), st.booleans())
+def test_stacked_gate_parse_matches_the_gate_by_gate_parse(rows, with_dim):
+    # gates of one dim take one stacked conversion and adopt read-only views of it
+    params = [{"dim": len(r), "entries": r} if with_dim else {"entries": r} for r in rows]
+    graph = _assert_parses_gate_by_gate(params)
+    bases = set()
+    for k in range(len(rows)):
+        base = graph.nodes[f"g{k}"].entries
+        while isinstance(base, np.ndarray):
+            base = base.base
+        bases.add(id(base))
+        with pytest.raises(ValueError):
+            graph.nodes[f"g{k}"].entries.setflags(write=True)
+    assert len(bases) == 1
+
+
+_EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "gate_params",
+    [
+        [{"entries": _EYE_PAIRS}, {"entries": [[[2.0, 0.0]]]}],
+        [{"entries": _EYE_PAIRS}, {"entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}],
+        [{"entries": _EYE_PAIRS}, {"entries": [[["1.0", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+        [{"entries": _EYE_PAIRS}, {"entries": [[[2**70, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+        [{"entries": [[[2**70, 0.5], [0, 0]], [[0, 0], [1, 0]]]}, {"entries": _EYE_PAIRS}],
+        [{"entries": _EYE_PAIRS}, {"entries": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+        [{"entries": _EYE_PAIRS}, {"dim": 3, "entries": _EYE_PAIRS}],
+        [{"entries": _EYE_PAIRS}, {"dim": "2", "entries": _EYE_PAIRS}],
+        [{"entries": _EYE_PAIRS}, {"entries": []}],
+        [{"entries": _EYE_PAIRS}, {"entries": np.eye(2)}],
+    ],
+    ids=["mixed-dims", "ragged-row", "string-entry", "int-2-70-gate", "int-2-70-among-floats", "int-past-float-range",
+         "dim-mismatch", "dim-string", "empty", "array-entries"],
+)
+def test_gates_that_do_not_stack_parse_one_by_one(gate_params):
+    _assert_parses_gate_by_gate(gate_params)
+
+
 def test_gate_class_is_computed_on_first_read(monkeypatch, rng):
     calls = []
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AnbitState
+from .algebra import AnbitState, _frozen
 from .errors import DimError, GraphError, LoopSingularError, ParamError, _integer
 from .gates import GateMatrix, _singular
 
@@ -40,6 +40,9 @@ __all__ = [
     "circuit_transfer",
     "fanin_tensor_nonlinearity_witness",
 ]
+
+
+_I2 = _frozen(np.eye(2))  # the read-only 2x2 identity every fan block is built from
 
 
 def _nonzero_complex(value, name: str) -> complex:
@@ -72,8 +75,7 @@ class FanInGate:
     @property
     def matrix(self) -> np.ndarray:
         """4x4 block form [[nI, nI], [mI, -mI]] on (psi0, psi1, phi0, phi1)."""
-        i2 = np.eye(2, dtype=complex)
-        return np.block([[self.n * i2, self.n * i2], [self.m * i2, -self.m * i2]])
+        return np.block([[self.n * _I2, self.n * _I2], [self.m * _I2, -self.m * _I2]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +96,7 @@ class FanOutGate:
         object.__setattr__(self, "m", _positive_real(self.m, "m"))
         for name, default in (("m12", self.n), ("m22", -self.m)):
             given = getattr(self, name)
-            block = np.eye(2, dtype=complex) * default if given is None else np.array(given, dtype=complex)
+            block = _I2 * default if given is None else np.array(given, dtype=complex)
             if block.shape != (2, 2):
                 raise DimError(f"{name} must be 2x2")
             block.setflags(write=False)
@@ -102,13 +104,11 @@ class FanOutGate:
 
     @property
     def is_default_ancilla(self) -> bool:
-        i2 = np.eye(2, dtype=complex)
-        return bool(np.array_equal(self.m12, self.n * i2) and np.array_equal(self.m22, -self.m * i2))
+        return bool(np.array_equal(self.m12, self.n * _I2) and np.array_equal(self.m22, -self.m * _I2))
 
     @property
     def matrix(self) -> np.ndarray:
-        i2 = np.eye(2, dtype=complex)
-        return np.block([[self.n * i2, self.m12], [self.m * i2, self.m22]])
+        return np.block([[self.n * _I2, self.m12], [self.m * _I2, self.m22]])
 
 
 def fan_in(psi: AnbitState, phi: AnbitState, n=1.0, m=1.0) -> tuple[AnbitState, AnbitState]:

@@ -27,7 +27,7 @@ from operator import index
 import numpy as np
 
 from .algebra import AnbitState, to_bloch
-from .circuits import CircuitGraph, FanInGate, solve
+from .circuits import CircuitGraph, solve
 from .decompositions import (
     euler_reconstruct,
     euler_zxz,
@@ -53,7 +53,7 @@ from .lowering import (
 )
 from .measurement import measure_coherent, measure_differential
 from .serialization import (
-    _from_pair,
+    _fanin_from_obj,
     _number,
     circuit_from_obj,
     dumps,
@@ -227,7 +227,7 @@ def _cmd_lower(args: argparse.Namespace) -> str:
     else:  # fanin
         if not isinstance(obj, dict):
             raise ValueError("fan-in input needs complex 'n' and 'm' pairs")
-        nl = lower_fanin(FanInGate(_from_pair(obj.get("n"), "fanin n"), _from_pair(obj.get("m"), "fanin m")))
+        nl = lower_fanin(_fanin_from_obj(obj))
     return netlist_to_text(nl)
 
 

@@ -33,6 +33,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -121,14 +122,34 @@ def _gain_row(wire: int, gain: float) -> tuple:
     return ("AMP" if gain > 1.0 else "ATT", (wire,), gain, None)
 
 
+def _device_value(kind: str, spec: DeviceKind, value):
+    """value as a `kind` device's (DeviceKind spec): a finite real in its domain as a float, or None if valueless."""
+    if not spec.valued:
+        if value is not None:
+            raise ParamError(f"{kind} takes no value, got {value}")
+        return None
+    if value is None:
+        raise ParamError(f"{kind} needs a value")
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ParamError(f"{kind} value must be a real number, got {value!r}") from None
+    except OverflowError:  # an integer past the float range, too long to print
+        raise ParamError(f"{kind} value is too large for a float") from None
+    if not finite:
+        raise ParamError(f"{kind} value must be finite, got {value}")
+    if spec.domain and not spec.in_domain(value):
+        raise ParamError(f"{spec.domain}, got {value}")
+    return float(value)
+
+
 def _device_columns(rows, width: int) -> list:
     """Kind, first wire, second wire (-1 for one), value and binding columns of rows.
 
     The one rule set for device faults, applied to each (kind, wires, value,
     binding) row in turn; the first faulty row raises. Wires are any iterable
-    of as many distinct integers in 0..width-1 as the kind needs. A valued kind
-    takes a finite real value in its domain, stored as a float; the others take
-    None.
+    of as many distinct integers in 0..width-1 as the kind needs; the value
+    obeys `_device_value`.
     """
     cols = kinds, wire_a, wire_b, values, bindings = [], [], [], [], []
     for row in rows:
@@ -152,22 +173,7 @@ def _device_columns(rows, width: int) -> list:
             b = index(wires[1]) if n == 2 else -1
         except TypeError:
             raise ParamError(f"{kind} wires must be integers, got {wires!r}") from None
-        if spec.valued:
-            if value is None:
-                raise ParamError(f"{kind} needs a value")
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise ParamError(f"{kind} value must be a real number, got {value!r}") from None
-            except OverflowError:  # an integer past the float range, too long to print
-                raise ParamError(f"{kind} value is too large for a float") from None
-            if not finite:
-                raise ParamError(f"{kind} value must be finite, got {value}")
-            if spec.domain and not spec.in_domain(value):
-                raise ParamError(f"{spec.domain}, got {value}")
-            value = float(value)
-        elif value is not None:
-            raise ParamError(f"{kind} takes no value, got {value}")
+        value = _device_value(kind, spec, value)
         if not (0 <= a < width and (n == 1 or 0 <= b < width)):
             raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
         kinds.append(kind)
@@ -190,10 +196,12 @@ class Netlist:
     non-empty, and every port and device wire lies in 0..wires-1.
 
     control_map, when present, maps a control word (or the fallback "*") to
-    {device index: parameter value}; active_setting names the key whose values
-    the emitted devices carry, so each of its entries equals the value of the
-    device it sets. Every device index lies in 0..D-1, and a word without an
-    entry of its own needs the "*" fallback.
+    {device index: parameter value}; each index lies in 0..D-1 and each value
+    obeys the rule of the device it sets (`_device_value`). The netlist keeps
+    a read-only copy of the checked values, `control_map`, and the value
+    column each word programs; active_setting names the word whose values the
+    emitted devices carry, so each of its entries equals the value of the
+    device it sets. A word without an entry of its own needs the "*" fallback.
     """
 
     def __init__(self, wires: int, devices, input_ports, output_ports,
@@ -201,7 +209,7 @@ class Netlist:
         self.wires = _integer(wires, "netlist wire count")
         self.input_ports = tuple(_integer(w, "input port") for w in input_ports)
         self.output_ports = tuple(_integer(w, "output port") for w in output_ports)
-        self.control_map, self.active_setting = control_map, active_setting
+        self.active_setting = active_setting
         for side, ports in (("input", self.input_ports), ("output", self.output_ports)):
             if not ports:
                 raise ParamError(f"netlist has no {side} ports")
@@ -211,37 +219,35 @@ class Netlist:
         cols = map(tuple, _device_columns(devices, self.wires))
         self.kinds, self.wire_a, self.wire_b, self.values, self.bindings = cols
         top = len(self.kinds) - 1
+        words, self._columns = {}, {}  # word -> {device index: value}; word -> value column
         for setting, values in (control_map or {}).items():
             try:
                 entries = values.items()
             except AttributeError:
                 raise ParamError(f"control word {setting!r} maps to {values!r}, not to {{device: value}}") from None
+            word, column = {}, list(self.values)
             for idx, value in entries:
                 idx = _integer(idx, f"control word {setting!r} device index")
                 if not 0 <= idx <= top:
                     raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
-                sets = f"control word {setting!r} sets device {idx} to"
-                try:
-                    finite = math.isfinite(value)
-                except TypeError:
-                    raise ParamError(f"{sets} {value!r}, not a real number") from None
-                except OverflowError:
-                    raise ParamError(f"{sets} a value too large for a float") from None
-                if not finite:
-                    raise ParamError(f"{sets} {value}, which is not finite")
                 kind = self.kinds[idx]
-                spec = DEVICE_KINDS[kind]
-                if not spec.valued:
-                    raise ParamError(f"{sets} {value}, but {kind} takes no value")
-                if spec.domain and not spec.in_domain(value):
-                    raise ParamError(f"{sets} {value}, outside the {kind} domain: {spec.domain}")
+                try:
+                    value = _device_value(kind, DEVICE_KINDS[kind], value)
+                except ParamError as exc:
+                    raise ParamError(f"control word {setting!r} sets device {idx}: {exc}") from None
+                if value is not None:  # None on a valueless device sets nothing
+                    word[idx] = column[idx] = value
+            words[setting] = MappingProxyType(word)
+            self._columns[setting] = tuple(column)
+        self.control_map = None if control_map is None else MappingProxyType(words)
         # the devices carry the active word's values: both copies must agree
-        for idx, value in self._overrides(active_setting).items():
-            if value != self.values[idx]:
-                raise ParamError(
-                    f"active control word {active_setting!r} sets device {idx} to {value}, "
-                    f"but the device carries {self.values[idx]}"
-                )
+        if active_setting is not None:
+            for idx, (value, carried) in enumerate(zip(self._column(active_setting), self.values)):
+                if value != carried:
+                    raise ParamError(
+                        f"active control word {active_setting!r} sets device {idx} to {value}, "
+                        f"but the device carries {carried}"
+                    )
 
     @cached_property
     def devices(self) -> tuple:
@@ -249,16 +255,14 @@ class Netlist:
         cols = zip(self.kinds, self.wire_a, self.wire_b, self.values, self.bindings)
         return tuple(Device._make((k, (a,) if b < 0 else (a, b), v, bind)) for k, a, b, v, bind in cols)
 
-    def _overrides(self, setting: str | None) -> dict:
-        if setting is None:
-            return {}
+    def _column(self, setting: str) -> tuple:
+        """The value column control word `setting` programs, or the "*" fallback's."""
         if not self.control_map:
             raise ParamError("netlist has no control map")
-        if setting in self.control_map:
-            return self.control_map[setting]
-        if "*" not in self.control_map:
+        column = self._columns.get(setting, self._columns.get("*"))
+        if column is None:
             raise ParamError(f"control word {setting!r} matches no control map entry and no '*'")
-        return self.control_map["*"]
+        return column
 
     def _port_block(self, setting, start_ports, read_ports, backward: bool) -> np.ndarray:
         """Devices applied to the rows of a W x |start_ports| block of unit columns.
@@ -273,9 +277,7 @@ class Netlist:
         replaces its two rows once; the factors still pending scale the rows
         read out.
         """
-        values = list(self.values)
-        for idx, value in self._overrides(setting).items():
-            values[idx] = value
+        values = self.values if setting is None else self._column(setting)
         blk = np.zeros((self.wires, len(start_ports)), dtype=complex)
         blk[start_ports, range(len(start_ports))] = 1.0
         rows = list(blk)
@@ -556,7 +558,7 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     emit(rows[hot_word], cg.target_gate, (0, 1))
     emit(rows["*"], identity_gate(2), (0, 1))
     rows = _shared_kinds(rows)
-    control_map = {word: dict(enumerate(float(row[2]) for row in r)) for word, r in rows.items()}
+    control_map = {word: dict(enumerate(row[2] for row in r)) for word, r in rows.items()}
     active = hot_word if hot else "*"
     bound = [(kind, wires, value, f"c{k}") for k, (kind, wires, value, _) in enumerate(rows[active])]
     return Netlist(2, bound, (0, 1), (0, 1), control_map=control_map, active_setting=active)

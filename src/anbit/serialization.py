@@ -130,8 +130,8 @@ def gate_to_obj(gate: GateMatrix) -> dict:
 def _stacked(mats):
     """Views of mats, d x d lists of numeric [re, im] pairs of one d, in one immutable complex array, or None.
 
-    Bit-identical to complex(float(re), float(im)) per entry, -0.0 and inf included. A ragged row, mixed
-    dims, a null, a nested list, a numeric string or an integer beyond 64 bits gives None.
+    Used by `circuit_from_obj` alone. Bit-identical to `_square_from_pairs` per matrix, -0.0 and inf included.
+    A ragged row, mixed dims, a null, a nested list, a numeric string or an integer beyond 64 bits gives None.
     """
     try:
         a = np.array(mats)
@@ -143,17 +143,13 @@ def _stacked(mats):
 
 
 def _square_from_pairs(rows, where: str) -> np.ndarray:
-    """The square complex matrix of a list of d rows of d [re, im] pairs.
+    """The square complex matrix of a list of d rows of d [re, im] pairs, parsed pair by pair.
 
-    Numeric rows take one `_stacked` conversion. What does not convert is
-    parsed pair by pair, so it is accepted or rejected with a ValueError
-    exactly as `_from_pair` decides. Errors name `where`.
+    Each pair is accepted or rejected with a ValueError exactly as `_from_pair`
+    decides; errors name `where`. `_stacked` gives the same values.
     """
     if not isinstance(rows, (list, tuple)):
         raise ValueError(f"{where} must be a list of rows")
-    stack = _stacked([rows])
-    if stack is not None:
-        return next(stack)
     d = len(rows)
     entries = []
     for row in rows:
@@ -194,6 +190,11 @@ def record_to_obj(rec: MeasurementRecord) -> dict:
 
 # --- circuit graphs ---------------------------------------------------------
 
+def _fanin_from_obj(params: dict) -> FanInGate:
+    """The fan-in gate of params' complex 'n' and 'm' pairs, each [1, 0] when absent."""
+    return FanInGate(*(_from_pair(params.get(k, [1.0, 0.0]), f"fanin {k}") for k in "nm"))
+
+
 def circuit_to_obj(graph: CircuitGraph) -> dict:
     nodes = []
     sources = []
@@ -220,6 +221,7 @@ def circuit_to_obj(graph: CircuitGraph) -> dict:
 
 
 def circuit_from_obj(obj) -> CircuitGraph:
+    """The CircuitGraph of obj, gate entries in one `_stacked` conversion if they stack; the graph checks edge ends."""
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise ValueError("circuit object needs 'nodes' and 'edges'")
     if not isinstance(obj["nodes"], list) or not isinstance(obj["edges"], list):
@@ -244,9 +246,7 @@ def circuit_from_obj(obj) -> CircuitGraph:
         if kind == "gate":
             nodes[nid] = gate_from_obj(params) if stack is None else _gate(params, next(stack))
         elif kind == "fanin":
-            n = _from_pair(params.get("n", [1.0, 0.0]), "fanin n")
-            m = _from_pair(params.get("m", [1.0, 0.0]), "fanin m")
-            nodes[nid] = FanInGate(n, m)
+            nodes[nid] = _fanin_from_obj(params)
         elif kind == "fanout":
             kwargs = {k: _square_from_pairs(params[k], f"fanout {k}") for k in ("m12", "m22") if k in params}
             n, m = (_number(params.get(k, 1.0), f"fanout {k}") for k in "nm")
@@ -265,14 +265,10 @@ def circuit_from_obj(obj) -> CircuitGraph:
         actual = {nid for nid, n in nodes.items() if isinstance(n, klass)}
         if declared != actual:
             raise ValueError(f"{key} list {sorted(declared)} != {key} by kind {sorted(actual)}")
-    edges = []
-    for espec in obj["edges"]:
-        try:
-            a, pa = espec["from"]
-            b, pb = espec["to"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"edge spec: {exc}") from exc
-        edges.append(((a, pa), (b, pb)))
+    try:
+        edges = [(espec["from"], espec["to"]) for espec in obj["edges"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"edge spec: {exc}") from exc
     return CircuitGraph(nodes, edges)
 
 

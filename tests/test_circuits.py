@@ -104,6 +104,21 @@ def test_fan_out_rejects_nonpositive():
         fan_out(a, 1.0, 0.0)
 
 
+def test_default_ancilla_blocks_are_read_only_scaled_identities():
+    fo = FanOutGate(0.8, 0.6)
+    assert np.array_equal(fo.m12, 0.8 * np.eye(2)) and np.array_equal(fo.m22, -0.6 * np.eye(2))
+    for block in (fo.m12, fo.m22):
+        assert block.dtype == complex and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+    assert fo.is_default_ancilla
+    assert not FanOutGate(0.8, 0.6, m12=2.0 * np.eye(2)).is_default_ancilla
+    # the identity the blocks are built from is shared, and no gate can change it
+    assert np.array_equal(circuits._I2, np.eye(2)) and not circuits._I2.flags.writeable
+    want = np.block([[0.8 * np.eye(2), 0.8 * np.eye(2)], [0.6 * np.eye(2), -0.6 * np.eye(2)]])
+    assert np.array_equal(fo.matrix, want) and np.array_equal(FanInGate(0.8, 0.6).matrix, want)
+
+
 def test_fan_in_delta_t_rules():
     a = AnbitState([1.0, 0.0], delta_t=2.0)
     b = AnbitState([0.0, 1.0], delta_t=2.0)

@@ -15,11 +15,22 @@ import numpy as np
 import pytest
 
 import anbit
-from anbit import AnbitState, GateMatrix, Netlist, identity_gate, lower_unitary_zxz, mostow_synthesize, pauli
+from anbit import (
+    AnbitState,
+    FanInGate,
+    GateMatrix,
+    Netlist,
+    identity_gate,
+    lower_fanin,
+    lower_unitary_zxz,
+    mostow_synthesize,
+    pauli,
+)
 from anbit import cli
 from anbit.cli import MAX_STEPS, emit_trajectory, main
 from anbit.errors import DegenerateStateError, ParamError
 from anbit.serialization import (
+    circuit_from_obj,
     circuit_to_obj,
     dumps,
     gate_to_obj,
@@ -251,6 +262,21 @@ def test_lower_fanin_arch(tmp_path, capsys):
     assert nl.wires == 4
 
 
+@pytest.mark.parametrize(
+    "obj,n,m",
+    [({}, 1.0, 1.0), ({"n": [0.5, 0]}, 0.5, 1.0), ({"m": [0.0, 2.0]}, 1.0, 2j)],
+    ids=["no-fields", "n-only", "m-only"],
+)
+def test_lower_fanin_reads_n_and_m_as_a_circuit_fanin_node_does(tmp_path, capsys, obj, n, m):
+    # each of n and m defaults to [1, 0], as in a circuit's fan-in node
+    path = write_json(tmp_path / "fi.json", obj)
+    assert run_cli(capsys, ["lower", path, "--arch", "fanin"]) == (0, netlist_to_text(lower_fanin(FanInGate(n, m))), "")
+    circuit = json.loads(json.dumps(_TWO_SOURCE_CIRCUIT))
+    circuit["nodes"][2]["params"] = obj  # the fan-in node "f"
+    node = circuit_from_obj(circuit).nodes["f"]
+    assert (node.n, node.m) == (n, m)
+
+
 def test_lower_circuit_json(tmp_path, capsys, rng):
     circ, u = basic_circuit(rng)
     cpath = write_json(tmp_path / "c.json", circ)
@@ -308,12 +334,12 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
         ("WIRES 2\nIN 0 1\nOUT 0 1\nAMP 0 inf\n", "AMP value must be finite, got inf"),
         (
             "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 0=nan\nCTRL * 0=0.5\n",
-            "control word '1' sets device 0 to nan, which is not finite",
+            "control word '1' sets device 0: PS value must be finite, got nan",
         ),
         # a control word may not turn an attenuator into a gain of 5
         (
             "WIRES 1\nIN 0\nOUT 0\nATT 0 0.5 @c0\nCTRL 1 0=5.0\nCTRL * 0=0.5\n",
-            "control word '1' sets device 0 to 5.0, outside the ATT domain: attenuator gain must be in [0, 1]",
+            "control word '1' sets device 0: attenuator gain must be in [0, 1], got 5.0",
         ),
         # a circuit without sources or sinks: lowering it fails before any netlist is written
         ('{"nodes": [], "edges": []}', "netlist has no input ports"),
@@ -458,24 +484,25 @@ _TWO_SOURCE_CIRCUIT = {
 
 
 @pytest.mark.parametrize(
-    "command,target,input_state,message",
+    "command,target,input_state,error,message",
     [
-        ("decompose", {"dim": 2}, None, "gate object needs an 'entries' field"),
-        ("measure", {"dim": 2}, None, "state object needs an 'amps' field"),
+        ("decompose", {"dim": 2}, None, "ValueError", "gate object needs an 'entries' field"),
+        ("measure", {"dim": 2}, None, "ValueError", "state object needs an 'amps' field"),
         ("simulate", dict(_GOOD_CIRCUIT, nodes=[{"id": "s", "kind": "source"}, {"id": "s", "kind": "sink"}]),
-         _GOOD_STATE, "duplicate node id 's'"),
-        ("simulate", _circuit_with({"id": "m", "kind": "mirror"}), _GOOD_STATE, "unknown node kind 'mirror'"),
-        ("simulate", dict(_GOOD_CIRCUIT, nodes=[{"kind": "source"}]), _GOOD_STATE, "node spec: 'id'"),
-        ("simulate", dict(_GOOD_CIRCUIT, nodes=[5]), _GOOD_STATE, "node spec: 'int' object is not subscriptable"),
-        ("simulate", dict(_GOOD_CIRCUIT, edges=[{"from": ["s", 0]}]), _GOOD_STATE, "edge spec: 'to'"),
+         _GOOD_STATE, "ValueError", "duplicate node id 's'"),
+        ("simulate", _circuit_with({"id": "m", "kind": "mirror"}), _GOOD_STATE, "ValueError", "unknown node kind 'mirror'"),
+        ("simulate", dict(_GOOD_CIRCUIT, nodes=[{"kind": "source"}]), _GOOD_STATE, "ValueError", "node spec: 'id'"),
+        ("simulate", dict(_GOOD_CIRCUIT, nodes=[5]), _GOOD_STATE, "ValueError", "node spec: 'int' object is not subscriptable"),
+        ("simulate", dict(_GOOD_CIRCUIT, edges=[{"from": ["s", 0]}]), _GOOD_STATE, "ValueError", "edge spec: 'to'"),
         ("simulate", dict(_GOOD_CIRCUIT, edges=[{"from": ["s", 0, 1], "to": ["g", 0]}]), _GOOD_STATE,
-         "edge spec: too many values to unpack (expected 2)"),
-        ("simulate", _TWO_SOURCE_CIRCUIT, _GOOD_STATE, "single input state but circuit has 2 sources"),
-        ("simulate", _GOOD_CIRCUIT, [_GOOD_STATE], "input must be a state object or a source-to-state mapping"),
-        ("trajectory", {"axis": [0, 0, 1]}, None, "sweep spec needs a 'state' field"),
-        ("trajectory", {"state": _GOOD_STATE, "kind": "spiral"}, None, "unknown sweep kind 'spiral'"),
+         "GraphError", "edge (['s', 0, 1], ['g', 0]) is not two (node, integer port) ends"),
+        ("simulate", _TWO_SOURCE_CIRCUIT, _GOOD_STATE, "ValueError", "single input state but circuit has 2 sources"),
+        ("simulate", _GOOD_CIRCUIT, [_GOOD_STATE], "ValueError", "input must be a state object or a source-to-state mapping"),
+        ("trajectory", {"axis": [0, 0, 1]}, None, "ValueError", "sweep spec needs a 'state' field"),
+        ("trajectory", {"state": _GOOD_STATE, "kind": "spiral"}, None, "ValueError", "unknown sweep kind 'spiral'"),
         ("trajectory", {"state": _GOOD_STATE, "axis": [0, 0, 1], "steps": 2.5}, None,
-         "steps: 'float' object cannot be interpreted as an integer"),
+         "ValueError", "steps: 'float' object cannot be interpreted as an integer"),
+        ("lower", [[1.0, 0.0], [1.0, 0.0]], None, "ValueError", "fan-in input needs complex 'n' and 'm' pairs"),
     ],
     ids=[
         "gate-no-entries",
@@ -491,21 +518,23 @@ _TWO_SOURCE_CIRCUIT = {
         "trajectory-no-state",
         "trajectory-unknown-kind",
         "trajectory-fractional-steps",
+        "fanin-not-an-object",
     ],
 )
-def test_json_inputs_name_their_fault(tmp_path, capsys, command, target, input_state, message):
+def test_json_inputs_name_their_fault(tmp_path, capsys, command, target, input_state, error, message):
     tpath = write_json(tmp_path / "target.json", target)
     argv = {
         "decompose": ["decompose", tpath, "--method", "svd"],
         "measure": ["measure", tpath, "--kind", "coherent", "--responsivity", "1"],
         "simulate": ["simulate", tpath, "--input", str(tmp_path / "in.json")],
         "trajectory": ["trajectory", tpath],
+        "lower": ["lower", tpath, "--arch", "fanin"],
     }[command]
     if input_state is not None:
         write_json(tmp_path / "in.json", input_state)
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and out == ""
-    assert json.loads(err) == {"error": "ValueError", "message": message, "exit_code": 2}
+    assert json.loads(err) == {"error": error, "message": message, "exit_code": 2}
 
 
 def test_measure_cli(tmp_path, capsys):

@@ -36,7 +36,7 @@ from anbit import (
 from anbit import lowering
 from anbit.errors import ControlEncodingError, DimError, GraphError, ParamError
 from anbit.lowering import DEVICE_KINDS
-from anbit.serialization import netlist_from_text
+from anbit.serialization import netlist_from_text, netlist_to_text
 
 from conftest import random_matrix, random_state_vec, random_unitary
 
@@ -410,7 +410,7 @@ def test_huge_integer_device_value_is_a_param_error():
 def test_huge_integer_control_value_is_a_param_error():
     with pytest.raises(ParamError) as exc:
         Netlist(1, [("PS", (0,), 0.5, "c0")], (0,), (0,), control_map={"1": {0: 0.5}, "*": {0: 10**400}})
-    assert str(exc.value) == "control word '*' sets device 0 to a value too large for a float"
+    assert str(exc.value) == "control word '*' sets device 0: PS value is too large for a float"
 
 
 def test_active_word_agrees_with_device_values():
@@ -691,8 +691,8 @@ def test_fb_symmetry_of_non_square_transfers():
 @pytest.mark.parametrize(
     "control_map,message",
     [
-        ({"*": {0: "x"}}, "control word '*' sets device 0 to 'x', not a real number"),
-        ({"*": {0: 1j}}, "control word '*' sets device 0 to 1j, not a real number"),
+        ({"*": {0: "x"}}, "control word '*' sets device 0: PS value must be a real number, got 'x'"),
+        ({"*": {0: 1j}}, "control word '*' sets device 0: PS value must be a real number, got 1j"),
         ({"*": {"0": 0.5}}, "control word '*' device index '0' is not an integer"),
         ({"*": {0.0: 0.5}}, "control word '*' device index 0.0 is not an integer"),
         ({"*": [0.5]}, "control word '*' maps to [0.5], not to {device: value}"),
@@ -708,13 +708,10 @@ def test_control_map_entries_are_typed(control_map, message):
 @pytest.mark.parametrize(
     "row,value,message",
     [
-        (("ATT", (0,), 0.5, "c0"), 5.0, "control word '1' sets device 0 to 5.0, outside the ATT domain: "
-         "attenuator gain must be in [0, 1]"),
-        (("ATT", (0,), 0.5, "c0"), -0.5, "control word '1' sets device 0 to -0.5, outside the ATT domain: "
-         "attenuator gain must be in [0, 1]"),
-        (("AMP", (0,), 2.0, "c0"), 1.0, "control word '1' sets device 0 to 1.0, outside the AMP domain: "
-         "amplifier gain must exceed 1"),
-        (("BS", (0, 1), None, "c0"), 0.5, "control word '1' sets device 0 to 0.5, but BS takes no value"),
+        (("ATT", (0,), 0.5, "c0"), 5.0, "control word '1' sets device 0: attenuator gain must be in [0, 1], got 5.0"),
+        (("ATT", (0,), 0.5, "c0"), -0.5, "control word '1' sets device 0: attenuator gain must be in [0, 1], got -0.5"),
+        (("AMP", (0,), 2.0, "c0"), 1.0, "control word '1' sets device 0: amplifier gain must exceed 1, got 1.0"),
+        (("BS", (0, 1), None, "c0"), 0.5, "control word '1' sets device 0: BS takes no value, got 0.5"),
     ],
     ids=["att-gain", "att-negative", "amp-unit", "bs-value"],
 )
@@ -723,6 +720,63 @@ def test_control_values_obey_their_device_domains(row, value, message):
     with pytest.raises(ParamError) as exc:
         Netlist(2, [row], (0, 1), (0, 1), control_map={"1": {0: value}})
     assert str(exc.value) == message
+
+
+def test_a_netlist_keeps_its_own_copy_of_the_control_map():
+    # the caller's map changes after the netlist is built: no transfer and no text changes with it
+    cm = {"1": {0: 0.25}, "*": {0: 0.5}}
+    nl = Netlist(1, [("ATT", (0,), 0.5, "c0")], (0,), (0,), control_map=cm, active_setting="*")
+
+    def outputs():
+        transfers = [f(w).tobytes() for f in (nl.forward_transfer, nl.backward_transfer) for w in (None, "1", "0")]
+        return transfers + [netlist_to_text(nl)]
+
+    before = outputs()
+    cm["1"][0] = 5.0  # an attenuator at gain 5
+    cm["*"][0] = float("nan")
+    cm["0"] = {0: 0.75}
+    assert outputs() == before
+    assert nl.forward_transfer("1").tolist() == [[0.25 + 0j]]
+    with pytest.raises(TypeError):
+        nl.control_map["1"][0] = 5.0
+    with pytest.raises(TypeError):
+        nl.control_map["0"] = {0: 0.75}
+
+
+# values a device or a control word may be handed: finite, infinite and nan
+# floats, integers within and past the float range, and values of other types
+_ANY_VALUE = st.one_of(
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, 10**400, -(10**400)]),
+    st.integers(-(2**70), 2**70),
+    st.none(),
+    st.text(max_size=3),
+    st.complex_numbers(),
+    st.booleans(),
+)
+_VALID_VALUE = {"PS": 0.5, "DC": 0.5, "BS": None, "ATT": 0.5, "AMP": 2.0}
+
+
+def _built(*args, **kwargs):
+    """(netlist, None) when Netlist(*args, **kwargs) builds, else (None, its ParamError's message)."""
+    try:
+        return Netlist(*args, **kwargs), None
+    except ParamError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DEVICE_KINDS)), _ANY_VALUE)
+def test_device_and_control_word_values_obey_one_rule(kind, value):
+    # a value is accepted as a device's own value exactly when a control word may set it
+    wires = (0, 1)[:DEVICE_KINDS[kind].n_wires]
+    own, own_fault = _built(2, [(kind, wires, value, "c0")], (0, 1), (0, 1))
+    word, word_fault = _built(2, [(kind, wires, _VALID_VALUE[kind], "c0")], (0, 1), (0, 1), control_map={"1": {0: value}})
+    assert (own_fault is None) == (word_fault is None), (own_fault, word_fault)
+    if own_fault is None:
+        assert word.forward_transfer("1").tobytes() == own.forward_transfer().tobytes()
+    else:
+        assert word_fault == f"control word '1' sets device 0: {own_fault}"
 
 
 @pytest.mark.parametrize("word", [0, 1])

@@ -189,29 +189,52 @@ class BlochPoint:
         object.__setattr__(self, "phi", phi)
 
 
+def _bloch_columns(amps: np.ndarray) -> tuple:
+    """Radius, theta and phi columns of the rows (a0, a1) of an (n, 2) complex array.
+
+    The one sphere-coordinate rule: radius = sqrt(P), theta = 2*atan2(|a1|,
+    |a0|) with each modulus the hypot of its parts, phi = arg(a1) - arg(a0)
+    wrapped into [0, 2*pi). Where the squares of P under- or overflow (P is 0
+    or inf), the row's radius is the scaled hypot of its four parts, which
+    stays a float from 5e-324 to 1.8e308. The first faulty row raises:
+    `DegenerateStateError` for a null row, else `BlochPoint`'s `ParamError`.
+    No numpy warning is raised.
+    """
+    re, im = amps.real, amps.imag
+    with np.errstate(all="ignore"):  # squares past the float range give inf, nan parts give nan
+        sq = re * re + im * im  # |a0|^2, |a1|^2
+        p = sq[:, 0] + sq[:, 1]
+        radius = np.sqrt(p)
+        modulus = np.hypot(re, im)
+        theta = 2.0 * np.arctan2(modulus[:, 1], modulus[:, 0])
+        arg = np.arctan2(im, re)
+        phi = arg[:, 1] - arg[:, 0]
+        phi %= _TWO_PI
+    phi[phi >= _TWO_PI] -= _TWO_PI  # float modulo can land exactly on the period
+    edge = (p == 0.0) | (p == math.inf)
+    if edge.any():
+        for k in np.flatnonzero(edge).tolist():
+            radius[k] = math.hypot(re[k, 0], im[k, 0], re[k, 1], im[k, 1])
+    faults = ~(radius > 0.0) | ~((theta >= 0.0) & (theta <= np.pi))
+    if faults.any():
+        k = int(np.argmax(faults))
+        if radius[k] == 0.0:
+            raise DegenerateStateError("null state has undefined sphere angles")
+        BlochPoint(float(radius[k]), float(theta[k]), float(phi[k]))  # raises the row's ParamError
+    return radius, theta, phi
+
+
 def to_bloch(state: AnbitState) -> BlochPoint:
-    """Sphere coordinates of a 2-dimensional state.
+    """Sphere coordinates of a 2-dimensional state: the one-row case of `_bloch_columns`.
 
     radius = sqrt(P), theta = 2*atan2(|a1|, |a0|), phi = arg(a1) - arg(a0)
-    wrapped into [0, 2*pi). The null state has undefined angles. Where the
-    squares of P under- or overflow, the radius is the scaled hypot of the
-    four amplitude parts, which stays a float from 5e-324 to 1.8e308.
+    wrapped into [0, 2*pi). The null state has undefined angles
+    (`DegenerateStateError`). The radius stays a float from 5e-324 to 1.8e308.
     """
     if state.dim != 2:
         raise DimError("sphere coordinates are defined for dim 2")
-    z0, z1 = state.amps.tolist()
-    # |z0|^2 + |z1|^2 on Python floats, which under- or overflow without a warning
-    p = z0.real * z0.real + z0.imag * z0.imag + (z1.real * z1.real + z1.imag * z1.imag)
-    if p == 0.0 or p == math.inf:
-        radius = math.hypot(z0.real, z0.imag, z1.real, z1.imag)
-    else:
-        radius = math.sqrt(p)
-    if radius == 0.0:
-        raise DegenerateStateError("null state has undefined sphere angles")
-    a0, a1 = state.amps
-    theta = 2.0 * np.arctan2(abs(a1), abs(a0))
-    phi = float(np.angle(a1) - np.angle(a0))
-    return BlochPoint(radius, float(theta), phi)
+    radius, theta, phi = _bloch_columns(state.amps[None, :])
+    return BlochPoint(float(radius[0]), float(theta[0]), float(phi[0]))
 
 
 def from_bloch(p: BlochPoint) -> AnbitState:

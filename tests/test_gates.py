@@ -21,6 +21,7 @@ from anbit import (
     pauli,
     rotation_matrix,
 )
+from anbit import gates
 from anbit.errors import AxisError, DimError, ParamError
 from anbit.gates import CLASSIFY_TOL, MAX_CONTROLS, MAX_DENSE_CONTROLS, SINGULAR_RTOL, _unitary2
 
@@ -93,6 +94,36 @@ def test_rotation_is_unitary(rng):
         ax /= np.linalg.norm(ax)
         g = rotation_matrix(RotationSpec(tuple(ax), rng.uniform(0, 2 * np.pi)))
         assert np.allclose(g.entries.conj().T @ g.entries, np.eye(2), atol=1e-14)
+
+
+def _scalar_rotation(axis, angle, phase):
+    # the entry-by-entry formula on scalars, sin(a/2) as a Python complex so every term
+    # is CPython's complex product: the reference of the stacked builder
+    nx, ny, nz = axis
+    c, s = np.cos(0.5 * angle), complex(np.sin(0.5 * angle))
+    rot = np.array([[c - 1j * nz * s, -(ny + 1j * nx) * s], [(ny - 1j * nx) * s, c + 1j * nz * s]], dtype=complex)
+    return np.exp(1j * phase) * rot
+
+
+_SIGNED_AXES = [(0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (1.0, 0.0, -0.0), (-0.0, -1.0, 0.0), (0.6, 0.0, -0.8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.sampled_from(_SIGNED_AXES)
+    | st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(
+        lambda v: tuple((np.array(v) / np.linalg.norm(v)).tolist())
+    ),
+    angles=st.lists(st.sampled_from([0.0, -0.0, np.pi, -2.0 * np.pi]) | st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    phase=st.sampled_from([0.0, -0.0, np.pi]) | st.floats(-10.0, 10.0),
+)
+def test_rotation_stack_is_the_scalar_formula_bit_for_bit(axis, angles, phase):
+    # signed zeros included: they set arg() of zero entries, and so phi, on the sphere
+    stack = gates._rotation_stack(axis, angles, phase)
+    want = np.array([_scalar_rotation(axis, a, phase) for a in angles])
+    assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+    one = rotation_matrix(RotationSpec(axis, angles[0], phase)).entries
+    assert one.tobytes() == want[0].tobytes()
 
 
 def test_apply(rng):

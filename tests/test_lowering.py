@@ -400,6 +400,34 @@ def test_netlist_wire_bounds():
         Netlist(2, [("PS", (0, 1), 0.5, None)], (0,), (0,))
 
 
+def test_netlist_sizes_are_capped_before_allocating(monkeypatch):
+    cap = lowering.MAX_WIRES
+    with pytest.raises(ParamError) as exc:
+        Netlist(cap + 1, (), (0,), (0,))
+    assert str(exc.value) == f"netlist wire count must be at most {cap}, got {cap + 1}"
+    # (wires + ports) x ports entries: 999 x 998 fits under 10**6, 1001 x 1000 does not
+    Netlist(1, (), (0,) * 499, (0,) * 499)
+    with pytest.raises(ParamError, match="needs \\(wires \\+ ports\\) x ports = 1001000 transfer entries"):
+        Netlist(1, (), (0,) * 500, (0,) * 500)
+    # a lowering wider than the cap meets the same door
+    monkeypatch.setattr(lowering, "MAX_WIRES", 7)
+    with pytest.raises(ParamError) as exc:
+        lower_pauli_mgate(GateMatrix(np.eye(2)))
+    assert str(exc.value) == "netlist wire count must be at most 7, got 8"
+
+
+@pytest.mark.parametrize("control_map", [[("1", {0: 0.5})], "1"], ids=["list", "str"])
+def test_control_map_that_is_not_a_mapping_is_a_param_error(control_map):
+    with pytest.raises(ParamError, match="control map must map control words to"):
+        Netlist(1, [("PS", (0,), 0.5, "c0")], (0,), (0,), control_map=control_map)
+
+
+def test_unhashable_active_word_is_a_param_error():
+    with pytest.raises(ParamError) as exc:
+        Netlist(1, [("PS", (0,), 0.5, "c0")], (0,), (0,), control_map={"*": {0: 0.5}}, active_setting=["1"])
+    assert str(exc.value) == "control word ['1'] is not hashable"
+
+
 def test_huge_integer_device_value_is_a_param_error():
     # an integer past the float range fails the finiteness check as a typed error
     with pytest.raises(ParamError) as exc:

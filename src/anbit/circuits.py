@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -238,23 +239,24 @@ class CircuitGraph:
     the index of the edge feeding each input port (None when unwired),
     out_edges[node] the (edge index, output port) pairs the node drives, in
     edge order, and _succ the node numbers they feed, then the sources, sinks
-    and `components()`. Nodes and edges are fixed from then on;
-    `circuit_transfer` keeps its map per dim.
+    and `components()`. Nodes and edges are fixed from then on: nodes is
+    kept as a read-only copy, edges as a tuple, and `circuit_transfer` keeps
+    its map per dim.
     """
 
-    nodes: dict
+    nodes: MappingProxyType
     edges: tuple
     in_edges: dict = field(init=False, repr=False)
     out_edges: dict = field(init=False, repr=False)
     _succ: list = field(init=False, repr=False, compare=False)
     _ends: tuple = field(init=False, repr=False, compare=False)
-    _components: list = field(init=False, repr=False, compare=False)
+    _components: tuple = field(init=False, repr=False, compare=False)
     _transfers: dict = field(init=False, repr=False, compare=False)  # dim -> (map, clean)
 
     def __post_init__(self):
         """Check the wiring; edges are normalized to ((str, int), (str, int)) here."""
         nodes, index = dict(self.nodes), operator.index
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
         pos, ports = {}, []  # node id -> number; number -> (inputs, outputs)
         for nid, node in nodes.items():
             if not isinstance(nid, str):
@@ -309,15 +311,15 @@ class CircuitGraph:
     def sinks(self) -> list:
         return list(self._ends[1])
 
-    def components(self) -> list:
+    def components(self) -> tuple:
         """Strongly connected components in topological order, as (node ids, cyclic).
 
         Found when the graph is built: every `solve` and `lower_circuit` read
-        this same list, which none of them changes (do not modify it either).
+        this same tuple.
         """
         return self._components
 
-    def _tarjan(self) -> list:
+    def _tarjan(self) -> tuple:
         """The component search behind `components()`, run once by the constructor.
 
         Iterative Tarjan (SIAM J. Comput. 1, 1972) on the constructor's
@@ -372,9 +374,8 @@ class CircuitGraph:
                             index[w] = n
                         if len(members) > 1:
                             members.reverse()  # popped last-visited first
-                        found.append((members, len(members) > 1 or v in succ[v]))
-        found.reverse()
-        return found
+                        found.append((tuple(members), len(members) > 1 or v in succ[v]))
+        return tuple(reversed(found))
 
 
 def _fan_terms(node, port: int, ins: list) -> list:

@@ -3,8 +3,8 @@
 Subcommands: simulate, decompose, lower, analyze, measure, trajectory. The
 argument parser is built once per process; each subcommand's parser carries
 its handler, which takes the parsed arguments and returns the output text.
-All outputs are deterministic: JSON uses 17-significant-digit floats and
-stable key order, CSV uses the same float formatting. `simulate` reads its
+All outputs are deterministic; `anbit.serialization` writes them (`dumps`
+JSON, `csv_text` CSV) with 17-significant-digit floats. `simulate` reads its
 circuit through one slot that keeps the last circuit parsed in this process
 with its file text: a run on byte-identical text reuses that graph and the
 transfer map the graph keeps, so it is one matrix product; other text is
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from operator import index
 
@@ -56,9 +57,10 @@ from .measurement import measure_coherent, measure_differential
 from .serialization import (
     _fanin_from_obj,
     _number,
+    _pair,
     circuit_from_obj,
+    csv_text,
     dumps,
-    fmt_float,
     gate_from_obj,
     matrix_to_obj,
     netlist_from_text,
@@ -103,17 +105,18 @@ def _fro(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def _sweep(state: AnbitState, build_stack) -> tuple:
-    """Radius, theta and phi columns of state under each matrix of the (steps, 2, 2) stack.
-
-    build_stack() is called after the state checks (non-null, dim 2), so its
-    own checks come after them; its stack is applied in one product.
-    """
+def _sweep_state(state: AnbitState) -> None:
+    """The state checks every sweep runs first: a non-null state of dim 2."""
     if state.is_null:
         raise DegenerateStateError("trajectory needs a non-null state")
     if state.dim != 2:
         raise DimError(f"gate dim 2 != state dim {state.dim}")
-    return _bloch_columns(build_stack() @ state.amps)
+
+
+def _span(a: float, b: float, where: str) -> None:
+    """Refuse a swept range [a, b] whose width b - a is past the float range."""
+    if not math.isfinite(b - a):
+        raise ParamError(f"{where} range [{a}, {b}] has no finite width")
 
 
 # A sweep is evaluated as one stack: per step it holds a 2x2 complex matrix
@@ -137,14 +140,12 @@ def _steps(steps: int) -> int:
 def _rotation_sweep(axis, start, end, state: AnbitState, steps: int, global_phase=0.0) -> tuple:
     """Radius, theta and phi columns of `emit_trajectory`'s sweep."""
     steps = _steps(_integer(steps, "steps"))
-    axis, phase = tuple(axis), float(global_phase)
-    angles = np.linspace(float(start), float(end), steps)
-
-    def stack():
-        first = RotationSpec(axis, angles[0], phase)  # the axis rule, raised at the first step
-        return _rotation_stack(first.axis, angles, first.global_phase)
-
-    return _sweep(state, stack)
+    axis, phase, start, end = tuple(axis), float(global_phase), float(start), float(end)
+    _sweep_state(state)
+    rotation = RotationSpec(axis, start, phase)  # the axis rule
+    _span(start, end, "start-end")
+    stack = _rotation_stack(rotation.axis, np.linspace(start, end, steps), rotation.global_phase)
+    return _bloch_columns(stack @ state.amps)
 
 
 def emit_trajectory(axis, start, end, state: AnbitState, steps: int, global_phase=0.0):
@@ -175,11 +176,10 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         raise ValueError("input must be a state object or a source-to-state mapping")
     result = solve(graph, inputs)
     if args.fmt == "csv":
-        lines = ["sink,index,re,im"]
-        for sid in sorted(result):
-            for idx, amp in enumerate(result[sid].amps):
-                lines.append(f"{sid},{idx},{fmt_float(amp.real)},{fmt_float(amp.imag)}")
-        return "\n".join(lines) + "\n"
+        sids = sorted(result)
+        amps = np.concatenate([result[sid].amps for sid in sids]) if sids else np.zeros(0, complex)
+        labels = [f"{sid},{idx}" for sid in sids for idx in range(result[sid].dim)]
+        return csv_text("sink,index,re,im", labels, (amps.real, amps.imag))
     out = {"outputs": {sid: state_to_obj(result[sid]) for sid in sorted(result)}}
     return dumps(out) + "\n"
 
@@ -205,7 +205,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
     elif method == "pauli":
         gate = gate_from_obj(obj)
         alpha = pauli_decompose(gate)
-        factors = [{"name": f"alpha{k}", "value": [a.real, a.imag]} for k, a in enumerate(alpha)]
+        factors = [{"name": f"alpha{k}", "value": _pair(a)} for k, a in enumerate(alpha)]
         err = _fro(pauli_reconstruct(alpha).entries, gate.entries)
     else:  # mostow-synth
         f = _mostow_from_obj(obj)
@@ -287,6 +287,12 @@ def _endpoints(v, where: str) -> list:
     return _numbers(v, where) if isinstance(v, list) else [_number(v, where)] * 2
 
 
+def _field(spec: dict, name: str):
+    if name not in spec:
+        raise ValueError(f"sweep spec needs a {name!r} field")
+    return spec[name]
+
+
 def _cmd_trajectory(args: argparse.Namespace) -> str:
     spec = _load_json(args.target)
     if not isinstance(spec, dict) or "state" not in spec:
@@ -296,7 +302,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
     kind = spec.get("kind", "rotation")
     if kind == "rotation":
         columns = _rotation_sweep(
-            _numbers(spec["axis"], "axis"),
+            _numbers(_field(spec, "axis"), "axis"),
             _number(spec.get("start", 0.0), "start"),
             _number(spec.get("end", 2.0 * np.pi), "end"),
             state,
@@ -304,25 +310,19 @@ def _cmd_trajectory(args: argparse.Namespace) -> str:
             _number(spec.get("global_phase", 0.0), "global_phase"),
         )
     elif kind == "diagonal":
-        d1a, d1b = _endpoints(spec["d1"], "d1")
-        d2a, d2b = _endpoints(spec["d2"], "d2")
+        d1a, d1b = _endpoints(_field(spec, "d1"), "d1")
+        d2a, d2b = _endpoints(_field(spec, "d2"), "d2")
+        _sweep_state(state)
+        _span(d1a, d1b, "d1")
+        _span(d2a, d2b, "d2")
         ts = np.linspace(0.0, 1.0, steps)
-
-        def stack():
-            diags = np.zeros((steps, 2, 2), dtype=complex)
-            diags[:, 0, 0] = d1a + (d1b - d1a) * ts
-            diags[:, 1, 1] = d2a + (d2b - d2a) * ts
-            return diags
-
-        columns = _sweep(state, stack)
+        diags = np.zeros((steps, 2, 2), dtype=complex)
+        diags[:, 0, 0] = d1a + (d1b - d1a) * ts
+        diags[:, 1, 1] = d2a + (d2b - d2a) * ts
+        columns = _bloch_columns(diags @ state.amps)
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    table = np.column_stack(columns)
-    finite = np.isfinite(table)
-    if not finite.all():
-        fmt_float(float(table[~finite][0]))  # the one non-finite error, for the first such value
-    rows = map("{},{:.17g},{:.17g},{:.17g}".format, range(steps), *(c.tolist() for c in columns))
-    return "step,radius,theta,phi\n" + "\n".join(rows) + "\n"
+    return csv_text("step,radius,theta,phi", range(steps), columns)
 
 
 def _fail(exc: Exception, code: int) -> int:

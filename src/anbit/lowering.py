@@ -609,7 +609,8 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
     Every signal path gets a dedicated wire pair. Gate nodes lower through the
     chosen architecture's emitter straight onto their pair, plus fresh scratch
     wires for wide architectures; fan-in couples two pairs with the sum block;
-    fan-out (default ancilla only) is the same block fed by a fresh null pair.
+    fan-out (unwired ancilla only, so its m12 and m22 act on null) is the same
+    block fed by a fresh null pair.
     A node's input pair is the output pair of the edge feeding it, read from
     the graph's port tables. Unwired garbage ports keep their wires out of the
     output port list.
@@ -650,8 +651,6 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
                 pb = in_pair(nid, 1)
             elif graph.in_edges[nid][1] is not None:
                 raise GraphError("fan-out with a wired ancilla does not lower")
-            elif not node.is_default_ancilla:
-                raise GraphError("only default-ancilla fan-out lowers to a netlist")
             else:
                 pb = fresh(2)  # null-fed rail
             pa = in_pair(nid, 0)

@@ -1,8 +1,8 @@
 """Serialization: JSON object mapping, 17-significant-digit emission, netlist text.
 
-Floats are always written with 17 significant digits so a double survives the
-round trip bit-for-bit; the stdlib json module cannot customize float
-formatting, hence the small emitter here. Complex numbers are [re, im] pairs.
+The one module that turns numbers into text: `dumps` (JSON), `csv_text` and
+`netlist_to_text` write every float with 17 significant digits, so a double
+survives the round trip bit-for-bit. Complex numbers are [re, im] pairs.
 All parse problems raise ValueError with a message naming the offending field.
 """
 
@@ -23,6 +23,7 @@ from .measurement import MeasurementRecord
 __all__ = [
     "fmt_float",
     "dumps",
+    "csv_text",
     "state_to_obj",
     "state_from_obj",
     "gate_to_obj",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 
+_DIGITS = ".17g"  # the one float format of every output: 17 significant digits
+
+
 def fmt_float(x: float) -> str:
     """Shortest 17-significant-digit decimal; losslessly re-parses to the same double.
 
@@ -43,40 +47,32 @@ def fmt_float(x: float) -> str:
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
-    return format(float(x), ".17g")
-
-
-def _emit(obj, out: list):
-    if obj is None or obj is True or obj is False or isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+    return format(float(x), _DIGITS)
 
 
 def dumps(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
+    """JSON of nested dicts, lists, tuples, str, None, bools, ints and floats; floats, the bulk, are tried first."""
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
+    if obj is None or obj is True or obj is False or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def csv_text(header: str, labels, columns) -> str:
+    """The header line and per label one row: the label, then its entry of each float array, by `fmt_float`'s rule."""
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        fmt_float(float(table[~finite][0]))  # its error, for the first non-finite entry in row order
+    row = ",".join(["{}"] + ["{:%s}" % _DIGITS] * len(columns)).format
+    return "\n".join([header, *map(row, labels, *(c.tolist() for c in columns))]) + "\n"
 
 
 def _pair(z) -> list:
@@ -121,10 +117,7 @@ def state_from_obj(obj) -> AnbitState:
 
 
 def gate_to_obj(gate: GateMatrix) -> dict:
-    return {
-        "dim": gate.dim,
-        "entries": [[_pair(v) for v in row] for row in gate.entries],
-    }
+    return {"dim": gate.dim, "entries": matrix_to_obj(gate.entries)}
 
 
 def _stacked(mats):

@@ -21,7 +21,7 @@ from anbit import (
     values_close,
 )
 from anbit.algebra import _bloch_columns
-from anbit.errors import DegenerateStateError, DimError, ParamError
+from anbit.errors import DegenerateStateError, DimError, ModeError, ParamError
 
 from conftest import random_state_vec
 
@@ -271,3 +271,34 @@ def test_bloch_round_trip_at_pole_up_to_phase():
     p1, p2 = to_bloch(s), to_bloch(back)
     assert p1.theta == pytest.approx(p2.theta, abs=1e-12)
     assert p1.radius == pytest.approx(p2.radius, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: null_state(0), DimError, "dim must be >= 1"),
+        (lambda: CompositeState("mixed", np.ones(2), (2,)), ModeError, "unknown composition mode 'mixed'"),
+        (lambda: CompositeState(TENSOR, np.ones(2), (0,)), DimError, "part_dims must be positive"),
+        (lambda: CompositeState(TENSOR, np.ones(3), (2, 2)), DimError, "flat size 3 != 4 for mode tensor"),
+        (lambda: tensor_compose([]), DimError, "need at least one part"),
+        (lambda: cartesian_compose([]), DimError, "need at least one part"),
+    ],
+    ids=["null-dim0", "unknown-mode", "part-dim0", "flat-size", "tensor-empty", "cartesian-empty"],
+)
+def test_state_builders_name_their_fault(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_values_of_different_shapes_are_not_close():
+    assert values_close([1.0, 2.0], [1.0, 2.0, 3.0]) is False
+
+
+def test_state_repr_shows_amps_and_delay():
+    assert repr(AnbitState([1.0, 0.5j], delta_t=0.25)) == "AnbitState([(1+0j), 0.5j], delta_t=0.25)"
+
+
+def test_azimuth_on_the_period_reads_zero():
+    # -1e-17 mod 2 pi rounds to 2 pi itself, which is the azimuth 0
+    assert BlochPoint(1.0, 0.0, -1e-17).phi == 0.0

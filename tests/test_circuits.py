@@ -20,6 +20,7 @@ from anbit import (
     identity_gate,
     loop_equivalent,
     null_state,
+    pauli,
     solve,
     two_anbit_loop,
 )
@@ -381,6 +382,21 @@ def test_graph_fanout_ancilla_may_dangle(rng):
     res = solve(g, {"s": psi})
     assert np.allclose(res["t1"].amps, 2.0 * m.entries @ psi.amps, atol=1e-13)
     assert np.allclose(res["t2"].amps, 0.5 * psi.amps, atol=1e-13)
+
+
+def test_a_built_graph_is_read_only():
+    # the kept map answers for the nodes as built, so they cannot be swapped after
+    def chain(gate):
+        return CircuitGraph({"s": SourceNode(), "g": gate, "t": SinkNode()}, ((("s", 0), ("g", 0)), (("g", 0), ("t", 0))))
+
+    fresh, solved = chain(pauli(1)), chain(pauli(1))
+    solve(solved, {"s": AnbitState([1.0, 0.0])})
+    for graph, node in ((fresh, "junk"), (solved, pauli(3))):
+        with pytest.raises(TypeError):
+            graph.nodes["g"] = node
+        assert np.array_equal(solve(graph, {"s": AnbitState([1.0, 0.0])})["t"].amps, [0.0, 1.0])
+        assert type(graph.components()) is tuple
+        assert all(type(members) is tuple for members, _ in graph.components())
 
 
 def test_witness_frozen():
@@ -912,8 +928,10 @@ def _two_source_fanout():
          DimError, "gate 'x' has dim 2, circuit carries 3"),
         (CircuitGraph(*_through(identity_gate())), {"s": [1, 0]},
          GraphError, "sources without an AnbitState input: ['s']"),
+        (CircuitGraph(*_through(identity_gate())), {"s": AnbitState(np.ones(2)), "t": AnbitState(np.ones(2))},
+         GraphError, "inputs for non-source nodes: ['t']"),
     ],
-    ids=["dim3-wired-ancilla", "mixed-source-dims", "gate-of-another-dim", "input-not-a-state"],
+    ids=["dim3-wired-ancilla", "mixed-source-dims", "gate-of-another-dim", "input-not-a-state", "input-for-a-sink"],
 )
 def test_solve_rejects_mixed_dimensions(graph, inputs, error, message):
     with pytest.raises(error) as exc:
@@ -926,3 +944,20 @@ def test_graph_validation_source_drives_nothing():
     with pytest.raises(GraphError) as exc:
         CircuitGraph(nodes, ((("s", 0), ("t", 0)),))
     assert str(exc.value) == "source 'idle' drives nothing"
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: FanOutGate(1j), ParamError, "n must be real"),
+        (lambda: loop_equivalent(identity_gate(), GateMatrix(np.eye(3))), DimError, "loop gates must share a dimension"),
+        (lambda: two_anbit_loop(identity_gate(), GateMatrix(np.eye(3))), DimError, "loop gates must share a dimension"),
+        (lambda: fanin_tensor_nonlinearity_witness(AnbitState(np.ones(3)), AnbitState(np.ones(3))),
+         DimError, "witness is defined for dim 2"),
+    ],
+    ids=["fanout-complex-n", "loop-dims", "two-loop-dims", "witness-dim3"],
+)
+def test_circuit_builders_name_their_fault(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

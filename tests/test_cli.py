@@ -112,6 +112,18 @@ def test_simulate_csv_and_out_file(tmp_path, capsys, rng):
     assert float(row[2]) == pytest.approx(u[0, 0].real)
 
 
+def test_simulate_csv_of_a_circuit_without_sinks_is_its_header(tmp_path, capsys):
+    circ = {
+        "nodes": [{"id": "s", "kind": "source", "params": {}}, {"id": "g", "kind": "gate", "params": gate_to_obj(pauli(1))}],
+        "edges": [{"from": ["s", 0], "to": ["g", 0]}],
+        "sources": ["s"],
+        "sinks": [],
+    }
+    cpath, spath = write_json(tmp_path / "c.json", circ), write_json(tmp_path / "s.json", _GOOD_STATE)
+    assert run_cli(capsys, ["simulate", cpath, "--input", spath, "--format", "csv"]) == (0, "sink,index,re,im\n", "")
+    assert run_cli(capsys, ["simulate", cpath, "--input", spath]) == (0, '{"outputs": {}}\n', "")
+
+
 def test_simulate_out_to_unwritable_path(tmp_path, capsys, rng):
     circ, _ = basic_circuit(rng)
     cpath = write_json(tmp_path / "c.json", circ)
@@ -531,6 +543,11 @@ _TWO_SOURCE_CIRCUIT = {
         ("simulate", _GOOD_CIRCUIT, [_GOOD_STATE], "ValueError", "input must be a state object or a source-to-state mapping"),
         ("trajectory", {"axis": [0, 0, 1]}, None, "ValueError", "sweep spec needs a 'state' field"),
         ("trajectory", {"state": _GOOD_STATE, "kind": "spiral"}, None, "ValueError", "unknown sweep kind 'spiral'"),
+        ("trajectory", {"state": _GOOD_STATE, "start": 0.5}, None, "ValueError", "sweep spec needs a 'axis' field"),
+        ("trajectory", {"state": _GOOD_STATE, "kind": "diagonal", "d2": 1.0}, None,
+         "ValueError", "sweep spec needs a 'd1' field"),
+        ("trajectory", {"state": _GOOD_STATE, "kind": "diagonal", "d1": [1.0, 0.5]}, None,
+         "ValueError", "sweep spec needs a 'd2' field"),
         ("trajectory", {"state": _GOOD_STATE, "axis": [0, 0, 1], "steps": 2.5}, None,
          "ValueError", "steps: 'float' object cannot be interpreted as an integer"),
         ("lower", [[1.0, 0.0], [1.0, 0.0]], None, "ValueError", "fan-in input needs complex 'n' and 'm' pairs"),
@@ -548,6 +565,9 @@ _TWO_SOURCE_CIRCUIT = {
         "simulate-input-list",
         "trajectory-no-state",
         "trajectory-unknown-kind",
+        "trajectory-rotation-no-axis",
+        "trajectory-diagonal-no-d1",
+        "trajectory-diagonal-no-d2",
         "trajectory-fractional-steps",
         "fanin-not-an-object",
     ],
@@ -681,6 +701,36 @@ def test_trajectory_steps_are_capped(tmp_path, capsys, sweep, steps):
         emit_trajectory((0.0, 0.0, 1.0), 0.0, 1.0, AnbitState([1.0, 0.0]), steps)
 
 
+@pytest.mark.parametrize(
+    "sweep,message",
+    [
+        ({"axis": [0.0, 0.0, 1.0], "start": 1e308, "end": -1e308}, "start-end range [1e+308, -1e+308] has no finite width"),
+        ({"kind": "diagonal", "d1": [1e308, -1e308], "d2": 1.0}, "d1 range [1e+308, -1e+308] has no finite width"),
+        ({"kind": "diagonal", "d1": 1.0, "d2": [-1e308, 1e308]}, "d2 range [-1e+308, 1e+308] has no finite width"),
+    ],
+    ids=["rotation", "diagonal-d1", "diagonal-d2"],
+)
+@pytest.mark.parametrize("steps", [1, 5])
+def test_trajectory_range_wider_than_the_float_range_is_named(tmp_path, capsys, sweep, message, steps):
+    # the width b - a overflows, so no step could be placed on the range
+    spec = dict(sweep, state=_GOOD_STATE, steps=steps)
+    rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "ParamError", "message": message, "exit_code": 2}
+
+
+def test_trajectory_range_is_checked_after_the_state_and_the_axis(tmp_path, capsys):
+    for extra, error in (({"state": {"amps": [[0, 0], [0, 0]]}}, "DegenerateStateError"), ({"axis": [1.0, 1.0, 0.0]}, "AxisError")):
+        spec = dict({"state": _GOOD_STATE, "axis": [0.0, 0.0, 1.0], "start": 1e308, "end": -1e308}, **extra)
+        rc, _, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
+        assert json.loads(err)["error"] == error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy meets the range
+        with pytest.raises(ParamError) as exc:
+            emit_trajectory((0.0, 0.0, 1.0), -1e308, 1e308, AnbitState([1.0, 0.0]), 3)
+    assert str(exc.value) == "start-end range [-1e+308, 1e+308] has no finite width"
+
+
 def test_trajectory_axis_past_the_float_range_is_not_unit(tmp_path, capsys):
     spec = {"state": _GOOD_STATE, "axis": [1e308, 0.5, 0.9], "steps": 3}
     rc, out, err = run_cli(capsys, ["trajectory", write_json(tmp_path / "t.json", spec)])
@@ -711,6 +761,9 @@ def _per_step_trajectory(spec: dict) -> str:
     steps = spec["steps"]
     if spec.get("kind") == "diagonal":
         (d1a, d1b), (d2a, d2b) = spec["d1"], spec["d2"]
+        for name, (a, b) in (("d1", spec["d1"]), ("d2", spec["d2"])):
+            if not math.isfinite(b - a):  # a width past the float range is refused, not swept
+                raise ParamError(f"{name} range [{a}, {b}] has no finite width")
         ts = np.linspace(0.0, 1.0, steps)
         mats = (np.diag([d1a + (d1b - d1a) * t, d2a + (d2b - d2a) * t]).astype(complex) for t in ts)
     else:
@@ -935,6 +988,21 @@ def test_python_m_runs_the_cli(tmp_path):
     payload = json.loads(proc.stderr)
     assert payload["error"] == "FileNotFoundError" and payload["exit_code"] == 2
     assert missing in payload["message"]
+
+
+def test_python_m_prints_what_main_prints(tmp_path, capsys):
+    # the command the packaging check runs through the installed `anbit` script
+    gpath = write_json(tmp_path / "g.json", gate_to_obj(GateMatrix([[0.3, -1.0j], [2.0, 0.5 + 0.5j]])))
+    argv = ["decompose", gpath, "--method", "pauli"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "anbit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(anbit.__file__).resolve().parent.parent)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, argv)
+    assert [f["name"] for f in json.loads(proc.stdout)["factors"]] == ["alpha0", "alpha1", "alpha2", "alpha3"]
 
 
 # --- the circuit slot: the last circuit read, kept with its file text --------

@@ -24,7 +24,7 @@ from anbit import (
     svd2,
     svd_reconstruct,
 )
-from anbit.errors import ClassError, ParamError, SymmetryError
+from anbit.errors import ClassError, DimError, ParamError, SymmetryError
 
 from conftest import random_matrix, random_unitary
 
@@ -251,8 +251,10 @@ def test_mostow_validation():
         (800.0, B_EXAMPLE, "antisymmetric parameter 800.0 overflows its exponential"),
         (-800.0, B_EXAMPLE, "antisymmetric parameter -800.0 overflows its exponential"),
         (0.1, [[800.0, 0.0], [0.0, 0.2]], "b_matrix eigenvalue 800.0 overflows its exponential"),
+        (np.inf, B_EXAMPLE, "antisymmetric parameter must be finite"),
+        (np.nan, B_EXAMPLE, "antisymmetric parameter must be finite"),
     ],
-    ids=["b-nan", "b-inf", "a-overflow", "a-negative-overflow", "b-eigenvalue-overflow"],
+    ids=["b-nan", "b-inf", "a-overflow", "a-negative-overflow", "b-eigenvalue-overflow", "a-inf", "a-nan"],
 )
 def test_mostow_rejects_non_finite_factors(a, b, message):
     # a factor of inf or nan would only fail later, as a device value or in the JSON writer
@@ -361,3 +363,18 @@ def test_contract_near_singular_gates(seed, r, log_scale):
     rng = np.random.default_rng(seed)
     m = np.exp(log_scale) * random_unitary(rng) @ np.diag([1.0, r]) @ random_unitary(rng)
     check_contract(m, rng)
+
+
+@pytest.mark.parametrize(
+    "factor,message",
+    [
+        (euler_zxz, "Euler factorization is defined for dim 2"),
+        (svd2, "svd2 is defined for dim 2"),
+        (lambda g: mostow_synthesize(g, 0.1, B_EXAMPLE), "synthesis is defined for dim 2"),
+    ],
+    ids=["euler", "svd2", "mostow"],
+)
+def test_factorizations_of_a_dim3_gate_are_dim_errors(factor, message):
+    with pytest.raises(DimError) as exc:
+        factor(GateMatrix(np.eye(3)))
+    assert str(exc.value) == message

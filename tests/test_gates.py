@@ -375,3 +375,9 @@ def test_nand_truth_table():
     assert nand_emulate(1, 1) == 0
     with pytest.raises(ParamError):
         nand_emulate(2, 0)
+
+
+def test_superposed_application_needs_dim2_states():
+    with pytest.raises(DimError) as exc:
+        apply_controlled_superposed(controlled(pauli(1), 1), AnbitState(np.ones(3)), AnbitState([1.0, 0.0]))
+    assert str(exc.value) == "control and target must have dim 2"

@@ -16,6 +16,7 @@ from anbit import (
     SinkNode,
     SourceNode,
     check_fb_symmetry,
+    circuit_transfer,
     controlled,
     euler_zxz,
     identity_gate,
@@ -111,6 +112,8 @@ _DEVICE_FAULTS = {
     "att-high": (("ATT", (0,), 1.5), "ATT 0 1.5", "attenuator gain must be in [0, 1], got 1.5"),
     "att-negative": (("ATT", (0,), -0.1), "ATT 0 -0.1", "attenuator gain must be in [0, 1], got -0.1"),
     "amp-low": (("AMP", (0,), 0.9), "AMP 0 0.9", "amplifier gain must exceed 1, got 0.9"),
+    "three-field-row": (("PS", (0,)), None, "netlist devices are (kind, wires, value, binding) rows"),
+    "unknown-kind": (("XX", (0,), 0.5), None, "unknown device kind 'XX'"),
 }
 
 
@@ -856,15 +859,24 @@ def _fanout_to_two_sinks(fo):
         (CircuitGraph({"s": SourceNode(), "g": GateMatrix(np.eye(3)), "t": SinkNode()},
                       ((("s", 0), ("g", 0)), (("g", 0), ("t", 0)))),
          DimError, "netlist lowering carries dim-2 signals"),
-        (_fanout_to_two_sinks(FanOutGate(1.0, 1.0, m12=2.0 * np.eye(2))),
-         GraphError, "only default-ancilla fan-out lowers to a netlist"),
     ],
-    ids=["dim3-gate", "custom-m12"],
+    ids=["dim3-gate"],
 )
 def test_lower_circuit_rejects_nodes_without_a_netlist_form(graph, error, message):
     with pytest.raises(error) as exc:
         lower_circuit(graph)
     assert str(exc.value) == message
+
+
+def test_fanout_with_an_unwired_ancilla_lowers_whatever_its_m12_and_m22(rng):
+    # m12 and m22 act on the ancilla input alone, which is null when unwired
+    fo = FanOutGate(0.7, 1.3, m12=2.0 * np.eye(2), m22=[[1.0, 2j], [3.0, 4.0]])
+    nodes = {"s": SourceNode(), "fo": fo, "g": GateMatrix(random_unitary(rng)), "t1": SinkNode(), "t2": SinkNode()}
+    edges = ((("s", 0), ("fo", 0)), (("fo", 0), ("g", 0)), (("g", 0), ("t1", 0)), (("fo", 1), ("t2", 0)))
+    graph = CircuitGraph(nodes, edges)
+    for arch in ("zxz", "zyz", "svd", "pauli"):
+        tf = lower_circuit(graph, arch=arch).forward_transfer()
+        assert np.max(np.abs(tf - circuit_transfer(graph))) < 1e-11, arch
 
 
 def test_pauli_lowering_of_dim3_gate_is_a_dim_error():
@@ -882,3 +894,9 @@ def test_two_wire_kinds_are_symmetric(data):
             value = data.draw(st.floats(allow_nan=False, allow_infinity=False).filter(spec.in_domain)) if spec.valued else None
             m00, m01, m10, m11 = spec.coefs(value)
             assert m01 == m10, (tag, value)
+
+
+def test_a_netlist_without_a_control_map_takes_no_control_word():
+    with pytest.raises(ParamError) as exc:
+        Netlist(2, [("PS", (0,), 0.5, None)], (0, 1), (0, 1)).forward_transfer("1")
+    assert str(exc.value) == "netlist has no control map"

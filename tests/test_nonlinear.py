@@ -184,3 +184,19 @@ def test_ann_layer_dim_mismatch(rng):
 def test_spm_params_validation():
     with pytest.raises(ParamError):
         SpmParams(np.inf, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: TaylorGate([0.0, 0.0], ({1: np.eye(2)},), max_order=0), ParamError, "max_order must be >= 1"),
+        (lambda: TaylorGate([0.0, 0.0], ()), DimError, "at least one output component is required"),
+        (lambda: ann_layer(GateMatrix(np.eye(2)), lambda v: v, cartesian_compose([AnbitState([1.0, 0.0])])),
+         ModeError, "layer input parts must all have dim 1"),
+    ],
+    ids=["max-order-0", "no-output-component", "layer-part-dim2"],
+)
+def test_nonlinear_builders_name_their_fault(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from anbit import (
 from anbit.serialization import (
     circuit_from_obj,
     circuit_to_obj,
+    csv_text,
     dumps,
     fmt_float,
     gate_from_obj,
@@ -73,6 +75,84 @@ def test_dumps_rejects_non_finite_floats(x):
     # JSON has no token for them; bare inf/nan would not re-parse
     with pytest.raises(ValueError, match="non-finite"):
         dumps({"value": [1.0, x]})
+
+
+# signed zeros, subnormals, the edges of the float range, nan and inf, then any double
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+def _error(call):
+    """call()'s text, or the ValueError message it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.tuples(st.integers(0, 10**6) | st.text("ab,0 ", max_size=4), st.lists(_FLOATS, min_size=width, max_size=width)),
+    max_size=6,
+).map(lambda rows: (width, rows))))
+def test_csv_text_is_the_per_value_writer(case):
+    # the oracle is a per-value loop: a row at a time, re before im, each float by fmt_float
+    width, rows = case
+    labels = [label for label, _ in rows]
+    columns = [np.array([row[k] for _, row in rows], dtype=float) for k in range(width)]
+
+    def oracle():
+        lines = ["head"]
+        for label, row in rows:
+            lines.append(",".join([f"{label}", *(fmt_float(x) for x in row)]))
+        return "\n".join(lines) + "\n"
+
+    assert _error(lambda: csv_text("head", labels, columns)) == _error(oracle)
+
+
+_LEAVES = (st.none() | st.booleans() | st.text(max_size=4) | st.integers()
+           | st.integers(-2**63, 2**63 - 1).map(np.int64) | _FLOATS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=24,
+)
+
+
+def _floats_in_order(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _floats_in_order(v)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _floats_in_order(v)
+
+
+def _same_tree(obj, parsed):
+    """parsed, read with every number as its token, is obj with each float as format(x, ".17g")."""
+    if isinstance(obj, float):
+        return parsed == format(obj, ".17g") and float(parsed).hex() == obj.hex()
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return parsed == str(int(obj))
+    if isinstance(obj, (list, tuple)):
+        return isinstance(parsed, list) and len(parsed) == len(obj) and all(map(_same_tree, obj, parsed))
+    if isinstance(obj, dict):
+        return list(parsed) == list(obj) and all(map(_same_tree, obj.values(), parsed.values()))
+    return type(parsed) is type(obj) and parsed == obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_dumps_round_trips_or_names_the_first_non_finite_float(obj):
+    bad = next((x for x in _floats_in_order(obj) if not math.isfinite(x)), None)
+    if bad is not None:
+        with pytest.raises(ValueError) as exc:
+            dumps(obj)
+        assert str(exc.value) == f"cannot serialize non-finite float {bad}"
+    else:
+        assert _same_tree(obj, json.loads(dumps(obj), parse_float=str, parse_int=str))
 
 
 def test_state_round_trip(rng):

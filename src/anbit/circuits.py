@@ -240,14 +240,15 @@ class CircuitGraph:
     out_edges[node] the (edge index, output port) pairs the node drives, in
     edge order, and _succ the node numbers they feed, then the sources, sinks
     and `components()`. Nodes and edges are fixed from then on: nodes is
-    kept as a read-only copy, edges as a tuple, and `circuit_transfer` keeps
-    its map per dim.
+    kept as a read-only copy, edges as a tuple, in_edges and out_edges as
+    read-only mappings of tuples, and `circuit_transfer` keeps its map per
+    dim.
     """
 
     nodes: MappingProxyType
     edges: tuple
-    in_edges: dict = field(init=False, repr=False)
-    out_edges: dict = field(init=False, repr=False)
+    in_edges: MappingProxyType = field(init=False, repr=False)
+    out_edges: MappingProxyType = field(init=False, repr=False)
     _succ: list = field(init=False, repr=False, compare=False)
     _ends: tuple = field(init=False, repr=False, compare=False)
     _components: tuple = field(init=False, repr=False, compare=False)
@@ -290,8 +291,6 @@ class CircuitGraph:
             ins[t][dp] = i
             edges.append(((src, sp), (dst, dp)))
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "in_edges", dict(zip(nodes, ins)))
-        object.__setattr__(self, "out_edges", dict(zip(nodes, outs)))
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_transfers", {})
         ends = (tuple(nid for nid, node in nodes.items() if type(node) is k) for k in (SourceNode, SinkNode))
@@ -303,6 +302,8 @@ class CircuitGraph:
                     raise GraphError(f"input port ({nid!r}, {port}) is not fed")
             if not drives and type(node) is SourceNode:
                 raise GraphError(f"source {nid!r} drives nothing")
+        object.__setattr__(self, "in_edges", MappingProxyType(dict(zip(nodes, map(tuple, ins)))))
+        object.__setattr__(self, "out_edges", MappingProxyType(dict(zip(nodes, map(tuple, outs)))))
         object.__setattr__(self, "_components", self._tarjan())
 
     def sources(self) -> list:

@@ -62,7 +62,6 @@ from .serialization import (
     csv_text,
     dumps,
     gate_from_obj,
-    matrix_to_obj,
     netlist_from_text,
     netlist_to_text,
     record_to_obj,
@@ -196,10 +195,10 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
         gate = gate_from_obj(obj)
         f = svd2(gate)
         factors = [
-            {"name": "u2", "matrix": matrix_to_obj(f.u2.entries)},
+            {"name": "u2", "matrix": f.u2.entries},
             {"name": "d1", "value": f.d1},
             {"name": "d2", "value": f.d2},
-            {"name": "u1", "matrix": matrix_to_obj(f.u1.entries)},
+            {"name": "u1", "matrix": f.u1.entries},
         ]
         err = _fro(svd_reconstruct(f).entries, gate.entries)
     elif method == "pauli":
@@ -211,7 +210,7 @@ def _cmd_decompose(args: argparse.Namespace) -> str:
         f = _mostow_from_obj(obj)
         stage_names = ("u_u1", "lam1", "u1_dag_u2", "lam2", "u2_dag")
         factors = [
-            {"name": name, "matrix": matrix_to_obj(stage.entries)}
+            {"name": name, "matrix": stage.entries}
             for name, stage in zip(stage_names, f.expanded)
         ]
         product = np.eye(2, dtype=complex)
@@ -262,7 +261,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
     report = {
         "reciprocal": True,
         "fb_symmetric": check_fb_symmetry(tf, tf.T),
-        "s_matrix": matrix_to_obj(scattering_matrix(tf, tf.T)),
+        "s_matrix": scattering_matrix(tf, tf.T),
     }
     return dumps(report) + "\n"
 

@@ -5,11 +5,13 @@ Pauli-basis expansion, and polar-style synthesis of invertible gates from a
 unitary, an antisymmetric parameter, and a real symmetric exponent
 (eigensolved by LAPACK ``np.linalg.eigh``, ``dsyevd``).
 
-The Euler angles and the SVD's phase pinning work on the four entries read
-once as Python numbers: the unitarity test is the dim-2 Gram deviation that
-``gate_class`` uses, and each angle is ``np.arctan2`` of two floats, which
-matches ``np.angle`` bit for bit. LAPACK (``np.linalg.svd``, ``zgesdd``) is
-called only for the singular vectors.
+Both factorizations of a lowered mesh are tables over many gates at once,
+with the one-gate functions as their single-row case. `_euler_table` reads
+each gate's four entries once as Python numbers, tests unitarity by the
+dim-2 Gram deviation that ``gate_class`` uses, and takes every angle of all
+gates in two ``np.arctan2`` calls, which give the doubles ``np.angle`` gives.
+`_svd_table` factors a (G, 2, 2) stack in one LAPACK call
+(``np.linalg.svd``, ``zgesdd``) and pins each gate's phases on its rows.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ class MostowFactors:
         return GateMatrix(self.u.entries @ e1 @ e2)
 
 
-def _angle(y: float, x: float) -> float:
-    """atan2(y, x) as np.angle computes it; math.atan2 differs in the last bit on some inputs."""
-    return float(np.arctan2(y, x))
-
-
 def _wrap_2pi(x: float) -> tuple[float, int]:
     """Reduce into [0, 2*pi); also return the number of full turns removed."""
     k = math.floor(x / _TWO_PI)
@@ -113,43 +110,70 @@ def _wrap_2pi(x: float) -> tuple[float, int]:
     return y + 0.0, k  # turn -0.0 into +0.0
 
 
-def _euler_angles(u: GateMatrix, middle: str) -> EulerFactors:
-    if u.dim != 2:
-        raise DimError("Euler factorization is defined for dim 2")
-    rows = u.entries.tolist()
-    if not _unitary2(rows):  # the test behind gate_class, on the entries read here
-        raise ClassError("Euler factorization needs a unitary gate")
-    (e00, e01), (e10, e11) = rows
-    det = e00 * e11 - e01 * e10
+def _dim2_rows(gates, what: str) -> list:
+    """Each gate's entries read once with ``tolist()``; a gate of another dim is a DimError naming `what`."""
+    rows = []
+    for g in gates:
+        if g.dim != 2:
+            raise DimError(f"{what} is defined for dim 2")
+        rows.append(g.entries.tolist())
+    return rows
+
+
+def _euler_table(rows: list, middle: str) -> list:
+    """(delta, alpha1, alpha2, alpha3) of each 2x2 unitary in rows, ``entries.tolist()`` lists.
+
+    The rule of `euler_zxz` (middle "zxz") or `euler_zyz` ("zyz") over many
+    matrices at once: the first non-unitary one, in order, is a ClassError
+    before any angle is taken. Its two arctangent stages are one
+    ``np.arctan2`` call each over all matrices: (a) the determinant phases
+    that give delta, then (b) the half middle angles, the phases giving
+    alpha1 + alpha3 and those giving their difference. An array call gives
+    each entry the double a scalar call gives, which matches ``np.angle``;
+    ``math.atan2`` differs in the last bit on some inputs.
+    """
+    flip = middle != "zxz"  # zyz takes the difference from the phase of -v01
+    dets = []
+    for m in rows:
+        if not _unitary2(m):  # the test behind gate_class, on the entries read here
+            raise ClassError("Euler factorization needs a unitary gate")
+        (e00, e01), (e10, e11) = m
+        dets.append(e00 * e11 - e01 * e10)
     # principal root of det = e^(2i delta), then delta forced into [0, pi);
     # the sign this absorbs keeps the remainder special-unitary
-    delta = 0.5 * _angle(det.imag, det.real)
-    if delta < 0.0:
-        delta += math.pi
-    ph = cmath.exp(-1j * delta)
-    v00, v01, v10, v11 = ph * e00, ph * e01, ph * e10, ph * e11
-
-    s = 0.5 * (abs(v01) + abs(v10))  # sin(alpha2/2) >= 0
-    c = 0.5 * (abs(v00) + abs(v11))  # cos(alpha2/2), >= 0 convention
-    alpha2 = 2.0 * _angle(s, c)
-
-    big_sum = -2.0 * _angle(v00.imag, v00.real)  # alpha1 + alpha3
-    if s < GIMBAL_TOL:
-        raw1, raw3 = 0.0, big_sum
-    else:
-        if middle == "zxz":
-            diff = 2.0 * (_angle(v01.imag, v01.real) + 0.5 * math.pi)
+    halves = np.arctan2([z.imag for z in dets], [z.real for z in dets]).tolist()
+    deltas, sines, ys, xs = [], [], [], []
+    for m, half in zip(rows, halves):
+        delta = 0.5 * half
+        if delta < 0.0:
+            delta += math.pi
+        ph = cmath.exp(-1j * delta)
+        (e00, e01), (e10, e11) = m
+        v00, v01, v10, v11 = ph * e00, ph * e01, ph * e10, ph * e11
+        s = 0.5 * (abs(v01) + abs(v10))  # sin(alpha2/2) >= 0
+        deltas.append(delta)
+        sines.append(s)
+        c = 0.5 * (abs(v00) + abs(v11))  # cos(alpha2/2), >= 0 convention
+        ys += (s, v00.imag, -v01.imag if flip else v01.imag)
+        xs += (c, v00.real, -v01.real if flip else v01.real)
+    angles = np.arctan2(ys, xs).tolist()
+    table = []
+    for k, (delta, s) in enumerate(zip(deltas, sines)):
+        mid, phase00, phase01 = angles[3 * k:3 * k + 3]
+        big_sum = -2.0 * phase00  # alpha1 + alpha3
+        if s < GIMBAL_TOL:
+            raw1, raw3 = 0.0, big_sum
         else:
-            diff = 2.0 * _angle(-v01.imag, -v01.real)
-        raw1 = 0.5 * (big_sum + diff)
-        raw3 = 0.5 * (big_sum - diff)
-
-    alpha1, k1 = _wrap_2pi(raw1)
-    alpha3, k3 = _wrap_2pi(raw3)
-    if (k1 + k3) % 2:
-        # each 2*pi wrap of a z-angle negates the product; compensate globally
-        delta += math.pi
-    return EulerFactors(delta, alpha1, alpha2, alpha3, middle)
+            diff = 2.0 * phase01 if flip else 2.0 * (phase01 + 0.5 * math.pi)
+            raw1 = 0.5 * (big_sum + diff)
+            raw3 = 0.5 * (big_sum - diff)
+        alpha1, k1 = _wrap_2pi(raw1)
+        alpha3, k3 = _wrap_2pi(raw3)
+        if (k1 + k3) % 2:
+            # each 2*pi wrap of a z-angle negates the product; compensate globally
+            delta += math.pi
+        table.append((delta, alpha1, 2.0 * mid, alpha3))
+    return table
 
 
 def euler_zxz(u: GateMatrix) -> EulerFactors:
@@ -159,12 +183,12 @@ def euler_zxz(u: GateMatrix) -> EulerFactors:
     the half middle angle taken non-negative, and 2*pi wraps of the outer
     angles compensated in delta. Reconstruction is exact up to rounding.
     """
-    return _euler_angles(u, "zxz")
+    return EulerFactors(*_euler_table(_dim2_rows((u,), "Euler factorization"), "zxz")[0], "zxz")
 
 
 def euler_zyz(u: GateMatrix) -> EulerFactors:
     """Angles of u = e^(i delta) R_z(alpha3) R_y(alpha2) R_z(alpha1)."""
-    return _euler_angles(u, "zyz")
+    return EulerFactors(*_euler_table(_dim2_rows((u,), "Euler factorization"), "zyz")[0], "zyz")
 
 
 def euler_reconstruct(f: EulerFactors) -> GateMatrix:
@@ -173,6 +197,41 @@ def euler_reconstruct(f: EulerFactors) -> GateMatrix:
     rz3, rz1 = _rotation_stack(AXIS_Z, (f.alpha3, f.alpha1))
     m = rz3 @ _rotation_stack(mid_axis, (f.alpha2,))[0] @ rz1
     return GateMatrix(np.exp(1j * f.delta) * m)
+
+
+def _svd_table(stack: np.ndarray) -> list:
+    """(u2 rows, d1, d2, u1 rows) of each matrix of a (G, 2, 2) complex stack, pinned as `svd2` pins them.
+
+    One LAPACK call factors the whole stack (``np.linalg.svd``, driver
+    ``zgesdd``, matrix by matrix, so each result is that of its matrix
+    alone); the phase pinning and the degenerate fallback then work on the
+    rows read once with ``tolist()``. The factor rows are lists of Python
+    complex numbers, the values a GateMatrix of them holds. A nan entry
+    makes LAPACK raise for the whole stack.
+    """
+    us, ss, vhs = np.linalg.svd(stack)
+    table = []
+    for m, u, (d1, d2), vh in zip(stack.tolist(), us.tolist(), ss.tolist(), vhs.tolist()):
+        degenerate = d1 - d2 <= 1e-13 * d1  # scaled unitary (identity and zero included)
+        if degenerate:
+            vh = [[1.0, 0.0], [0.0, 1.0]]
+            u = [[1.0, 0.0], [0.0, 1.0]]
+            if d1 > 0.0:
+                u = [[x / d1 for x in row] for row in m]
+        for k, row in enumerate(vh):  # row k of u1 = vh is the conjugate of column k of u1^dag
+            j = int(abs(row[1]) > abs(row[0]))
+            mag = abs(row[j])
+            p = row[j] / mag
+            pc = p.conjugate()
+            row[0] *= pc
+            row[1] *= pc
+            row[j] = complex(mag)  # force exactly real
+            u[0][k] *= p
+            u[1][k] *= p
+        if degenerate:  # the fallback's real entries, as complex numbers
+            u, vh = ([[complex(x) for x in row] for row in f] for f in (u, vh))
+        table.append((u, d1, d2, vh))
+    return table
 
 
 def svd2(m: GateMatrix) -> SvdFactors:
@@ -185,30 +244,13 @@ def svd2(m: GateMatrix) -> SvdFactors:
     (the first on a tie) is real positive, with the compensating phase
     absorbed into u2; degenerate spectra (scaled unitaries, d1 = d2 up to
     rounding) fall back to the canonical basis u1 = I, u2 = m / d1. This pins
-    a unique factor set for golden-file comparisons.
+    a unique factor set for golden-file comparisons. `_svd_table` is the same
+    rule over a stack of matrices.
     """
     if m.dim != 2:
         raise DimError("svd2 is defined for dim 2")
-    u, s, vh = np.linalg.svd(m.entries)
-    d1, d2 = s.tolist()
-    if d1 - d2 <= 1e-13 * d1:  # scaled unitary (identity and zero included)
-        vh = [[1.0, 0.0], [0.0, 1.0]]
-        u = [[1.0, 0.0], [0.0, 1.0]]
-        if d1 > 0.0:
-            u = [[x / d1 for x in row] for row in m.entries.tolist()]
-    else:
-        u, vh = u.tolist(), vh.tolist()
-    for k, row in enumerate(vh):  # row k of u1 = vh is the conjugate of column k of u1^dag
-        j = int(abs(row[1]) > abs(row[0]))
-        mag = abs(row[j])
-        p = row[j] / mag
-        pc = p.conjugate()
-        row[0] *= pc
-        row[1] *= pc
-        row[j] = mag  # force exactly real
-        u[0][k] *= p
-        u[1][k] *= p
-    return SvdFactors(u2=GateMatrix(u), d1=d1, d2=d2, u1=GateMatrix(vh))
+    u2, d1, d2, u1 = _svd_table(m.entries[None])[0]
+    return SvdFactors(u2=GateMatrix(u2), d1=d1, d2=d2, u1=GateMatrix(u1))
 
 
 def svd_reconstruct(f: SvdFactors) -> GateMatrix:

@@ -21,9 +21,12 @@ transfer keeps one pending factor per wire and folds it into that device's
 coefficients, the phase-screen argument of Clements et al., Optica 3, 1460
 (2016).
 
-Each gate architecture is one emitter that appends its device rows to the
-caller's list on the caller's wires, so a standalone gate netlist and a gate
-inside a lowered circuit are built the same way.
+Each gate architecture is a factor table plus a row emitter: the table
+factors a list of gates in one call (`decompositions`' stacked SVD and list
+form of the Euler rule), and the emitter appends one gate's device rows to
+the caller's list on the caller's wires. A standalone gate netlist, the
+blocks of the Mostow and controlled forms and the gates of a lowered circuit
+are all built through the same tables and emitters.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 
 from .algebra import AnbitState, CompositeState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SourceNode
-from .decompositions import MostowFactors, euler_zxz, euler_zyz, svd2, pauli_decompose
+from .decompositions import MostowFactors, _dim2_rows, _euler_table, _svd_table, pauli_decompose
+from .decompositions import euler_zxz, euler_zyz, svd2  # noqa: F401  kept as anbit.lowering names, which perfbench/spans.py wraps
 from .errors import ControlEncodingError, DimError, GraphError, ParamError, _integer
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
 
@@ -356,55 +360,97 @@ def scattering_matrix(tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return s
 
 
-# --- stage emitters ---------------------------------------------------------
-# Each appends (kind, wires, value, binding) rows to the caller's list, checked
-# later with the netlist they build. A gate emitter _emit_<arch>(devices, gate,
-# w) writes on the wires w: w[0] and w[1] carry the anbit in and out, any
-# further wires are the architecture's scratch rails.
+# --- factor tables and row emitters ----------------------------------------
+# A gate architecture is a factor table plus a row emitter. The table
+# factors a list of dim-2 gates in one call, in order, so the first gate that
+# cannot be factored raises; the emitter _emit_<arch>(devices, f, w) appends
+# the (kind, wires, value, binding) rows of one table entry f on the wires w,
+# checked later with the netlist they build: w[0] and w[1] carry the anbit in
+# and out, any further wires are the architecture's scratch rails.
 
-def _rz_pair(devices: list, w0: int, w1: int, theta: float):
-    # R_z(theta) = diag(e^(-i theta/2), e^(i theta/2)); + 0.0 avoids -0.0 params
-    devices.append(("PS", (w0,), -0.5 * theta + 0.0, None))
-    devices.append(("PS", (w1,), 0.5 * theta + 0.0, None))
-
-
-def _global_phase_pair(devices: list, w0: int, w1: int, delta: float):
-    devices.append(("PS", (w0,), delta, None))
-    devices.append(("PS", (w1,), delta, None))
+def _zxz_table(gates) -> list:
+    return _euler_table(_dim2_rows(gates, "Euler factorization"), "zxz")
 
 
-def _emit_zxz(devices: list, u: GateMatrix, w=(0, 1)):
-    f = euler_zxz(u)
-    _rz_pair(devices, w[0], w[1], f.alpha1)
-    devices.append(("DC", (w[0], w[1]), f.alpha2, None))
-    _rz_pair(devices, w[0], w[1], f.alpha3)
-    _global_phase_pair(devices, w[0], w[1], f.delta)
+def _zyz_table(gates) -> list:
+    return _euler_table(_dim2_rows(gates, "Euler factorization"), "zyz")
 
 
-def _emit_zyz(devices: list, u: GateMatrix, w):
-    f = euler_zyz(u)
-    _rz_pair(devices, w[0], w[1], f.alpha1)
-    devices.append(("BS", (w[0], w[1]), None, None))
-    devices.append(("PS", (w[0],), 0.5 * f.alpha2, None))
-    devices.append(("PS", (w[1],), -0.5 * f.alpha2 - math.pi, None))
-    devices.append(("BS", (w[0], w[1]), None, None))
-    devices.append(("PS", (w[1],), math.pi, None))
-    _rz_pair(devices, w[0], w[1], f.alpha3)
-    _global_phase_pair(devices, w[0], w[1], f.delta)
+def _svd_table_zxz(gates) -> list:
+    """(zxz angles of u1, d1, d2, zxz angles of u2) per gate: `svd2`, then `euler_zxz` of both factors.
+
+    One stacked SVD per run of finite gates; a gate with an inf or nan entry
+    is factored alone, after the gates before it, so the first failure is the
+    one a gate-by-gate pass meets first.
+    """
+    if any(g.dim != 2 for g in gates):
+        raise DimError("svd2 is defined for dim 2")
+    stack = np.array([g.entries for g in gates], dtype=complex).reshape(-1, 2, 2)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2))).tolist()
+    cuts = sorted({0, len(gates)}.union(*((k, k + 1) for k in bad)))
+    table = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        factors = _svd_table(stack[lo:hi])
+        angles = _euler_table([rows for u2, _, _, u1 in factors for rows in (u1, u2)], "zxz")
+        table += ((angles[2 * k], d1, d2, angles[2 * k + 1]) for k, (_, d1, d2, _) in enumerate(factors))
+    return table
 
 
-def _emit_svd(devices: list, m: GateMatrix, w):
-    f = svd2(m)
-    _emit_zxz(devices, f.u1, w)
-    devices.append(_gain_row(w[0], f.d1))
-    devices.append(_gain_row(w[1], f.d2))
-    _emit_zxz(devices, f.u2, w)
+def _pauli_table(gates) -> list:
+    """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3; one angle call for all."""
+    scales = []
+    for g in gates:
+        a0, a1, a2, a3 = pauli_decompose(g)
+        scales += (a0, 1j * a1, 1j * a2, 1j * a3)
+    pairs = list(zip(np.angle(scales).tolist(), map(abs, scales)))
+    return [pairs[k:k + 4] for k in range(0, len(pairs), 4)]
+
+
+def _emit_zxz(devices: list, f: tuple, w=(0, 1)):
+    # R_z(alpha1), the coupler, R_z(alpha3) as phase pairs diag(e^(-i a/2), e^(i a/2)),
+    # then the global phase; + 0.0 avoids -0.0 params
+    delta, alpha1, alpha2, alpha3 = f
+    a, b = (w[0],), (w[1],)
+    devices += (
+        ("PS", a, -0.5 * alpha1 + 0.0, None),
+        ("PS", b, 0.5 * alpha1 + 0.0, None),
+        ("DC", a + b, alpha2, None),
+        ("PS", a, -0.5 * alpha3 + 0.0, None),
+        ("PS", b, 0.5 * alpha3 + 0.0, None),
+        ("PS", a, delta, None),
+        ("PS", b, delta, None),
+    )
+
+
+def _emit_zyz(devices: list, f: tuple, w):
+    delta, alpha1, alpha2, alpha3 = f
+    a, b = (w[0],), (w[1],)
+    devices += (
+        ("PS", a, -0.5 * alpha1 + 0.0, None),
+        ("PS", b, 0.5 * alpha1 + 0.0, None),
+        ("BS", a + b, None, None),
+        ("PS", a, 0.5 * alpha2, None),
+        ("PS", b, -0.5 * alpha2 - math.pi, None),
+        ("BS", a + b, None, None),
+        ("PS", b, math.pi, None),
+        ("PS", a, -0.5 * alpha3 + 0.0, None),
+        ("PS", b, 0.5 * alpha3 + 0.0, None),
+        ("PS", a, delta, None),
+        ("PS", b, delta, None),
+    )
+
+
+def _emit_svd(devices: list, f: tuple, w):
+    u1, d1, d2, u2 = f
+    _emit_zxz(devices, u1, w)
+    devices += (_gain_row(w[0], d1), _gain_row(w[1], d2))
+    _emit_zxz(devices, u2, w)
 
 
 def _gate_netlist(arch: str, m: GateMatrix) -> Netlist:
-    emit, wires = _CIRCUIT_ARCHES[arch]
+    factor, emit, wires = _CIRCUIT_ARCHES[arch]
     devices: list = []
-    emit(devices, m, range(wires))
+    emit(devices, factor([m])[0], range(wires))
     return Netlist(wires, devices, (0, 1), (0, 1))
 
 
@@ -440,37 +486,46 @@ def lower_mostow(f: MostowFactors) -> Netlist:
     lam1 = (e^-a, e^a), so each entry is one positive gain device.
     """
     u_last, _, u_mid, _, u_first = f.expanded  # device values come from the scalar fields
+    first, mid, last = _zxz_table((u_first, u_mid, u_last))
     devices: list = []
-    _emit_zxz(devices, u_first)
+    _emit_zxz(devices, first)
     devices.extend(_gain_row(wire, value) for wire, value in enumerate(f.lam2))
-    _emit_zxz(devices, u_mid)
+    _emit_zxz(devices, mid)
     devices.extend(_gain_row(wire, value) for wire, value in enumerate(f.lam1))
-    _emit_zxz(devices, u_last)
+    _emit_zxz(devices, last)
     return Netlist(2, devices, (0, 1), (0, 1))
 
 
-def _scale_pair(devices: list, w0: int, w1: int, z: complex):
-    # multiply both wires of a branch by the complex scalar z
-    ph, g = float(np.angle(z)), abs(z)
-    for w in (w0, w1):
-        devices.append(("PS", (w,), ph, None))
-        devices.append(_gain_row(w, g))
+_ROOT2 = math.sqrt(2.0)
 
 
-def _sum_block(devices: list, a: int, b: int, n: complex = 1.0, m: complex = 1.0):
-    """Fan-in stage on wires (a, b): transfer [[n, n], [m, -m]].
+def _sum_values(n: complex, m: complex) -> tuple:
+    """(phase, gain) of wire a, then of wire b, of `_sum_block`'s diagonal (sqrt2 n, -i sqrt2 m)."""
+    n, m = complex(n), complex(m)
+    phase_n, phase_m = np.angle((n, m)).tolist()
+    return phase_n, _ROOT2 * abs(n), phase_m - _HALF_PI, _ROOT2 * abs(m)
+
+
+# _sum_values(1, 1), the unit weights of the pauli clone and fan-in trees, written out:
+# no angle is taken while the package imports
+_UNIT_SUM = (0.0, _ROOT2, -_HALF_PI, _ROOT2)
+
+
+def _sum_block(devices: list, a: int, b: int, values: tuple = _UNIT_SUM):
+    """Fan-in stage on wires (a, b): transfer [[n, n], [m, -m]], values = `_sum_values(n, m)`.
 
     Factorized as A.B.C with C a -pi/2 phase on b, B the 50:50 splitter, and
     A the diagonal (sqrt2 n, -i sqrt2 m) realized as phase plus gain per wire.
     """
-    n, m = complex(n), complex(m)
-    devices.append(("PS", (b,), -_HALF_PI, None))
-    devices.append(("BS", (a, b), None, None))
-    root2 = math.sqrt(2.0)
-    devices.append(("PS", (a,), float(np.angle(n)), None))
-    devices.append(_gain_row(a, root2 * abs(n)))
-    devices.append(("PS", (b,), float(np.angle(m)) - _HALF_PI, None))
-    devices.append(_gain_row(b, root2 * abs(m)))
+    phase_a, gain_a, phase_b, gain_b = values
+    devices += (
+        ("PS", (b,), -_HALF_PI, None),
+        ("BS", (a, b), None, None),
+        ("PS", (a,), phase_a, None),
+        _gain_row(a, gain_a),
+        ("PS", (b,), phase_b, None),
+        _gain_row(b, gain_b),
+    )
 
 
 def lower_fanin(g: FanInGate) -> Netlist:
@@ -481,33 +536,39 @@ def lower_fanin(g: FanInGate) -> Netlist:
     difference on (2,3).
     """
     devices: list = []
+    values = _sum_values(g.n, g.m)
     for k in range(2):
-        _sum_block(devices, k, k + 2, g.n, g.m)
+        _sum_block(devices, k, k + 2, values)
     return Netlist(4, devices, (0, 1, 2, 3), (0, 1, 2, 3))
 
 
-def _emit_pauli(devices: list, m: GateMatrix, w):
-    # w[2:8] are the three extra branch rails
-    coef = pauli_decompose(m)
+def _scale_pair(devices: list, w0: int, w1: int, scale: tuple):
+    # multiply both wires of a branch by the complex scalar whose (phase, gain) is scale
+    phase, gain = scale
+    devices += (("PS", (w0,), phase, None), _gain_row(w0, gain), ("PS", (w1,), phase, None), _gain_row(w1, gain))
+
+
+def _emit_pauli(devices: list, f: list, w):
+    # f: the (phase, gain) of the four branch scales; w[2:8] are the three extra branch rails
     # clone tree: after it, wires w[0,2,4,6] carry psi0 and w[1,3,5,7] carry psi1
     for a, b in ((0, 4), (1, 5), (0, 2), (1, 3), (4, 6), (5, 7)):
         _sum_block(devices, w[a], w[b])
     # branch 0 on w[0,1]: a0 I
-    _scale_pair(devices, w[0], w[1], coef[0])
+    _scale_pair(devices, w[0], w[1], f[0])
     # branch 1 on w[2,3]: i a1 Rx(pi)
     devices.append(("DC", (w[2], w[3]), math.pi, None))
-    _scale_pair(devices, w[2], w[3], 1j * coef[1])
+    _scale_pair(devices, w[2], w[3], f[1])
     # branch 2 on w[4,5]: i a2 Ry(pi) with Ry(pi) = Rz(pi/2) Rx(pi) Rz(-pi/2)
     devices.append(("PS", (w[4],), 0.25 * math.pi, None))
     devices.append(("PS", (w[5],), -0.25 * math.pi, None))
     devices.append(("DC", (w[4], w[5]), math.pi, None))
     devices.append(("PS", (w[4],), -0.25 * math.pi, None))
     devices.append(("PS", (w[5],), 0.25 * math.pi, None))
-    _scale_pair(devices, w[4], w[5], 1j * coef[2])
+    _scale_pair(devices, w[4], w[5], f[2])
     # branch 3 on w[6,7]: i a3 Rz(pi)
     devices.append(("PS", (w[6],), -_HALF_PI, None))
     devices.append(("PS", (w[7],), _HALF_PI, None))
-    _scale_pair(devices, w[6], w[7], 1j * coef[3])
+    _scale_pair(devices, w[6], w[7], f[3])
     # fan-in tree back onto w[0,1]
     for a, b in ((0, 2), (4, 6), (1, 3), (5, 7), (0, 4), (1, 5)):
         _sum_block(devices, w[a], w[b])
@@ -581,12 +642,12 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     """
     hot_word = "1" * cg.n_controls
     hot = _basis_word(control_setting, cg.n_controls) == hot_word
-    emit = _emit_zxz if cg.target_gate.gate_class is GateClass.UNITARY else _emit_svd
+    factor, emit, _ = _CIRCUIT_ARCHES["zxz" if cg.target_gate.gate_class is GateClass.UNITARY else "svd"]
     # both templates have the same devices, every one valued; the active one's
     # rows are the netlist's, device k bound to control ck
     rows: dict = {hot_word: [], "*": []}
-    emit(rows[hot_word], cg.target_gate, (0, 1))
-    emit(rows["*"], identity_gate(2), (0, 1))
+    for devices, f in zip(rows.values(), factor((cg.target_gate, identity_gate(2)))):
+        emit(devices, f, (0, 1))
     rows = _shared_kinds(rows)
     control_map = {word: dict(enumerate(row[2] for row in r)) for word, r in rows.items()}
     active = hot_word if hot else "*"
@@ -594,34 +655,52 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     return Netlist(2, bound, (0, 1), (0, 1), control_map=control_map, active_setting=active)
 
 
-# gate emitter and its wire count per gate or circuit architecture
+# factor table, row emitter and wire count per gate or circuit architecture
 _CIRCUIT_ARCHES = {
-    "zxz": (_emit_zxz, 2),
-    "zyz": (_emit_zyz, 2),
-    "svd": (_emit_svd, 2),
-    "pauli": (_emit_pauli, 8),
+    "zxz": (_zxz_table, _emit_zxz, 2),
+    "zyz": (_zyz_table, _emit_zyz, 2),
+    "svd": (_svd_table_zxz, _emit_svd, 2),
+    "pauli": (_pauli_table, _emit_pauli, 8),
 }
 
 
 def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
     """Compile an acyclic circuit graph to one netlist; feedback is rejected.
 
-    Every signal path gets a dedicated wire pair. Gate nodes lower through the
-    chosen architecture's emitter straight onto their pair, plus fresh scratch
-    wires for wide architectures; fan-in couples two pairs with the sum block;
+    Every signal path gets a dedicated wire pair. The chosen architecture's
+    factor table factors every gate in component order in one call; each gate
+    node then emits its rows straight onto its pair, plus fresh scratch wires
+    for wide architectures; fan-in couples two pairs with the sum block;
     fan-out (unwired ancilla only, so its m12 and m22 act on null) is the same
-    block fed by a fresh null pair.
+    block fed by a fresh null pair. A gate of dim other than 2 or a fan-out
+    with a wired ancilla is refused, but only after the gates before it are
+    factored, so the first fault in component order is the one raised.
     A node's input pair is the output pair of the edge feeding it, read from
     the graph's port tables. Unwired garbage ports keep their wires out of the
     output port list.
     """
     if arch not in _CIRCUIT_ARCHES:
         raise ParamError(f"circuit lowering supports {sorted(_CIRCUIT_ARCHES)}, got {arch!r}")
-    emit, arch_wires = _CIRCUIT_ARCHES[arch]
+    factor, emit, arch_wires = _CIRCUIT_ARCHES[arch]
 
     components = graph.components()
     if any(cyclic for _, cyclic in components):
         raise GraphError("circuit has feedback; only acyclic graphs lower to a netlist")
+
+    gates, fault = [], None
+    for (nid,), _ in components:
+        node = graph.nodes[nid]
+        if isinstance(node, GateMatrix):
+            if node.dim != 2:
+                fault = DimError("netlist lowering carries dim-2 signals")
+                break
+            gates.append(node)
+        elif isinstance(node, FanOutGate) and graph.in_edges[nid][1] is not None:
+            fault = GraphError("fan-out with a wired ancilla does not lower")
+            break
+    table = iter(factor(gates))
+    if fault is not None:
+        raise fault
 
     next_wire = 0
 
@@ -641,21 +720,15 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
         if isinstance(node, SourceNode):
             out_pair[(nid, 0)] = fresh(2)
         elif isinstance(node, GateMatrix):
-            if node.dim != 2:
-                raise DimError("netlist lowering carries dim-2 signals")
             pair = in_pair(nid, 0)
-            emit(devices, node, pair + fresh(arch_wires - 2))
+            emit(devices, next(table), pair + fresh(arch_wires - 2))
             out_pair[(nid, 0)] = pair
         elif isinstance(node, (FanInGate, FanOutGate)):
-            if isinstance(node, FanInGate):
-                pb = in_pair(nid, 1)
-            elif graph.in_edges[nid][1] is not None:
-                raise GraphError("fan-out with a wired ancilla does not lower")
-            else:
-                pb = fresh(2)  # null-fed rail
             pa = in_pair(nid, 0)
+            pb = in_pair(nid, 1) if isinstance(node, FanInGate) else fresh(2)  # fan-out: a null-fed rail
+            values = _sum_values(node.n, node.m)
             for k in range(2):
-                _sum_block(devices, pa[k], pb[k], node.n, node.m)
+                _sum_block(devices, pa[k], pb[k], values)
             out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
 
     # port order follows the graph's node declaration order, not the topo visit

@@ -51,9 +51,15 @@ def fmt_float(x: float) -> str:
 
 
 def dumps(obj) -> str:
-    """JSON of nested dicts, lists, tuples, str, None, bools, ints and floats; floats, the bulk, are tried first."""
+    """JSON of nested dicts, lists, tuples, str, None, bools, ints, floats and 2-D complex arrays.
+
+    Floats, the bulk, are tried first. A 2-D complex ndarray is written as
+    rows of [re, im] pairs, as its `matrix_to_obj` lists would be.
+    """
     if isinstance(obj, float):
         return fmt_float(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype == complex:
+        return _complex_matrix(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(map(dumps, obj)) + "]"
     if isinstance(obj, dict):
@@ -63,6 +69,17 @@ def dumps(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     raise ValueError(f"cannot serialize {type(obj).__name__}")
+
+
+def _complex_matrix(m: np.ndarray) -> str:
+    """JSON of a 2-D complex array as rows of [re, im] pairs, in one `%` call over one template."""
+    flat = np.ascontiguousarray(m).view(float).ravel()  # re, im interleaved, in row order
+    finite = np.isfinite(flat)
+    if not finite.all():
+        fmt_float(float(flat[~finite][0]))  # its error, for the first non-finite entry in row order
+    n_rows, n_cols = m.shape
+    row = "[" + ", ".join(["[%{0}, %{0}]".format(_DIGITS)] * n_cols) + "]"
+    return ("[" + ", ".join([row] * n_rows) + "]") % tuple(flat.tolist())
 
 
 def csv_text(header: str, labels, columns) -> str:
@@ -267,17 +284,29 @@ def circuit_from_obj(obj) -> CircuitGraph:
 
 # --- netlist text format ----------------------------------------------------
 
+def _device_line(kind: str) -> str:
+    # every line takes four arguments: first wire, second wire (-1 on a one-wire kind),
+    # value (None on a valueless kind) and binding suffix; %.0s takes one and writes nothing
+    spec = DEVICE_KINDS[kind]
+    return f"{kind} %d" + (" %d" if spec.n_wires == 2 else "%.0s") + (" %" + _DIGITS if spec.valued else "%.0s") + "%s"
+
+
+_DEVICE_LINES = {kind: _device_line(kind) for kind in DEVICE_KINDS}
+
+
 def netlist_to_text(nl: Netlist) -> str:
-    lines = [f"WIRES {nl.wires}"]
-    lines.append("IN " + " ".join(str(w) for w in nl.input_ports))
-    lines.append("OUT " + " ".join(str(w) for w in nl.output_ports))
-    for kind, a, b, value, binding in zip(nl.kinds, nl.wire_a, nl.wire_b, nl.values, nl.bindings):
-        line = f"{kind} {a}" if b < 0 else f"{kind} {a} {b}"
-        if DEVICE_KINDS[kind].valued:
-            line += " " + fmt_float(value)
-        if binding is not None:
-            line += " @" + binding
-        lines.append(line)
+    """The netlist's text: all device lines in one `%` call over per-kind line templates.
+
+    A `Netlist` holds only finite values (its constructor checks them), so
+    each value is written by ``%.17g``, which gives what `fmt_float` gives.
+    """
+    n = len(nl.kinds)
+    args = [None] * (4 * n)
+    args[0::4], args[1::4], args[2::4] = nl.wire_a, nl.wire_b, nl.values
+    args[3::4] = ["" if b is None else " @" + b for b in nl.bindings]
+    lines = [f"WIRES {nl.wires}", "IN " + " ".join(map(str, nl.input_ports)), "OUT " + " ".join(map(str, nl.output_ports))]
+    if n:
+        lines.append("\n".join(map(_DEVICE_LINES.__getitem__, nl.kinds)) % tuple(args))
     if nl.active_setting is not None:
         lines.append(f"ACTIVE {nl.active_setting}")
     if nl.control_map:

@@ -399,6 +399,21 @@ def test_a_built_graph_is_read_only():
         assert all(type(members) is tuple for members, _ in graph.components())
 
 
+def test_a_built_graphs_port_tables_are_read_only():
+    # solve reads the port tables and lower_circuit reads them again; both must see the wiring as built
+    graph = CircuitGraph(
+        {"s": SourceNode(), "a": pauli(1), "b": pauli(3), "t": SinkNode()},
+        ((("s", 0), ("a", 0)), (("a", 0), ("b", 0)), (("b", 0), ("t", 0))),
+    )
+    for table, node, entry in ((graph.in_edges, "t", 1), (graph.out_edges, "s", (1, 0))):
+        with pytest.raises(TypeError):
+            table[node] = (entry,)
+        with pytest.raises(TypeError):
+            table[node][0] = entry
+    assert graph.in_edges["t"] == (2,) and graph.out_edges["s"] == ((0, 0),)
+    assert np.array_equal(solve(graph, {"s": AnbitState([1.0, 0.0])})["t"].amps, [0.0, -1.0])
+
+
 def test_witness_frozen():
     t, m = fanin_tensor_nonlinearity_witness(
         AnbitState([1.0, 0.0]), AnbitState([0.0, 1.0])

@@ -378,3 +378,80 @@ def test_factorizations_of_a_dim3_gate_are_dim_errors(factor, message):
     with pytest.raises(DimError) as exc:
         factor(GateMatrix(np.eye(3)))
     assert str(exc.value) == message
+
+
+# --- factor tables: the stacked forms lowering uses, bit for bit the one-gate results ---
+
+# gate draws: Haar unitaries, gimbal-lock gates, signed zeros, scaled unitaries, the zero
+# gate, and subnormal and 1e150-scale entries; the first five kinds are unitary
+_UNITARY_KINDS = {
+    "haar": random_unitary,
+    "sigma-z": lambda rng: np.diag([1.0, -1.0]).astype(complex),
+    "diagonal-phases": lambda rng: np.diag(np.exp(1j * rng.uniform(-7.0, 7.0, 2))),
+    "signed-zero-swap": lambda rng: np.array([[complex(-0.0, -0.0), 1.0], [1.0, complex(0.0, -0.0)]]),
+    "signed-zero-diagonal": lambda rng: np.array([[complex(-1.0, -0.0), complex(-0.0, 0.0)], [0.0, 1j]]),
+}
+_OTHER_KINDS = {
+    "scaled": lambda rng: rng.uniform(0.1, 10.0) * random_unitary(rng),
+    "zero": lambda rng: np.zeros((2, 2), dtype=complex),
+    "general": lambda rng: random_matrix(rng),
+    "subnormal": lambda rng: 1e-310 * random_unitary(rng),
+    "subnormal-diagonal": lambda rng: np.diag([5e-324, 1e-320]).astype(complex),
+    "1e150": lambda rng: 1e150 * random_matrix(rng),
+}
+
+
+def _stack(kinds, seed):
+    rng = np.random.default_rng(seed)
+    table = {**_UNITARY_KINDS, **_OTHER_KINDS}
+    return np.array([table[k](rng) for k in kinds], dtype=complex).reshape(-1, 2, 2)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_UNITARY_KINDS)), min_size=1, max_size=24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euler_table_is_the_one_gate_rule_bit_for_bit(kinds, seed):
+    from anbit.decompositions import _euler_table
+
+    stack = _stack(kinds, seed)
+    for middle, one in (("zxz", euler_zxz), ("zyz", euler_zyz)):
+        table = _euler_table(stack.tolist(), middle)
+        for m, row in zip(stack, table):
+            f = one(GateMatrix(m))
+            assert [v.hex() for v in row] == [v.hex() for v in (f.delta, f.alpha1, f.alpha2, f.alpha3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(sorted({**_UNITARY_KINDS, **_OTHER_KINDS})), min_size=1, max_size=24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svd_table_is_svd2_bit_for_bit(kinds, seed):
+    from anbit.decompositions import _svd_table
+
+    stack = _stack(kinds, seed)
+    for m, (u2, d1, d2, u1) in zip(stack, _svd_table(stack)):
+        f = svd2(GateMatrix(m))
+        assert [d1.hex(), d2.hex()] == [f.d1.hex(), f.d2.hex()]
+        assert (_bits(u2), _bits(u1)) == (_bits(f.u2.entries), _bits(f.u1.entries))
+        assert all(type(z) is complex for rows in (u2, u1) for row in rows for z in row)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=1, max_size=40))
+def test_array_arctangents_are_the_scalar_ones(pairs):
+    # the tables take the angles of many gates in one np.arctan2 or np.angle call;
+    # each entry must be the double a call on that one angle gives
+    ys, xs = (list(c) for c in zip(*pairs))
+    want = [float(np.arctan2(y, x)).hex() for y, x in pairs]
+    assert [v.hex() for v in np.arctan2(ys, xs).tolist()] == want
+    assert [v.hex() for v in np.angle([complex(x, y) for y, x in pairs]).tolist()] == want

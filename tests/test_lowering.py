@@ -868,6 +868,47 @@ def test_lower_circuit_rejects_nodes_without_a_netlist_form(graph, error, messag
     assert str(exc.value) == message
 
 
+def _gate_chain(*entries) -> CircuitGraph:
+    names = [f"g{k}" for k in range(len(entries))]
+    nodes = {"s": SourceNode(), **{n: GateMatrix(m) for n, m in zip(names, entries)}, "t": SinkNode()}
+    ends = ["s", *names, "t"]
+    return CircuitGraph(nodes, tuple(((a, 0), (b, 0)) for a, b in zip(ends, ends[1:])))
+
+
+def _wired_fanout_then(entries) -> CircuitGraph:
+    nodes = {"s1": SourceNode(), "s2": SourceNode(), "fo": FanOutGate(1.0, 1.0), "g": GateMatrix(entries),
+             "t1": SinkNode(), "t2": SinkNode()}
+    edges = ((("s1", 0), ("fo", 0)), (("s2", 0), ("fo", 1)), (("fo", 0), ("g", 0)), (("g", 0), ("t1", 0)),
+             (("fo", 1), ("t2", 0)))
+    return CircuitGraph(nodes, edges)
+
+
+_NON_UNITARY = [[2.0, 0.0], [0.0, 1.0]]
+_NAN_GATE = [[np.nan, 0.0], [0.0, 1.0]]
+_INF_GATE = [[np.inf, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "graph,arch,error,message",
+    [
+        (_gate_chain(_NON_UNITARY, np.eye(4)), "zxz", "ClassError", "Euler factorization needs a unitary gate"),
+        (_gate_chain(np.eye(4), _NON_UNITARY), "zxz", "DimError", "netlist lowering carries dim-2 signals"),
+        (_wired_fanout_then(_NON_UNITARY), "zxz", "GraphError", "fan-out with a wired ancilla does not lower"),
+        (_gate_chain(_NON_UNITARY, _NAN_GATE), "svd", "LinAlgError", "SVD did not converge"),
+        (_gate_chain(_NON_UNITARY, _INF_GATE, _NAN_GATE), "svd", "ClassError", "Euler factorization needs a unitary gate"),
+        (_gate_chain(_NAN_GATE, np.eye(4)), "svd", "LinAlgError", "SVD did not converge"),
+    ],
+    ids=["non-unitary-before-dim4", "dim4-before-non-unitary", "wired-ancilla-before-non-unitary",
+         "svd-nan-after-valid", "svd-inf-before-nan", "svd-nan-before-dim4"],
+)
+def test_lower_circuit_raises_the_first_fault_in_component_order(graph, arch, error, message):
+    # the factor tables run before the gates are emitted; the fault a gate-by-gate
+    # pass meets first is still the one raised, with its own type and text
+    with pytest.raises(Exception) as exc:
+        lower_circuit(graph, arch)
+    assert (type(exc.value).__name__, str(exc.value)) == (error, message)
+
+
 def test_fanout_with_an_unwired_ancilla_lowers_whatever_its_m12_and_m22(rng):
     # m12 and m22 act on the ancilla input alone, which is null when unwired
     fo = FanOutGate(0.7, 1.3, m12=2.0 * np.eye(2), m22=[[1.0, 2j], [3.0, 4.0]])

@@ -31,3 +31,22 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith(header)
+
+
+def test_output_digest_is_reproducible():
+    # one small-jobs cycle, twice: the digest of its CLI outputs does not depend on the run
+    src = Path(anbit.__file__).resolve().parent.parent
+    runs = [
+        subprocess.run(
+            [sys.executable, str(SCRIPTS / "output_digest.py"), "--seed", "1", "--cycles", "1", "--workloads", "small-jobs"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        for _ in range(2)
+    ]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    name, digest = runs[0].stdout.split()
+    assert name == "small-jobs" and len(digest) == 64 and int(digest, 16) >= 0
+    assert runs[1].stdout == runs[0].stdout

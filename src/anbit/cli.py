@@ -11,6 +11,8 @@ transfer map the graph keeps, so it is one matrix product; other text is
 parsed and replaces it. Exit codes: 0 success,
 2 parse/validation problems, 3 singular feedback loops, 4 gate class or
 dimension errors. Errors print one structured JSON object on stderr.
+`run(argv)` runs one invocation in this process and returns its exit code
+with both outputs.
 
 Run it as `anbit ...` once installed, or `python -m anbit.cli ...` from a
 source checkout.
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from operator import index
 
 import numpy as np
@@ -69,7 +73,7 @@ from .serialization import (
     state_to_obj,
 )
 
-__all__ = ["main", "entrypoint", "emit_trajectory"]
+__all__ = ["main", "run", "entrypoint", "emit_trajectory"]
 
 
 def _read(path: str) -> str:
@@ -393,6 +397,22 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     sys.stdout.write(text)
     return 0
+
+
+def run(argv) -> tuple:
+    """(exit code, stdout, stderr) of one `anbit` invocation run in this process by `main`.
+
+    Both streams are captured. argparse's exit, on bad arguments or --help,
+    gives its code (2 unless an integer says otherwise); any other exception
+    escapes, as it would from `main`.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 2
+    return rc, out.getvalue(), err.getvalue()
 
 
 def entrypoint():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassError, DimError, ParamError, SymmetryError
+from .errors import ClassError, DimError, ParamError, SymmetryError, _at_gate
 from .gates import (
     AXIS_X,
     AXIS_Y,
@@ -125,18 +125,19 @@ def _euler_table(rows: list, middle: str) -> list:
 
     The rule of `euler_zxz` (middle "zxz") or `euler_zyz` ("zyz") over many
     matrices at once: the first non-unitary one, in order, is a ClassError
-    before any angle is taken. Its two arctangent stages are one
-    ``np.arctan2`` call each over all matrices: (a) the determinant phases
-    that give delta, then (b) the half middle angles, the phases giving
-    alpha1 + alpha3 and those giving their difference. An array call gives
-    each entry the double a scalar call gives, which matches ``np.angle``;
-    ``math.atan2`` differs in the last bit on some inputs.
+    marked with its index in rows (`_at_gate`), raised before any angle is
+    taken. Its two arctangent stages are one ``np.arctan2`` call each over
+    all matrices: (a) the determinant phases that give delta, then (b) the
+    half middle angles, the phases giving alpha1 + alpha3 and those giving
+    their difference. An array call gives each entry the double a scalar call
+    gives, which matches ``np.angle``; ``math.atan2`` differs in the last bit
+    on some inputs.
     """
     flip = middle != "zxz"  # zyz takes the difference from the phase of -v01
     dets = []
-    for m in rows:
+    for k, m in enumerate(rows):
         if not _unitary2(m):  # the test behind gate_class, on the entries read here
-            raise ClassError("Euler factorization needs a unitary gate")
+            raise _at_gate(ClassError("Euler factorization needs a unitary gate"), k)
         (e00, e01), (e10, e11) = m
         dets.append(e00 * e11 - e01 * e10)
     # principal root of det = e^(2i delta), then delta forced into [0, pi);

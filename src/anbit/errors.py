@@ -1,4 +1,5 @@
-"""Error taxonomy shared by every anbit module, and its one rule for integer arguments."""
+"""Error taxonomy shared by every anbit module, its one rule for integer arguments, and the
+mark a factor table puts on the error of the gate it refuses (`_at_gate`)."""
 
 from operator import index
 
@@ -72,3 +73,9 @@ def _integer(v, field: str) -> int:
         return index(v)
     except TypeError:
         raise ParamError(f"{field} {v!r} is not an integer") from None
+
+
+def _at_gate(exc: Exception, k: int) -> Exception:
+    """exc, marked (its `gate` attribute) as raised for the k-th gate of a factor table's list."""
+    exc.gate = k
+    return exc

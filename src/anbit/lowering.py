@@ -4,10 +4,15 @@ A netlist is an ordered list of device primitives acting in place on numbered
 wires; two wires carry one anbit. A device kind, a key of `DEVICE_KINDS`
 (phase shifter, tunable coupler, fixed 50:50 splitter, attenuator,
 amplifier), fixes its wire count, value domain and local 1x1 or 2x2 matrix.
-A `Netlist` stores its devices as tuple columns, one per field, built from
-(kind, wires, value, binding) rows in one pass that checks each row by its
-kind's rules, the only place a row is checked; `Device` is the plain record
-`Netlist.devices` reads the rows back as.
+A `Netlist` stores its devices as read-only numpy columns: kind codes into
+`KINDS`, first and second wire (-1 for a single-wire kind) and value (nan
+for a kind without one), plus a tuple of control bindings. Emitters and the
+text reader append column chunks to `_Columns` lists; rows handed to the
+constructor are split into the same lists. Either way the device rule runs
+once, as one array pass over the columns (`_column_check`); only a netlist
+that breaks it meets the row rule (`_device_columns`), which names the first
+faulty row. `Device` is the plain record `Netlist.devices` reads the rows
+back as.
 
 One coefficient function per kind gives its local matrix as Python complex
 numbers. Transfers apply the local matrices to the rows of a block with one
@@ -21,10 +26,10 @@ transfer keeps one pending factor per wire and folds it into that device's
 coefficients, the phase-screen argument of Clements et al., Optica 3, 1460
 (2016).
 
-Each gate architecture is a factor table plus a row emitter: the table
-factors a list of gates in one call (`decompositions`' stacked SVD and list
-form of the Euler rule), and the emitter appends one gate's device rows to
-the caller's list on the caller's wires. A standalone gate netlist, the
+Each gate architecture is a factor table plus an emitter: the table factors
+a list of gates in one call (`decompositions`' stacked SVD and list form of
+the Euler rule), and the emitter appends one gate's device columns to the
+caller's `_Columns` on the caller's wires. A standalone gate netlist, the
 blocks of the Mostow and controlled forms and the gates of a lowered circuit
 are all built through the same tables and emitters.
 """
@@ -32,6 +37,7 @@ are all built through the same tables and emitters.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +51,7 @@ from .algebra import AnbitState, CompositeState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SourceNode
 from .decompositions import MostowFactors, _dim2_rows, _euler_table, _svd_table, pauli_decompose
 from .decompositions import euler_zxz, euler_zyz, svd2  # noqa: F401  kept as anbit.lowering names, which perfbench/spans.py wraps
-from .errors import ControlEncodingError, DimError, GraphError, ParamError, _integer
+from .errors import ClassError, ControlEncodingError, DimError, GraphError, ParamError, _at_gate, _integer
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
 
 __all__ = [
@@ -69,11 +75,12 @@ FB_TOL = 1e-10
 # keeps one row, one pending factor and one row view per wire (about 140
 # bytes a wire with one port), so `anbit analyze` on a device-free netlist of
 # MAX_WIRES wires and one port each side peaks at 13.7 MiB under tracemalloc
-# (1.4 MiB at 10**4 wires). With P = |inputs| + |outputs| ports, the W x
-# |inputs| port block and the P x P scattering matrix together hold at most
-# (W + P) * P complex entries, capped by MAX_PORT_BLOCK (16 MB of entries);
-# `analyze` of 400 ports peaks at 29.4 MiB, mostly the JSON of its 160 000
-# scattering entries.
+# (1.4 MiB at 10**4 wires); its device columns are empty arrays. With
+# P = |inputs| + |outputs| ports, the W x |inputs| port block and the P x P
+# scattering matrix together hold at most (W + P) * P complex entries, capped
+# by MAX_PORT_BLOCK (16 MB of entries); `analyze` of 200 + 200 ports peaks at
+# 18.0 MiB, on 200 wires as on 2100, mostly the 320 000 Python floats and the
+# JSON text of its 160 000 scattering entries.
 MAX_WIRES = 10**5
 MAX_PORT_BLOCK = 10**6
 
@@ -105,17 +112,21 @@ class DeviceKind:
     coefs(value), the one definition of a kind's matrix, gives the entries of
     the n_wires x n_wires forward matrix as Python complex numbers in row-major
     order; kinds that are not `valued` have no tunable parameter. A value v of
-    a valued kind must be finite and satisfy in_domain(v); `domain` words the
-    rule for the error message. Every kind is reciprocal: its backward matrix
-    is the transpose of the forward one, and equals it, since every matrix
-    here is symmetric (m01 == m10).
+    a valued kind must be finite and satisfy in_domain(v), low <= v <= high;
+    `domain` words the rule for the error message. Every kind is reciprocal:
+    its backward matrix is the transpose of the forward one, and equals it,
+    since every matrix here is symmetric (m01 == m10).
     """
 
     n_wires: int
     valued: bool
     coefs: Callable[[float | None], tuple]
-    in_domain: Callable[[float], bool] = lambda value: True
+    low: float = -math.inf
+    high: float = math.inf
     domain: str = ""
+
+    def in_domain(self, value) -> bool:
+        return self.low <= value <= self.high
 
 
 # keyed by the netlist text tag; attenuator gain 0 is the sentinel that blocks a wire
@@ -123,9 +134,30 @@ DEVICE_KINDS = {
     "PS": DeviceKind(1, True, _phase_coefs),  # phase e^(i phi)
     "DC": DeviceKind(2, True, _coupler_coefs),  # tunable coupler
     "BS": DeviceKind(2, False, lambda _value: _SPLITTER_COEFS),  # fixed 50:50 splitter
-    "ATT": DeviceKind(1, True, _gain_coefs, lambda g: 0 <= g <= 1, "attenuator gain must be in [0, 1]"),
-    "AMP": DeviceKind(1, True, _gain_coefs, lambda g: g > 1, "amplifier gain must exceed 1"),
+    "ATT": DeviceKind(1, True, _gain_coefs, 0.0, 1.0, "attenuator gain must be in [0, 1]"),
+    # a gain above 1 is one of at least the next double after 1
+    "AMP": DeviceKind(1, True, _gain_coefs, math.nextafter(1.0, 2.0), math.inf, "amplifier gain must exceed 1"),
 }
+
+# the kinds tuple: a netlist's kind column holds int8 codes, KINDS[code] the kind's tag
+KINDS = tuple(DEVICE_KINDS)
+_CODES = {kind: code for code, kind in enumerate(KINDS)}
+_PS, _DC, _BS, _ATT, _AMP = map(_CODES.__getitem__, ("PS", "DC", "BS", "ATT", "AMP"))
+_SPECS = tuple(DEVICE_KINDS.values())
+_COEFS = tuple(spec.coefs for spec in _SPECS)
+
+# the device rule as one per-code table (`_column_check`), a column per kind:
+# the lowest and highest value of its domain with an infinite bound cut to
+# the largest double, so a value within them is finite; what a nan value is
+# read as (nan for a valued kind, -inf, its one bound, for a valueless one);
+# and 1 for a two-wire kind
+_BIG = sys.float_info.max
+_RULES = np.array([
+    [max(spec.low, -_BIG) if spec.valued else -math.inf for spec in _SPECS],
+    [min(spec.high, _BIG) if spec.valued else -math.inf for spec in _SPECS],
+    [math.nan if spec.valued else -math.inf for spec in _SPECS],
+    [spec.n_wires == 2 for spec in _SPECS],
+])
 
 
 # one netlist row: value is the tunable parameter (phase, coupling angle or
@@ -133,9 +165,9 @@ DEVICE_KINDS = {
 Device = namedtuple("Device", "kind wires value control_binding", defaults=(None, None))
 
 
-def _gain_row(wire: int, gain: float) -> tuple:
+def _gain_code(gain: float) -> int:
     # attenuator for gain <= 1 (boundary included), amplifier above
-    return ("AMP" if gain > 1.0 else "ATT", (wire,), gain, None)
+    return _AMP if gain > 1.0 else _ATT
 
 
 def _device_value(kind: str, spec: DeviceKind, value):
@@ -159,15 +191,110 @@ def _device_value(kind: str, spec: DeviceKind, value):
     return float(value)
 
 
-def _device_columns(rows, width: int) -> list:
-    """Kind, first wire, second wire (-1 for one), value and binding columns of rows.
+class _Columns:
+    """Device column lists that emitters, the text reader and the row split append to.
+
+    codes (indices into KINDS), first wires, second wires (-1 for a
+    single-wire kind), values (nan for a valueless kind) and bindings; an
+    empty bindings list leaves every device unbound. Nothing is checked here:
+    the `Netlist` they build checks them.
+    """
+
+    __slots__ = ("codes", "wire_a", "wire_b", "values", "bindings")
+
+    def __init__(self):
+        self.codes, self.wire_a, self.wire_b, self.values, self.bindings = [], [], [], [], []
+
+    def add(self, codes, wire_a, wire_b, values):
+        """Append one chunk: a sequence per column, all of one length."""
+        self.codes += codes
+        self.wire_a += wire_a
+        self.wire_b += wire_b
+        self.values += values
+
+    def arrays(self) -> tuple | None:
+        """The int8 codes, 2 x D intp wires, float64 values and the bindings, or None where they do not convert.
+
+        Every wire must be an integer within the intp range, and every value a
+        number that converts to float64 as `float` converts it (not a string,
+        a complex number or an integer past 64 bits).
+        """
+        try:
+            wires, values = np.array((self.wire_a, self.wire_b)), np.array(self.values)
+        except ValueError:  # a wire or value that is itself a sequence
+            return None
+        n = len(self.codes)
+        if wires.shape != (2, n) or values.shape != (n,):
+            return None
+        if n and (wires.dtype.kind not in "iu" or values.dtype.kind not in "biuf" or values.dtype.itemsize > 8):
+            return None
+        values = values.astype(float, copy=False)
+        return np.array(self.codes, dtype=np.int8), wires.astype(np.intp, copy=False), values, self.bindings
+
+    def rows(self, stop: int | None = None) -> list:
+        """The first `stop` devices (all by default) as the row rule's (kind, wires, value, binding) rows."""
+        cols = (self.codes, self.wire_a, self.wire_b, self.values, self.bindings or [None] * len(self.codes))
+        return _rows(*(col[:stop] for col in cols))
+
+
+def _rows(codes, wire_a, wire_b, values, bindings) -> list:
+    """(kind, wires, value, binding) rows of column lists: wires by the kind's count, value None if it takes none."""
+    rows = []
+    for code, a, b, value, binding in zip(codes, wire_a, wire_b, values, bindings):
+        spec = _SPECS[code]
+        rows.append((KINDS[code], (a, b) if spec.n_wires == 2 else (a,), value if spec.valued else None, binding))
+    return rows
+
+
+def _split(rows: list) -> _Columns | None:
+    """The `_Columns` of rows, wires and values as given, or None where a row does not split.
+
+    A row splits when it is four fields, (kind, wires, value, binding), with
+    a known kind, as many wires as the kind needs and a value exactly when
+    the kind takes one. Types are left to `_Columns.arrays`, ranges and
+    domains to the column check.
+    """
+    cols = _Columns()
+    try:
+        for kind, wires, value, binding in rows:
+            spec = _SPECS[_CODES[kind]]
+            a, b = wires if spec.n_wires == 2 else (*wires, -1)
+            if (value is None) == spec.valued:
+                return None
+            cols.add((_CODES[kind],), (a,), (b,), (math.nan if value is None else value,))
+            cols.bindings.append(binding)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return cols
+
+
+def _column_check(codes, wires, values, width: int) -> np.ndarray:
+    """Mask of the devices that keep the device rule, from about ten array operations over the columns.
+
+    The rule of `_device_columns`, for devices of known kinds with the wire
+    count and the value or nan their kind takes: a valued kind's value lies
+    in its domain and is finite (`_RULES`); wires[0] lies in 0..width-1, and
+    wires[1] too, apart from it, for a two-wire kind, while a single-wire
+    kind's lies outside (every door writes -1 there). A valueless kind's
+    value must be nan, or -inf, which no door writes.
+    """
+    low, high, nan_read, two = _RULES.take(codes, axis=1)
+    value = np.fmax(values, nan_read)  # fmax(v, nan) is v; fmax(nan, -inf) is -inf
+    ok = (value >= low) & (value <= high) & (wires[0] != wires[1])
+    in_range = wires.view(np.uintp) < width  # a negative wire wraps past any width
+    return ok & in_range[0] & (in_range[1] == two)
+
+
+def _device_columns(rows, width: int) -> _Columns:
+    """The `_Columns` of rows, checked row by row: the row rule, which names the first faulty row.
 
     The one rule set for device faults, applied to each (kind, wires, value,
     binding) row in turn; the first faulty row raises. Wires are any iterable
     of as many distinct integers in 0..width-1 as the kind needs; the value
-    obeys `_device_value`.
+    obeys `_device_value`. A netlist runs it only on rows the column check
+    (`_column_check`) or the row split refuses, so it names the fault.
     """
-    cols = kinds, wire_a, wire_b, values, bindings = [], [], [], [], []
+    cols = _Columns()
     for row in rows:
         try:
             kind, wires, value, binding = row
@@ -192,34 +319,64 @@ def _device_columns(rows, width: int) -> list:
         value = _device_value(kind, spec, value)
         if not (0 <= a < width and (n == 1 or 0 <= b < width)):
             raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
-        kinds.append(kind)
-        wire_a.append(a)
-        wire_b.append(b)
-        values.append(value)
-        bindings.append(binding)
+        cols.add((_CODES[kind],), (a,), (b,), (math.nan if value is None else value,))
+        cols.bindings.append(binding)
     return cols
 
 
-class Netlist:
-    """Devices on `wires` wires with declared input/output ports, as columns.
+def _checked(devices, width: int) -> tuple:
+    """`_Columns.arrays` of devices, rows or `_Columns`, that keep the device rule; the first faulty one raises.
 
-    `devices`, ordered (kind, wires, value, binding) rows (`Device` records or
-    plain tuples), is checked row by row and split in the same pass into one
-    tuple column per field: `kinds`, `wire_a`, `wire_b` (-1 for single-wire
-    kinds), `values` (floats, None where a kind takes no value) and
-    `bindings`; the first faulty row raises. `devices` reads the rows back.
-    The wire count, ports and wires are integers, both port lists are
-    non-empty, and every port and device wire lies in 0..wires-1. The wire
-    count is at most MAX_WIRES, and (wires + ports) x ports, with ports the
-    length of both port lists together, at most MAX_PORT_BLOCK.
+    The column check runs once. Only rows that do not split or convert, or a
+    device the column check refuses, meet the row rule, run up to that
+    device, which raises the row rule's error for the first faulty row.
+    """
+    listed = None if isinstance(devices, _Columns) else list(devices)
+    cols = devices if listed is None else _split(listed)
+    cols = None if cols is None else cols.arrays()
+
+    def rows(stop=None) -> list:  # the row rule's input: rows as given, or read back from the columns
+        return devices.rows(stop) if listed is None else listed[:stop]
+
+    if cols is None:
+        cols = _device_columns(rows(), width).arrays()
+    ok = _column_check(*cols[:3], width)
+    if np.count_nonzero(ok) < len(ok):
+        stop = int(ok.argmin()) + 1
+        _device_columns(rows(stop), width)
+        raise AssertionError(f"the row rule accepts device {stop - 1}, which the column check refuses")
+    return cols
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
+
+
+class Netlist:
+    """Devices on `wires` wires with declared input/output ports, as read-only columns.
+
+    `devices` is ordered (kind, wires, value, binding) rows (`Device` records
+    or plain tuples), or the `_Columns` an emitter or the text reader built.
+    They are kept as numpy columns that refuse assignment: `kinds` (int8
+    codes into `KINDS`), `wire_a`, `wire_b` (intp, -1 for single-wire kinds)
+    and `values` (float64, nan where a kind takes no value), plus the tuple
+    `bindings`. The device rule runs once, over the columns (`_checked`); on a
+    fault the row rule (`_device_columns`) raises for the first faulty row.
+    `devices` reads the rows back. The wire count, ports and wires are
+    integers, both port lists are non-empty, and every port and device wire
+    lies in 0..wires-1. The wire count is at most MAX_WIRES, and
+    (wires + ports) x ports, with ports the length of both port lists
+    together, at most MAX_PORT_BLOCK.
 
     control_map, when present, maps a control word (or the fallback "*") to
     {device index: parameter value}; each index lies in 0..D-1 and each value
     obeys the rule of the device it sets (`_device_value`). The netlist keeps
-    a read-only copy of the checked values, `control_map`, and the value
-    column each word programs; active_setting names the word whose values the
-    emitted devices carry, so each of its entries equals the value of the
-    device it sets. A word without an entry of its own needs the "*" fallback.
+    a read-only copy of the checked values, `control_map`, and the read-only
+    float64 value column each word programs; active_setting names the word
+    whose values the emitted devices carry, so each of its entries equals the
+    value of the device it sets. A word without an entry of its own needs the
+    "*" fallback.
     """
 
     def __init__(self, wires: int, devices, input_ports, output_ports,
@@ -242,8 +399,10 @@ class Netlist:
         for w in self.input_ports + self.output_ports:
             if not 0 <= w < self.wires:
                 raise ParamError(f"port wire {w} outside 0..{self.wires - 1}")
-        cols = map(tuple, _device_columns(devices, self.wires))
-        self.kinds, self.wire_a, self.wire_b, self.values, self.bindings = cols
+        codes, wires, values, bindings = _checked(devices, self.wires)
+        self.kinds, self.values = _frozen(codes), _frozen(values)
+        self.wire_a, self.wire_b = _frozen(wires)  # read-only views of the frozen pair
+        self.bindings = tuple(bindings) if bindings else (None,) * len(codes)
         top = len(self.kinds) - 1
         words, self._columns = {}, {}  # word -> {device index: value}; word -> value column
         try:
@@ -256,12 +415,12 @@ class Netlist:
                 entries = values.items()
             except AttributeError:
                 raise ParamError(f"control word {setting!r} maps to {values!r}, not to {{device: value}}") from None
-            word, column = {}, list(self.values)
+            word, column = {}, self.values.copy()
             for idx, value in entries:
                 idx = _integer(idx, f"control word {setting!r} device index")
                 if not 0 <= idx <= top:
                     raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
-                kind = self.kinds[idx]
+                kind = KINDS[self.kinds[idx]]
                 try:
                     value = _device_value(kind, DEVICE_KINDS[kind], value)
                 except ParamError as exc:
@@ -269,12 +428,14 @@ class Netlist:
                 if value is not None:  # None on a valueless device sets nothing
                     word[idx] = column[idx] = value
             words[setting] = MappingProxyType(word)
-            self._columns[setting] = tuple(column)
+            self._columns[setting] = _frozen(column)
         self.control_map = None if control_map is None else MappingProxyType(words)
-        # the devices carry the active word's values: both copies must agree
+        # the devices carry the active word's values: both copies must agree (nan on valueless devices)
         if active_setting is not None:
-            for idx, (value, carried) in enumerate(zip(self._column(active_setting), self.values)):
-                if value != carried:
+            column = self._column(active_setting)
+            for idx in np.flatnonzero(column != self.values).tolist():
+                value, carried = column[idx].item(), self.values[idx].item()
+                if carried == carried:
                     raise ParamError(
                         f"active control word {active_setting!r} sets device {idx} to {value}, "
                         f"but the device carries {carried}"
@@ -283,10 +444,10 @@ class Netlist:
     @cached_property
     def devices(self) -> tuple:
         """The rows as `Device` records, built without checking them again."""
-        cols = zip(self.kinds, self.wire_a, self.wire_b, self.values, self.bindings)
-        return tuple(Device._make((k, (a,) if b < 0 else (a, b), v, bind)) for k, a, b, v, bind in cols)
+        cols = (self.kinds, self.wire_a, self.wire_b, self.values)
+        return tuple(map(Device._make, _rows(*(col.tolist() for col in cols), self.bindings)))
 
-    def _column(self, setting: str) -> tuple:
+    def _column(self, setting: str) -> np.ndarray:
         """The value column control word `setting` programs, or the "*" fallback's."""
         if not self.control_map:
             raise ParamError("netlist has no control map")
@@ -316,9 +477,9 @@ class Netlist:
         blk[start_ports, range(len(start_ports))] = 1.0
         rows = list(blk)
         pending = [1.0] * self.wires
-        cols = (self.kinds, self.wire_a, self.wire_b, values)
-        for kind, a, b, value in zip(*map(reversed, cols)) if backward else zip(*cols):
-            coefs = DEVICE_KINDS[kind].coefs(value)
+        cols = [col.tolist() for col in (self.kinds, self.wire_a, self.wire_b, values)]
+        for code, a, b, value in zip(*map(reversed, cols)) if backward else zip(*cols):
+            coefs = _COEFS[code](value)
             if b < 0:
                 pending[a] *= coefs[0]
                 continue
@@ -360,13 +521,14 @@ def scattering_matrix(tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return s
 
 
-# --- factor tables and row emitters ----------------------------------------
-# A gate architecture is a factor table plus a row emitter. The table
-# factors a list of dim-2 gates in one call, in order, so the first gate that
-# cannot be factored raises; the emitter _emit_<arch>(devices, f, w) appends
-# the (kind, wires, value, binding) rows of one table entry f on the wires w,
-# checked later with the netlist they build: w[0] and w[1] carry the anbit in
-# and out, any further wires are the architecture's scratch rails.
+# --- factor tables and emitters ---------------------------------------------
+# A gate architecture is a factor table plus an emitter. The table factors a
+# list of dim-2 gates in one call, in order, so the first gate that cannot be
+# factored raises, marked with its index in the list (`_at_gate`); the
+# emitter _emit_<arch>(out, f, w) appends the device columns of one table
+# entry f on the wires w to the `_Columns` out, checked later with the
+# netlist they build: w[0] and w[1] carry the anbit in and out, any further
+# wires are the architecture's scratch rails.
 
 def _zxz_table(gates) -> list:
     return _euler_table(_dim2_rows(gates, "Euler factorization"), "zxz")
@@ -390,8 +552,14 @@ def _svd_table_zxz(gates) -> list:
     cuts = sorted({0, len(gates)}.union(*((k, k + 1) for k in bad)))
     table = []
     for lo, hi in zip(cuts, cuts[1:]):
-        factors = _svd_table(stack[lo:hi])
-        angles = _euler_table([rows for u2, _, _, u1 in factors for rows in (u1, u2)], "zxz")
+        try:
+            factors = _svd_table(stack[lo:hi])
+        except np.linalg.LinAlgError as exc:
+            raise _at_gate(exc, lo) if hi - lo == 1 else exc  # a lone gate is one with an inf or nan entry
+        try:
+            angles = _euler_table([rows for u2, _, _, u1 in factors for rows in (u1, u2)], "zxz")
+        except ClassError as exc:  # two rows per gate: its u1, then its u2
+            raise _at_gate(exc, lo + exc.gate // 2)
         table += ((angles[2 * k], d1, d2, angles[2 * k + 1]) for k, (_, d1, d2, _) in enumerate(factors))
     return table
 
@@ -406,52 +574,49 @@ def _pauli_table(gates) -> list:
     return [pairs[k:k + 4] for k in range(0, len(pairs), 4)]
 
 
-def _emit_zxz(devices: list, f: tuple, w=(0, 1)):
+_NAN = math.nan
+_ZXZ_KINDS = (_PS, _PS, _DC, _PS, _PS, _PS, _PS)
+_ZYZ_KINDS = (_PS, _PS, _BS, _PS, _PS, _BS, _PS, _PS, _PS, _PS, _PS)
+
+
+def _emit_zxz(out: _Columns, f: tuple, w=(0, 1)):
     # R_z(alpha1), the coupler, R_z(alpha3) as phase pairs diag(e^(-i a/2), e^(i a/2)),
     # then the global phase; + 0.0 avoids -0.0 params
     delta, alpha1, alpha2, alpha3 = f
-    a, b = (w[0],), (w[1],)
-    devices += (
-        ("PS", a, -0.5 * alpha1 + 0.0, None),
-        ("PS", b, 0.5 * alpha1 + 0.0, None),
-        ("DC", a + b, alpha2, None),
-        ("PS", a, -0.5 * alpha3 + 0.0, None),
-        ("PS", b, 0.5 * alpha3 + 0.0, None),
-        ("PS", a, delta, None),
-        ("PS", b, delta, None),
+    a, b = w[0], w[1]
+    out.add(
+        _ZXZ_KINDS,
+        (a, b, a, a, b, a, b),
+        (-1, -1, b, -1, -1, -1, -1),
+        (-0.5 * alpha1 + 0.0, 0.5 * alpha1 + 0.0, alpha2, -0.5 * alpha3 + 0.0, 0.5 * alpha3 + 0.0, delta, delta),
     )
 
 
-def _emit_zyz(devices: list, f: tuple, w):
+def _emit_zyz(out: _Columns, f: tuple, w):
+    # as zxz, with the coupler replaced by splitter, phase pair, splitter, then a pi phase on b
     delta, alpha1, alpha2, alpha3 = f
-    a, b = (w[0],), (w[1],)
-    devices += (
-        ("PS", a, -0.5 * alpha1 + 0.0, None),
-        ("PS", b, 0.5 * alpha1 + 0.0, None),
-        ("BS", a + b, None, None),
-        ("PS", a, 0.5 * alpha2, None),
-        ("PS", b, -0.5 * alpha2 - math.pi, None),
-        ("BS", a + b, None, None),
-        ("PS", b, math.pi, None),
-        ("PS", a, -0.5 * alpha3 + 0.0, None),
-        ("PS", b, 0.5 * alpha3 + 0.0, None),
-        ("PS", a, delta, None),
-        ("PS", b, delta, None),
+    a, b = w[0], w[1]
+    out.add(
+        _ZYZ_KINDS,
+        (a, b, a, a, b, a, b, a, b, a, b),
+        (-1, -1, b, -1, -1, b, -1, -1, -1, -1, -1),
+        (-0.5 * alpha1 + 0.0, 0.5 * alpha1 + 0.0, _NAN, 0.5 * alpha2, -0.5 * alpha2 - math.pi, _NAN, math.pi,
+         -0.5 * alpha3 + 0.0, 0.5 * alpha3 + 0.0, delta, delta),
     )
 
 
-def _emit_svd(devices: list, f: tuple, w):
+def _emit_svd(out: _Columns, f: tuple, w):
     u1, d1, d2, u2 = f
-    _emit_zxz(devices, u1, w)
-    devices += (_gain_row(w[0], d1), _gain_row(w[1], d2))
-    _emit_zxz(devices, u2, w)
+    _emit_zxz(out, u1, w)
+    out.add((_gain_code(d1), _gain_code(d2)), (w[0], w[1]), (-1, -1), (d1, d2))
+    _emit_zxz(out, u2, w)
 
 
 def _gate_netlist(arch: str, m: GateMatrix) -> Netlist:
     factor, emit, wires = _CIRCUIT_ARCHES[arch]
-    devices: list = []
-    emit(devices, factor([m])[0], range(wires))
-    return Netlist(wires, devices, (0, 1), (0, 1))
+    out = _Columns()
+    emit(out, factor([m])[0], range(wires))
+    return Netlist(wires, out, (0, 1), (0, 1))
 
 
 def lower_unitary_zxz(u: GateMatrix) -> Netlist:
@@ -487,13 +652,13 @@ def lower_mostow(f: MostowFactors) -> Netlist:
     """
     u_last, _, u_mid, _, u_first = f.expanded  # device values come from the scalar fields
     first, mid, last = _zxz_table((u_first, u_mid, u_last))
-    devices: list = []
-    _emit_zxz(devices, first)
-    devices.extend(_gain_row(wire, value) for wire, value in enumerate(f.lam2))
-    _emit_zxz(devices, mid)
-    devices.extend(_gain_row(wire, value) for wire, value in enumerate(f.lam1))
-    _emit_zxz(devices, last)
-    return Netlist(2, devices, (0, 1), (0, 1))
+    out = _Columns()
+    _emit_zxz(out, first)
+    out.add(tuple(map(_gain_code, f.lam2)), (0, 1), (-1, -1), f.lam2)
+    _emit_zxz(out, mid)
+    out.add(tuple(map(_gain_code, f.lam1)), (0, 1), (-1, -1), f.lam1)
+    _emit_zxz(out, last)
+    return Netlist(2, out, (0, 1), (0, 1))
 
 
 _ROOT2 = math.sqrt(2.0)
@@ -511,20 +676,18 @@ def _sum_values(n: complex, m: complex) -> tuple:
 _UNIT_SUM = (0.0, _ROOT2, -_HALF_PI, _ROOT2)
 
 
-def _sum_block(devices: list, a: int, b: int, values: tuple = _UNIT_SUM):
+def _sum_block(out: _Columns, a: int, b: int, values: tuple = _UNIT_SUM):
     """Fan-in stage on wires (a, b): transfer [[n, n], [m, -m]], values = `_sum_values(n, m)`.
 
     Factorized as A.B.C with C a -pi/2 phase on b, B the 50:50 splitter, and
     A the diagonal (sqrt2 n, -i sqrt2 m) realized as phase plus gain per wire.
     """
     phase_a, gain_a, phase_b, gain_b = values
-    devices += (
-        ("PS", (b,), -_HALF_PI, None),
-        ("BS", (a, b), None, None),
-        ("PS", (a,), phase_a, None),
-        _gain_row(a, gain_a),
-        ("PS", (b,), phase_b, None),
-        _gain_row(b, gain_b),
+    out.add(
+        (_PS, _BS, _PS, _gain_code(gain_a), _PS, _gain_code(gain_b)),
+        (b, a, a, a, b, b),
+        (-1, b, -1, -1, -1, -1),
+        (-_HALF_PI, _NAN, phase_a, gain_a, phase_b, gain_b),
     )
 
 
@@ -535,43 +698,41 @@ def lower_fanin(g: FanInGate) -> Netlist:
     [[nI, nI], [mI, -mI]] with the sum anbit leaving on (0,1) and the scaled
     difference on (2,3).
     """
-    devices: list = []
+    out = _Columns()
     values = _sum_values(g.n, g.m)
     for k in range(2):
-        _sum_block(devices, k, k + 2, values)
-    return Netlist(4, devices, (0, 1, 2, 3), (0, 1, 2, 3))
+        _sum_block(out, k, k + 2, values)
+    return Netlist(4, out, (0, 1, 2, 3), (0, 1, 2, 3))
 
 
-def _scale_pair(devices: list, w0: int, w1: int, scale: tuple):
+def _scale_pair(out: _Columns, w0: int, w1: int, scale: tuple):
     # multiply both wires of a branch by the complex scalar whose (phase, gain) is scale
     phase, gain = scale
-    devices += (("PS", (w0,), phase, None), _gain_row(w0, gain), ("PS", (w1,), phase, None), _gain_row(w1, gain))
+    code = _gain_code(gain)
+    out.add((_PS, code, _PS, code), (w0, w0, w1, w1), (-1, -1, -1, -1), (phase, gain, phase, gain))
 
 
-def _emit_pauli(devices: list, f: list, w):
+def _emit_pauli(out: _Columns, f: list, w):
     # f: the (phase, gain) of the four branch scales; w[2:8] are the three extra branch rails
     # clone tree: after it, wires w[0,2,4,6] carry psi0 and w[1,3,5,7] carry psi1
     for a, b in ((0, 4), (1, 5), (0, 2), (1, 3), (4, 6), (5, 7)):
-        _sum_block(devices, w[a], w[b])
+        _sum_block(out, w[a], w[b])
     # branch 0 on w[0,1]: a0 I
-    _scale_pair(devices, w[0], w[1], f[0])
+    _scale_pair(out, w[0], w[1], f[0])
     # branch 1 on w[2,3]: i a1 Rx(pi)
-    devices.append(("DC", (w[2], w[3]), math.pi, None))
-    _scale_pair(devices, w[2], w[3], f[1])
+    out.add((_DC,), (w[2],), (w[3],), (math.pi,))
+    _scale_pair(out, w[2], w[3], f[1])
     # branch 2 on w[4,5]: i a2 Ry(pi) with Ry(pi) = Rz(pi/2) Rx(pi) Rz(-pi/2)
-    devices.append(("PS", (w[4],), 0.25 * math.pi, None))
-    devices.append(("PS", (w[5],), -0.25 * math.pi, None))
-    devices.append(("DC", (w[4], w[5]), math.pi, None))
-    devices.append(("PS", (w[4],), -0.25 * math.pi, None))
-    devices.append(("PS", (w[5],), 0.25 * math.pi, None))
-    _scale_pair(devices, w[4], w[5], f[2])
+    quarter = 0.25 * math.pi
+    out.add((_PS, _PS, _DC, _PS, _PS), (w[4], w[5], w[4], w[4], w[5]), (-1, -1, w[5], -1, -1),
+            (quarter, -quarter, math.pi, -quarter, quarter))
+    _scale_pair(out, w[4], w[5], f[2])
     # branch 3 on w[6,7]: i a3 Rz(pi)
-    devices.append(("PS", (w[6],), -_HALF_PI, None))
-    devices.append(("PS", (w[7],), _HALF_PI, None))
-    _scale_pair(devices, w[6], w[7], f[3])
+    out.add((_PS, _PS), (w[6], w[7]), (-1, -1), (-_HALF_PI, _HALF_PI))
+    _scale_pair(out, w[6], w[7], f[3])
     # fan-in tree back onto w[0,1]
     for a, b in ((0, 2), (4, 6), (1, 3), (5, 7), (0, 4), (1, 5)):
-        _sum_block(devices, w[a], w[b])
+        _sum_block(out, w[a], w[b])
 
 
 def lower_pauli_mgate(m: GateMatrix) -> Netlist:
@@ -608,25 +769,30 @@ def _basis_word(setting, n_controls: int) -> str:
     return format(hot, f"0{n_controls}b")
 
 
-def _shared_kinds(rows: dict) -> dict:
-    """Word -> rows with one device kind at each position under every word.
+def _shared_kinds(words: dict) -> tuple:
+    """The devices' `_Columns`, values left out, and word -> values: one device kind per position under every word.
 
-    The words' rows come from one emitter, so they differ in kind only where a
-    gain is an amplifier under one word and an attenuator under another.
-    Wherever any word's gain exceeds 1, every word gets a fixed amplifier at
-    the largest of those gains, followed by an attenuator at its own gain over
-    that largest one; both then lie in their kinds' domains under every word.
+    The words' columns come from one emitter, so they differ in kind only
+    where a gain is an amplifier under one word and an attenuator under
+    another. Wherever any word's gain exceeds 1, every word gets a fixed
+    amplifier at the largest of those gains, followed by an attenuator at its
+    own gain over that largest one; both then lie in their kinds' domains
+    under every word.
     """
-    shared: dict = {word: [] for word in rows}
-    for devs in zip(*rows.values()):
-        kind, wires = devs[0][:2]
-        top = max(dev[2] for dev in devs) if kind in ("ATT", "AMP") else 1.0
-        for out, dev in zip(shared.values(), devs):
-            if top > 1.0:
-                out += [("AMP", wires, top, None), ("ATT", wires, dev[2] / top, None)]
-            else:
-                out.append(dev)
-    return shared
+    first = next(iter(words.values()))
+    shared, values = _Columns(), {word: [] for word in words}
+    for k, (code, a, b) in enumerate(zip(first.codes, first.wire_a, first.wire_b)):
+        gains = [cols.values[k] for cols in words.values()]
+        top = max(gains) if code in (_ATT, _AMP) else 1.0
+        if top > 1.0:
+            shared.add((_AMP, _ATT), (a, a), (b, b), ())
+            for out, gain in zip(values.values(), gains):
+                out += (top, gain / top)
+        else:
+            shared.add((code,), (a,), (b,), ())
+            for out, value in zip(values.values(), gains):
+                out.append(value)
+    return shared, values
 
 
 def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlist:
@@ -643,19 +809,20 @@ def lower_controlled_electrooptic(cg: ControlledGate, control_setting) -> Netlis
     hot_word = "1" * cg.n_controls
     hot = _basis_word(control_setting, cg.n_controls) == hot_word
     factor, emit, _ = _CIRCUIT_ARCHES["zxz" if cg.target_gate.gate_class is GateClass.UNITARY else "svd"]
-    # both templates have the same devices, every one valued; the active one's
-    # rows are the netlist's, device k bound to control ck
-    rows: dict = {hot_word: [], "*": []}
-    for devices, f in zip(rows.values(), factor((cg.target_gate, identity_gate(2)))):
-        emit(devices, f, (0, 1))
-    rows = _shared_kinds(rows)
-    control_map = {word: dict(enumerate(row[2] for row in r)) for word, r in rows.items()}
+    # both templates have the same devices, every one valued; the netlist's
+    # devices carry the active one's values, device k bound to control ck
+    words = {hot_word: _Columns(), "*": _Columns()}
+    for out, f in zip(words.values(), factor((cg.target_gate, identity_gate(2)))):
+        emit(out, f, (0, 1))
+    devices, values = _shared_kinds(words)
     active = hot_word if hot else "*"
-    bound = [(kind, wires, value, f"c{k}") for k, (kind, wires, value, _) in enumerate(rows[active])]
-    return Netlist(2, bound, (0, 1), (0, 1), control_map=control_map, active_setting=active)
+    devices.values = values[active]
+    devices.bindings = [f"c{k}" for k in range(len(devices.codes))]
+    control_map = {word: dict(enumerate(v)) for word, v in values.items()}
+    return Netlist(2, devices, (0, 1), (0, 1), control_map=control_map, active_setting=active)
 
 
-# factor table, row emitter and wire count per gate or circuit architecture
+# factor table, emitter and wire count per gate or circuit architecture
 _CIRCUIT_ARCHES = {
     "zxz": (_zxz_table, _emit_zxz, 2),
     "zyz": (_zyz_table, _emit_zyz, 2),
@@ -669,12 +836,14 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
 
     Every signal path gets a dedicated wire pair. The chosen architecture's
     factor table factors every gate in component order in one call; each gate
-    node then emits its rows straight onto its pair, plus fresh scratch wires
-    for wide architectures; fan-in couples two pairs with the sum block;
-    fan-out (unwired ancilla only, so its m12 and m22 act on null) is the same
-    block fed by a fresh null pair. A gate of dim other than 2 or a fan-out
-    with a wired ancilla is refused, but only after the gates before it are
-    factored, so the first fault in component order is the one raised.
+    node then emits its device columns straight onto its pair, plus fresh
+    scratch wires for wide architectures; fan-in couples two pairs with the
+    sum block; fan-out (unwired ancilla only, so its m12 and m22 act on null)
+    is the same block fed by a fresh null pair. A gate of dim other than 2 or
+    a fan-out with a wired ancilla is refused, but only after the gates
+    before it are factored, so the first fault in component order is the one
+    raised; its message starts with the node, `node 'g37': ...`, whether the
+    node itself or the factor table refused it.
     A node's input pair is the output pair of the edge feeding it, read from
     the graph's port tables. Unwired garbage ports keep their wires out of the
     output port list.
@@ -687,18 +856,25 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
     if any(cyclic for _, cyclic in components):
         raise GraphError("circuit has feedback; only acyclic graphs lower to a netlist")
 
-    gates, fault = [], None
+    gates, names, fault = [], [], None
     for (nid,), _ in components:
         node = graph.nodes[nid]
         if isinstance(node, GateMatrix):
             if node.dim != 2:
-                fault = DimError("netlist lowering carries dim-2 signals")
+                fault = DimError(f"node {nid!r}: netlist lowering carries dim-2 signals")
                 break
             gates.append(node)
+            names.append(nid)
         elif isinstance(node, FanOutGate) and graph.in_edges[nid][1] is not None:
-            fault = GraphError("fan-out with a wired ancilla does not lower")
+            fault = GraphError(f"node {nid!r}: fan-out with a wired ancilla does not lower")
             break
-    table = iter(factor(gates))
+    try:
+        table = iter(factor(gates))
+    except (ClassError, np.linalg.LinAlgError) as exc:
+        k = getattr(exc, "gate", None)  # the index of the gate the table refused
+        if k is None:
+            raise
+        raise type(exc)(f"node {names[k]!r}: {exc}") from None
     if fault is not None:
         raise fault
 
@@ -709,7 +885,7 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
         next_wire += n
         return tuple(range(next_wire - n, next_wire))
 
-    devices: list = []
+    out = _Columns()
     out_pair: dict = {}  # (node, output port) -> wire pair
 
     def in_pair(nid, port: int) -> tuple:
@@ -721,17 +897,17 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
             out_pair[(nid, 0)] = fresh(2)
         elif isinstance(node, GateMatrix):
             pair = in_pair(nid, 0)
-            emit(devices, next(table), pair + fresh(arch_wires - 2))
+            emit(out, next(table), pair + fresh(arch_wires - 2))
             out_pair[(nid, 0)] = pair
         elif isinstance(node, (FanInGate, FanOutGate)):
             pa = in_pair(nid, 0)
             pb = in_pair(nid, 1) if isinstance(node, FanInGate) else fresh(2)  # fan-out: a null-fed rail
             values = _sum_values(node.n, node.m)
             for k in range(2):
-                _sum_block(devices, pa[k], pb[k], values)
+                _sum_block(out, pa[k], pb[k], values)
             out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
 
     # port order follows the graph's node declaration order, not the topo visit
     input_ports = [w for nid in graph.sources() for w in out_pair[(nid, 0)]]
     output_ports = [w for nid in graph.sinks() for w in in_pair(nid, 0)]
-    return Netlist(next_wire, devices, tuple(input_ports), tuple(output_ports))
+    return Netlist(next_wire, out, tuple(input_ports), tuple(output_ports))

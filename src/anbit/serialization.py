@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import AnbitState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SinkNode, SourceNode
 from .gates import GateMatrix
-from .lowering import DEVICE_KINDS, Netlist
+from .lowering import DEVICE_KINDS, KINDS, Netlist, _Columns
 from .measurement import MeasurementRecord
 
 __all__ = [
@@ -286,12 +286,17 @@ def circuit_from_obj(obj) -> CircuitGraph:
 
 def _device_line(kind: str) -> str:
     # every line takes four arguments: first wire, second wire (-1 on a one-wire kind),
-    # value (None on a valueless kind) and binding suffix; %.0s takes one and writes nothing
+    # value (nan on a valueless kind) and binding suffix; %.0s takes one and writes nothing
     spec = DEVICE_KINDS[kind]
     return f"{kind} %d" + (" %d" if spec.n_wires == 2 else "%.0s") + (" %" + _DIGITS if spec.valued else "%.0s") + "%s"
 
 
-_DEVICE_LINES = {kind: _device_line(kind) for kind in DEVICE_KINDS}
+_DEVICE_LINES = tuple(map(_device_line, KINDS))  # by kind code
+
+# per device tag: (kind code, wire count, field count less the binding)
+_LINE_KINDS = {
+    kind: (code, spec.n_wires, spec.n_wires + spec.valued) for code, (kind, spec) in enumerate(DEVICE_KINDS.items())
+}
 
 
 def netlist_to_text(nl: Netlist) -> str:
@@ -302,11 +307,11 @@ def netlist_to_text(nl: Netlist) -> str:
     """
     n = len(nl.kinds)
     args = [None] * (4 * n)
-    args[0::4], args[1::4], args[2::4] = nl.wire_a, nl.wire_b, nl.values
+    args[0::4], args[1::4], args[2::4] = nl.wire_a.tolist(), nl.wire_b.tolist(), nl.values.tolist()
     args[3::4] = ["" if b is None else " @" + b for b in nl.bindings]
     lines = [f"WIRES {nl.wires}", "IN " + " ".join(map(str, nl.input_ports)), "OUT " + " ".join(map(str, nl.output_ports))]
     if n:
-        lines.append("\n".join(map(_DEVICE_LINES.__getitem__, nl.kinds)) % tuple(args))
+        lines.append("\n".join(map(_DEVICE_LINES.__getitem__, nl.kinds.tolist())) % tuple(args))
     if nl.active_setting is not None:
         lines.append(f"ACTIVE {nl.active_setting}")
     if nl.control_map:
@@ -317,10 +322,14 @@ def netlist_to_text(nl: Netlist) -> str:
 
 
 def netlist_from_text(text: str) -> Netlist:
+    """The `Netlist` of netlist text, read line by line into device columns; a bad line raises `line N: ...`."""
     wires = None
     in_ports: tuple = ()
     out_ports: tuple = ()
-    devices: list = []
+    cols = _Columns()
+    add_code, add_a, add_b, add_value, add_binding = (
+        col.append for col in (cols.codes, cols.wire_a, cols.wire_b, cols.values, cols.bindings)
+    )
     control_map: dict = {}
     active = None
     seen: set = set()  # header directives read so far
@@ -330,18 +339,20 @@ def netlist_from_text(text: str) -> Netlist:
             continue
         tag = args[0]
         # device lines outnumber header lines, so the device table is tried first
-        spec = DEVICE_KINDS.get(tag)
+        spec = _LINE_KINDS.get(tag)
         try:
             if spec is not None:
-                n_wires = spec.n_wires
-                want = n_wires + spec.valued
+                code, n_wires, want = spec
                 binding = None
                 if args[-1][0] == "@":
                     binding = args.pop()[1:]
                 if len(args) != want + 1:
                     raise ValueError(f"{tag} takes {want} fields, got {len(args) - 1}")
-                dev_wires = (int(args[1]),) if n_wires == 1 else (int(args[1]), int(args[2]))
-                devices.append((tag, dev_wires, float(args[want]) if spec.valued else None, binding))
+                add_a(int(args[1]))
+                add_b(int(args[2]) if n_wires == 2 else -1)
+                add_value(float(args[want]) if want > n_wires else math.nan)
+                add_code(code)
+                add_binding(binding)
             elif tag[0] == "#":
                 continue
             elif tag == "CTRL":
@@ -372,7 +383,7 @@ def netlist_from_text(text: str) -> Netlist:
         raise ValueError("netlist text lacks a WIRES header")
     return Netlist(
         wires,
-        devices,
+        cols,
         in_ports,
         out_ports,
         control_map=control_map or None,

@@ -50,6 +50,7 @@ from anbit.serialization import (
 )
 
 from conftest import random_state_vec, random_unitary
+from test_lowering import _gate_chain
 
 
 def write_json(path, obj):
@@ -309,6 +310,16 @@ def test_lower_circuit_json(tmp_path, capsys, rng):
 
     nl = netlist_from_text(out)
     assert np.max(np.abs(nl.forward_transfer() - u)) < 1e-10
+
+
+def test_lower_names_the_node_of_a_gate_fault_deep_in_a_chain(tmp_path, rng):
+    entries = [random_unitary(rng) for _ in range(50)]
+    entries[37] = [[2.0, 0.0], [0.0, 1.0]]  # non-unitary
+    cpath = write_json(tmp_path / "c.json", circuit_to_obj(_gate_chain(*entries)))
+    rc, out, err = cli.run(["lower", cpath, "--arch", "zxz"])
+    assert (rc, out) == (4, "")
+    assert json.loads(err) == {"error": "ClassError", "message": "node 'g37': Euler factorization needs a unitary gate",
+                               "exit_code": 4}
 
 
 def test_analyze(tmp_path, capsys, rng):

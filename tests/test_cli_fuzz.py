@@ -2,7 +2,7 @@
 
 Each example starts from a valid input of one subcommand, built with the
 tests' own generators, changes one JSON value or one netlist token, and runs
-`cli.main` in process. The exit code is 0, 2, 3 or 4. A nonzero code prints
+`cli.run` in process. The exit code is 0, 2, 3 or 4. A nonzero code prints
 nothing on stdout and exactly one JSON error line on stderr; 0 prints output
 that parses and nothing on stderr. Step counts stay within `cli.MAX_STEPS`;
 wire counts reach `lowering.MAX_WIRES` and one past it. CI runs this file on
@@ -10,7 +10,6 @@ fixed seeds:
 `pytest tests/test_cli_fuzz.py --hypothesis-seed=1`.
 """
 
-import contextlib
 import copy
 import csv
 import io
@@ -23,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anbit import AnbitState, GateMatrix, controlled, lower_controlled_electrooptic
-from anbit.cli import MAX_STEPS, main
+from anbit.cli import MAX_STEPS, run
 from anbit.lowering import MAX_WIRES
 from anbit.serialization import gate_to_obj, netlist_from_text, netlist_to_text, state_to_obj
 
@@ -135,10 +134,7 @@ def _run(folder, argv, texts):
     for name, text in texts.items():
         (folder / name).write_text(text)
     argv = [str(folder / arg) if arg in texts else arg for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    return argv, rc, out.getvalue(), err.getvalue()
+    return (argv, *run(argv))
 
 
 def _check_output(argv, out):

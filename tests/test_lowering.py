@@ -36,7 +36,7 @@ from anbit import (
 )
 from anbit import lowering
 from anbit.errors import ControlEncodingError, DimError, GraphError, ParamError
-from anbit.lowering import DEVICE_KINDS
+from anbit.lowering import DEVICE_KINDS, KINDS
 from anbit.serialization import netlist_from_text, netlist_to_text
 
 from conftest import random_matrix, random_state_vec, random_unitary
@@ -84,7 +84,7 @@ def test_gain_devices():
         assert gains == [("AMP", 3.0), ("ATT", d2)]
     # a negative gain row is an attenuator outside its domain
     with pytest.raises(ParamError, match=r"attenuator gain must be in \[0, 1\], got -2.0"):
-        Netlist(1, [lowering._gain_row(0, -2.0)], (0,), (0,))
+        Netlist(1, [(lowering.KINDS[lowering._gain_code(-2.0)], (0,), -2.0, None)], (0,), (0,))
 
 
 @pytest.mark.parametrize(
@@ -347,16 +347,19 @@ def test_controlled_nonunitary_target(rng):
 
 
 def _count_checks(monkeypatch) -> list:
-    """Rows per netlist row check."""
+    """Devices per netlist column check; the row rule, which only names faults, must not run."""
     passes = []
-    device_columns = lowering._device_columns
+    column_check = lowering._column_check
 
-    def counted_columns(rows, width):
-        rows = list(rows)
-        passes.append(len(rows))
-        return device_columns(rows, width)
+    def counted_check(codes, *columns):
+        passes.append(len(codes))
+        return column_check(codes, *columns)
 
-    monkeypatch.setattr(lowering, "_device_columns", counted_columns)
+    def row_rule(rows, width):
+        raise AssertionError("the row rule ran on devices without a fault")
+
+    monkeypatch.setattr(lowering, "_column_check", counted_check)
+    monkeypatch.setattr(lowering, "_device_columns", row_rule)
     return passes
 
 
@@ -366,9 +369,9 @@ def test_lower_controlled_builds_each_device_at_most_twice(word, unitary, rng, m
     gate = pauli(1) if unitary else GateMatrix(random_matrix(rng))
     passes = _count_checks(monkeypatch)
     nl = lower_controlled_electrooptic(controlled(gate, 1), np.eye(2)[word])
-    # a target and an identity template are emitted as plain rows, then the
-    # active one's rows are renumbered c0..cN; only those rows are checked,
-    # once, by the netlist's row loop
+    # a target and an identity template are emitted as plain columns, then the
+    # active one's values are bound to c0..cN; only those devices are checked,
+    # once, by the netlist's column check
     assert passes == [len(nl.devices)]
     assert [dev.control_binding for dev in nl.devices] == [f"c{i}" for i in range(len(nl.devices))]
     want = gate.entries if word else np.eye(2)
@@ -701,8 +704,8 @@ def test_lower_circuit_builds_each_device_once(arch, rng, monkeypatch):
     graph = _ladder(rng, 10, unitary=arch == "zxz")  # 20 gates
     passes = _count_checks(monkeypatch)
     nl = lower_circuit(graph, arch)
-    # every device is emitted once as a plain row and checked once, by the
-    # netlist's row loop
+    # every device is emitted once into the columns and checked once, by the
+    # netlist's column check
     assert passes == [len(nl.devices)]
     # every gate, fan-in and fan-out sits on the right wires: the transfer matches solve
     psi = AnbitState(random_state_vec(rng))
@@ -816,12 +819,13 @@ def test_controlled_gains_lie_in_their_domains_under_every_word(word, rng):
     # amplifier at 3 and set the attenuator after it to 1 and 1/3
     g = GateMatrix(random_unitary(rng) @ np.diag([3.0, 0.5]) @ random_unitary(rng))
     nl = lower_controlled_electrooptic(controlled(g, 1), np.eye(2)[word])
+    tags = [KINDS[code] for code in nl.kinds.tolist()]
     for setting, values in nl.control_map.items():
         for idx, value in values.items():
-            spec = DEVICE_KINDS[nl.kinds[idx]]
-            assert spec.in_domain(value), (setting, idx, nl.kinds[idx], value)
-    assert nl.kinds.count("AMP") == 1
-    assert nl.control_map["1"][nl.kinds.index("AMP")] == nl.control_map["*"][nl.kinds.index("AMP")]
+            spec = DEVICE_KINDS[tags[idx]]
+            assert spec.in_domain(value), (setting, idx, tags[idx], value)
+    assert tags.count("AMP") == 1
+    assert nl.control_map["1"][tags.index("AMP")] == nl.control_map["*"][tags.index("AMP")]
     assert np.max(np.abs(nl.forward_transfer("1") - g.entries)) < 1e-11
     assert np.max(np.abs(nl.forward_transfer("0") - np.eye(2))) < 1e-12
 
@@ -858,7 +862,7 @@ def _fanout_to_two_sinks(fo):
     [
         (CircuitGraph({"s": SourceNode(), "g": GateMatrix(np.eye(3)), "t": SinkNode()},
                       ((("s", 0), ("g", 0)), (("g", 0), ("t", 0)))),
-         DimError, "netlist lowering carries dim-2 signals"),
+         DimError, "node 'g': netlist lowering carries dim-2 signals"),
     ],
     ids=["dim3-gate"],
 )
@@ -891,12 +895,13 @@ _INF_GATE = [[np.inf, 0.0], [0.0, 1.0]]
 @pytest.mark.parametrize(
     "graph,arch,error,message",
     [
-        (_gate_chain(_NON_UNITARY, np.eye(4)), "zxz", "ClassError", "Euler factorization needs a unitary gate"),
-        (_gate_chain(np.eye(4), _NON_UNITARY), "zxz", "DimError", "netlist lowering carries dim-2 signals"),
-        (_wired_fanout_then(_NON_UNITARY), "zxz", "GraphError", "fan-out with a wired ancilla does not lower"),
-        (_gate_chain(_NON_UNITARY, _NAN_GATE), "svd", "LinAlgError", "SVD did not converge"),
-        (_gate_chain(_NON_UNITARY, _INF_GATE, _NAN_GATE), "svd", "ClassError", "Euler factorization needs a unitary gate"),
-        (_gate_chain(_NAN_GATE, np.eye(4)), "svd", "LinAlgError", "SVD did not converge"),
+        (_gate_chain(_NON_UNITARY, np.eye(4)), "zxz", "ClassError", "node 'g0': Euler factorization needs a unitary gate"),
+        (_gate_chain(np.eye(4), _NON_UNITARY), "zxz", "DimError", "node 'g0': netlist lowering carries dim-2 signals"),
+        (_wired_fanout_then(_NON_UNITARY), "zxz", "GraphError", "node 'fo': fan-out with a wired ancilla does not lower"),
+        (_gate_chain(_NON_UNITARY, _NAN_GATE), "svd", "LinAlgError", "node 'g1': SVD did not converge"),
+        (_gate_chain(_NON_UNITARY, _INF_GATE, _NAN_GATE), "svd", "ClassError",
+         "node 'g1': Euler factorization needs a unitary gate"),
+        (_gate_chain(_NAN_GATE, np.eye(4)), "svd", "LinAlgError", "node 'g0': SVD did not converge"),
     ],
     ids=["non-unitary-before-dim4", "dim4-before-non-unitary", "wired-ancilla-before-non-unitary",
          "svd-nan-after-valid", "svd-inf-before-nan", "svd-nan-before-dim4"],
@@ -907,6 +912,25 @@ def test_lower_circuit_raises_the_first_fault_in_component_order(graph, arch, er
     with pytest.raises(Exception) as exc:
         lower_circuit(graph, arch)
     assert (type(exc.value).__name__, str(exc.value)) == (error, message)
+
+
+@pytest.mark.parametrize(
+    "arch,fault,message",
+    [
+        ("zxz", _NON_UNITARY, "ClassError: node 'g37': Euler factorization needs a unitary gate"),
+        ("zyz", _NON_UNITARY, "ClassError: node 'g37': Euler factorization needs a unitary gate"),
+        ("svd", _NAN_GATE, "LinAlgError: node 'g37': SVD did not converge"),
+        ("svd", _INF_GATE, "ClassError: node 'g37': Euler factorization needs a unitary gate"),
+    ],
+    ids=["zxz-non-unitary", "zyz-non-unitary", "svd-nan", "svd-inf"],
+)
+def test_a_gate_fault_deep_in_a_chain_names_its_node(arch, fault, message, rng):
+    # the factor table reports the index of the gate it refuses; lower_circuit names that gate's node
+    entries = [random_unitary(rng) for _ in range(50)]
+    entries[37] = fault
+    with pytest.raises(Exception) as exc:
+        lower_circuit(_gate_chain(*entries), arch)
+    assert f"{type(exc.value).__name__}: {exc.value}" == message
 
 
 def test_fanout_with_an_unwired_ancilla_lowers_whatever_its_m12_and_m22(rng):

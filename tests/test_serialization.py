@@ -497,8 +497,11 @@ def test_netlist_text_round_trip(rng):
         assert np.array_equal(back.forward_transfer(), nl.forward_transfer())
 
 
-def _columns(nl) -> tuple:
-    return nl.kinds, nl.wire_a, nl.wire_b, nl.values, nl.bindings
+def _same_columns(nl, other) -> bool:
+    """Both netlists' columns equal element for element and of one dtype (nan in the same places), and their bindings."""
+    arrays = [(getattr(nl, name), getattr(other, name)) for name in ("kinds", "wire_a", "wire_b", "values")]
+    same = all(a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True) for a, b in arrays)
+    return same and nl.bindings == other.bindings
 
 
 @settings(max_examples=100, deadline=None)
@@ -508,12 +511,12 @@ def test_netlist_text_round_trip_property(case):
     text = netlist_to_text(nl)
     back = netlist_from_text(text)
     assert netlist_to_text(back) == text
-    assert _columns(back) == _columns(nl)
+    assert _same_columns(back, nl)
     assert back.forward_transfer(setting).tobytes() == nl.forward_transfer(setting).tobytes()
     assert back.backward_transfer(setting).tobytes() == nl.backward_transfer(setting).tobytes()
     # the rows read back as Device records rebuild the same netlist
     rebuilt = Netlist(nl.wires, nl.devices, nl.input_ports, nl.output_ports, nl.control_map)
-    assert _columns(rebuilt) == _columns(nl) and rebuilt.devices == nl.devices
+    assert _same_columns(rebuilt, nl) and rebuilt.devices == nl.devices
     assert netlist_to_text(rebuilt) == text
 
 

@@ -6,13 +6,13 @@ wires; two wires carry one anbit. A device kind, a key of `DEVICE_KINDS`
 amplifier), fixes its wire count, value domain and local 1x1 or 2x2 matrix.
 A `Netlist` stores its devices as read-only numpy columns: kind codes into
 `KINDS`, first and second wire (-1 for a single-wire kind) and value (nan
-for a kind without one), plus a tuple of control bindings. Emitters and the
-text reader append column chunks to `_Columns` lists; rows handed to the
-constructor are split into the same lists. Either way the device rule runs
-once, as one array pass over the columns (`_column_check`); only a netlist
-that breaks it meets the row rule (`_device_columns`), which names the first
-faulty row. `Device` is the plain record `Netlist.devices` reads the rows
-back as.
+for a kind without one), plus a tuple of control bindings. Rows handed to
+the constructor meet the row rule (`_device_columns`) alone, which checks
+each in order, names the first faulty one and builds the columns. Emitters
+and the text reader append column chunks to `_Columns` lists instead, which
+the device rule checks as one array pass (`_column_check`); only a netlist
+that breaks it meets the row rule too, which names the first faulty device.
+`Device` is the plain record `Netlist.devices` reads the rows back as.
 
 One coefficient function per kind gives its local matrix as Python complex
 numbers. Transfers apply the local matrices to the rows of a block with one
@@ -192,7 +192,7 @@ def _device_value(kind: str, spec: DeviceKind, value):
 
 
 class _Columns:
-    """Device column lists that emitters, the text reader and the row split append to.
+    """Device column lists that emitters, the text reader and the row rule append to.
 
     codes (indices into KINDS), first wires, second wires (-1 for a
     single-wire kind), values (nan for a valueless kind) and bindings; an
@@ -213,23 +213,12 @@ class _Columns:
         self.values += values
 
     def arrays(self) -> tuple | None:
-        """The int8 codes, 2 x D intp wires, float64 values and the bindings, or None where they do not convert.
-
-        Every wire must be an integer within the intp range, and every value a
-        number that converts to float64 as `float` converts it (not a string,
-        a complex number or an integer past 64 bits).
-        """
+        """The int8 codes, 2 x D intp wires, float64 values and the bindings, or None for a wire past the intp range."""
         try:
-            wires, values = np.array((self.wire_a, self.wire_b)), np.array(self.values)
-        except ValueError:  # a wire or value that is itself a sequence
+            wires = np.array((self.wire_a, self.wire_b), dtype=np.intp)
+        except OverflowError:
             return None
-        n = len(self.codes)
-        if wires.shape != (2, n) or values.shape != (n,):
-            return None
-        if n and (wires.dtype.kind not in "iu" or values.dtype.kind not in "biuf" or values.dtype.itemsize > 8):
-            return None
-        values = values.astype(float, copy=False)
-        return np.array(self.codes, dtype=np.int8), wires.astype(np.intp, copy=False), values, self.bindings
+        return np.array(self.codes, dtype=np.int8), wires, np.array(self.values, dtype=float), self.bindings
 
     def rows(self, stop: int | None = None) -> list:
         """The first `stop` devices (all by default) as the row rule's (kind, wires, value, binding) rows."""
@@ -246,26 +235,9 @@ def _rows(codes, wire_a, wire_b, values, bindings) -> list:
     return rows
 
 
-def _split(rows: list) -> _Columns | None:
-    """The `_Columns` of rows, wires and values as given, or None where a row does not split.
-
-    A row splits when it is four fields, (kind, wires, value, binding), with
-    a known kind, as many wires as the kind needs and a value exactly when
-    the kind takes one. Types are left to `_Columns.arrays`, ranges and
-    domains to the column check.
-    """
-    cols = _Columns()
-    try:
-        for kind, wires, value, binding in rows:
-            spec = _SPECS[_CODES[kind]]
-            a, b = wires if spec.n_wires == 2 else (*wires, -1)
-            if (value is None) == spec.valued:
-                return None
-            cols.add((_CODES[kind],), (a,), (b,), (math.nan if value is None else value,))
-            cols.bindings.append(binding)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return cols
+def _is_token(word) -> bool:
+    """Whether word is a string netlist text writes and reads back as one token: it has no whitespace."""
+    return isinstance(word, str) and "".join(word.split()) == word
 
 
 def _column_check(codes, wires, values, width: int) -> np.ndarray:
@@ -291,10 +263,14 @@ def _device_columns(rows, width: int) -> _Columns:
     The one rule set for device faults, applied to each (kind, wires, value,
     binding) row in turn; the first faulty row raises. Wires are any iterable
     of as many distinct integers in 0..width-1 as the kind needs; the value
-    obeys `_device_value`. A netlist runs it only on rows the column check
-    (`_column_check`) or the row split refuses, so it names the fault.
+    obeys `_device_value`; the binding is None or a string without
+    whitespace (`_is_token`). It checks every row a netlist is handed, and
+    names the fault in columns the column check (`_column_check`) refuses.
     """
     cols = _Columns()
+    add_code, add_a, add_b, add_value, add_binding = (
+        col.append for col in (cols.codes, cols.wire_a, cols.wire_b, cols.values, cols.bindings)
+    )
     for row in rows:
         try:
             kind, wires, value, binding = row
@@ -319,33 +295,32 @@ def _device_columns(rows, width: int) -> _Columns:
         value = _device_value(kind, spec, value)
         if not (0 <= a < width and (n == 1 or 0 <= b < width)):
             raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
-        cols.add((_CODES[kind],), (a,), (b,), (math.nan if value is None else value,))
-        cols.bindings.append(binding)
+        if binding is not None and not _is_token(binding):
+            raise ParamError(f"device {len(cols.codes)} binding {binding!r} is neither None nor a whitespace-free string")
+        add_code(_CODES[kind])
+        add_a(a)
+        add_b(b)
+        add_value(math.nan if value is None else value)
+        add_binding(binding)
     return cols
 
 
 def _checked(devices, width: int) -> tuple:
     """`_Columns.arrays` of devices, rows or `_Columns`, that keep the device rule; the first faulty one raises.
 
-    The column check runs once. Only rows that do not split or convert, or a
-    device the column check refuses, meet the row rule, run up to that
-    device, which raises the row rule's error for the first faulty row.
+    Rows meet the row rule alone, which checks them and builds the columns.
+    An emitter's or the text reader's `_Columns` meet the column check once;
+    only a device it refuses, or a wire past the intp range, sends them to
+    the row rule, run up to that device, which raises its error.
     """
-    listed = None if isinstance(devices, _Columns) else list(devices)
-    cols = devices if listed is None else _split(listed)
-    cols = None if cols is None else cols.arrays()
-
-    def rows(stop=None) -> list:  # the row rule's input: rows as given, or read back from the columns
-        return devices.rows(stop) if listed is None else listed[:stop]
-
-    if cols is None:
-        cols = _device_columns(rows(), width).arrays()
-    ok = _column_check(*cols[:3], width)
-    if np.count_nonzero(ok) < len(ok):
-        stop = int(ok.argmin()) + 1
-        _device_columns(rows(stop), width)
-        raise AssertionError(f"the row rule accepts device {stop - 1}, which the column check refuses")
-    return cols
+    if not isinstance(devices, _Columns):
+        return _device_columns(devices, width).arrays()
+    cols = devices.arrays()
+    ok = None if cols is None else _column_check(*cols[:3], width)
+    if ok is not None and np.count_nonzero(ok) == len(ok):
+        return cols
+    _device_columns(devices.rows(None if ok is None else int(ok.argmin()) + 1), width)
+    raise AssertionError("the row rule accepts a device the column check refuses")
 
 
 def _frozen(column: np.ndarray) -> np.ndarray:
@@ -361,8 +336,9 @@ class Netlist:
     They are kept as numpy columns that refuse assignment: `kinds` (int8
     codes into `KINDS`), `wire_a`, `wire_b` (intp, -1 for single-wire kinds)
     and `values` (float64, nan where a kind takes no value), plus the tuple
-    `bindings`. The device rule runs once, over the columns (`_checked`); on a
-    fault the row rule (`_device_columns`) raises for the first faulty row.
+    `bindings`. The device rule runs once (`_checked`): rows meet the row rule
+    (`_device_columns`), which raises for the first faulty row, and columns
+    meet the column check, which sends a fault to the row rule to be named.
     `devices` reads the rows back. The wire count, ports and wires are
     integers, both port lists are non-empty, and every port and device wire
     lies in 0..wires-1. The wire count is at most MAX_WIRES, and
@@ -376,7 +352,9 @@ class Netlist:
     float64 value column each word programs; active_setting names the word
     whose values the emitted devices carry, so each of its entries equals the
     value of the device it sets. A word without an entry of its own needs the
-    "*" fallback.
+    "*" fallback. Each word and active_setting is a non-empty string without
+    whitespace, and each binding None or a string without whitespace: netlist
+    text writes each as one token.
     """
 
     def __init__(self, wires: int, devices, input_ports, output_ports,
@@ -427,12 +405,16 @@ class Netlist:
                     raise ParamError(f"control word {setting!r} sets device {idx}: {exc}") from None
                 if value is not None:  # None on a valueless device sets nothing
                     word[idx] = column[idx] = value
+            if not (setting and _is_token(setting)):
+                raise ParamError(f"control word {setting!r} must be a non-empty whitespace-free string")
             words[setting] = MappingProxyType(word)
             self._columns[setting] = _frozen(column)
         self.control_map = None if control_map is None else MappingProxyType(words)
         # the devices carry the active word's values: both copies must agree (nan on valueless devices)
         if active_setting is not None:
             column = self._column(active_setting)
+            if not (active_setting and _is_token(active_setting)):
+                raise ParamError(f"active control word {active_setting!r} must be a non-empty whitespace-free string")
             for idx in np.flatnonzero(column != self.values).tolist():
                 value, carried = column[idx].item(), self.values[idx].item()
                 if carried == carried:

@@ -237,9 +237,10 @@ def test_lower_mostow_then_analyze(tmp_path, capsys, rng):
         ({"symmetric": [[800.0, 0.0], [0.0, -0.3]]}, "ParamError", "b_matrix eigenvalue 800.0 overflows its exponential"),
         ({"antisymmetric_param": 10**400}, "ValueError", "synthesis input: int too large to convert to float"),
         ({"symmetric": [[0.25, 10**400], [0.1, -0.3]]}, "ValueError", "synthesis input: int too large to convert to float"),
+        ({"symmetric": [[0.25, 0.1, 0.0], [0.1, -0.3, 0.0], [0.0, 0.0, 1.0]]}, "DimError", "b_matrix must be 2x2"),
     ],
     ids=["no-unitary", "no-symmetric", "b-nan", "b-infinity", "a-overflow", "b-eigenvalue-overflow",
-         "a-integer-past-float-range", "b-integer-past-float-range"],
+         "a-integer-past-float-range", "b-integer-past-float-range", "b-3x3"],
 )
 def test_mostow_rejects_malformed_spec(tmp_path, capsys, argv, fields, error, message):
     spec = {"unitary": gate_to_obj(identity_gate()), "antisymmetric_param": 0.4, "symmetric": _MOSTOW_B}
@@ -248,7 +249,7 @@ def test_mostow_rejects_malformed_spec(tmp_path, capsys, argv, fields, error, me
     path = tmp_path / "m.json"
     path.write_text(json.dumps(spec))  # NaN and Infinity literals, which json.loads accepts
     rc, out, err = run_cli(capsys, [argv[0], str(path), *argv[1:]])
-    assert rc == 2 and out == ""
+    assert rc == (4 if error == "DimError" else 2) and out == ""
     payload = json.loads(err)
     assert payload["error"] == error
     if message is not None:
@@ -524,6 +525,8 @@ def test_json_inputs_reject_malformed_values(tmp_path, capsys, command, target, 
     assert payload["exit_code"] == 2 and payload["error"] == error
 
 
+_EYE4_GATE = {"entries": [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]}
+
 _TWO_SOURCE_CIRCUIT = {
     "nodes": [{"id": n, "kind": k} for n, k in (("s1", "source"), ("s2", "source"), ("f", "fanin"), ("t1", "sink"), ("t2", "sink"))],
     "edges": [
@@ -562,6 +565,10 @@ _TWO_SOURCE_CIRCUIT = {
         ("trajectory", {"state": _GOOD_STATE, "axis": [0, 0, 1], "steps": 2.5}, None,
          "ValueError", "steps: 'float' object cannot be interpreted as an integer"),
         ("lower", [[1.0, 0.0], [1.0, 0.0]], None, "ValueError", "fan-in input needs complex 'n' and 'm' pairs"),
+        ("lower-zxz", _EYE4_GATE, None, "DimError", "Euler factorization is defined for dim 2"),
+        ("lower-zyz", _EYE4_GATE, None, "DimError", "Euler factorization is defined for dim 2"),
+        ("lower-svd", _EYE4_GATE, None, "DimError", "svd2 is defined for dim 2"),
+        ("lower-pauli", _EYE4_GATE, None, "DimError", "Pauli expansion is defined for dim 2"),
     ],
     ids=[
         "gate-no-entries",
@@ -581,6 +588,10 @@ _TWO_SOURCE_CIRCUIT = {
         "trajectory-diagonal-no-d2",
         "trajectory-fractional-steps",
         "fanin-not-an-object",
+        "zxz-dim4-gate",
+        "zyz-dim4-gate",
+        "svd-dim4-gate",
+        "pauli-dim4-gate",
     ],
 )
 def test_json_inputs_name_their_fault(tmp_path, capsys, command, target, input_state, error, message):
@@ -591,12 +602,14 @@ def test_json_inputs_name_their_fault(tmp_path, capsys, command, target, input_s
         "simulate": ["simulate", tpath, "--input", str(tmp_path / "in.json")],
         "trajectory": ["trajectory", tpath],
         "lower": ["lower", tpath, "--arch", "fanin"],
+        **{f"lower-{arch}": ["lower", tpath, "--arch", arch] for arch in ("zxz", "zyz", "svd", "pauli")},
     }[command]
     if input_state is not None:
         write_json(tmp_path / "in.json", input_state)
     rc, out, err = run_cli(capsys, argv)
-    assert rc == 2 and out == ""
-    assert json.loads(err) == {"error": error, "message": message, "exit_code": 2}
+    code = 4 if error == "DimError" else 2
+    assert rc == code and out == ""
+    assert json.loads(err) == {"error": error, "message": message, "exit_code": code}
 
 
 def test_measure_cli(tmp_path, capsys):

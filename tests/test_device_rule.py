@@ -1,12 +1,14 @@
-"""The column check against the row rule, and the read-only columns a netlist keeps.
+"""The two doors of the device rule, and the read-only columns a netlist keeps.
 
-A netlist checks its devices once, over the columns (`lowering._column_check`);
-only a fault sends it to the row rule (`lowering._device_columns`), which names
-the first faulty row. The property here draws device rows, faulty ones
-included, and holds both doors, `Netlist(...)` and `netlist_from_text`, to the
-row rule: each raises exactly when the row rule does, with the same type and
-text, and otherwise keeps the values the row rule gives. CI runs this file on
-fixed seeds: `pytest tests/test_device_rule.py --hypothesis-seed=1`.
+Rows handed to `Netlist(...)` meet the row rule (`lowering._device_columns`)
+alone. Columns from an emitter or `netlist_from_text` meet the column check
+(`lowering._column_check`) once; only a fault sends them to the row rule,
+which names the first faulty device. The properties here draw device rows,
+faulty ones included, and hold both doors to the row rule: each raises exactly
+when the row rule does, with the same type and text, and otherwise keeps the
+values the row rule gives. The text door's property is the column check's
+oracle. CI runs this file on fixed seeds:
+`pytest tests/test_device_rule.py --hypothesis-seed=1`.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anbit import AnbitState, GateMatrix, Netlist, controlled, lower_circuit, lower_controlled_electrooptic, pauli
+from anbit import lowering
 from anbit.errors import AnbitError
 from anbit.lowering import DEVICE_KINDS, KINDS, _device_columns
 from anbit.serialization import netlist_from_text, netlist_to_text
@@ -94,6 +97,44 @@ def test_text_reader_raises_exactly_when_the_row_rule_does(devices):
     rule_fault, cols = _outcome(lambda: _device_columns(devices, WIDTH))
     fault, nl = _outcome(lambda: netlist_from_text("\n".join([f"WIRES {WIDTH}", "IN 0", "OUT 0", *lines])))
     _agrees(fault, nl, rule_fault, cols)
+
+
+def test_each_door_runs_one_check(monkeypatch):
+    # rows meet the row rule alone; columns meet the column check, and the row rule only on a fault
+    calls = []
+    row_rule, column_check = lowering._device_columns, lowering._column_check
+
+    def counted_rule(rows, width):
+        calls.append("row rule")
+        return row_rule(rows, width)
+
+    def counted_check(*columns):
+        calls.append("column check")
+        return column_check(*columns)
+
+    monkeypatch.setattr(lowering, "_device_columns", counted_rule)
+    monkeypatch.setattr(lowering, "_column_check", counted_check)
+    rows = [("PS", (0,), 0.5, "c0"), ("BS", (0, 1), None, None)]
+    text = "WIRES 2\nIN 0\nOUT 1\nPS 0 0.5 @c0\nBS 0 1\n"
+    doors = {
+        "rows": lambda: Netlist(2, rows, (0,), (1,)),
+        "generator": lambda: Netlist(2, iter(rows), (0,), (1,)),
+        "emitter": lambda: lower_circuit(_gate_chain(np.eye(2)), "zxz"),
+        "text": lambda: netlist_from_text(text),
+        "faulty text": lambda: _outcome(lambda: netlist_from_text(text.replace("0.5", "inf"))),
+    }
+    seen = {}
+    for door, build in doors.items():
+        calls.clear()
+        build()
+        seen[door] = list(calls)
+    assert seen == {
+        "rows": ["row rule"],
+        "generator": ["row rule"],
+        "emitter": ["column check"],
+        "text": ["column check"],
+        "faulty text": ["column check", "row rule"],
+    }
 
 
 def _built_netlists():

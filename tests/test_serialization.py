@@ -41,7 +41,7 @@ from anbit.serialization import (
 )
 
 from anbit import gates
-from anbit.errors import DimError
+from anbit.errors import DimError, ParamError
 
 from conftest import random_matrix, random_state_vec, random_unitary
 from test_lowering import random_netlists
@@ -518,6 +518,32 @@ def test_netlist_text_round_trip_property(case):
     rebuilt = Netlist(nl.wires, nl.devices, nl.input_ports, nl.output_ports, nl.control_map)
     assert _same_columns(rebuilt, nl) and rebuilt.devices == nl.devices
     assert netlist_to_text(rebuilt) == text
+
+
+_NOT_A_TOKEN = "is neither None nor a whitespace-free string"
+_NOT_A_WORD = "must be a non-empty whitespace-free string"
+
+
+@pytest.mark.parametrize(
+    "binding,control_map,active,message",
+    [
+        (5, None, None, f"device 0 binding 5 {_NOT_A_TOKEN}"),
+        (["c0"], None, None, f"device 0 binding ['c0'] {_NOT_A_TOKEN}"),
+        ("c 0", None, None, f"device 0 binding 'c 0' {_NOT_A_TOKEN}"),
+        ("c0\nWIRES 9", None, None, f"device 0 binding 'c0\\nWIRES 9' {_NOT_A_TOKEN}"),
+        ("c0", {"a b": {0: 0.5}}, None, f"control word 'a b' {_NOT_A_WORD}"),
+        ("c0", {"": {0: 0.5}}, None, f"control word '' {_NOT_A_WORD}"),
+        ("c0", {"*": {0: 0.5}}, "", f"active control word '' {_NOT_A_WORD}"),
+        ("c0", {1: {0: 0.5}}, None, f"control word 1 {_NOT_A_WORD}"),
+    ],
+    ids=["binding-int", "binding-list", "binding-space", "binding-newline-directive", "word-space", "word-empty",
+         "active-word-empty", "word-int"],
+)
+def test_netlist_door_refuses_what_its_text_cannot_carry(binding, control_map, active, message):
+    # netlist text writes each binding and control word as one bare token, which the reader reads back as a string
+    with pytest.raises(ParamError) as exc:
+        Netlist(1, [("PS", (0,), 0.5, binding)], (0,), (0,), control_map=control_map, active_setting=active)
+    assert str(exc.value) == message
 
 
 def test_netlist_text_headers(rng):

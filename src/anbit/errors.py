@@ -1,5 +1,6 @@
 """Error taxonomy shared by every anbit module, its one rule for integer arguments, and the
-mark a factor table puts on the error of the gate it refuses (`_at_gate`)."""
+marks that name a fault's place: the gate a factor table refuses (`_at_gate`), the device
+row the row rule refuses (`_at_device`) and the control word a netlist refuses (`_at_word`)."""
 
 from operator import index
 
@@ -78,4 +79,16 @@ def _integer(v, field: str) -> int:
 def _at_gate(exc: Exception, k: int) -> Exception:
     """exc, marked (its `gate` attribute) as raised for the k-th gate of a factor table's list."""
     exc.gate = k
+    return exc
+
+
+def _at_device(exc: Exception, k: int) -> Exception:
+    """exc, marked (its `device` attribute) as raised for the k-th device row of a netlist."""
+    exc.device = k
+    return exc
+
+
+def _at_word(exc: Exception, word) -> Exception:
+    """exc, marked (its `word` attribute) as raised for control word `word` of a netlist."""
+    exc.word = word
     return exc

@@ -14,17 +14,18 @@ the device rule checks as one array pass (`_column_check`); only a netlist
 that breaks it meets the row rule too, which names the first faulty device.
 `Device` is the plain record `Netlist.devices` reads the rows back as.
 
-One coefficient function per kind gives its local matrix as Python complex
-numbers. Transfers apply the local matrices to the rows of a block with one
-column per port: forward transfer runs the devices in order from the input
-ports; backward transfer runs them in reverse from the output ports with each
-local matrix transposed, the backward matrix of every reciprocal kind here;
-every local matrix is symmetric, so the transpose is the matrix itself. A
-single-wire device (a phase or a gain, most of a lowered mesh) is a diagonal
-factor that commutes along its wire to the next two-wire device, so a
-transfer keeps one pending factor per wire and folds it into that device's
-coefficients, the phase-screen argument of Clements et al., Optica 3, 1460
-(2016).
+One coefficient rule per kind gives its local matrix for a column of
+values, as complex columns built from their real and imaginary parts. A
+transfer runs each kind's rule once over that kind's values, then applies the
+local matrices to the rows of a block with one column per port: forward
+transfer runs the devices in order from the input ports; backward transfer
+runs them in reverse from the output ports with each local matrix
+transposed, the backward matrix of every reciprocal kind here; every local
+matrix is symmetric, so the transpose is the matrix itself. A single-wire
+device (a phase or a gain, most of a lowered mesh) is a diagonal factor that
+commutes along its wire to the next two-wire device, so a transfer keeps one
+pending factor per wire and folds it into that device's coefficients, the
+phase-screen argument of Clements et al., Optica 3, 1460 (2016).
 
 Each gate architecture is a factor table plus an emitter: the table factors
 a list of gates in one call (`decompositions`' stacked SVD and list form of
@@ -41,6 +42,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import index
 from types import MappingProxyType
 from typing import Callable
@@ -51,7 +53,8 @@ from .algebra import AnbitState, CompositeState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SourceNode
 from .decompositions import MostowFactors, _dim2_rows, _euler_table, _svd_table, pauli_decompose
 from .decompositions import euler_zxz, euler_zyz, svd2  # noqa: F401  kept as anbit.lowering names, which perfbench/spans.py wraps
-from .errors import ClassError, ControlEncodingError, DimError, GraphError, ParamError, _at_gate, _integer
+from .errors import ClassError, ControlEncodingError, DimError, GraphError, ParamError
+from .errors import _at_device, _at_gate, _at_word, _integer
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
 
 __all__ = [
@@ -88,30 +91,40 @@ _HALF_PI = 0.5 * math.pi
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+# each rule builds its complex columns from real and imaginary parts: c + 1j * s
+# would turn an imaginary -0.0 into 0.0
 def _phase_coefs(phi):
-    return (complex(math.cos(phi), math.sin(phi)),)
+    z = np.empty(len(phi), complex)
+    z.real = np.cos(phi)
+    z.imag = np.sin(phi)
+    return (z,)
 
 
 def _coupler_coefs(alpha2):
     # mode-coupling angle alpha2, coupling kL = alpha2/2: [[c, -is], [-is, c]]
-    c, s = math.cos(0.5 * alpha2), math.sin(0.5 * alpha2)
-    return (complex(c), complex(0.0, -s), complex(0.0, -s), complex(c))
+    half = 0.5 * alpha2
+    c = np.cos(half).astype(complex)
+    s = np.zeros(len(half), complex)
+    s.imag = -np.sin(half)
+    return (c, s, s, c)
 
 
 _SPLITTER_COEFS = tuple(_INV_SQRT2 * z for z in (1 + 0j, 1j, 1j, 1 + 0j))
 
 
 def _gain_coefs(g):
-    return (complex(g),)
+    return (g.astype(complex),)
 
 
 @dataclass(frozen=True)
 class DeviceKind:
     """One device primitive: wire count, value domain and local matrix.
 
-    coefs(value), the one definition of a kind's matrix, gives the entries of
-    the n_wires x n_wires forward matrix as Python complex numbers in row-major
-    order; kinds that are not `valued` have no tunable parameter. A value v of
+    coefs(values), the one definition of a kind's matrix, maps a float64
+    column of values (nan for a kind that is not `valued`, which has no
+    tunable parameter) to the entries of each value's n_wires x n_wires
+    forward matrix in row-major order: one complex column per entry, or a
+    complex constant where the entry takes no value. A value v of
     a valued kind must be finite and satisfy in_domain(v), low <= v <= high;
     `domain` words the rule for the error message. Every kind is reciprocal:
     its backward matrix is the transpose of the forward one, and equals it,
@@ -120,7 +133,7 @@ class DeviceKind:
 
     n_wires: int
     valued: bool
-    coefs: Callable[[float | None], tuple]
+    coefs: Callable[[np.ndarray], tuple]
     low: float = -math.inf
     high: float = math.inf
     domain: str = ""
@@ -133,7 +146,7 @@ class DeviceKind:
 DEVICE_KINDS = {
     "PS": DeviceKind(1, True, _phase_coefs),  # phase e^(i phi)
     "DC": DeviceKind(2, True, _coupler_coefs),  # tunable coupler
-    "BS": DeviceKind(2, False, lambda _value: _SPLITTER_COEFS),  # fixed 50:50 splitter
+    "BS": DeviceKind(2, False, lambda _values: _SPLITTER_COEFS),  # fixed 50:50 splitter
     "ATT": DeviceKind(1, True, _gain_coefs, 0.0, 1.0, "attenuator gain must be in [0, 1]"),
     # a gain above 1 is one of at least the next double after 1
     "AMP": DeviceKind(1, True, _gain_coefs, math.nextafter(1.0, 2.0), math.inf, "amplifier gain must exceed 1"),
@@ -271,37 +284,40 @@ def _device_columns(rows, width: int) -> _Columns:
     add_code, add_a, add_b, add_value, add_binding = (
         col.append for col in (cols.codes, cols.wire_a, cols.wire_b, cols.values, cols.bindings)
     )
-    for row in rows:
-        try:
-            kind, wires, value, binding = row
-        except (TypeError, ValueError):
-            raise ParamError("netlist devices are (kind, wires, value, binding) rows") from None
-        spec = DEVICE_KINDS.get(kind)
-        if spec is None:
-            raise ParamError(f"unknown device kind {kind!r}")
-        if type(wires) is not tuple:
+    try:
+        for row in rows:
             try:
-                wires = tuple(wires)
+                kind, wires, value, binding = row
+            except (TypeError, ValueError):
+                raise ParamError("netlist devices are (kind, wires, value, binding) rows") from None
+            spec = DEVICE_KINDS.get(kind)
+            if spec is None:
+                raise ParamError(f"unknown device kind {kind!r}")
+            if type(wires) is not tuple:
+                try:
+                    wires = tuple(wires)
+                except TypeError:
+                    raise ParamError(f"{kind} wires must be a sequence, got {wires!r}") from None
+            n = spec.n_wires
+            try:  # a non-integer wire is reported before a wrong count or a repeat
+                if len(wires) != n or n == 2 and index(wires[0]) == index(wires[1]):
+                    raise ParamError(f"{kind} needs {n} distinct wires, got {tuple(map(index, wires))}")
+                a = index(wires[0])
+                b = index(wires[1]) if n == 2 else -1
             except TypeError:
-                raise ParamError(f"{kind} wires must be a sequence, got {wires!r}") from None
-        n = spec.n_wires
-        try:  # a non-integer wire is reported before a wrong count or a repeat
-            if len(wires) != n or n == 2 and index(wires[0]) == index(wires[1]):
-                raise ParamError(f"{kind} needs {n} distinct wires, got {tuple(map(index, wires))}")
-            a = index(wires[0])
-            b = index(wires[1]) if n == 2 else -1
-        except TypeError:
-            raise ParamError(f"{kind} wires must be integers, got {wires!r}") from None
-        value = _device_value(kind, spec, value)
-        if not (0 <= a < width and (n == 1 or 0 <= b < width)):
-            raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
-        if binding is not None and not _is_token(binding):
-            raise ParamError(f"device {len(cols.codes)} binding {binding!r} is neither None nor a whitespace-free string")
-        add_code(_CODES[kind])
-        add_a(a)
-        add_b(b)
-        add_value(math.nan if value is None else value)
-        add_binding(binding)
+                raise ParamError(f"{kind} wires must be integers, got {wires!r}") from None
+            value = _device_value(kind, spec, value)
+            if not (0 <= a < width and (n == 1 or 0 <= b < width)):
+                raise ParamError(f"device wire {a if not 0 <= a < width else b} outside 0..{width - 1}")
+            if binding is not None and not _is_token(binding):
+                raise ParamError(f"device {len(cols.codes)} binding {binding!r} is neither None nor a whitespace-free string")
+            add_code(_CODES[kind])
+            add_a(a)
+            add_b(b)
+            add_value(math.nan if value is None else value)
+            add_binding(binding)
+    except ParamError as exc:  # the rows before it are in cols
+        raise _at_device(exc, len(cols.codes))
     return cols
 
 
@@ -326,6 +342,34 @@ def _checked(devices, width: int) -> tuple:
 def _frozen(column: np.ndarray) -> np.ndarray:
     column.setflags(write=False)
     return column
+
+
+def _local_matrices(codes, values) -> list:
+    """Per device, its local matrix from one coefficient pass per kind over the value column.
+
+    A single-wire device's is its factor as a Python complex, a two-wire
+    device's its four entries in row-major order as a list. The devices are
+    sorted by kind, stably, so each kind's rule runs on one slice of values.
+    """
+    order = codes.argsort(kind="stable")
+    by_kind = values[order]
+    m = np.empty((len(codes), 4), complex)  # rows in kind order
+    spans = []  # (devices, local matrices) of the two-wire kinds
+    low = 0
+    for code, high in enumerate(accumulate(np.bincount(codes, minlength=len(KINDS)).tolist())):
+        if high > low:
+            for j, entry in enumerate(_COEFS[code](by_kind[low:high])):
+                m[low:high, j] = entry
+            if _SPECS[code].n_wires == 2:
+                spans.append((order[low:high].tolist(), m[low:high].tolist()))
+        low = high
+    first = np.empty(len(codes), complex)
+    first[order] = m[:, 0]
+    local = first.tolist()
+    for devices, matrices in spans:
+        for k, entries in zip(devices, matrices):
+            local[k] = entries
+    return local
 
 
 class Netlist:
@@ -354,7 +398,9 @@ class Netlist:
     value of the device it sets. A word without an entry of its own needs the
     "*" fallback. Each word and active_setting is a non-empty string without
     whitespace, and each binding None or a string without whitespace: netlist
-    text writes each as one token.
+    text writes each as one token. A fault of a word or of the active word is
+    marked with that word (`_at_word`), as a faulty row is with its index
+    (`_at_device`), so netlist text can name the line.
     """
 
     def __init__(self, wires: int, devices, input_ports, output_ports,
@@ -388,40 +434,45 @@ class Netlist:
         except AttributeError:
             got = type(control_map).__name__
             raise ParamError(f"control map must map control words to {{device: value}}, got a {got}") from None
-        for setting, values in control_words:
-            try:
-                entries = values.items()
-            except AttributeError:
-                raise ParamError(f"control word {setting!r} maps to {values!r}, not to {{device: value}}") from None
-            word, column = {}, self.values.copy()
-            for idx, value in entries:
-                idx = _integer(idx, f"control word {setting!r} device index")
-                if not 0 <= idx <= top:
-                    raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
-                kind = KINDS[self.kinds[idx]]
+        setting = None  # the word being checked: a fault is marked with it (`_at_word`)
+        try:
+            for setting, values in control_words:
                 try:
-                    value = _device_value(kind, DEVICE_KINDS[kind], value)
-                except ParamError as exc:
-                    raise ParamError(f"control word {setting!r} sets device {idx}: {exc}") from None
-                if value is not None:  # None on a valueless device sets nothing
-                    word[idx] = column[idx] = value
-            if not (setting and _is_token(setting)):
-                raise ParamError(f"control word {setting!r} must be a non-empty whitespace-free string")
-            words[setting] = MappingProxyType(word)
-            self._columns[setting] = _frozen(column)
-        self.control_map = None if control_map is None else MappingProxyType(words)
-        # the devices carry the active word's values: both copies must agree (nan on valueless devices)
-        if active_setting is not None:
-            column = self._column(active_setting)
-            if not (active_setting and _is_token(active_setting)):
-                raise ParamError(f"active control word {active_setting!r} must be a non-empty whitespace-free string")
-            for idx in np.flatnonzero(column != self.values).tolist():
-                value, carried = column[idx].item(), self.values[idx].item()
-                if carried == carried:
-                    raise ParamError(
-                        f"active control word {active_setting!r} sets device {idx} to {value}, "
-                        f"but the device carries {carried}"
-                    )
+                    entries = values.items()
+                except AttributeError:
+                    raise ParamError(f"control word {setting!r} maps to {values!r}, not to {{device: value}}") from None
+                word, column = {}, self.values.copy()
+                for idx, value in entries:
+                    idx = _integer(idx, f"control word {setting!r} device index")
+                    if not 0 <= idx <= top:
+                        raise ParamError(f"control word {setting!r} sets device {idx}, outside 0..{top}")
+                    kind = KINDS[self.kinds[idx]]
+                    try:
+                        value = _device_value(kind, DEVICE_KINDS[kind], value)
+                    except ParamError as exc:
+                        raise ParamError(f"control word {setting!r} sets device {idx}: {exc}") from None
+                    if value is not None:  # None on a valueless device sets nothing
+                        word[idx] = column[idx] = value
+                if not (setting and _is_token(setting)):
+                    raise ParamError(f"control word {setting!r} must be a non-empty whitespace-free string")
+                words[setting] = MappingProxyType(word)
+                self._columns[setting] = _frozen(column)
+            self.control_map = None if control_map is None else MappingProxyType(words)
+            # the devices carry the active word's values: both copies must agree (nan on valueless devices)
+            if active_setting is not None:
+                setting = active_setting
+                column = self._column(active_setting)
+                if not (active_setting and _is_token(active_setting)):
+                    raise ParamError(f"active control word {active_setting!r} must be a non-empty whitespace-free string")
+                for idx in np.flatnonzero(column != self.values).tolist():
+                    value, carried = column[idx].item(), self.values[idx].item()
+                    if carried == carried:
+                        raise ParamError(
+                            f"active control word {active_setting!r} sets device {idx} to {value}, "
+                            f"but the device carries {carried}"
+                        )
+        except ParamError as exc:
+            raise _at_word(exc, setting)
 
     @cached_property
     def devices(self) -> tuple:
@@ -444,28 +495,32 @@ class Netlist:
     def _port_block(self, setting, start_ports, read_ports, backward: bool) -> np.ndarray:
         """Devices applied to the rows of a W x |start_ports| block of unit columns.
 
-        Each device touches only its own rows, so one pass costs O(D |ports|).
-        The backward pass runs the devices in reverse with transposed matrices,
-        which are the matrices themselves: every kind's is symmetric.
-        A single-wire device is a diagonal factor that commutes along its wire
-        up to the next two-wire device, so it only multiplies its wire's
-        pending Python complex factor. A two-wire device folds both wires'
-        pending factors into its four coefficients, resets them to 1 and
-        replaces its two rows once; the factors still pending scale the rows
-        read out.
+        setting is None (the values the devices carry) or a control word, a
+        non-empty whitespace-free string; any other is refused before the "*"
+        fallback is looked up. Each device touches only its own rows, so one
+        pass costs O(D |ports|). The local matrices come from one coefficient
+        pass per kind over the value column (`_local_matrices`). The backward
+        pass runs the devices in reverse with transposed matrices, which are
+        the matrices themselves: every kind's is symmetric. A single-wire
+        device is a diagonal factor that commutes along its wire up to the
+        next two-wire device, so it only multiplies its wire's pending Python
+        complex factor. A two-wire device folds both wires' pending factors
+        into its four coefficients, resets them to 1 and replaces its two rows
+        once; the factors still pending scale the rows read out.
         """
+        if setting is not None and not (_is_token(setting) and setting):
+            raise ParamError(f"control word {setting!r} must be a non-empty whitespace-free string")
         values = self.values if setting is None else self._column(setting)
         blk = np.zeros((self.wires, len(start_ports)), dtype=complex)
         blk[start_ports, range(len(start_ports))] = 1.0
         rows = list(blk)
         pending = [1.0] * self.wires
-        cols = [col.tolist() for col in (self.kinds, self.wire_a, self.wire_b, values)]
-        for code, a, b, value in zip(*map(reversed, cols)) if backward else zip(*cols):
-            coefs = _COEFS[code](value)
+        cols = (self.wire_a.tolist(), self.wire_b.tolist(), _local_matrices(self.kinds, values))
+        for a, b, m in zip(*map(reversed, cols)) if backward else zip(*cols):
             if b < 0:
-                pending[a] *= coefs[0]
+                pending[a] *= m
                 continue
-            m00, m01, m10, m11 = coefs
+            m00, m01, m10, m11 = m
             pa, pb = pending[a], pending[b]
             pending[a] = pending[b] = 1.0
             row_a, row_b = rows[a], rows[b]

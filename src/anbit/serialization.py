@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import AnbitState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SinkNode, SourceNode
+from .errors import ParamError
 from .gates import GateMatrix
 from .lowering import DEVICE_KINDS, KINDS, Netlist, _Columns
 from .measurement import MeasurementRecord
@@ -286,9 +287,9 @@ def circuit_from_obj(obj) -> CircuitGraph:
 
 def _device_line(kind: str) -> str:
     # every line takes four arguments: first wire, second wire (-1 on a one-wire kind),
-    # value (nan on a valueless kind) and binding suffix; %.0s takes one and writes nothing
+    # value text ('nan' on a valueless kind) and binding suffix; %.0s takes one and writes nothing
     spec = DEVICE_KINDS[kind]
-    return f"{kind} %d" + (" %d" if spec.n_wires == 2 else "%.0s") + (" %" + _DIGITS if spec.valued else "%.0s") + "%s"
+    return f"{kind} %d" + (" %d" if spec.n_wires == 2 else "%.0s") + (" %s" if spec.valued else "%.0s") + "%s"
 
 
 _DEVICE_LINES = tuple(map(_device_line, KINDS))  # by kind code
@@ -302,12 +303,18 @@ _LINE_KINDS = {
 def netlist_to_text(nl: Netlist) -> str:
     """The netlist's text: all device lines in one `%` call over per-kind line templates.
 
-    A `Netlist` holds only finite values (its constructor checks them), so
-    each value is written by ``%.17g``, which gives what `fmt_float` gives.
+    Each distinct value is formatted once, in one more `%` call; a dict keyed
+    by the values' bit patterns finds them, so -0.0 and 0.0 stay apart and the
+    nan of every valueless device is one entry. A `Netlist` holds only finite
+    values on valued devices (its constructor checks them), so each is
+    written by ``%.17g``, which gives what `fmt_float` gives.
     """
     n = len(nl.kinds)
+    bits = nl.values.view(np.int64).tolist()
+    first = dict(zip(bits, nl.values.tolist()))  # bits -> value, each distinct value once
+    texts = dict(zip(first, ("\n".join(["%" + _DIGITS] * len(first)) % tuple(first.values())).split("\n")))
     args = [None] * (4 * n)
-    args[0::4], args[1::4], args[2::4] = nl.wire_a.tolist(), nl.wire_b.tolist(), nl.values.tolist()
+    args[0::4], args[1::4], args[2::4] = nl.wire_a.tolist(), nl.wire_b.tolist(), map(texts.__getitem__, bits)
     args[3::4] = ["" if b is None else " @" + b for b in nl.bindings]
     lines = [f"WIRES {nl.wires}", "IN " + " ".join(map(str, nl.input_ports)), "OUT " + " ".join(map(str, nl.output_ports))]
     if n:
@@ -322,7 +329,12 @@ def netlist_to_text(nl: Netlist) -> str:
 
 
 def netlist_from_text(text: str) -> Netlist:
-    """The `Netlist` of netlist text, read line by line into device columns; a bad line raises `line N: ...`."""
+    """The `Netlist` of netlist text, read line by line into device columns; a bad line raises `line N: ...`.
+
+    Each distinct device value token is converted once. A line that does
+    not parse raises ValueError; a device row or control word the `Netlist`
+    refuses raises its ParamError with the line put in front (`_marked_line`).
+    """
     wires = None
     in_ports: tuple = ()
     out_ports: tuple = ()
@@ -330,6 +342,8 @@ def netlist_from_text(text: str) -> Netlist:
     add_code, add_a, add_b, add_value, add_binding = (
         col.append for col in (cols.codes, cols.wire_a, cols.wire_b, cols.values, cols.bindings)
     )
+    floats: dict = {}  # value token -> float, each distinct token converted once
+    float_of = floats.get
     control_map: dict = {}
     active = None
     seen: set = set()  # header directives read so far
@@ -350,7 +364,14 @@ def netlist_from_text(text: str) -> Netlist:
                     raise ValueError(f"{tag} takes {want} fields, got {len(args) - 1}")
                 add_a(int(args[1]))
                 add_b(int(args[2]) if n_wires == 2 else -1)
-                add_value(float(args[want]) if want > n_wires else math.nan)
+                if want > n_wires:
+                    token = args[want]
+                    value = float_of(token)
+                    if value is None:  # a token not read before
+                        value = floats[token] = float(token)
+                    add_value(value)
+                else:
+                    add_value(math.nan)
                 add_code(code)
                 add_binding(binding)
             elif tag[0] == "#":
@@ -381,11 +402,32 @@ def netlist_from_text(text: str) -> Netlist:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if wires is None:
         raise ValueError("netlist text lacks a WIRES header")
-    return Netlist(
-        wires,
-        cols,
-        in_ports,
-        out_ports,
-        control_map=control_map or None,
-        active_setting=active,
-    )
+    try:
+        return Netlist(wires, cols, in_ports, out_ports, control_map=control_map or None, active_setting=active)
+    except ParamError as exc:
+        lineno = _marked_line(text, exc)
+        if lineno is None:
+            raise
+        raise ParamError(f"line {lineno}: {exc}") from exc
+
+
+def _marked_line(text: str, exc: ParamError) -> int | None:
+    """The line of netlist text that a `Netlist` fault is marked with, or None for an unmarked one.
+
+    A device fault (`device` mark) names the device's line; a control word's
+    fault (`word` mark) names the word's CTRL line, else the ACTIVE line that
+    names it. Read again only when the netlist refuses the text.
+    """
+    device, word = getattr(exc, "device", None), getattr(exc, "word", None)
+    seen, active = 0, None  # device lines read so far; the ACTIVE line naming word
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        args = raw.split()
+        if args and args[0] in _LINE_KINDS:
+            if seen == device:
+                return lineno
+            seen += 1
+        elif args[:2] == ["CTRL", word]:
+            return lineno
+        elif args[:2] == ["ACTIVE", word]:
+            active = lineno
+    return active

@@ -383,18 +383,36 @@ def test_analyze_refuses_a_wire_count_past_the_cap(tmp_path, capsys):
         ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nACTIVE 0\nCTRL 1 0=0.5\n", None),
         ("WIRES 2\nIN\nOUT 0 1\n", "netlist has no input ports"),
         ("WIRES 2\nIN 0 1\nOUT \n", "netlist has no output ports"),
-        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 inf\n", "PS value must be finite, got inf"),
-        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 nan\n", "PS value must be finite, got nan"),
-        ("WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 1 inf\n", "DC value must be finite, got inf"),
-        ("WIRES 2\nIN 0 1\nOUT 0 1\nAMP 0 inf\n", "AMP value must be finite, got inf"),
+        # a device row or control word the netlist refuses names its line
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 inf\n", "line 4: PS value must be finite, got inf"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 nan\n", "line 4: PS value must be finite, got nan"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nDC 0 1 inf\n", "line 4: DC value must be finite, got inf"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nAMP 0 inf\n", "line 4: AMP value must be finite, got inf"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5\n\nATT 1 1.5\n", "line 6: attenuator gain must be in [0, 1], got 1.5"),
+        ("WIRES 2\nIN 0 1\nOUT 0 1\n# a comment\nDC 0 5 0.3\n", "line 5: device wire 5 outside 0..1"),
         (
             "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nCTRL 1 0=nan\nCTRL * 0=0.5\n",
-            "control word '1' sets device 0: PS value must be finite, got nan",
+            "line 5: control word '1' sets device 0: PS value must be finite, got nan",
         ),
         # a control word may not turn an attenuator into a gain of 5
         (
             "WIRES 1\nIN 0\nOUT 0\nATT 0 0.5 @c0\nCTRL 1 0=5.0\nCTRL * 0=0.5\n",
-            "control word '1' sets device 0: attenuator gain must be in [0, 1], got 5.0",
+            "line 5: control word '1' sets device 0: attenuator gain must be in [0, 1], got 5.0",
+        ),
+        (
+            "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\nATT 1 0.5 @c1\nCTRL * 0=0.5\nCTRL 1 1=7.5\n",
+            "line 7: control word '1' sets device 1: attenuator gain must be in [0, 1], got 7.5",
+        ),
+        # a fault of the active word names the word's CTRL line, else the ACTIVE line
+        (
+            "WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nACTIVE 1\nCTRL 1 0=0.25\n",
+            "line 6: active control word '1' sets device 0 to 0.25, but the device carries 0.5",
+        ),
+        ("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5\nACTIVE 1\n", "line 5: netlist has no control map"),
+        # one fault deep in a long netlist: its 703rd device is on line 706
+        (
+            "WIRES 2\nIN 0 1\nOUT 0 1\n" + "PS 0 0.5\nDC 0 1 0.25\n" * 351 + "ATT 1 1.5\n" + "BS 0 1\n" * 300,
+            "line 706: attenuator gain must be in [0, 1], got 1.5",
         ),
         # a circuit without sources or sinks: lowering it fails before any netlist is written
         ('{"nodes": [], "edges": []}', "netlist has no input ports"),
@@ -413,8 +431,14 @@ def test_analyze_refuses_a_wire_count_past_the_cap(tmp_path, capsys):
         "ps-nan",
         "dc-inf",
         "amp-inf",
+        "att-gain-after-a-blank-line",
+        "dc-wire-after-a-comment",
         "ctrl-nan",
         "ctrl-att-gain",
+        "ctrl-att-gain-on-device-1",
+        "active-word-disagrees",
+        "active-word-without-ctrl",
+        "deep-fault",
         "lowered-empty-circuit",
     ],
 )

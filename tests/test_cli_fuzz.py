@@ -4,7 +4,8 @@ Each example starts from a valid input of one subcommand, built with the
 tests' own generators, changes one JSON value or one netlist token, and runs
 `cli.run` in process. The exit code is 0, 2, 3 or 4. A nonzero code prints
 nothing on stdout and exactly one JSON error line on stderr; 0 prints output
-that parses and nothing on stderr. Step counts stay within `cli.MAX_STEPS`;
+that parses and nothing on stderr; an `analyze` refusal of a device row or a
+control word starts with its line. Step counts stay within `cli.MAX_STEPS`;
 wire counts reach `lowering.MAX_WIRES` and one past it. CI runs this file on
 fixed seeds:
 `pytest tests/test_cli_fuzz.py --hypothesis-seed=1`.
@@ -173,6 +174,10 @@ def test_one_changed_input_value_fails_typed_or_runs(folder, case, data):
         assert out == "" and err.endswith("\n") and err.count("\n") == 1
         payload = json.loads(err)
         assert set(payload) == {"error", "message", "exit_code"} and payload["exit_code"] == rc
+        if argv[0] == "analyze" and payload["error"] == "ParamError":
+            # a device row or control word the netlist refuses names its line; only a
+            # fault of the whole netlist (its wire count or ports) names none
+            assert payload["message"].startswith(("line ", "netlist ", "port wire ")), payload["message"]
     else:
         assert err == ""
         _check_output(argv, out)

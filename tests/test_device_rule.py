@@ -5,8 +5,9 @@ alone. Columns from an emitter or `netlist_from_text` meet the column check
 (`lowering._column_check`) once; only a fault sends them to the row rule,
 which names the first faulty device. The properties here draw device rows,
 faulty ones included, and hold both doors to the row rule: each raises exactly
-when the row rule does, with the same type and text, and otherwise keeps the
-values the row rule gives. The text door's property is the column check's
+when the row rule does, with the same type and text (the text door with the
+faulty device's line in front), and otherwise keeps the values the row rule
+gives. The text door's property is the column check's
 oracle. CI runs this file on fixed seeds:
 `pytest tests/test_device_rule.py --hypothesis-seed=1`.
 """
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from anbit import AnbitState, GateMatrix, Netlist, controlled, lower_circuit, lower_controlled_electrooptic, pauli
 from anbit import lowering
-from anbit.errors import AnbitError
+from anbit.errors import AnbitError, ParamError
 from anbit.lowering import DEVICE_KINDS, KINDS, _device_columns
 from anbit.serialization import netlist_from_text, netlist_to_text
 
@@ -95,6 +96,10 @@ def test_text_reader_raises_exactly_when_the_row_rule_does(devices):
     lines = [" ".join([kind, *map(str, ws), *([repr(value)] if value is not None else []), *(["@" + b] if b else [])])
              for kind, ws, value, b in devices]
     rule_fault, cols = _outcome(lambda: _device_columns(devices, WIDTH))
+    if rule_fault is not None:  # the text names the faulty device's line: three header lines, then one a device
+        with pytest.raises(ParamError) as exc:
+            _device_columns(devices, WIDTH)
+        rule_fault = (ParamError, f"line {4 + exc.value.device}: {exc.value}")
     fault, nl = _outcome(lambda: netlist_from_text("\n".join([f"WIRES {WIDTH}", "IN 0", "OUT 0", *lines])))
     _agrees(fault, nl, rule_fault, cols)
 

@@ -120,14 +120,14 @@ _DEVICE_FAULTS = {
 @pytest.mark.parametrize("args,line,message", _DEVICE_FAULTS.values(), ids=_DEVICE_FAULTS)
 def test_device_faults_share_one_rule_set(args, line, message):
     # a netlist row, checked by the netlist's one row loop, and the text parser
-    # report each fault with the same message
+    # report each fault with the same message, the text's with its line in front
     with pytest.raises(ParamError) as by_row:
         Netlist(2, [(*args, None)], (0,), (0,))
     assert str(by_row.value) == message
     if line is not None:
         with pytest.raises(ParamError) as by_text:
             netlist_from_text(f"WIRES 2\nIN 0\nOUT 0\n{line}\n")
-        assert str(by_text.value) == message
+        assert str(by_text.value) == f"line 4: {message}"
 
 
 @pytest.mark.parametrize(
@@ -452,7 +452,7 @@ def test_active_word_agrees_with_device_values():
     text = "WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nACTIVE 1\nCTRL 1 0=1.5\nCTRL * 0=0\n"
     with pytest.raises(ParamError) as exc:
         netlist_from_text(text)
-    assert str(exc.value) == "active control word '1' sets device 0 to 1.5, but the device carries 0.5"
+    assert str(exc.value) == "line 6: active control word '1' sets device 0 to 1.5, but the device carries 0.5"
     # a word without an entry of its own is held to the "*" fallback
     ps = [("PS", (0,), 0.5, "c0")]
     with pytest.raises(ParamError, match="active control word '0' sets device 0 to 0.0, but"):
@@ -532,7 +532,8 @@ def _dense_product(nl, setting, backward, absolute=False):
     for idx in order:
         dev = nl.devices[idx]
         n = len(dev.wires)
-        local = np.array(DEVICE_KINDS[dev.kind].coefs(values.get(idx, dev.value))).reshape(n, n)
+        column = np.array([values.get(idx, dev.value)], dtype=float)  # a one-element value column
+        local = np.array(DEVICE_KINDS[dev.kind].coefs(column)).reshape(n, n)
         local = np.abs(local) if absolute else local
         step = np.eye(nl.wires, dtype=complex)
         step[np.ix_(dev.wires, dev.wires)] = local.T if backward else local
@@ -957,8 +958,19 @@ def test_two_wire_kinds_are_symmetric(data):
     for tag, spec in DEVICE_KINDS.items():
         if spec.n_wires == 2:
             value = data.draw(st.floats(allow_nan=False, allow_infinity=False).filter(spec.in_domain)) if spec.valued else None
-            m00, m01, m10, m11 = spec.coefs(value)
-            assert m01 == m10, (tag, value)
+            m00, m01, m10, m11 = spec.coefs(np.array([value], dtype=float))
+            assert np.array_equal(m01, m10), (tag, value)
+
+
+@pytest.mark.parametrize("setting", [1, True, 1.0, "", "a b"], ids=["int", "bool", "float", "empty", "spaced"])
+@pytest.mark.parametrize("transfer", ["forward_transfer", "backward_transfer"])
+def test_a_transfer_refuses_a_word_the_netlist_cannot_hold(setting, transfer):
+    # such a setting names no word, so it is refused before the "*" fallback could run
+    nl = Netlist(1, [("PS", (0,), 1.0, "c0")], (0,), (0,), control_map={"1": {0: 1.0}, "*": {0: 0.5}})
+    with pytest.raises(ParamError) as exc:
+        getattr(nl, transfer)(setting)
+    assert str(exc.value) == f"control word {setting!r} must be a non-empty whitespace-free string"
+    assert getattr(nl, transfer)("1")[0, 0] == complex(math.cos(1.0), math.sin(1.0))
 
 
 def test_a_netlist_without_a_control_map_takes_no_control_word():

@@ -105,7 +105,9 @@ def _read_circuit(text: str) -> CircuitGraph:
 
 
 def _fro(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+    d = np.asarray(a) - np.asarray(b)
+    norm = float(np.linalg.norm(d))  # its sum of squares can overflow where hypot's scaled one does not
+    return math.hypot(*np.abs(d).flat) if norm == math.inf else norm
 
 
 def _sweep_state(state: AnbitState) -> None:

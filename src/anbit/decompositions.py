@@ -5,12 +5,14 @@ Pauli-basis expansion, and polar-style synthesis of invertible gates from a
 unitary, an antisymmetric parameter, and a real symmetric exponent
 (eigensolved by LAPACK ``np.linalg.eigh``, ``dsyevd``).
 
-Both factorizations of a lowered mesh are tables over many gates at once,
-with the one-gate functions as their single-row case. `_euler_table` reads
-each gate's four entries once as Python numbers, tests unitarity by the
-dim-2 Gram deviation that ``gate_class`` uses, and takes every angle of all
-gates in two ``np.arctan2`` calls, which give the doubles ``np.angle`` gives.
-`_svd_table` factors a (G, 2, 2) stack in one LAPACK call
+The 2x2 factorizations are tables over many gates at once, with the
+one-gate functions as their single-row case. All read their gates through
+one door, `_dim2_rows`, which refuses a gate of another dim or with an inf
+or nan entry, naming that entry. `_euler_table` reads each gate's four
+entries once as Python numbers, tests unitarity by the dim-2 Gram deviation
+that ``gate_class`` uses, and takes every angle of all gates in two
+``np.arctan2`` calls, which give the doubles ``np.angle`` gives.
+`_svd_table` factors a (G, 2, 2) stack of finite gates in one LAPACK call
 (``np.linalg.svd``, ``zgesdd``) and pins each gate's phases on its rows.
 """
 
@@ -47,10 +49,6 @@ __all__ = [
     "pauli_reconstruct",
     "mostow_synthesize",
 ]
-
-# Below this sine magnitude the middle rotation vanishes and the two outer
-# z-angles are non-unique (gimbal lock); alpha1 is pinned to 0 there.
-GIMBAL_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
@@ -110,41 +108,52 @@ def _wrap_2pi(x: float) -> tuple[float, int]:
     return y + 0.0, k  # turn -0.0 into +0.0
 
 
-def _dim2_rows(gates, what: str) -> list:
-    """Each gate's entries read once with ``tolist()``; a gate of another dim is a DimError naming `what`."""
-    rows = []
-    for g in gates:
+def _dim2_rows(gates, what: str, error: type):
+    """The door of the 2x2 factorizations: each gate's rows, read once with ``tolist()``, yielded in order.
+
+    A gate of another dim is a DimError naming `what`; a gate with an inf or
+    nan entry is an `error` (the table's type) naming its first such entry,
+    "gate entry (0, 1) is nan". Either is marked with the gate's index
+    (`_at_gate`). Yielding lets a table's own rule refuse gate k first.
+    """
+    for k, g in enumerate(gates):
         if g.dim != 2:
-            raise DimError(f"{what} is defined for dim 2")
-        rows.append(g.entries.tolist())
-    return rows
+            raise _at_gate(DimError(f"{what} is defined for dim 2"), k)
+        rows = g.entries.tolist()
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                if not cmath.isfinite(z):
+                    raise _at_gate(error(f"gate entry ({i}, {j}) is {z.real if z.imag == 0.0 else z}"), k)
+        yield rows
 
 
-def _euler_table(rows: list, middle: str) -> list:
-    """(delta, alpha1, alpha2, alpha3) of each 2x2 unitary in rows, ``entries.tolist()`` lists.
+def _euler_table(rows, middle: str) -> list:
+    """(delta, alpha1, alpha2, alpha3) of each 2x2 unitary in rows, an iterable of ``entries.tolist()`` lists.
 
     The rule of `euler_zxz` (middle "zxz") or `euler_zyz` ("zyz") over many
     matrices at once: the first non-unitary one, in order, is a ClassError
     marked with its index in rows (`_at_gate`), raised before any angle is
-    taken. Its two arctangent stages are one ``np.arctan2`` call each over
-    all matrices: (a) the determinant phases that give delta, then (b) the
+    taken. Only where the middle sine is exactly 0 (gimbal lock: the outer
+    z-angles are non-unique) is alpha1 pinned to 0. Its two arctangent
+    stages are one ``np.arctan2`` call each over all matrices: (a) the determinant phases that give delta, then (b) the
     half middle angles, the phases giving alpha1 + alpha3 and those giving
     their difference. An array call gives each entry the double a scalar call
     gives, which matches ``np.angle``; ``math.atan2`` differs in the last bit
     on some inputs.
     """
     flip = middle != "zxz"  # zyz takes the difference from the phase of -v01
-    dets = []
+    unitaries, dets = [], []
     for k, m in enumerate(rows):
         if not _unitary2(m):  # the test behind gate_class, on the entries read here
             raise _at_gate(ClassError("Euler factorization needs a unitary gate"), k)
         (e00, e01), (e10, e11) = m
+        unitaries.append(m)
         dets.append(e00 * e11 - e01 * e10)
     # principal root of det = e^(2i delta), then delta forced into [0, pi);
     # the sign this absorbs keeps the remainder special-unitary
     halves = np.arctan2([z.imag for z in dets], [z.real for z in dets]).tolist()
     deltas, sines, ys, xs = [], [], [], []
-    for m, half in zip(rows, halves):
+    for m, half in zip(unitaries, halves):
         delta = 0.5 * half
         if delta < 0.0:
             delta += math.pi
@@ -162,7 +171,7 @@ def _euler_table(rows: list, middle: str) -> list:
     for k, (delta, s) in enumerate(zip(deltas, sines)):
         mid, phase00, phase01 = angles[3 * k:3 * k + 3]
         big_sum = -2.0 * phase00  # alpha1 + alpha3
-        if s < GIMBAL_TOL:
+        if s == 0.0:
             raw1, raw3 = 0.0, big_sum
         else:
             diff = 2.0 * phase01 if flip else 2.0 * (phase01 + 0.5 * math.pi)
@@ -184,12 +193,12 @@ def euler_zxz(u: GateMatrix) -> EulerFactors:
     the half middle angle taken non-negative, and 2*pi wraps of the outer
     angles compensated in delta. Reconstruction is exact up to rounding.
     """
-    return EulerFactors(*_euler_table(_dim2_rows((u,), "Euler factorization"), "zxz")[0], "zxz")
+    return EulerFactors(*_euler_table(_dim2_rows((u,), "Euler factorization", ClassError), "zxz")[0], "zxz")
 
 
 def euler_zyz(u: GateMatrix) -> EulerFactors:
     """Angles of u = e^(i delta) R_z(alpha3) R_y(alpha2) R_z(alpha1)."""
-    return EulerFactors(*_euler_table(_dim2_rows((u,), "Euler factorization"), "zyz")[0], "zyz")
+    return EulerFactors(*_euler_table(_dim2_rows((u,), "Euler factorization", ClassError), "zyz")[0], "zyz")
 
 
 def euler_reconstruct(f: EulerFactors) -> GateMatrix:
@@ -200,19 +209,18 @@ def euler_reconstruct(f: EulerFactors) -> GateMatrix:
     return GateMatrix(np.exp(1j * f.delta) * m)
 
 
-def _svd_table(stack: np.ndarray) -> list:
-    """(u2 rows, d1, d2, u1 rows) of each matrix of a (G, 2, 2) complex stack, pinned as `svd2` pins them.
+def _svd_table(rows: list) -> list:
+    """(u2 rows, d1, d2, u1 rows) of each 2x2 matrix in rows, finite ``entries.tolist()`` lists, pinned as `svd2` pins them.
 
     One LAPACK call factors the whole stack (``np.linalg.svd``, driver
     ``zgesdd``, matrix by matrix, so each result is that of its matrix
     alone); the phase pinning and the degenerate fallback then work on the
-    rows read once with ``tolist()``. The factor rows are lists of Python
-    complex numbers, the values a GateMatrix of them holds. A nan entry
-    makes LAPACK raise for the whole stack.
+    rows. The factor rows are lists of Python complex numbers, the values a
+    GateMatrix of them holds.
     """
-    us, ss, vhs = np.linalg.svd(stack)
+    us, ss, vhs = np.linalg.svd(np.array(rows, dtype=complex).reshape(-1, 2, 2))
     table = []
-    for m, u, (d1, d2), vh in zip(stack.tolist(), us.tolist(), ss.tolist(), vhs.tolist()):
+    for m, u, (d1, d2), vh in zip(rows, us.tolist(), ss.tolist(), vhs.tolist()):
         degenerate = d1 - d2 <= 1e-13 * d1  # scaled unitary (identity and zero included)
         if degenerate:
             vh = [[1.0, 0.0], [0.0, 1.0]]
@@ -238,19 +246,14 @@ def _svd_table(stack: np.ndarray) -> list:
 def svd2(m: GateMatrix) -> SvdFactors:
     """2x2 SVD of m: singular vectors by LAPACK, phases pinned on Python scalars.
 
-    Only the factorization itself calls LAPACK (``np.linalg.svd``, driver
-    ``zgesdd``); the phase pinning and the degenerate fallback work on its
-    rows read once with ``tolist()``, and each factor is built once. Phase
-    convention: each column of u1^dag is scaled so its largest-modulus entry
+    Phase convention: each column of u1^dag is scaled so its largest-modulus entry
     (the first on a tie) is real positive, with the compensating phase
     absorbed into u2; degenerate spectra (scaled unitaries, d1 = d2 up to
     rounding) fall back to the canonical basis u1 = I, u2 = m / d1. This pins
     a unique factor set for golden-file comparisons. `_svd_table` is the same
     rule over a stack of matrices.
     """
-    if m.dim != 2:
-        raise DimError("svd2 is defined for dim 2")
-    u2, d1, d2, u1 = _svd_table(m.entries[None])[0]
+    u2, d1, d2, u1 = _svd_table(list(_dim2_rows((m,), "svd2", ParamError)))[0]
     return SvdFactors(u2=GateMatrix(u2), d1=d1, d2=d2, u1=GateMatrix(u1))
 
 
@@ -265,15 +268,13 @@ def pauli_decompose(m: GateMatrix) -> tuple[complex, complex, complex, complex]:
     alpha0 = (m11 + m22)/2, alpha1 = (m12 + m21)/2,
     alpha2 = i (m12 - m21)/2, alpha3 = (m11 - m22)/2.
     """
-    if m.dim != 2:
-        raise DimError("Pauli expansion is defined for dim 2")
-    e = m.entries
-    return (
-        complex(0.5 * (e[0, 0] + e[1, 1])),
-        complex(0.5 * (e[0, 1] + e[1, 0])),
-        complex(0.5j * (e[0, 1] - e[1, 0])),
-        complex(0.5 * (e[0, 0] - e[1, 1])),
-    )
+    return _pauli_coefficients(_dim2_rows((m,), "Pauli expansion", ParamError))[0]
+
+
+def _pauli_coefficients(rows) -> list:
+    """`pauli_decompose`'s four coefficients of each 2x2 matrix in rows, ``entries.tolist()`` lists."""
+    return [(0.5 * (e00 + e11), 0.5 * (e01 + e10), 0.5j * (e01 - e10), 0.5 * (e00 - e11))
+            for (e00, e01), (e10, e11) in rows]
 
 
 def pauli_reconstruct(alpha: tuple) -> GateMatrix:

@@ -51,9 +51,9 @@ import numpy as np
 
 from .algebra import AnbitState, CompositeState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SourceNode
-from .decompositions import MostowFactors, _dim2_rows, _euler_table, _svd_table, pauli_decompose
-from .decompositions import euler_zxz, euler_zyz, svd2  # noqa: F401  kept as anbit.lowering names, which perfbench/spans.py wraps
-from .errors import ClassError, ControlEncodingError, DimError, GraphError, ParamError
+from .decompositions import MostowFactors, _dim2_rows, _euler_table, _pauli_coefficients, _svd_table
+from .decompositions import euler_zxz, euler_zyz, pauli_decompose, svd2  # noqa: F401  kept as anbit.lowering names, which perfbench/spans.py wraps
+from .errors import AnbitError, ClassError, ControlEncodingError, DimError, GraphError, ParamError
 from .errors import _at_device, _at_gate, _at_word, _integer
 from .gates import ControlledGate, GateClass, GateMatrix, identity_gate
 
@@ -568,44 +568,27 @@ def scattering_matrix(tf: np.ndarray, tb: np.ndarray) -> np.ndarray:
 # wires are the architecture's scratch rails.
 
 def _zxz_table(gates) -> list:
-    return _euler_table(_dim2_rows(gates, "Euler factorization"), "zxz")
+    return _euler_table(_dim2_rows(gates, "Euler factorization", ClassError), "zxz")
 
 
 def _zyz_table(gates) -> list:
-    return _euler_table(_dim2_rows(gates, "Euler factorization"), "zyz")
+    return _euler_table(_dim2_rows(gates, "Euler factorization", ClassError), "zyz")
 
 
 def _svd_table_zxz(gates) -> list:
-    """(zxz angles of u1, d1, d2, zxz angles of u2) per gate: `svd2`, then `euler_zxz` of both factors.
-
-    One stacked SVD per run of finite gates; a gate with an inf or nan entry
-    is factored alone, after the gates before it, so the first failure is the
-    one a gate-by-gate pass meets first.
-    """
-    if any(g.dim != 2 for g in gates):
-        raise DimError("svd2 is defined for dim 2")
-    stack = np.array([g.entries for g in gates], dtype=complex).reshape(-1, 2, 2)
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2))).tolist()
-    cuts = sorted({0, len(gates)}.union(*((k, k + 1) for k in bad)))
-    table = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        try:
-            factors = _svd_table(stack[lo:hi])
-        except np.linalg.LinAlgError as exc:
-            raise _at_gate(exc, lo) if hi - lo == 1 else exc  # a lone gate is one with an inf or nan entry
-        try:
-            angles = _euler_table([rows for u2, _, _, u1 in factors for rows in (u1, u2)], "zxz")
-        except ClassError as exc:  # two rows per gate: its u1, then its u2
-            raise _at_gate(exc, lo + exc.gate // 2)
-        table += ((angles[2 * k], d1, d2, angles[2 * k + 1]) for k, (_, d1, d2, _) in enumerate(factors))
-    return table
+    """(zxz angles of u1, d1, d2, zxz angles of u2) per gate: `svd2`, then `euler_zxz` of both factors."""
+    factors = _svd_table(list(_dim2_rows(gates, "svd2", ParamError)))
+    try:
+        angles = _euler_table([rows for u2, _, _, u1 in factors for rows in (u1, u2)], "zxz")
+    except ClassError as exc:  # two rows per gate: its u1, then its u2
+        raise _at_gate(exc, exc.gate // 2)
+    return [(angles[2 * k], d1, d2, angles[2 * k + 1]) for k, (_, d1, d2, _) in enumerate(factors)]
 
 
 def _pauli_table(gates) -> list:
     """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3; one angle call for all."""
     scales = []
-    for g in gates:
-        a0, a1, a2, a3 = pauli_decompose(g)
+    for a0, a1, a2, a3 in _pauli_coefficients(_dim2_rows(gates, "Pauli expansion", ParamError)):
         scales += (a0, 1j * a1, 1j * a2, 1j * a3)
     pairs = list(zip(np.angle(scales).tolist(), map(abs, scales)))
     return [pairs[k:k + 4] for k in range(0, len(pairs), 4)]
@@ -907,7 +890,7 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
             break
     try:
         table = iter(factor(gates))
-    except (ClassError, np.linalg.LinAlgError) as exc:
+    except AnbitError as exc:
         k = getattr(exc, "gate", None)  # the index of the gate the table refused
         if k is None:
             raise

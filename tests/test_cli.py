@@ -186,6 +186,17 @@ def test_decompose_svd_and_pauli(tmp_path, capsys, rng):
     assert vals["alpha3"] == pytest.approx([-1.5, 0.0])
 
 
+def test_decompose_svd_of_a_gate_near_the_float_limit(tmp_path):
+    # the difference it measures is finite (largest entry about 2e292), its sum of squares is not
+    path = write_json(tmp_path / "g.json", {"entries": [[[1e308, 0], [1e308, 0]], [[0, 0], [1, 0]]]})
+    rc, out, err = cli.run(["decompose", path, "--method", "svd"])
+    assert (rc, err) == (0, "")
+    obj = json.loads(out)
+    d1 = {f["name"]: f.get("value") for f in obj["factors"]}["d1"]
+    assert d1 == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+    assert 0.0 < obj["reconstruction_error"] < 1e-14 * d1
+
+
 def test_decompose_mostow_synth(tmp_path, capsys):
     spec = {
         "unitary": gate_to_obj(identity_gate()),
@@ -997,6 +1008,16 @@ def test_argparse_rejects_unknown_method(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "x.json", "--method", "bogus"])
     assert exc.value.code == 2
+
+
+def test_run_returns_the_code_and_text_of_an_argparse_exit():
+    rc, out, err = cli.run(["lower", "g.json"])  # no --arch
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: anbit lower ")
+    assert err.endswith("anbit lower: error: the following arguments are required: --arch\n")
+    rc, out, err = cli.run(["--help"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: anbit ") and "Analog photonic gate toolkit" in out
 
 
 def test_argparse_requires_subcommand():

@@ -899,17 +899,20 @@ _INF_GATE = [[np.inf, 0.0], [0.0, 1.0]]
         (_gate_chain(_NON_UNITARY, np.eye(4)), "zxz", "ClassError", "node 'g0': Euler factorization needs a unitary gate"),
         (_gate_chain(np.eye(4), _NON_UNITARY), "zxz", "DimError", "node 'g0': netlist lowering carries dim-2 signals"),
         (_wired_fanout_then(_NON_UNITARY), "zxz", "GraphError", "node 'fo': fan-out with a wired ancilla does not lower"),
-        (_gate_chain(_NON_UNITARY, _NAN_GATE), "svd", "LinAlgError", "node 'g1': SVD did not converge"),
-        (_gate_chain(_NON_UNITARY, _INF_GATE, _NAN_GATE), "svd", "ClassError",
-         "node 'g1': Euler factorization needs a unitary gate"),
-        (_gate_chain(_NAN_GATE, np.eye(4)), "svd", "LinAlgError", "node 'g0': SVD did not converge"),
+        (_gate_chain(_NON_UNITARY, _NAN_GATE), "zxz", "ClassError", "node 'g0': Euler factorization needs a unitary gate"),
+        (_gate_chain(_NAN_GATE, _NON_UNITARY), "zxz", "ClassError", "node 'g0': gate entry (0, 0) is nan"),
+        (_gate_chain(_NON_UNITARY, _NAN_GATE), "svd", "ParamError", "node 'g1': gate entry (0, 0) is nan"),
+        (_gate_chain(_NON_UNITARY, _INF_GATE, _NAN_GATE), "svd", "ParamError", "node 'g1': gate entry (0, 0) is inf"),
+        (_gate_chain(_NAN_GATE, np.eye(4)), "svd", "ParamError", "node 'g0': gate entry (0, 0) is nan"),
     ],
     ids=["non-unitary-before-dim4", "dim4-before-non-unitary", "wired-ancilla-before-non-unitary",
+         "non-unitary-before-nan", "nan-before-non-unitary",
          "svd-nan-after-valid", "svd-inf-before-nan", "svd-nan-before-dim4"],
 )
 def test_lower_circuit_raises_the_first_fault_in_component_order(graph, arch, error, message):
     # the factor tables run before the gates are emitted; the fault a gate-by-gate
-    # pass meets first is still the one raised, with its own type and text
+    # pass meets first is still the one raised, with its own type and text: the
+    # door reads gate k + 1 only after the Euler table's unitarity test passed gate k
     with pytest.raises(Exception) as exc:
         lower_circuit(graph, arch)
     assert (type(exc.value).__name__, str(exc.value)) == (error, message)
@@ -920,10 +923,17 @@ def test_lower_circuit_raises_the_first_fault_in_component_order(graph, arch, er
     [
         ("zxz", _NON_UNITARY, "ClassError: node 'g37': Euler factorization needs a unitary gate"),
         ("zyz", _NON_UNITARY, "ClassError: node 'g37': Euler factorization needs a unitary gate"),
-        ("svd", _NAN_GATE, "LinAlgError: node 'g37': SVD did not converge"),
-        ("svd", _INF_GATE, "ClassError: node 'g37': Euler factorization needs a unitary gate"),
+        ("zxz", _NAN_GATE, "ClassError: node 'g37': gate entry (0, 0) is nan"),
+        ("zxz", _INF_GATE, "ClassError: node 'g37': gate entry (0, 0) is inf"),
+        ("zyz", _NAN_GATE, "ClassError: node 'g37': gate entry (0, 0) is nan"),
+        ("zyz", _INF_GATE, "ClassError: node 'g37': gate entry (0, 0) is inf"),
+        ("svd", _NAN_GATE, "ParamError: node 'g37': gate entry (0, 0) is nan"),
+        ("svd", _INF_GATE, "ParamError: node 'g37': gate entry (0, 0) is inf"),
+        ("pauli", _NAN_GATE, "ParamError: node 'g37': gate entry (0, 0) is nan"),
+        ("pauli", _INF_GATE, "ParamError: node 'g37': gate entry (0, 0) is inf"),
     ],
-    ids=["zxz-non-unitary", "zyz-non-unitary", "svd-nan", "svd-inf"],
+    ids=["zxz-non-unitary", "zyz-non-unitary", "zxz-nan", "zxz-inf", "zyz-nan", "zyz-inf", "svd-nan", "svd-inf",
+         "pauli-nan", "pauli-inf"],
 )
 def test_a_gate_fault_deep_in_a_chain_names_its_node(arch, fault, message, rng):
     # the factor table reports the index of the gate it refuses; lower_circuit names that gate's node

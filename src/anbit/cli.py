@@ -4,15 +4,22 @@ Subcommands: simulate, decompose, lower, analyze, measure, trajectory. The
 argument parser is built once per process; each subcommand's parser carries
 its handler, which takes the parsed arguments and returns the output text.
 All outputs are deterministic; `anbit.serialization` writes them (`dumps`
-JSON, `csv_text` CSV) with 17-significant-digit floats. `simulate` reads its
-circuit through one slot that keeps the last circuit parsed in this process
-with its file text: a run on byte-identical text reuses that graph and the
-transfer map the graph keeps, so it is one matrix product; other text is
-parsed and replaces it. Exit codes: 0 success,
-2 parse/validation problems, 3 singular feedback loops, 4 gate class or
-dimension errors. Errors print one structured JSON object on stderr.
-`run(argv)` runs one invocation in this process and returns its exit code
-with both outputs.
+JSON, `csv_text` CSV) with 17-significant-digit floats.
+
+Two slots, read by one rule (`_read_through`), keep in this process the last
+file text of a kind with what was made of it: byte-identical text reuses the
+kept value, other text is parsed and replaces it, and a parse that raises
+keeps nothing. `simulate` reads its circuit through the circuit slot, so a
+rerun reuses the graph and the transfer map it keeps: one matrix product.
+`lower` keeps the netlist it emits with its text, and `analyze` reads its
+netlist through that slot, so analyzing what `lower` just wrote parses
+nothing. A one-shot process starts with both slots empty and pays one string
+compare.
+
+Exit codes: 0 success, 2 parse/validation problems, 3 singular feedback
+loops, 4 gate class or dimension errors. Errors print one structured JSON
+object on stderr. `run(argv)` runs one invocation in this process and
+returns its exit code with both outputs.
 
 Run it as `anbit ...` once installed, or `python -m anbit.cli ...` from a
 source checkout.
@@ -85,23 +92,29 @@ def _load_json(path: str):
     return json.loads(_read(path))
 
 
-# (file text, CircuitGraph) of the last circuit read, rebound as one tuple so a
-# reader never pairs one text with another text's graph
+# The slots: (file text, what was made of it) of the last circuit read (a
+# CircuitGraph) and of the last netlist lowered or read (a Netlist). Each is
+# rebound as one tuple, so a reader never pairs one text with another text's value.
 _last_circuit: tuple = (None, None)
+_last_netlist: tuple = (None, None)
+
+
+def _read_through(slot: str, text: str, parse):
+    """parse(text), read through the module slot named `slot`.
+
+    Byte-identical text returns the value kept in the slot; other text is
+    parsed and kept in its place. A parse that raises keeps nothing.
+    """
+    last_text, value = globals()[slot]
+    if text != last_text:
+        value = parse(text)
+        globals()[slot] = (text, value)
+    return value
 
 
 def _read_circuit(text: str) -> CircuitGraph:
-    """The CircuitGraph of circuit JSON `text`.
-
-    Byte-identical text returns the graph kept from the last read; other text
-    is parsed and kept in its place. A parse that raises keeps nothing.
-    """
-    global _last_circuit
-    last_text, graph = _last_circuit
-    if text != last_text:
-        graph = circuit_from_obj(json.loads(text))
-        _last_circuit = (text, graph)
-    return graph
+    """The CircuitGraph of circuit JSON `text`, through the circuit slot."""
+    return _read_through("_last_circuit", text, lambda t: circuit_from_obj(json.loads(t)))
 
 
 def _fro(a, b) -> float:
@@ -239,6 +252,7 @@ def _mostow_from_obj(obj):
 
 
 def _cmd_lower(args: argparse.Namespace) -> str:
+    global _last_netlist
     obj = _load_json(args.target)
     if isinstance(obj, dict) and "nodes" in obj:
         nl = lower_circuit(circuit_from_obj(obj), args.arch)
@@ -256,11 +270,13 @@ def _cmd_lower(args: argparse.Namespace) -> str:
         if not isinstance(obj, dict):
             raise ValueError("fan-in input needs complex 'n' and 'm' pairs")
         nl = lower_fanin(_fanin_from_obj(obj))
-    return netlist_to_text(nl)
+    text = netlist_to_text(nl)
+    _last_netlist = (text, nl)  # its text door would rebuild nl bit for bit: `analyze` of text reuses it
+    return text
 
 
 def _cmd_analyze(args: argparse.Namespace) -> str:
-    nl = netlist_from_text(_read(args.target))
+    nl = _read_through("_last_netlist", _read(args.target), netlist_from_text)
     tf = nl.forward_transfer()
     # every device kind is reciprocal (its backward matrix is its transpose), so every
     # netlist is, and T_b = T_f^T: one sweep serves both

@@ -216,11 +216,17 @@ def _svd_table(rows: list) -> list:
     ``zgesdd``, matrix by matrix, so each result is that of its matrix
     alone); the phase pinning and the degenerate fallback then work on the
     rows. The factor rows are lists of Python complex numbers, the values a
-    GateMatrix of them holds.
+    GateMatrix of them holds. The rows come through the door (`_dim2_rows`),
+    so a non-finite entry anywhere in the list is refused before any gate is
+    factored; then the first gate whose largest singular value is past the
+    float range (finite entries near 1.8e308 can give d1 = inf) is a
+    ParamError marked with its index (`_at_gate`).
     """
     us, ss, vhs = np.linalg.svd(np.array(rows, dtype=complex).reshape(-1, 2, 2))
     table = []
-    for m, u, (d1, d2), vh in zip(rows, us.tolist(), ss.tolist(), vhs.tolist()):
+    for k, (m, u, (d1, d2), vh) in enumerate(zip(rows, us.tolist(), ss.tolist(), vhs.tolist())):
+        if d1 == math.inf:
+            raise _at_gate(ParamError("largest singular value is past the float range"), k)
         degenerate = d1 - d2 <= 1e-13 * d1  # scaled unitary (identity and zero included)
         if degenerate:
             vh = [[1.0, 0.0], [0.0, 1.0]]

@@ -49,7 +49,7 @@ from anbit.serialization import (
     state_to_obj,
 )
 
-from conftest import random_state_vec, random_unitary
+from conftest import random_matrix, random_state_vec, random_unitary
 from test_lowering import _gate_chain
 
 
@@ -1135,8 +1135,9 @@ def _ladder_circuit(rng):
 
 @pytest.fixture
 def empty_slot(monkeypatch):
-    """The circuit slot as a fresh process starts it; the test's graphs are dropped after it."""
+    """Both slots as a fresh process starts them; the test's graphs and netlists are dropped after it."""
     monkeypatch.setattr(cli, "_last_circuit", (None, None))
+    monkeypatch.setattr(cli, "_last_netlist", (None, None))
 
 
 def test_rewritten_circuit_of_the_same_length_is_read_again(tmp_path, capsys, empty_slot):
@@ -1271,3 +1272,104 @@ def test_in_process_runs_print_what_a_fresh_process_prints(tmp_path, capsys, emp
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert run_cli(capsys, argv) == run_cli(capsys, argv) == (0, proc.stdout, "")
+
+
+# --- the netlist slot: the netlist `lower` emitted or `analyze` read, kept with its text ---
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The netlists `cli` parses from text, as weak references, in order."""
+    netlists = []
+    parse = cli.netlist_from_text
+
+    def recorded(text):
+        nl = parse(text)
+        netlists.append(weakref.ref(nl))
+        return nl
+
+    monkeypatch.setattr(cli, "netlist_from_text", recorded)
+    return netlists
+
+
+def _lowered(capsys, target: str, arch: str) -> Path:
+    """The file, next to target, holding what `lower` printed for target under arch."""
+    rc, out, err = run_cli(capsys, ["lower", target, "--arch", arch])
+    assert (rc, err) == (0, "")
+    path = Path(target).with_suffix(".netlist")
+    path.write_text(out)
+    return path
+
+
+def test_rewritten_netlist_of_the_same_length_is_read_again(tmp_path, capsys, monkeypatch, empty_slot, parses, rng):
+    # the coupler's value gets another first digit and the file keeps its length: the new netlist is analyzed
+    net = _lowered(capsys, write_json(tmp_path / "g.json", gate_to_obj(GateMatrix(random_unitary(rng)))),
+                   "zxz")
+    text = net.read_text()
+    before = run_cli(capsys, ["analyze", str(net)])
+    lines = text.splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if line.startswith("DC "))
+    kind, a, b, value = lines[k].split()
+    lines[k] = f"{kind} {a} {b} {'2' if value[0] == '1' else '1'}{value[1:]}\n"
+    changed = "".join(lines)
+    assert len(changed) == len(text) and changed != text
+    net.write_text(changed)
+    after = run_cli(capsys, ["analyze", str(net)])
+    assert len(parses) == 1 and cli._last_netlist[0] == changed
+    assert after[0] == 0 and after != before
+    monkeypatch.setattr(cli, "_last_netlist", (None, None))
+    assert run_cli(capsys, ["analyze", str(net)]) == after
+
+
+@pytest.mark.parametrize("bad", ["WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 nan\n", "WIRES 2\nIN 0\nOUT 0\nXX 0\n"],
+                         ids=["refused-row", "unknown-line"])
+def test_a_netlist_that_fails_to_parse_is_not_kept(tmp_path, capsys, empty_slot, bad, rng):
+    bad_path = tmp_path / "bad.netlist"
+    bad_path.write_text(bad)
+    fresh = run_cli(capsys, ["analyze", str(bad_path)])
+    assert fresh[0] == 2 and fresh[1] == "" and cli._last_netlist == (None, None)
+    net = _lowered(capsys, write_json(tmp_path / "g.json", gate_to_obj(GateMatrix(random_matrix(rng)))),
+                   "pauli")
+    kept = cli._last_netlist
+    assert run_cli(capsys, ["analyze", str(bad_path)]) == fresh
+    assert cli._last_netlist is kept and kept[0] == net.read_text()
+
+
+def test_the_slot_holds_one_netlist(tmp_path, capsys, monkeypatch, empty_slot, parses):
+    lowered = []  # a weak reference to each netlist `lower` emitted
+    emit = cli.netlist_to_text
+
+    def recorded(nl):
+        lowered.append(weakref.ref(nl))
+        return emit(nl)
+
+    monkeypatch.setattr(cli, "netlist_to_text", recorded)
+    nets = [_lowered(capsys, write_json(tmp_path / f"{name}.json", _ladder_circuit(np.random.default_rng(len(name)))),
+                     "zxz") for name in ("first", "second")]
+    for net in (nets[1], nets[0]):  # the second is read from the slot, the first parsed again
+        assert run_cli(capsys, ["analyze", str(net)])[0] == 0
+    gc.collect()
+    assert len(lowered) == 2 and len(parses) == 1
+    assert lowered[0]() is None and lowered[1]() is None and parses[0]() is cli._last_netlist[1]
+
+
+_LOWER_TARGETS = {
+    "zxz": lambda rng: gate_to_obj(GateMatrix(random_unitary(rng))),
+    "zyz": lambda rng: gate_to_obj(GateMatrix(random_unitary(rng))),
+    "svd": lambda rng: gate_to_obj(GateMatrix(random_matrix(rng))),
+    "pauli": lambda rng: gate_to_obj(GateMatrix(random_matrix(rng))),
+    "mostow": lambda rng: {"unitary": gate_to_obj(GateMatrix(random_unitary(rng))), "antisymmetric_param": 0.4,
+                           "symmetric": _MOSTOW_B},
+    "fanin": lambda rng: {"n": [0.8, 0.1], "m": [0.3, -0.6]},
+    **{f"circuit-{arch}": _ladder_circuit for arch in ("zxz", "zyz", "svd", "pauli")},
+}
+
+
+@pytest.mark.parametrize("target", sorted(_LOWER_TARGETS))
+def test_analyze_of_the_text_lower_printed_parses_nothing(tmp_path, capsys, monkeypatch, empty_slot, parses, target,
+                                                          rng):
+    # and prints what a fresh parse of that text prints
+    net = _lowered(capsys, write_json(tmp_path / "t.json", _LOWER_TARGETS[target](rng)), target.rpartition("-")[2])
+    hit = run_cli(capsys, ["analyze", str(net)])
+    assert hit[0] == 0 and parses == [] and cli._last_netlist[0] == net.read_text()
+    monkeypatch.setattr(cli, "_last_netlist", (None, None))
+    assert run_cli(capsys, ["analyze", str(net)]) == hit and len(parses) == 1

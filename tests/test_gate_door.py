@@ -9,6 +9,10 @@ row-major order, `gate entry (0, 1) is nan`, as the table's own error type:
 ClassError for the Euler tables (a non-finite gate is not unitary), ParamError
 for svd and pauli. `lower_circuit` puts the gate's node in front of it, and
 the CLI keeps each path's exit code: 4 for the Euler paths, 2 for the others.
+
+The svd table refuses one more gate, after the door has passed the whole
+list: a finite gate whose largest singular value is past the float range, as
+a ParamError (exit 2) marked with its gate.
 """
 
 import json
@@ -112,3 +116,37 @@ def test_a_non_finite_gate_entry_gives_one_error_line_that_names_it(tmp_path, ar
     assert (rc, out) == (code, "")
     error = {4: "ClassError", 2: "ParamError"}[code]
     assert err.splitlines() == [json.dumps({"error": error, "message": f"gate entry (0, 0) is {text}", "exit_code": code})]
+
+
+# finite entries whose largest singular value, about 1.97e308, is past the float range
+_SVD_OVERFLOW = np.array([[0.0, 0.0], [1e308, 1.7e308]], dtype=complex)
+_OVERFLOW_MESSAGE = "largest singular value is past the float range"
+
+
+@pytest.mark.parametrize("factor", [svd2, lower_general_svd])
+def test_an_svd_past_the_float_range_is_a_param_error(factor):
+    with pytest.raises(ParamError) as exc:
+        factor(GateMatrix(_SVD_OVERFLOW))
+    assert str(exc.value) == _OVERFLOW_MESSAGE
+
+
+def test_an_svd_past_the_float_range_names_its_node_after_every_non_finite_entry(rng):
+    entries = [random_unitary(rng) for _ in range(12)]
+    entries[3] = _SVD_OVERFLOW
+    with pytest.raises(ParamError) as exc:
+        lower_circuit(_gate_chain(*entries), "svd")
+    assert str(exc.value) == f"node 'g3': {_OVERFLOW_MESSAGE}"
+    entries[7] = np.array([[math.nan, 0.0], [0.0, 1.0]])  # the door reads the whole list before the svd
+    with pytest.raises(ParamError) as exc:
+        lower_circuit(_gate_chain(*entries), "svd")
+    assert str(exc.value) == "node 'g7': gate entry (0, 0) is nan"
+
+
+@pytest.mark.parametrize("argv", [["lower", "--arch", "svd"], ["decompose", "--method", "svd"]],
+                         ids=["lower", "decompose"])
+def test_an_svd_past_the_float_range_gives_one_error_line(tmp_path, argv):
+    path = tmp_path / "gate.json"
+    path.write_text('{"entries": [[[0, 0], [0, 0]], [[1e308, 0], [1.7e308, 0]]]}')
+    rc, out, err = cli.run([argv[0], str(path), *argv[1:]])
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": "ParamError", "message": _OVERFLOW_MESSAGE, "exit_code": 2})]

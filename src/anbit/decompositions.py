@@ -278,8 +278,12 @@ def pauli_decompose(m: GateMatrix) -> tuple[complex, complex, complex, complex]:
 
 
 def _pauli_coefficients(rows) -> list:
-    """`pauli_decompose`'s four coefficients of each 2x2 matrix in rows, ``entries.tolist()`` lists."""
-    return [(0.5 * (e00 + e11), 0.5 * (e01 + e10), 0.5j * (e01 - e10), 0.5 * (e00 - e11))
+    """`pauli_decompose`'s four coefficients of each 2x2 matrix in rows, ``entries.tolist()`` lists.
+
+    Each entry is halved before the sums, so a finite matrix near the float
+    limit has finite coefficients; halving is exact but on subnormals.
+    """
+    return [(0.5 * e00 + 0.5 * e11, 0.5 * e01 + 0.5 * e10, 0.5j * e01 - 0.5j * e10, 0.5 * e00 - 0.5 * e11)
             for (e00, e01), (e10, e11) in rows]
 
 

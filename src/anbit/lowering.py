@@ -586,11 +586,20 @@ def _svd_table_zxz(gates) -> list:
 
 
 def _pauli_table(gates) -> list:
-    """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3; one angle call for all."""
-    scales = []
-    for a0, a1, a2, a3 in _pauli_coefficients(_dim2_rows(gates, "Pauli expansion", ParamError)):
-        scales += (a0, 1j * a1, 1j * a2, 1j * a3)
-    pairs = list(zip(np.angle(scales).tolist(), map(abs, scales)))
+    """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3; one angle call for all.
+
+    The first gate with a scale whose parts are finite but whose magnitude is
+    past the float range is a ParamError marked with its index (`_at_gate`).
+    """
+    scales, gains = [], []
+    for k, (a0, a1, a2, a3) in enumerate(_pauli_coefficients(_dim2_rows(gates, "Pauli expansion", ParamError))):
+        branches = (a0, 1j * a1, 1j * a2, 1j * a3)
+        try:
+            gains += map(abs, branches)
+        except OverflowError:  # finite parts, magnitude past the float range
+            raise _at_gate(ParamError("Pauli coefficient magnitude is past the float range"), k) from None
+        scales += branches
+    pairs = list(zip(np.angle(scales).tolist(), gains))
     return [pairs[k:k + 4] for k in range(0, len(pairs), 4)]
 
 
@@ -890,11 +899,8 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
             break
     try:
         table = iter(factor(gates))
-    except AnbitError as exc:
-        k = getattr(exc, "gate", None)  # the index of the gate the table refused
-        if k is None:
-            raise
-        raise type(exc)(f"node {names[k]!r}: {exc}") from None
+    except AnbitError as exc:  # every factor table marks the gate it refuses (`_at_gate`)
+        raise type(exc)(f"node {names[exc.gate]!r}: {exc}") from None
     if fault is not None:
         raise fault
 

@@ -331,9 +331,10 @@ def netlist_to_text(nl: Netlist) -> str:
 def netlist_from_text(text: str) -> Netlist:
     """The `Netlist` of netlist text, read line by line into device columns; a bad line raises `line N: ...`.
 
-    Each distinct device value token is converted once. A line that does
-    not parse raises ValueError; a device row or control word the `Netlist`
-    refuses raises its ParamError with the line put in front (`_marked_line`).
+    A line that does not parse raises ValueError. The reader notes the line of
+    each device and of each control word (its CTRL line, else the ACTIVE line
+    that names it), so a device row or control word the `Netlist` refuses
+    raises its ParamError with that line put in front.
     """
     wires = None
     in_ports: tuple = ()
@@ -342,8 +343,8 @@ def netlist_from_text(text: str) -> Netlist:
     add_code, add_a, add_b, add_value, add_binding = (
         col.append for col in (cols.codes, cols.wire_a, cols.wire_b, cols.values, cols.bindings)
     )
-    floats: dict = {}  # value token -> float, each distinct token converted once
-    float_of = floats.get
+    device_lines: list = []  # the line of each device, in device order
+    word_lines: dict = {}  # control word -> its CTRL line, else its ACTIVE line
     control_map: dict = {}
     active = None
     seen: set = set()  # header directives read so far
@@ -364,19 +365,15 @@ def netlist_from_text(text: str) -> Netlist:
                     raise ValueError(f"{tag} takes {want} fields, got {len(args) - 1}")
                 add_a(int(args[1]))
                 add_b(int(args[2]) if n_wires == 2 else -1)
-                if want > n_wires:
-                    token = args[want]
-                    value = float_of(token)
-                    if value is None:  # a token not read before
-                        value = floats[token] = float(token)
-                    add_value(value)
-                else:
-                    add_value(math.nan)
+                add_value(float(args[want]) if want > n_wires else math.nan)
                 add_code(code)
                 add_binding(binding)
+                device_lines.append(lineno)
             elif tag[0] == "#":
                 continue
             elif tag == "CTRL":
+                if len(args) < 2:
+                    raise ValueError("CTRL takes at least 1 field, got 0")
                 setting, pairs = args[1], [pair.partition("=") for pair in args[2:]]
                 values = {int(key): float(val) for key, _, val in pairs}
                 if setting in control_map:
@@ -384,50 +381,38 @@ def netlist_from_text(text: str) -> Netlist:
                 if len(values) < len(pairs):
                     raise ValueError(f"CTRL {setting} sets a device twice")
                 control_map[setting] = values
+                word_lines[setting] = lineno
             elif tag in seen:
                 raise ValueError(f"repeated {tag} directive")
             else:
                 seen.add(tag)
                 if tag == "WIRES":
-                    wires = int(args[1])
+                    wires = int(_one_field(args))
                 elif tag == "IN":
                     in_ports = tuple(int(a) for a in args[1:])
                 elif tag == "OUT":
                     out_ports = tuple(int(a) for a in args[1:])
                 elif tag == "ACTIVE":
-                    active = args[1]
+                    active = _one_field(args)
+                    word_lines.setdefault(active, lineno)
                 else:
                     raise ValueError(f"unknown directive {tag!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if wires is None:
         raise ValueError("netlist text lacks a WIRES header")
     try:
         return Netlist(wires, cols, in_ports, out_ports, control_map=control_map or None, active_setting=active)
     except ParamError as exc:
-        lineno = _marked_line(text, exc)
+        device = getattr(exc, "device", None)
+        lineno = device_lines[device] if device is not None else word_lines.get(getattr(exc, "word", None))
         if lineno is None:
             raise
         raise ParamError(f"line {lineno}: {exc}") from exc
 
 
-def _marked_line(text: str, exc: ParamError) -> int | None:
-    """The line of netlist text that a `Netlist` fault is marked with, or None for an unmarked one.
-
-    A device fault (`device` mark) names the device's line; a control word's
-    fault (`word` mark) names the word's CTRL line, else the ACTIVE line that
-    names it. Read again only when the netlist refuses the text.
-    """
-    device, word = getattr(exc, "device", None), getattr(exc, "word", None)
-    seen, active = 0, None  # device lines read so far; the ACTIVE line naming word
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        args = raw.split()
-        if args and args[0] in _LINE_KINDS:
-            if seen == device:
-                return lineno
-            seen += 1
-        elif args[:2] == ["CTRL", word]:
-            return lineno
-        elif args[:2] == ["ACTIVE", word]:
-            active = lineno
-    return active
+def _one_field(args: list) -> str:
+    """The one field of a WIRES or ACTIVE line."""
+    if len(args) != 2:
+        raise ValueError(f"{args[0]} takes 1 field, got {len(args) - 1}")
+    return args[1]

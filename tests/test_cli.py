@@ -197,6 +197,18 @@ def test_decompose_svd_of_a_gate_near_the_float_limit(tmp_path):
     assert 0.0 < obj["reconstruction_error"] < 1e-14 * d1
 
 
+def test_pauli_of_a_gate_near_the_float_limit(tmp_path):
+    # 1.7e308 * I: a sum of two diagonal entries before halving would pass the float range
+    path = write_json(tmp_path / "g.json", {"entries": [[[1.7e308, 0], [0, 0]], [[0, 0], [1.7e308, 0]]]})
+    rc, out, err = cli.run(["decompose", path, "--method", "pauli"])
+    assert (rc, err) == (0, "")
+    alphas = {f["name"]: f["value"] for f in json.loads(out)["factors"]}
+    assert alphas == {"alpha0": [1.7e308, 0.0], "alpha1": [0.0, 0.0], "alpha2": [0.0, 0.0], "alpha3": [0.0, 0.0]}
+    rc, out, err = cli.run(["lower", path, "--arch", "pauli"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("WIRES 8\nIN 0 1\nOUT 0 1\n")
+
+
 def test_decompose_mostow_synth(tmp_path, capsys):
     spec = {
         "unitary": gate_to_obj(identity_gate()),
@@ -419,6 +431,14 @@ def test_analyze_refuses_a_wire_count_past_the_cap(tmp_path, capsys):
             "WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nACTIVE 1\nCTRL 1 0=0.25\n",
             "line 6: active control word '1' sets device 0 to 0.25, but the device carries 0.5",
         ),
+        (
+            "WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nCTRL 1 0=0.25\nACTIVE 1\n",
+            "line 5: active control word '1' sets device 0 to 0.25, but the device carries 0.5",
+        ),
+        (
+            "WIRES 2\nIN 0 1\nOUT 0 1\nPS 0 0.5 @c0\n\n# the words\nCTRL 1 0=nan\nCTRL * 0=0.5\n",
+            "line 7: control word '1' sets device 0: PS value must be finite, got nan",
+        ),
         ("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5\nACTIVE 1\n", "line 5: netlist has no control map"),
         # one fault deep in a long netlist: its 703rd device is on line 706
         (
@@ -448,6 +468,8 @@ def test_analyze_refuses_a_wire_count_past_the_cap(tmp_path, capsys):
         "ctrl-att-gain",
         "ctrl-att-gain-on-device-1",
         "active-word-disagrees",
+        "active-word-disagrees-ctrl-first",
+        "ctrl-nan-after-a-blank-and-a-comment",
         "active-word-without-ctrl",
         "deep-fault",
         "lowered-empty-circuit",

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 
 import numpy as np
@@ -185,6 +186,19 @@ def test_pauli_round_trip(rng):
         m = GateMatrix(random_matrix(rng))
         back = pauli_reconstruct(pauli_decompose(m))
         assert np.max(np.abs(back.entries - m.entries)) < 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any),
+    top=st.floats(1e308, 1.79e308),
+)
+def test_pauli_coefficients_of_a_gate_near_the_float_limit_are_finite(parts, top):
+    # each entry is halved before the sums, so no sum of two entries passes the float range
+    entries = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    entries = (entries / np.abs(entries).max() * top).reshape(2, 2)
+    assert np.isfinite(entries).all()
+    assert all(cmath.isfinite(c) for c in pauli_decompose(GateMatrix(entries)))
 
 
 def test_pauli_linearity(rng):

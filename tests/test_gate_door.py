@@ -12,7 +12,8 @@ the CLI keeps each path's exit code: 4 for the Euler paths, 2 for the others.
 
 The svd table refuses one more gate, after the door has passed the whole
 list: a finite gate whose largest singular value is past the float range, as
-a ParamError (exit 2) marked with its gate.
+a ParamError (exit 2) marked with its gate. The pauli table likewise refuses
+a gate with a coefficient whose magnitude is past the float range.
 """
 
 import json
@@ -150,3 +151,22 @@ def test_an_svd_past_the_float_range_gives_one_error_line(tmp_path, argv):
     rc, out, err = cli.run([argv[0], str(path), *argv[1:]])
     assert (rc, out) == (2, "")
     assert err.splitlines() == [json.dumps({"error": "ParamError", "message": _OVERFLOW_MESSAGE, "exit_code": 2})]
+
+
+# (1 + i) 1.7e308 * I: finite Pauli coefficients, but |alpha0| is about 2.4e308
+_PAULI_OVERFLOW = np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 1.7e308 + 1.7e308j]])
+_PAULI_MESSAGE = "Pauli coefficient magnitude is past the float range"
+
+
+def test_a_pauli_coefficient_past_the_float_range_is_a_param_error(tmp_path, rng):
+    assert pauli_decompose(GateMatrix(_PAULI_OVERFLOW))[0] == 1.7e308 + 1.7e308j
+    entries = [random_unitary(rng) for _ in range(6)]
+    entries[4] = _PAULI_OVERFLOW
+    with pytest.raises(ParamError) as exc:
+        lower_circuit(_gate_chain(*entries), "pauli")
+    assert str(exc.value) == f"node 'g4': {_PAULI_MESSAGE}"
+    path = tmp_path / "gate.json"
+    path.write_text('{"entries": [[[1.7e308, 1.7e308], [0, 0]], [[0, 0], [1.7e308, 1.7e308]]]}')
+    rc, out, err = cli.run(["lower", str(path), "--arch", "pauli"])
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": "ParamError", "message": _PAULI_MESSAGE, "exit_code": 2})]

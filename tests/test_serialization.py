@@ -597,6 +597,24 @@ def test_netlist_text_rejects_repeated_directives(tail, message):
         netlist_from_text("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5\n" + tail)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("WIRES\nIN 0\nOUT 0\n", "line 1: WIRES takes 1 field, got 0"),
+        ("WIRES 2 9\nIN 0\nOUT 0\n", "line 1: WIRES takes 1 field, got 2"),
+        ("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nCTRL * 0=0.5\nACTIVE\n", "line 6: ACTIVE takes 1 field, got 0"),
+        ("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nCTRL * 0=0.5\nACTIVE * b\n", "line 6: ACTIVE takes 1 field, got 2"),
+        ("WIRES 1\nIN 0\nOUT 0\nPS 0 0.5 @c0\nCTRL\n", "line 5: CTRL takes at least 1 field, got 0"),
+    ],
+    ids=["wires-none", "wires-two", "active-none", "active-two", "ctrl-none"],
+)
+def test_netlist_text_header_lines_take_their_fields(text, message):
+    # a missing field is named, not an index error; an extra one is refused, not dropped
+    with pytest.raises(ValueError) as exc:
+        netlist_from_text(text)
+    assert str(exc.value) == message
+
+
 def test_netlist_text_skips_comments_and_blanks():
     text = "WIRES 1\n# a comment\n\nIN 0\nOUT 0\nPS 0 0.5\n"
     nl = netlist_from_text(text)

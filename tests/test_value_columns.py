@@ -3,8 +3,8 @@
 Each kind's coefficient rule (`DeviceKind.coefs`) runs once per transfer over
 that kind's values and must give, bit for bit, the scalar expressions of the
 kind's local matrix; `netlist_to_text` formats each distinct value once, keyed
-by its bits, and `netlist_from_text` converts each distinct token once, so
--0.0 and 0.0 must still come back apart. CI runs this file on fixed seeds:
+by its bits, so -0.0 and 0.0 must still come back apart through
+`netlist_from_text`. CI runs this file on fixed seeds:
 `pytest tests/test_value_columns.py --hypothesis-seed=1`.
 """
 

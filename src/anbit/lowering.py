@@ -7,11 +7,11 @@ amplifier), fixes its wire count, value domain and local 1x1 or 2x2 matrix.
 A `Netlist` stores its devices as read-only numpy columns: kind codes into
 `KINDS`, first and second wire (-1 for a single-wire kind) and value (nan
 for a kind without one), plus a tuple of control bindings. Rows handed to
-the constructor meet the row rule (`_device_columns`) alone, which checks
-each in order, names the first faulty one and builds the columns. Emitters
-and the text reader append column chunks to `_Columns` lists instead, which
-the device rule checks as one array pass (`_column_check`); only a netlist
-that breaks it meets the row rule too, which names the first faulty device.
+the constructor, netlist text's too, meet the row rule (`_device_columns`)
+alone, which checks each in order, names the first faulty one and builds
+the columns. Emitters append column chunks to `_Columns` lists instead,
+which the device rule checks as one array pass (`_column_check`); only a
+netlist that breaks it meets the row rule too, naming the first fault.
 `Device` is the plain record `Netlist.devices` reads the rows back as.
 
 One coefficient rule per kind gives its local matrix for a column of
@@ -88,7 +88,8 @@ MAX_WIRES = 10**5
 MAX_PORT_BLOCK = 10**6
 
 _HALF_PI = 0.5 * math.pi
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_ROOT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _ROOT2
 
 
 # each rule builds its complex columns from real and imaginary parts: c + 1j * s
@@ -205,7 +206,7 @@ def _device_value(kind: str, spec: DeviceKind, value):
 
 
 class _Columns:
-    """Device column lists that emitters, the text reader and the row rule append to.
+    """Device column lists that emitters and the row rule append to; netlist text meets the row rule.
 
     codes (indices into KINDS), first wires, second wires (-1 for a
     single-wire kind), values (nan for a valueless kind) and bindings; an
@@ -225,18 +226,14 @@ class _Columns:
         self.wire_b += wire_b
         self.values += values
 
-    def arrays(self) -> tuple | None:
-        """The int8 codes, 2 x D intp wires, float64 values and the bindings, or None for a wire past the intp range."""
-        try:
-            wires = np.array((self.wire_a, self.wire_b), dtype=np.intp)
-        except OverflowError:
-            return None
+    def arrays(self) -> tuple:
+        """The int8 codes, 2 x D intp wires, float64 values and the bindings."""
+        wires = np.array((self.wire_a, self.wire_b), dtype=np.intp)
         return np.array(self.codes, dtype=np.int8), wires, np.array(self.values, dtype=float), self.bindings
 
-    def rows(self, stop: int | None = None) -> list:
-        """The first `stop` devices (all by default) as the row rule's (kind, wires, value, binding) rows."""
-        cols = (self.codes, self.wire_a, self.wire_b, self.values, self.bindings or [None] * len(self.codes))
-        return _rows(*(col[:stop] for col in cols))
+    def rows(self) -> list:
+        """The devices as the row rule's (kind, wires, value, binding) rows."""
+        return _rows(self.codes, self.wire_a, self.wire_b, self.values, self.bindings or [None] * len(self.codes))
 
 
 def _rows(codes, wire_a, wire_b, values, bindings) -> list:
@@ -324,18 +321,16 @@ def _device_columns(rows, width: int) -> _Columns:
 def _checked(devices, width: int) -> tuple:
     """`_Columns.arrays` of devices, rows or `_Columns`, that keep the device rule; the first faulty one raises.
 
-    Rows meet the row rule alone, which checks them and builds the columns.
-    An emitter's or the text reader's `_Columns` meet the column check once;
-    only a device it refuses, or a wire past the intp range, sends them to
-    the row rule, run up to that device, which raises its error.
+    Rows, netlist text's too, meet the row rule alone, which checks them and
+    builds the columns. An emitter's `_Columns` meet the column check once;
+    only a device it refuses sends them to the row rule, which names it.
     """
     if not isinstance(devices, _Columns):
         return _device_columns(devices, width).arrays()
     cols = devices.arrays()
-    ok = None if cols is None else _column_check(*cols[:3], width)
-    if ok is not None and np.count_nonzero(ok) == len(ok):
+    if np.count_nonzero(_column_check(*cols[:3], width)) == len(cols[0]):
         return cols
-    _device_columns(devices.rows(None if ok is None else int(ok.argmin()) + 1), width)
+    _device_columns(devices.rows(), width)
     raise AssertionError("the row rule accepts a device the column check refuses")
 
 
@@ -376,7 +371,7 @@ class Netlist:
     """Devices on `wires` wires with declared input/output ports, as read-only columns.
 
     `devices` is ordered (kind, wires, value, binding) rows (`Device` records
-    or plain tuples), or the `_Columns` an emitter or the text reader built.
+    or plain tuples, as netlist text is read), or an emitter's `_Columns`.
     They are kept as numpy columns that refuse assignment: `kinds` (int8
     codes into `KINDS`), `wire_a`, `wire_b` (intp, -1 for single-wire kinds)
     and `values` (float64, nan where a kind takes no value), plus the tuple
@@ -585,20 +580,28 @@ def _svd_table_zxz(gates) -> list:
     return [(angles[2 * k], d1, d2, angles[2 * k + 1]) for k, (_, d1, d2, _) in enumerate(factors)]
 
 
+def _magnitude(z: complex) -> float:
+    """abs(z), or inf where z's parts are finite but its magnitude is past the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _pauli_table(gates) -> list:
     """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3; one angle call for all.
 
-    The first gate with a scale whose parts are finite but whose magnitude is
-    past the float range is a ParamError marked with its index (`_at_gate`).
+    The first gate with a scale above max float / sqrt2, where the clone
+    tree's sqrt2 gain times the branch gain overflows in the netlist's
+    transfer, is a ParamError marked with its index (`_at_gate`).
     """
-    scales, gains = [], []
-    for k, (a0, a1, a2, a3) in enumerate(_pauli_coefficients(_dim2_rows(gates, "Pauli expansion", ParamError))):
-        branches = (a0, 1j * a1, 1j * a2, 1j * a3)
-        try:
-            gains += map(abs, branches)
-        except OverflowError:  # finite parts, magnitude past the float range
-            raise _at_gate(ParamError("Pauli coefficient magnitude is past the float range"), k) from None
-        scales += branches
+    rows = _pauli_coefficients(_dim2_rows(gates, "Pauli expansion", ParamError))
+    scales = [scale for a0, a1, a2, a3 in rows for scale in (a0, 1j * a1, 1j * a2, 1j * a3)]
+    gains = list(map(_magnitude, scales))
+    for k, gain in enumerate(gains):
+        if gain > _BIG / _ROOT2:
+            message = "Pauli coefficient magnitude is past max float / sqrt2, where the netlist's gains overflow"
+            raise _at_gate(ParamError(message), k // 4)
     pairs = list(zip(np.angle(scales).tolist(), gains))
     return [pairs[k:k + 4] for k in range(0, len(pairs), 4)]
 
@@ -690,12 +693,15 @@ def lower_mostow(f: MostowFactors) -> Netlist:
     return Netlist(2, out, (0, 1), (0, 1))
 
 
-_ROOT2 = math.sqrt(2.0)
-
-
 def _sum_values(n: complex, m: complex) -> tuple:
-    """(phase, gain) of wire a, then of wire b, of `_sum_block`'s diagonal (sqrt2 n, -i sqrt2 m)."""
+    """(phase, gain) of wire a, then of wire b, of `_sum_block`'s diagonal (sqrt2 n, -i sqrt2 m).
+
+    A weight that is nan or above max float / sqrt2 is a ParamError naming it.
+    """
     n, m = complex(n), complex(m)
+    for name, w in (("n", n), ("m", m)):
+        if not _magnitude(w) <= _BIG / _ROOT2:
+            raise ParamError(f"fan weight {name} = {w} needs |{name}| at most max float / sqrt2, for a finite gain sqrt2 |{name}|")
     phase_n, phase_m = np.angle((n, m)).tolist()
     return phase_n, _ROOT2 * abs(n), phase_m - _HALF_PI, _ROOT2 * abs(m)
 
@@ -868,11 +874,11 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
     node then emits its device columns straight onto its pair, plus fresh
     scratch wires for wide architectures; fan-in couples two pairs with the
     sum block; fan-out (unwired ancilla only, so its m12 and m22 act on null)
-    is the same block fed by a fresh null pair. A gate of dim other than 2 or
-    a fan-out with a wired ancilla is refused, but only after the gates
-    before it are factored, so the first fault in component order is the one
-    raised; its message starts with the node, `node 'g37': ...`, whether the
-    node itself or the factor table refused it.
+    is the same block fed by a fresh null pair. A gate of dim other than 2, a
+    fan-out with a wired ancilla or a fan weight `_sum_values` refuses is
+    refused only after the gates before it are factored, so the first fault
+    in component order is raised; its message starts with the node, `node
+    'g37': ...`, whether the node itself or the factor table refused it.
     A node's input pair is the output pair of the edge feeding it, read from
     the graph's port tables. Unwired garbage ports keep their wires out of the
     output port list.
@@ -885,7 +891,7 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
     if any(cyclic for _, cyclic in components):
         raise GraphError("circuit has feedback; only acyclic graphs lower to a netlist")
 
-    gates, names, fault = [], [], None
+    gates, names, sums, fault = [], [], {}, None  # sums: fan node -> its `_sum_values`
     for (nid,), _ in components:
         node = graph.nodes[nid]
         if isinstance(node, GateMatrix):
@@ -897,6 +903,12 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
         elif isinstance(node, FanOutGate) and graph.in_edges[nid][1] is not None:
             fault = GraphError(f"node {nid!r}: fan-out with a wired ancilla does not lower")
             break
+        elif isinstance(node, (FanInGate, FanOutGate)):
+            try:
+                sums[nid] = _sum_values(node.n, node.m)
+            except ParamError as exc:
+                fault = ParamError(f"node {nid!r}: {exc}")
+                break
     try:
         table = iter(factor(gates))
     except AnbitError as exc:  # every factor table marks the gate it refuses (`_at_gate`)
@@ -928,9 +940,8 @@ def lower_circuit(graph: CircuitGraph, arch: str = "zxz") -> Netlist:
         elif isinstance(node, (FanInGate, FanOutGate)):
             pa = in_pair(nid, 0)
             pb = in_pair(nid, 1) if isinstance(node, FanInGate) else fresh(2)  # fan-out: a null-fed rail
-            values = _sum_values(node.n, node.m)
             for k in range(2):
-                _sum_block(out, pa[k], pb[k], values)
+                _sum_block(out, pa[k], pb[k], sums[nid])
             out_pair[(nid, 0)], out_pair[(nid, 1)] = pa, pb
 
     # port order follows the graph's node declaration order, not the topo visit

@@ -18,7 +18,7 @@ from .algebra import AnbitState
 from .circuits import CircuitGraph, FanInGate, FanOutGate, SinkNode, SourceNode
 from .errors import ParamError
 from .gates import GateMatrix
-from .lowering import DEVICE_KINDS, KINDS, Netlist, _Columns
+from .lowering import DEVICE_KINDS, KINDS, Netlist
 from .measurement import MeasurementRecord
 
 __all__ = [
@@ -294,10 +294,8 @@ def _device_line(kind: str) -> str:
 
 _DEVICE_LINES = tuple(map(_device_line, KINDS))  # by kind code
 
-# per device tag: (kind code, wire count, field count less the binding)
-_LINE_KINDS = {
-    kind: (code, spec.n_wires, spec.n_wires + spec.valued) for code, (kind, spec) in enumerate(DEVICE_KINDS.items())
-}
+# per device tag: (wire count, field count less the binding)
+_LINE_KINDS = {kind: (spec.n_wires, spec.n_wires + spec.valued) for kind, spec in DEVICE_KINDS.items()}
 
 
 def netlist_to_text(nl: Netlist) -> str:
@@ -329,21 +327,17 @@ def netlist_to_text(nl: Netlist) -> str:
 
 
 def netlist_from_text(text: str) -> Netlist:
-    """The `Netlist` of netlist text, read line by line into device columns; a bad line raises `line N: ...`.
+    """The `Netlist` of netlist text, read line by line into device rows; a bad line raises `line N: ...`.
 
-    A line that does not parse raises ValueError. The reader notes the line of
-    each device and of each control word (its CTRL line, else the ACTIVE line
-    that names it), so a device row or control word the `Netlist` refuses
-    raises its ParamError with that line put in front.
+    A line that does not parse raises ValueError. The rows meet the row rule,
+    as any caller's do; the reader notes the line of each device and of each
+    control word (its CTRL line, else the ACTIVE line naming it), so a row or
+    word the `Netlist` refuses raises its ParamError with that line in front.
     """
     wires = None
     in_ports: tuple = ()
     out_ports: tuple = ()
-    cols = _Columns()
-    add_code, add_a, add_b, add_value, add_binding = (
-        col.append for col in (cols.codes, cols.wire_a, cols.wire_b, cols.values, cols.bindings)
-    )
-    device_lines: list = []  # the line of each device, in device order
+    rows, device_lines = [], []  # the device rows, and the line of each
     word_lines: dict = {}  # control word -> its CTRL line, else its ACTIVE line
     control_map: dict = {}
     active = None
@@ -357,17 +351,11 @@ def netlist_from_text(text: str) -> Netlist:
         spec = _LINE_KINDS.get(tag)
         try:
             if spec is not None:
-                code, n_wires, want = spec
-                binding = None
-                if args[-1][0] == "@":
-                    binding = args.pop()[1:]
+                n_wires, want = spec
+                binding = args.pop()[1:] if args[-1][0] == "@" else None
                 if len(args) != want + 1:
                     raise ValueError(f"{tag} takes {want} fields, got {len(args) - 1}")
-                add_a(int(args[1]))
-                add_b(int(args[2]) if n_wires == 2 else -1)
-                add_value(float(args[want]) if want > n_wires else math.nan)
-                add_code(code)
-                add_binding(binding)
+                rows.append((tag, tuple(map(int, args[1:n_wires + 1])), float(args[want]) if want > n_wires else None, binding))
                 device_lines.append(lineno)
             elif tag[0] == "#":
                 continue
@@ -402,7 +390,7 @@ def netlist_from_text(text: str) -> Netlist:
     if wires is None:
         raise ValueError("netlist text lacks a WIRES header")
     try:
-        return Netlist(wires, cols, in_ports, out_ports, control_map=control_map or None, active_setting=active)
+        return Netlist(wires, rows, in_ports, out_ports, control_map=control_map or None, active_setting=active)
     except ParamError as exc:
         device = getattr(exc, "device", None)
         lineno = device_lines[device] if device is not None else word_lines.get(getattr(exc, "word", None))

@@ -50,6 +50,7 @@ from anbit.serialization import (
 )
 
 from conftest import random_matrix, random_state_vec, random_unitary
+from test_gate_door import _PAULI_MESSAGE
 from test_lowering import _gate_chain
 
 
@@ -204,9 +205,10 @@ def test_pauli_of_a_gate_near_the_float_limit(tmp_path):
     assert (rc, err) == (0, "")
     alphas = {f["name"]: f["value"] for f in json.loads(out)["factors"]}
     assert alphas == {"alpha0": [1.7e308, 0.0], "alpha1": [0.0, 0.0], "alpha2": [0.0, 0.0], "alpha3": [0.0, 0.0]}
+    # alpha0 is above max float / sqrt2: its netlist's transfer would overflow, so lower refuses it
     rc, out, err = cli.run(["lower", path, "--arch", "pauli"])
-    assert (rc, err) == (0, "")
-    assert out.startswith("WIRES 8\nIN 0 1\nOUT 0 1\n")
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": "ParamError", "message": _PAULI_MESSAGE, "exit_code": 2}
 
 
 def test_decompose_mostow_synth(tmp_path, capsys):
@@ -323,6 +325,49 @@ def test_lower_fanin_reads_n_and_m_as_a_circuit_fanin_node_does(tmp_path, capsys
     circuit["nodes"][2]["params"] = obj  # the fan-in node "f"
     node = circuit_from_obj(circuit).nodes["f"]
     assert (node.n, node.m) == (n, m)
+
+
+def _fan_circuit(kind, params):
+    """A fan-in node 'fi' fed by two sources, or a fan-out node 'fo' fed by one, its two outputs to sinks."""
+    nid, sources = ("fi", ["s1", "s2"]) if kind == "fanin" else ("fo", ["s1"])
+    return {
+        "nodes": [*({"id": s, "kind": "source"} for s in sources), {"id": nid, "kind": kind, "params": params},
+                  {"id": "t1", "kind": "sink"}, {"id": "t2", "kind": "sink"}],
+        "edges": [*({"from": [s, 0], "to": [nid, k]} for k, s in enumerate(sources)),
+                  {"from": [nid, 0], "to": ["t1", 0]}, {"from": [nid, 1], "to": ["t2", 0]}],
+        "sources": sources,
+        "sinks": ["t1", "t2"],
+    }
+
+
+def _fan_message(name, w):
+    return f"fan weight {name} = {w} needs |{name}| at most max float / sqrt2, for a finite gain sqrt2 |{name}|"
+
+
+_FAN_OVERFLOW = _fan_message("n", "(1.5e+308+0j)")
+
+
+@pytest.mark.parametrize(
+    "arch,obj,message",
+    [
+        ("zxz", _fan_circuit("fanin", {"n": [1.5e308, 0], "m": [1, 0]}), f"node 'fi': {_FAN_OVERFLOW}"),
+        ("svd", _fan_circuit("fanout", {"n": 1.5e308, "m": 1}), f"node 'fo': {_FAN_OVERFLOW}"),
+        ("fanin", {"n": [1.5e308, 0], "m": [1, 0]}, _FAN_OVERFLOW),
+        ("zxz", _fan_circuit("fanin", {"n": [math.nan, 0]}), f"node 'fi': {_fan_message('n', '(nan+0j)')}"),
+        ("pauli", _fan_circuit("fanout", {"m": 1.3e308}), f"node 'fo': {_fan_message('m', '(1.3e+308+0j)')}"),
+        ("zxz", _fan_circuit("fanin", {"n": [1.5e308, 1.5e308]}),
+         f"node 'fi': {_fan_message('n', '(1.5e+308+1.5e+308j)')}"),
+    ],
+    ids=["fanin-n-1.5e308", "fanout-n-1.5e308", "arch-fanin-n-1.5e308", "fanin-n-nan", "fanout-m-1.3e308",
+         "fanin-n-magnitude-past-the-float-range"],
+)
+def test_lower_names_the_fan_node_whose_weight_gain_is_past_the_float_range(tmp_path, arch, obj, message):
+    # the sum block's gain is sqrt2 |w|, so a weight above max float / sqrt2 (or nan) has no device value
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))  # json writes nan as NaN, which the CLI reads back
+    rc, out, err = cli.run(["lower", str(path), "--arch", arch])
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [json.dumps({"error": "ParamError", "message": message, "exit_code": 2})]
 
 
 def test_lower_circuit_json(tmp_path, capsys, rng):

@@ -1,15 +1,15 @@
 """The two doors of the device rule, and the read-only columns a netlist keeps.
 
-Rows handed to `Netlist(...)` meet the row rule (`lowering._device_columns`)
-alone. Columns from an emitter or `netlist_from_text` meet the column check
-(`lowering._column_check`) once; only a fault sends them to the row rule,
-which names the first faulty device. The properties here draw device rows,
-faulty ones included, and hold both doors to the row rule: each raises exactly
-when the row rule does, with the same type and text (the text door with the
-faulty device's line in front), and otherwise keeps the values the row rule
-gives. The text door's property is the column check's
-oracle. CI runs this file on fixed seeds:
-`pytest tests/test_device_rule.py --hypothesis-seed=1`.
+Rows handed to `Netlist(...)`, the rows `netlist_from_text` reads among
+them, meet the row rule (`lowering._device_columns`) alone. Columns from an
+emitter meet the column check (`lowering._column_check`) once; only a fault
+sends them to the row rule, which names the first faulty device. The
+properties here hold both doors to the row rule: columns an emitter could
+write, faulty ones included, raise exactly when the row rule does on their
+rows, with the same type, text and device mark, and otherwise keep the
+columns the row rule gives (the column check's oracle); text raises exactly
+when the row rule does, with the faulty device's line in front. CI runs this
+file on fixed seeds: `pytest tests/test_device_rule.py --hypothesis-seed=1`.
 """
 
 import math
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from anbit import AnbitState, GateMatrix, Netlist, controlled, lower_circuit, lower_controlled_electrooptic, pauli
 from anbit import lowering
 from anbit.errors import AnbitError, ParamError
-from anbit.lowering import DEVICE_KINDS, KINDS, _device_columns
+from anbit.lowering import DEVICE_KINDS, KINDS, _Columns, _device_columns
 from anbit.serialization import netlist_from_text, netlist_to_text
 
 from conftest import random_matrix
@@ -62,12 +62,33 @@ def rows(draw, values=VALUES, wires=WIRES, faults=("kind", "count", "wire", "val
     return out
 
 
+@st.composite
+def columns(draw):
+    """`_Columns` an emitter could write: codes of KINDS, wires in -2..WIDTH+1, a float or nan per value."""
+    cols = _Columns()
+    for _ in range(draw(st.integers(0, 5))):
+        code = draw(st.sampled_from(range(len(KINDS))))
+        spec = DEVICE_KINDS[KINDS[code]]
+        a = draw(st.integers(-2, WIDTH + 1))
+        b = draw(st.integers(-2, WIDTH + 1)) if spec.n_wires == 2 else -1
+        cols.add((code,), (a,), (b,), (draw(FLOATS) if spec.valued else math.nan,))
+    return cols
+
+
 def _outcome(build):
     """(exception type and text, None) if build() raises a package error, else (None, its result)."""
     try:
         return None, build()
     except AnbitError as exc:
         return (type(exc), str(exc)), None
+
+
+def _marked_outcome(build):
+    """`_outcome` of build, with the faulty device's mark after the type and text."""
+    try:
+        return None, build()
+    except AnbitError as exc:
+        return (type(exc), str(exc), exc.device), None
 
 
 def _agrees(netlist_fault, nl, rule_fault, cols):
@@ -81,11 +102,11 @@ def _agrees(netlist_fault, nl, rule_fault, cols):
 
 
 @settings(max_examples=400, deadline=None)
-@given(rows())
-def test_column_check_raises_exactly_when_the_row_rule_does(devices):
-    rule_fault, cols = _outcome(lambda: _device_columns(devices, WIDTH))
-    fault, nl = _outcome(lambda: Netlist(WIDTH, devices, (0,), (0,)))
-    _agrees(fault, nl, rule_fault, cols)
+@given(columns())
+def test_column_check_raises_exactly_when_the_row_rule_does(cols):
+    rule_fault, rule_cols = _marked_outcome(lambda: _device_columns(cols.rows(), WIDTH))
+    fault, nl = _marked_outcome(lambda: Netlist(WIDTH, cols, (0,), (0,)))
+    _agrees(fault, nl, rule_fault, rule_cols)
 
 
 @settings(max_examples=400, deadline=None)
@@ -105,7 +126,7 @@ def test_text_reader_raises_exactly_when_the_row_rule_does(devices):
 
 
 def test_each_door_runs_one_check(monkeypatch):
-    # rows meet the row rule alone; columns meet the column check, and the row rule only on a fault
+    # rows, text's among them, meet the row rule alone; columns meet the column check, and the row rule only on a fault
     calls = []
     row_rule, column_check = lowering._device_columns, lowering._column_check
 
@@ -137,8 +158,8 @@ def test_each_door_runs_one_check(monkeypatch):
         "rows": ["row rule"],
         "generator": ["row rule"],
         "emitter": ["column check"],
-        "text": ["column check"],
-        "faulty text": ["column check", "row rule"],
+        "text": ["row rule"],
+        "faulty text": ["row rule"],
     }
 
 

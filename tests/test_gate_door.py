@@ -13,15 +13,18 @@ the CLI keeps each path's exit code: 4 for the Euler paths, 2 for the others.
 The svd table refuses one more gate, after the door has passed the whole
 list: a finite gate whose largest singular value is past the float range, as
 a ParamError (exit 2) marked with its gate. The pauli table likewise refuses
-a gate with a coefficient whose magnitude is past the float range.
+a gate with a coefficient whose magnitude is above max float / sqrt2, past
+the float range or not: its netlist's sqrt2 gain and branch gain meet in one
+factor of the transfer, which would overflow.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anbit import (
@@ -155,7 +158,8 @@ def test_an_svd_past_the_float_range_gives_one_error_line(tmp_path, argv):
 
 # (1 + i) 1.7e308 * I: finite Pauli coefficients, but |alpha0| is about 2.4e308
 _PAULI_OVERFLOW = np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 1.7e308 + 1.7e308j]])
-_PAULI_MESSAGE = "Pauli coefficient magnitude is past the float range"
+_PAULI_MESSAGE = "Pauli coefficient magnitude is past max float / sqrt2, where the netlist's gains overflow"
+_PAULI_TOP = sys.float_info.max / math.sqrt(2.0)
 
 
 def test_a_pauli_coefficient_past_the_float_range_is_a_param_error(tmp_path, rng):
@@ -170,3 +174,28 @@ def test_a_pauli_coefficient_past_the_float_range_is_a_param_error(tmp_path, rng
     rc, out, err = cli.run(["lower", str(path), "--arch", "pauli"])
     assert (rc, out) == (2, "")
     assert err.splitlines() == [json.dumps({"error": "ParamError", "message": _PAULI_MESSAGE, "exit_code": 2})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(any),
+    top=st.floats(0.5 * _PAULI_TOP, sys.float_info.max),
+)
+def test_a_pauli_netlist_near_the_float_limit_is_refused_or_carries_its_gate(parts, top):
+    # a finite gate scaled so its largest Pauli coefficient is about top: refused exactly
+    # when a coefficient is above max float / sqrt2, else its transfer is the gate
+    entries = (np.array(parts[:4]) + 1j * np.array(parts[4:])).reshape(2, 2)
+    with np.errstate(all="ignore"):
+        gate = entries * (top / np.abs(pauli_decompose(GateMatrix(entries))).max())
+        assume(np.isfinite(gate).all())
+        largest = np.abs(pauli_decompose(GateMatrix(gate))).max()
+    try:
+        nl = lower_pauli_mgate(GateMatrix(gate))
+    except ParamError as exc:
+        assert (str(exc), largest > _PAULI_TOP) == (_PAULI_MESSAGE, True)
+        return
+    assert largest <= _PAULI_TOP
+    tf = nl.forward_transfer()
+    scale = np.abs(gate.view(float)).max()
+    assert np.isfinite(tf).all()
+    assert np.abs(tf / scale - gate / scale).max() <= 1e-12

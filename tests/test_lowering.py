@@ -268,6 +268,15 @@ def _fb_symmetry(nl):
     return check_fb_symmetry(nl.forward_transfer(), nl.backward_transfer())
 
 
+def test_a_fan_weight_up_to_max_over_sqrt2_lowers_with_a_finite_transfer():
+    # the sum block's gain is sqrt2 |n|, finite up to |n| = max float / sqrt2, about 1.2711e308
+    tf = lower_fanin(FanInGate(1.27e308, 1.0)).forward_transfer()
+    assert np.isfinite(tf).all()
+    assert tf[0, 0] == pytest.approx(1.27e308, rel=1e-15)
+    with pytest.raises(ParamError, match=r"^fan weight n = \(1\.3e\+308\+0j\) needs \|n\| at most max float / sqrt2"):
+        lower_fanin(FanInGate(1.3e308, 1.0))
+
+
 def test_fb_symmetry_fanin():
     assert _fb_symmetry(lower_fanin(FanInGate(1.0, 1.0))) is True
     assert _fb_symmetry(lower_fanin(FanInGate(0.7, 0.7))) is True

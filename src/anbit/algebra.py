@@ -74,7 +74,8 @@ class AnbitState:
 
     delta_t semantics: None means unspecified; 0.0 means a declared-zero
     delay between the amplitude envelopes (meaningful for differential
-    measurement); any other float is the delay in seconds.
+    measurement); any other finite float is the delay in seconds. A
+    non-finite delta_t is a ParamError.
     """
 
     amps: np.ndarray
@@ -86,7 +87,10 @@ class AnbitState:
             raise DimError("amplitudes must form a non-empty 1-D vector")
         object.__setattr__(self, "amps", a)
         if self.delta_t is not None:
-            object.__setattr__(self, "delta_t", float(self.delta_t))
+            dt = float(self.delta_t)
+            if not math.isfinite(dt):
+                raise ParamError(f"delta_t must be finite, got {dt}")
+            object.__setattr__(self, "delta_t", dt)
 
     @property
     def dim(self) -> int:
@@ -183,7 +187,10 @@ class BlochPoint:
             raise ParamError("radius must be >= 0")
         if not 0.0 <= self.theta <= np.pi:
             raise ParamError("theta must lie in [0, pi]")
-        phi = float(self.phi) % _TWO_PI
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ParamError(f"phi must be finite, got {phi}")
+        phi %= _TWO_PI
         if phi >= _TWO_PI:  # float modulo can land exactly on the period
             phi -= _TWO_PI
         object.__setattr__(self, "phi", phi)

@@ -10,8 +10,8 @@ one-gate functions as their single-row case. All read their gates through
 one door, `_dim2_rows`, which refuses a gate of another dim or with an inf
 or nan entry, naming that entry. `_euler_table` reads each gate's four
 entries once as Python numbers, tests unitarity by the dim-2 Gram deviation
-that ``gate_class`` uses, and takes every angle of all gates in two
-``np.arctan2`` calls, which give the doubles ``np.angle`` gives.
+that ``gate_class`` uses, and takes each angle with one ``math.atan2``, so
+the angles follow libm and no numpy SIMD kernel.
 `_svd_table` factors a (G, 2, 2) stack of finite gates in one LAPACK call
 (``np.linalg.svd``, ``zgesdd``) and pins each gate's phases on its rows.
 """
@@ -131,50 +131,33 @@ def _euler_table(rows, middle: str) -> list:
     """(delta, alpha1, alpha2, alpha3) of each 2x2 unitary in rows, an iterable of ``entries.tolist()`` lists.
 
     The rule of `euler_zxz` (middle "zxz") or `euler_zyz` ("zyz") over many
-    matrices at once: the first non-unitary one, in order, is a ClassError
-    marked with its index in rows (`_at_gate`), raised before any angle is
-    taken. Only where the middle sine is exactly 0 (gimbal lock: the outer
-    z-angles are non-unique) is alpha1 pinned to 0. Its two arctangent
-    stages are one ``np.arctan2`` call each over all matrices: (a) the determinant phases that give delta, then (b) the
-    half middle angles, the phases giving alpha1 + alpha3 and those giving
-    their difference. An array call gives each entry the double a scalar call
-    gives, which matches ``np.angle``; ``math.atan2`` differs in the last bit
-    on some inputs.
+    matrices, one matrix at a time: a non-unitary one is a ClassError marked
+    with its index in rows (`_at_gate`). Only where the middle sine is
+    exactly 0 (gimbal lock: the outer z-angles are non-unique) is alpha1
+    pinned to 0. Every angle is one ``math.atan2`` on Python floats, so its
+    bits come from libm, not from a numpy SIMD kernel.
     """
     flip = middle != "zxz"  # zyz takes the difference from the phase of -v01
-    unitaries, dets = [], []
+    table = []
     for k, m in enumerate(rows):
         if not _unitary2(m):  # the test behind gate_class, on the entries read here
             raise _at_gate(ClassError("Euler factorization needs a unitary gate"), k)
         (e00, e01), (e10, e11) = m
-        unitaries.append(m)
-        dets.append(e00 * e11 - e01 * e10)
-    # principal root of det = e^(2i delta), then delta forced into [0, pi);
-    # the sign this absorbs keeps the remainder special-unitary
-    halves = np.arctan2([z.imag for z in dets], [z.real for z in dets]).tolist()
-    deltas, sines, ys, xs = [], [], [], []
-    for m, half in zip(unitaries, halves):
-        delta = 0.5 * half
+        # principal root of det = e^(2i delta), then delta forced into [0, pi);
+        # the sign this absorbs keeps the remainder special-unitary
+        det = e00 * e11 - e01 * e10
+        delta = 0.5 * math.atan2(det.imag, det.real)
         if delta < 0.0:
             delta += math.pi
         ph = cmath.exp(-1j * delta)
-        (e00, e01), (e10, e11) = m
         v00, v01, v10, v11 = ph * e00, ph * e01, ph * e10, ph * e11
         s = 0.5 * (abs(v01) + abs(v10))  # sin(alpha2/2) >= 0
-        deltas.append(delta)
-        sines.append(s)
         c = 0.5 * (abs(v00) + abs(v11))  # cos(alpha2/2), >= 0 convention
-        ys += (s, v00.imag, -v01.imag if flip else v01.imag)
-        xs += (c, v00.real, -v01.real if flip else v01.real)
-    angles = np.arctan2(ys, xs).tolist()
-    table = []
-    for k, (delta, s) in enumerate(zip(deltas, sines)):
-        mid, phase00, phase01 = angles[3 * k:3 * k + 3]
-        big_sum = -2.0 * phase00  # alpha1 + alpha3
+        big_sum = -2.0 * math.atan2(v00.imag, v00.real)  # alpha1 + alpha3
         if s == 0.0:
             raw1, raw3 = 0.0, big_sum
         else:
-            diff = 2.0 * phase01 if flip else 2.0 * (phase01 + 0.5 * math.pi)
+            diff = 2.0 * math.atan2(-v01.imag, -v01.real) if flip else 2.0 * math.atan2(v01.imag, v01.real) + math.pi
             raw1 = 0.5 * (big_sum + diff)
             raw3 = 0.5 * (big_sum - diff)
         alpha1, k1 = _wrap_2pi(raw1)
@@ -182,7 +165,7 @@ def _euler_table(rows, middle: str) -> list:
         if (k1 + k3) % 2:
             # each 2*pi wrap of a z-angle negates the product; compensate globally
             delta += math.pi
-        table.append((delta, alpha1, 2.0 * mid, alpha3))
+        table.append((delta, alpha1, 2.0 * math.atan2(s, c), alpha3))
     return table
 
 

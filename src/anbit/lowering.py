@@ -589,7 +589,7 @@ def _magnitude(z: complex) -> float:
 
 
 def _pauli_table(gates) -> list:
-    """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3; one angle call for all.
+    """Per gate, the (phase, gain) of each branch scale a0, i a1, i a2, i a3.
 
     The first gate with a scale above max float / sqrt2, where the clone
     tree's sqrt2 gain times the branch gain overflows in the netlist's
@@ -602,7 +602,7 @@ def _pauli_table(gates) -> list:
         if gain > _BIG / _ROOT2:
             message = "Pauli coefficient magnitude is past max float / sqrt2, where the netlist's gains overflow"
             raise _at_gate(ParamError(message), k // 4)
-    pairs = list(zip(np.angle(scales).tolist(), gains))
+    pairs = [(math.atan2(z.imag, z.real), gain) for z, gain in zip(scales, gains)]
     return [pairs[k:k + 4] for k in range(0, len(pairs), 4)]
 
 
@@ -702,7 +702,7 @@ def _sum_values(n: complex, m: complex) -> tuple:
     for name, w in (("n", n), ("m", m)):
         if not _magnitude(w) <= _BIG / _ROOT2:
             raise ParamError(f"fan weight {name} = {w} needs |{name}| at most max float / sqrt2, for a finite gain sqrt2 |{name}|")
-    phase_n, phase_m = np.angle((n, m)).tolist()
+    phase_n, phase_m = math.atan2(n.imag, n.real), math.atan2(m.imag, m.real)
     return phase_n, _ROOT2 * abs(n), phase_m - _HALF_PI, _ROOT2 * abs(m)
 
 

@@ -35,6 +35,13 @@ def test_state_basics():
     assert t.delta_t == 1.5
 
 
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+def test_state_refuses_a_non_finite_delay(dt):
+    # json reads NaN and Infinity; a measurement of such a state returned a nan phase
+    with pytest.raises(ParamError, match=f"^delta_t must be finite, got {dt}$"):
+        AnbitState([0.6, 0.8], delta_t=dt)
+
+
 def test_state_rejects_empty():
     with pytest.raises(DimError):
         AnbitState([])
@@ -190,6 +197,9 @@ def test_bloch_point_validation():
         BlochPoint(-0.1, 0.0, 0.0)
     with pytest.raises(ParamError):
         BlochPoint(1.0, 3.5, 0.0)
+    for phi in (math.inf, -math.inf, math.nan):  # a stored nan made from_bloch return nan amplitudes
+        with pytest.raises(ParamError, match=f"^phi must be finite, got {phi}$"):
+            BlochPoint(1.0, 0.5, phi)
     # phi is wrapped, not rejected
     assert BlochPoint(1.0, 1.0, -np.pi / 2.0).phi == pytest.approx(3.0 * np.pi / 2.0)
 

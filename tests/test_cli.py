@@ -1004,6 +1004,16 @@ def test_non_finite_results_fail_typed(tmp_path, capsys, argv, obj):
     assert json.loads(err)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("kind", ["coherent", "differential"])
+def test_measure_names_a_non_finite_delay(tmp_path, capsys, kind):
+    # json reads Infinity; the state refuses it before the record is written
+    path = tmp_path / "st.json"
+    path.write_text('{"amps": [[0.6, 0], [0, 0.8]], "delta_t": Infinity}')
+    rc, out, err = run_cli(capsys, ["measure", str(path), "--kind", kind, "--responsivity", "1"])
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ParamError", "message": "delta_t must be finite, got inf", "exit_code": 2}
+
+
 _INF_GATE = {"entries": [[["inf", 0], [0, 0]], [[0, 0], [1, 0]]]}  # "inf" is written as 1e400
 _NAN_GATE = {"entries": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}  # written as NaN, which json.loads accepts
 

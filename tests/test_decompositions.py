@@ -472,17 +472,3 @@ def test_svd_table_is_svd2_bit_for_bit(kinds, seed):
         assert [d1.hex(), d2.hex()] == [f.d1.hex(), f.d2.hex()]
         assert (_bits(u2), _bits(u1)) == (_bits(f.u2.entries), _bits(f.u1.entries))
         assert all(type(z) is complex for rows in (u2, u1) for row in rows for z in row)
-
-
-_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e308])
-
-
-@settings(max_examples=60, deadline=None)
-@given(pairs=st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=1, max_size=40))
-def test_array_arctangents_are_the_scalar_ones(pairs):
-    # the tables take the angles of many gates in one np.arctan2 or np.angle call;
-    # each entry must be the double a call on that one angle gives
-    ys, xs = (list(c) for c in zip(*pairs))
-    want = [float(np.arctan2(y, x)).hex() for y, x in pairs]
-    assert [v.hex() for v in np.arctan2(ys, xs).tolist()] == want
-    assert [v.hex() for v in np.angle([complex(x, y) for y, x in pairs]).tolist()] == want

@@ -275,6 +275,10 @@ def test_a_fan_weight_up_to_max_over_sqrt2_lowers_with_a_finite_transfer():
     assert tf[0, 0] == pytest.approx(1.27e308, rel=1e-15)
     with pytest.raises(ParamError, match=r"^fan weight n = \(1\.3e\+308\+0j\) needs \|n\| at most max float / sqrt2"):
         lower_fanin(FanInGate(1.3e308, 1.0))
+    # the phase of 1e308 + 5e-324j underflows to 0 (cmath.phase raises OverflowError there)
+    tf = lower_fanin(FanInGate(complex(1e308, 5e-324), 1.0)).forward_transfer()
+    assert np.isfinite(tf).all()
+    assert tf[0, 0] == pytest.approx(1e308, rel=1e-15)
 
 
 def test_fb_symmetry_fanin():

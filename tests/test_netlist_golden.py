@@ -8,13 +8,18 @@ still realize the gate its case draws, computed here without the lowering.
 
 The byte-for-byte contract holds between a parent commit and a change run on
 one host. Across hosts only the realization of each gate within `TOL` holds:
-the last bits depend on the CPU through three measured sources, numpy's SIMD
-`arctan2` kernel (the Euler and fan-in angles), OpenBLAS's `zgesdd` in
-`decompositions._svd_table`, and the LAPACK QR in `conftest.random_unitary`
-that draws the inputs. So the golden comparison can fail on another CPU while
-the realization check passes.
+the last bits depend on the CPU through two measured sources, OpenBLAS's
+`zgesdd` in `decompositions._svd_table` and the LAPACK QR in
+`conftest.random_unitary` that draws the inputs. So the golden comparison can
+fail on another CPU while the realization check passes. The angles come from
+libm's `atan2`, whose bits changed when glibc's FMA variants were switched
+off; numpy's SIMD kernels do not reach the texts, which one test checks.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +166,28 @@ TARGETS = {
 def test_netlist_text_matches_golden(name):
     want = (GOLDEN / f"{name}.netlist").read_text(encoding="utf-8")
     assert netlist_to_text(build(name)) == want
+
+
+def test_netlist_text_does_not_follow_numpy_simd_kernels():
+    """All nine texts built with numpy's AVX-512 kernels switched off are the in-process texts.
+
+    The subprocess sets ``NPY_DISABLE_CPU_FEATURES`` to every kernel family
+    this numpy dispatches that starts with AVX512 or is X86_V4, so numpy takes
+    its AVX2 (or older) kernels there. On a host without AVX-512 both
+    processes take the same kernels and this test cannot fail.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(f for f in __cpu_dispatch__ if f.startswith("AVX512") or f == "X86_V4")
+    code = (
+        "import json, test_netlist_golden as g; from anbit.serialization import netlist_to_text;"
+        " print(json.dumps({name: netlist_to_text(g.build(name)) for name in g.CASES}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert [name for name in CASES if got[name] != netlist_to_text(build(name))] == []
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
